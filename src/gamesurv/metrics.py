@@ -185,25 +185,44 @@ def nll_metric(f_pmf, dataset: Dataset, floor: float = 1e-6) -> float:
 # -- concordance ------------------------------------------------------------
 
 
-class _Fenwick:
-    def __init__(self, n: int):
-        self.tree = np.zeros(n + 1, dtype=np.int64)
-        self.n = n
+def _count_earlier(rank: np.ndarray, weight: np.ndarray) -> tuple[int, int]:
+    """Weighted counts of earlier rows with a smaller and with an equal rank,
+    ``sum_k w_k #{j < k: r_j < r_k}`` and ``sum_k w_k #{j < k: r_j == r_k}``,
+    for dense ranks r (at least one row) and 0/1 weights w.
 
-    def add(self, i: int) -> None:
-        i += 1
-        while i <= self.n:
-            self.tree[i] += 1
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        # count of inserted ranks <= i
-        total = 0
-        i += 1
-        while i > 0:
-            total += self.tree[i]
-            i -= i & (-i)
-        return int(total)
+    One linear pass per bit of the largest rank, most significant first
+    (a wavelet-tree construction). Entering the pass for bit b, the rows are
+    ordered by (r >> (b + 1), position). Within one such group a row whose
+    bit b is 1 outranks exactly the earlier rows whose bit b is 0, and a
+    stable partition of every group by that bit gives the order for the next
+    bit. At the end the rows are ordered by (rank, position), so a row's
+    offset within its rank counts its earlier equals.
+    """
+    n = rank.size
+    n_ranks = int(rank.max()) + 1
+    start = np.zeros(n_ranks + 1, dtype=np.int64)  # start[v] = #{rows: r < v}
+    np.cumsum(np.bincount(rank, minlength=n_ranks), out=start[1:])
+    rw = rank * 2 + weight  # rank and weight packed, so one scatter moves both
+    pos = np.arange(n)
+    less = 0
+    for b in reversed(range((n_ranks - 1).bit_length())):
+        top = rw >> (b + 1)  # r >> b
+        one = top & 1
+        group_start = start[top >> 1 << (b + 1)]
+        ones_in = np.cumsum(one)
+        ones_in -= one
+        ones_in -= ones_in[group_start]  # earlier ones within the group
+        zeros_dest = pos - ones_in  # = group start + earlier zeros within it
+        less += int(np.dot(rw & one, zeros_dest - group_start))
+        # a one goes after all of its group's zeros, i.e. to the start of
+        # the rows sharing r >> b (an arithmetic blend: np.where with its
+        # mask made every pass about 20% slower)
+        dest = zeros_dest + one * (start[top << b] + 2 * ones_in - pos)
+        moved = np.empty_like(rw)
+        moved[dest] = rw
+        rw = moved
+    equal = int(np.dot(rw & 1, pos - start[rw >> 1]))
+    return less, equal
 
 
 def concordance_index(risk: np.ndarray, time: np.ndarray, event: np.ndarray) -> float:
@@ -211,47 +230,58 @@ def concordance_index(risk: np.ndarray, time: np.ndarray, event: np.ndarray) -> 
 
     A pair (i, j) is admissible when i is an observed event and either
     U_i < U_j, or U_i == U_j with j censored (j outlived i's failure).
-    It counts 1 when risk_i > risk_j, 1/2 on risk ties. Runs in
-    O(n log n); exact same tie handling as the quadratic definition.
+    It counts 1 when risk_i > risk_j and 1/2 on a risk tie; the result is
+    (concordant + ties / 2) / admissible from exact integer pair counts, so
+    it equals the quadratic definition bit for bit.
+
+    Order the rows by time descending; within one time put censored rows
+    first, then events by descending risk. An event's admissible partners
+    are then exactly the rows before it, except the same-time events of
+    equal risk (earlier same-time events never have lower risk), whose
+    m(m - 1)/2 ties per cluster of m are subtracted. Counting the earlier
+    rows with lower and equal risk is `_count_earlier`. Times may be binned
+    or continuous; one code path serves both. Runs in O(n log n): three
+    sorts plus one O(n) pass per bit of the number of distinct risks.
+
+    ``risk``, ``time`` and ``event`` must be 1-D of equal length, with
+    finite risks and times; otherwise ValueError names the field.
     """
     risk = np.asarray(risk, dtype=float)
-    time = np.asarray(time)
+    time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
+    for name, arr in (("risk", risk), ("time", time), ("event", event)):
+        if arr.ndim != 1 or arr.size != risk.size:
+            raise ValueError(
+                f"{name} must be 1-D with one entry per row, got shape {arr.shape}"
+            )
+    for name, arr in (("risk", risk), ("time", time)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
     n = risk.size
-    ranks = np.unique(risk, return_inverse=True)[1]
-    n_ranks = int(ranks.max()) + 1 if n else 0
+    distinct_risks, rank = np.unique(risk, return_inverse=True)
+    distinct_times, t_idx = np.unique(time, return_inverse=True)
+    n_ranks, n_times = distinct_risks.size, distinct_times.size
 
-    order = np.lexsort((ranks, time))
-    bounds = np.flatnonzero(np.diff(time[order])) + 1
-    groups = np.split(order, bounds)  # ascending unique times
-
-    tree = _Fenwick(n_ranks)
-    rank_count = np.zeros(n_ranks, dtype=np.int64)
-    inserted = 0
-    concordant = 0.0
-    admissible = 0
-    for grp in reversed(groups):  # later times enter the tree first
-        grp_ranks = ranks[grp]
-        grp_event = event[grp]
-        cens_ranks = np.sort(grp_ranks[~grp_event])
-        for r in grp_ranks[grp_event]:
-            # versus strictly later observations
-            less = tree.prefix(r - 1) if r > 0 else 0
-            ties = rank_count[r]
-            concordant += less + 0.5 * ties
-            admissible += inserted
-            # versus same-time censored observations
-            less_c = np.searchsorted(cens_ranks, r, side="left")
-            ties_c = np.searchsorted(cens_ranks, r, side="right") - less_c
-            concordant += less_c + 0.5 * ties_c
-            admissible += cens_ranks.size
-        for r in grp_ranks:
-            tree.add(r)
-            rank_count[r] += 1
-            inserted += 1
+    at_time = np.bincount(t_idx, minlength=n_times)
+    events_at = np.bincount(t_idx[event], minlength=n_times)
+    later = n - np.cumsum(at_time)
+    # an event's partners: every later row and the censored rows at its time
+    admissible = int(np.dot(events_at, later + at_time - events_at))
     if admissible == 0:
         raise ValueError("no admissible pairs: cannot compute concordance")
-    return concordant / admissible
+
+    # one sort key: time descending, censored before events, risk descending
+    key = ((n_times - 1 - t_idx) * 2 + event) * n_ranks + (n_ranks - 1 - rank)
+    order = np.argsort(key)
+    sorted_key = key[order]
+    weight = event[order].astype(np.int64)
+    # runs of one key among events: same-time clusters of equal risk
+    run_starts = np.flatnonzero(np.diff(sorted_key, prepend=-1))
+    run_sizes = np.diff(run_starts, append=n)[weight[run_starts] == 1]
+    same_time_ties = int(np.dot(run_sizes, run_sizes - 1)) // 2
+
+    less, equal = _count_earlier(rank[order], weight)
+    return (less + 0.5 * (equal - same_time_ties)) / admissible
 
 
 def concordance(f_pmf, dataset: Dataset) -> float:

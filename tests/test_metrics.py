@@ -89,10 +89,22 @@ def test_concordance_index_hand_cases():
     assert concordance_index(np.array([1.0, 0.0]), t2, np.array([True, False])) == 1.0
     with pytest.raises(ValueError, match="no admissible pairs"):
         concordance_index(np.array([1.0, 0.0]), t2, np.array([True, True]))
+    # the input contract names the offending field
+    with pytest.raises(ValueError, match="^event"):
+        concordance_index([1.0, 2.0], [1, 2], [True, False, True])
+    with pytest.raises(ValueError, match="^time"):
+        concordance_index([1.0, 2.0, 3.0], [1, 2], [True, True, True])
+    with pytest.raises(ValueError, match="^risk"):
+        concordance_index([np.nan, 1.0, 2.0, 0.5], [1, 2, 3, 4], [True, True, True, False])
+    with pytest.raises(ValueError, match="^time"):
+        concordance_index([1.0, 2.0], [np.inf, 1.0], [True, True])
+    with pytest.raises(ValueError, match="^risk"):
+        concordance_index([[1.0, 2.0]], [1, 2], [True, True])
 
 
 def test_concordance_index_matches_brute_force():
     rng = np.random.default_rng(7)
+    cases = []
     for trial in range(20):
         n = int(rng.integers(20, 120))
         # coarse grids force heavy ties in both time and risk
@@ -101,8 +113,33 @@ def test_concordance_index_matches_brute_force():
         risk = np.round(rng.normal(size=n), 1)
         if not np.any(event):
             event[0] = True
-        fast = concordance_index(risk, time, event)
-        assert fast == _brute_concordance(risk, time, event)
+        cases.append((risk, time, event))
+    n = 80
+    risk = np.round(rng.normal(size=n), 1)
+    time = rng.integers(1, 6, size=n)
+    event = rng.random(n) < 0.6
+    event[:2] = [True, False]
+    one_event = np.zeros(n, bool)
+    one_event[np.argmin(time)] = True
+    cases += [
+        (risk, rng.exponential(size=n), event),  # continuous times
+        (rng.normal(size=n), rng.exponential(size=n), event),  # and risks
+        (risk, np.full(n, 3), event),  # one shared time
+        (np.full(n, 0.5), time, event),  # all risks tied
+        (risk, time, one_event),  # exactly one event
+    ]
+    for trial in range(60):  # very small n
+        n = int(rng.integers(2, 5))
+        cases.append((rng.integers(0, 3, size=n).astype(float),
+                      rng.integers(1, 3, size=n), rng.random(n) < 0.6))
+    for risk, time, event in cases:
+        try:
+            brute = _brute_concordance(risk, time, event)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="no admissible pairs"):
+                concordance_index(risk, time, event)
+            continue
+        assert concordance_index(risk, time, event) == brute
 
 
 def test_concordance_uses_expected_bin_risk():
