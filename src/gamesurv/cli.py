@@ -66,11 +66,7 @@ def _make_generator(spec: dict, n: int, seed) -> simgen.RawSurvivalData:
         knobs = {k: v for k, v in spec.items() if k not in ("kind", "n", "seed")}
         return simgen.gen_gamma(simgen.GammaSimConfig(n=n, seed=seed, **knobs))
     if kind == "marginal":
-        world = simgen.MarginalWorld(
-            np.asarray(_require(spec, "theta_t", "generator")),
-            np.asarray(_require(spec, "theta_c", "generator")),
-        )
-        ds = simgen.gen_marginal(world, n, seed)
+        ds = simgen.gen_marginal(_world_from(spec, "generator"), n, seed)
         return simgen.RawSurvivalData(
             ds.features, ds.raw_time, ds.event,
             latent_time=ds.latent_time, latent_censor=ds.latent_censor,
@@ -78,10 +74,10 @@ def _make_generator(spec: dict, n: int, seed) -> simgen.RawSurvivalData:
     raise ConfigError(f"unknown generator kind {kind!r}")
 
 
-def _world_from(spec: dict) -> simgen.MarginalWorld:
+def _world_from(spec: dict, context: str = "world") -> simgen.MarginalWorld:
     return simgen.MarginalWorld(
-        np.asarray(_require(spec, "theta_t", "world")),
-        np.asarray(_require(spec, "theta_c", "world")),
+        np.asarray(_require(spec, "theta_t", context)),
+        np.asarray(_require(spec, "theta_c", context)),
     )
 
 
@@ -200,6 +196,15 @@ def _write_calibration(path: Path, levels, observed) -> None:
             writer.writerow([repr(float(a)), repr(float(o))])
 
 
+def _score_test_split(test_raw, edges, model_f, model_g, weighting, world=None):
+    """Bin a standardized test split on the training grid and evaluate the
+    failure model under one weighting (``model_g`` may be None)."""
+    test_ds = core.discretize(test_raw, edges=edges)
+    f_pmf = model_f.predict_pmf(test_ds.features, n=test_ds.n)
+    g_pmf = model_g.predict_pmf(test_ds.features, n=test_ds.n) if model_g else None
+    return metrics.evaluate(f_pmf, test_ds, weighting, g_pmf, world)
+
+
 def cmd_evaluate(cfg: dict, args) -> None:
     from .models import Model
 
@@ -220,12 +225,10 @@ def cmd_evaluate(cfg: dict, args) -> None:
         )
     if cfg.get("standardizer"):
         test_raw = _load_standardizer(cfg["standardizer"]).apply(test_raw)
-    test_ds = core.discretize(test_raw, edges=edges)
-    weighting = cfg.get("weighting", "km")
     world = _world_from(cfg["world"]) if "world" in cfg else None
-    f_pmf = model_f.predict_pmf(test_ds.features, n=test_ds.n)
-    g_pmf = model_g.predict_pmf(test_ds.features, n=test_ds.n) if model_g else None
-    report = metrics.evaluate(f_pmf, test_ds, weighting, g_pmf, world)
+    report = _score_test_split(
+        test_raw, edges, model_f, model_g, cfg.get("weighting", "km"), world
+    )
     _json_dump(report.to_dict(), out / "report.json")
     if report.calibration_levels is not None:
         _write_calibration(
@@ -254,11 +257,10 @@ def _sweep_point(payload: dict) -> dict:
     test_raw = std.apply(
         _make_generator(cfg["generator"], int(cfg.get("n_test", 2048)), (seed, 2))
     )
-    test_ds = core.discretize(test_raw, edges=train_ds.bin_edges)
-    weighting = cfg.get("weighting", "uncensored-latent")
-    f_pmf = model_f.predict_pmf(test_ds.features, n=test_ds.n)
-    g_pmf = model_g.predict_pmf(test_ds.features, n=test_ds.n)
-    report = metrics.evaluate(f_pmf, test_ds, weighting, g_pmf)
+    report = _score_test_split(
+        test_raw, train_ds.bin_edges, model_f, model_g,
+        cfg.get("weighting", "uncensored-latent"),
+    )
     return {
         "objective": objective,
         "n_train": size,

@@ -108,6 +108,8 @@ class Batch:
         object.__setattr__(self, "event", np.asarray(self.event, dtype=bool))
         if self.time_bin.shape != self.event.shape:
             raise ValueError("time_bin and event must have the same shape")
+        if self.time_bin.size == 0:
+            raise ValueError("time_bin is empty: a batch needs at least one record")
         if np.any(self.time_bin < 1):
             raise ValueError("time bins are 1-indexed; found bin < 1")
         if self.weight is not None:

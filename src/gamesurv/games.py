@@ -31,6 +31,8 @@ from .core import Batch, Dataset
 from .losses import (
     ClampStats,
     LossSpec,
+    _own_cdf,
+    _own_terms,
     batch_loss,
     ipcw_weight_arrays,
     per_horizon_loss,
@@ -80,13 +82,18 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        family_of(self.objective)
+        # the spec every loss of the run will carry; checks the objective and weight_floor
+        LossSpec(family_of(self.objective), "failure", "all", self.weight_floor)
         if self.game_form not in ("summed", "multiplayer"):
             raise ValueError(f"unknown game_form {self.game_form!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate < 0 or self.epochs < 0:
-            raise ValueError("learning_rate and epochs must be nonnegative")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(
+                f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}"
+            )
+        if self.epochs < 0:
+            raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1 or self.checkpoint_every < 1:
             raise ValueError("batch_size and checkpoint_every must be positive")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
@@ -156,16 +163,12 @@ def init_state(n_bins: int, feature_dim: int, config: TrainConfig) -> GameState:
     seed_f, seed_g, _ = np.random.SeedSequence(config.seed).spawn(3)
     if config.game_form == "multiplayer":
         arch = ArchSpec("marginal-prob", n_bins)
-        model_f = Model.init(arch, seed_f, config.init_scale)
-        model_g = Model.init(arch, seed_g, config.init_scale)
     elif feature_dim > 0:
         arch = ArchSpec("mlp", n_bins, feature_dim, config.hidden)
-        model_f = Model.init(arch, seed_f, config.init_scale)
-        model_g = Model.init(ArchSpec("mlp", n_bins, feature_dim, config.hidden), seed_g, config.init_scale)
     else:
         arch = ArchSpec("marginal", n_bins)
-        model_f = Model.init(arch, seed_f, config.init_scale)
-        model_g = Model.init(arch, seed_g, config.init_scale)
+    model_f = Model.init(arch, seed_f, config.init_scale)
+    model_g = Model.init(arch, seed_g, config.init_scale)
     return GameState(
         model_f,
         model_g,
@@ -272,6 +275,8 @@ def train(dataset: Dataset, config: TrainConfig) -> GameState:
     (the final epoch is always kept). Runs with the same config and data are
     bit-for-bit reproducible.
     """
+    if dataset.n == 0:
+        raise ValueError("dataset is empty: time_bin has no rows to train on")
     state = init_state(dataset.n_bins, dataset.feature_dim, config)
     _, _, seed_shuffle = np.random.SeedSequence(config.seed).spawn(3)
     rng = np.random.default_rng(seed_shuffle)
@@ -344,7 +349,6 @@ def _selection_tables(
     """
     epochs = sorted(checkpoints)
     batch = val.batch()
-    K = val.n_bins
     pmfs_f = np.stack(
         [Model(arch_f, checkpoints[e][0]).predict_pmf(val.features, n=val.n) for e in epochs]
     )
@@ -352,47 +356,25 @@ def _selection_tables(
         [Model(arch_g, checkpoints[e][1]).predict_pmf(val.features, n=val.n) for e in epochs]
     )
     E = len(epochs)
-    if family == "nll":
-        lf = np.array(
-            [batch_loss(LossSpec("nll", "failure"), p, None, batch)[0] for p in pmfs_f]
-        )
-        lg = np.array(
-            [batch_loss(LossSpec("nll", "censor"), p, None, batch)[0] for p in pmfs_g]
-        )
-        return epochs, np.tile(lg, (E, 1)), np.tile(lf, (E, 1))
+    times = resolve_times("all", val.n_bins)
+    flat = lambda arr: arr.reshape(E, val.n * times.size)
 
-    # Bulk route: each entry of the tables is a sum over (sample, horizon)
-    # of own-term * frozen-weight, so the whole E x E table is two matrix
-    # products between flattened (E, n*T) stacks.
-    times = resolve_times("all", K)
-    n = val.n
-
-    def cdf_stack(pmfs):
-        return np.minimum(np.cumsum(pmfs, axis=2), 1.0)[:, :, times - 1]
-
-    def own_terms(cdf):  # low/high: multipliers of the event/survival branch
-        if family == "ipcw-bs":
-            return (1.0 - cdf) ** 2, cdf**2
-        return -np.log(np.maximum(cdf, weight_floor)), -np.log(
-            np.maximum(1.0 - cdf, weight_floor)
-        )
-
-    def weight_stack(role, pmfs):
+    def table(role, own_pmfs, frozen_pmfs):  # [j, i]: own i against frozen j
+        if family == "nll":
+            own_loss = [batch_loss(LossSpec("nll", role), p, None, batch)[0] for p in own_pmfs]
+            return np.tile(own_loss, (E, 1))
+        # Bulk route: each entry is a sum over (sample, horizon) of own-term *
+        # frozen-weight, so the whole E x E table is two matrix products
+        # between flattened (E, n*T) stacks.
+        evt, srv = _own_terms(family, _own_cdf(own_pmfs, times), weight_floor)
         pairs = [
             ipcw_weight_arrays(role, p, val.time_bin, val.event, times, weight_floor)
-            for p in pmfs
+            for p in frozen_pmfs
         ]
-        return np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
+        a, b = np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
+        return (flat(a) @ flat(evt).T + flat(b) @ flat(srv).T) / val.n
 
-    T = times.size
-    evt_f, surv_f = own_terms(cdf_stack(pmfs_f))
-    evt_g, surv_g = own_terms(cdf_stack(pmfs_g))
-    a_from_g, b_from_g = weight_stack("failure", pmfs_g)
-    a_from_f, b_from_f = weight_stack("censor", pmfs_f)
-    flat = lambda arr: arr.reshape(E, n * T)
-    loss_f_given_g = (flat(a_from_g) @ flat(evt_f).T + flat(b_from_g) @ flat(surv_f).T) / n
-    loss_g_given_f = (flat(a_from_f) @ flat(evt_g).T + flat(b_from_f) @ flat(surv_g).T) / n
-    return epochs, loss_g_given_f, loss_f_given_g
+    return epochs, table("censor", pmfs_g, pmfs_f), table("failure", pmfs_f, pmfs_g)
 
 
 def select_models(

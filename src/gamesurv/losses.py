@@ -22,6 +22,7 @@ Conventions, fixed across the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,9 @@ __all__ = [
     "LossSpec",
     "resolve_times",
     "nll",
+    "ipcw_per_sample",
     "ipcw_bs_failure",
-    "ipcw_bs_censor",
     "ipcw_bll_failure",
-    "ipcw_bll_censor",
     "ipcw_mean",
     "summed_loss",
     "batch_loss",
@@ -103,17 +103,16 @@ def _as_matrix(pmf: np.ndarray, n: int) -> np.ndarray:
 
 
 def _padded_cdf(pmf: np.ndarray) -> np.ndarray:
-    """(n, K+1) cumulative with a leading zero column: col j = P(X <= j)."""
-    n, K = pmf.shape
-    out = np.empty((n, K + 1))
-    out[:, 0] = 0.0
-    np.cumsum(pmf, axis=1, out=out[:, 1:])
+    """Cumulative along the last axis with a leading zero: entry j is
+    P(X <= j) for j = 0..K."""
+    out = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
+    np.cumsum(pmf, axis=-1, out=out[..., 1:])
     return out
 
 
 def _own_cdf(own: np.ndarray, times: np.ndarray) -> np.ndarray:
     # rounding in the cumsum may poke a hair above 1; keep 1 - cdf >= 0
-    return np.minimum(np.cumsum(own, axis=1)[:, times - 1], 1.0)
+    return np.minimum(np.cumsum(own, axis=-1)[..., times - 1], 1.0)
 
 
 def _clamp(values: np.ndarray, floor: float, active: np.ndarray, stats: ClampStats | None):
@@ -123,9 +122,9 @@ def _clamp(values: np.ndarray, floor: float, active: np.ndarray, stats: ClampSta
     return np.maximum(values, floor), clamped
 
 
-def _frozen_weights(
+def _ipcw_weights(
     role: str,
-    frozen_pmf: np.ndarray,
+    surv: np.ndarray,
     time_bin: np.ndarray,
     event: np.ndarray,
     times: np.ndarray,
@@ -133,18 +132,22 @@ def _frozen_weights(
     stats: ClampStats | None,
 ):
     """Per-(sample, horizon) inverse weights for the event and survival
-    branches. Returns (a, b): a = indicator/weight for the event branch,
-    b = 1{U > t}/weight for the survival branch."""
-    n = time_bin.size
-    pad = _padded_cdf(frozen_pmf)
-    rows = np.arange(n)
+    branches, from the other player's survival table ``surv``: entry j is
+    P(X > j) for j = 0..K, shape (K+1,) shared by all rows or (n, K+1).
+
+    Returns (a, b), shape (n, T): a = indicator/weight for the event
+    branch, b = 1{U > t}/weight for the survival branch. The failure
+    role's event branch divides by Gbar(U-) = surv[U-1], the censor role's
+    by Fbar(U) = surv[U]."""
     if role == "failure":
-        ind = event
-        den_evt = 1.0 - pad[rows, time_bin - 1]  # Gbar(U-)
+        ind, evt_col = event, time_bin - 1  # Gbar(U-)
     else:
-        ind = ~event
-        den_evt = 1.0 - pad[rows, time_bin]  # Fbar(U)
-    den_surv = 1.0 - pad[:, times]  # (n, T): Xbar(t) columns
+        ind, evt_col = ~event, time_bin  # Fbar(U)
+    if surv.ndim == 2:
+        den_evt = surv[np.arange(time_bin.size), evt_col]
+    else:
+        den_evt = surv[evt_col]
+    den_surv = surv[..., times]  # Xbar(t) columns
 
     le = time_bin[:, None] <= times[None, :]
     evt_active = ind[:, None] & le
@@ -159,28 +162,42 @@ def _frozen_weights(
     return a, b
 
 
+def _own_terms(family: str, cdf: np.ndarray, floor: float):
+    """A player's own score at its cdf values F(t): the event-branch and
+    survival-branch terms, (1 - F)^2 and F^2 for the Brier score, -log F
+    and -log(1 - F) for the Bernoulli log loss with the log arguments
+    clamped at ``floor``. Its IPCW score is event * a + survival * b."""
+    if family == "ipcw-bs":
+        q = 1.0 - cdf
+        return q * q, cdf * cdf
+    return -np.log(np.maximum(cdf, floor)), -np.log(np.maximum(1.0 - cdf, floor))
+
+
 def _game_values_coefs(
-    family: str,
-    own_cdf_t: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    floor: float,
+    spec: LossSpec,
+    own: np.ndarray,
+    frozen_pmf: np.ndarray,
+    time_bin: np.ndarray,
+    event: np.ndarray,
     stats: ClampStats | None,
 ):
-    """Per-(sample, horizon) loss values and d(value)/d(own cdf at t)."""
-    P = own_cdf_t
-    Q = 1.0 - P
-    if family == "ipcw-bs":
-        vals = Q * Q * a + P * P * b
-        coefs = 2.0 * (P * b - Q * a)
-        return vals, coefs
-    # ipcw-bll: squared residuals replaced by negative logs, same weights
+    """Horizons, per-(sample, horizon) loss values and d(value)/d(own cdf
+    at t), with the other player's pmf frozen into the inverse weights."""
+    n, K = own.shape
+    times = resolve_times(spec.times, K)
+    floor = spec.weight_floor
+    surv = 1.0 - _padded_cdf(_as_matrix(frozen_pmf, n))
+    a, b = _ipcw_weights(spec.role, surv, time_bin, event, times, floor, stats)
+    P = _own_cdf(own, times)
+    evt, srv = _own_terms(spec.family, P, floor)
+    vals = evt * a + srv * b
+    if spec.family == "ipcw-bs":
+        return times, vals, 2.0 * (P * b - (1.0 - P) * a)
     Pc, P_clamped = _clamp(P, floor, a > 0, stats)
-    Qc, Q_clamped = _clamp(Q, floor, b > 0, stats)
-    vals = -np.log(Pc) * a - np.log(Qc) * b
+    Qc, Q_clamped = _clamp(1.0 - P, floor, b > 0, stats)
     # clamped terms are flat in the cdf, so they contribute no gradient
     coefs = np.where(Q_clamped, 0.0, b / Qc) - np.where(P_clamped, 0.0, a / Pc)
-    return vals, coefs
+    return times, vals, coefs
 
 
 def _nll_values_dpmf(
@@ -257,13 +274,9 @@ def batch_loss(
 
     if frozen_pmf is None:
         raise ValueError("game losses need the other player's pmf")
-    frozen = _as_matrix(frozen_pmf, n)
-    times = resolve_times(spec.times, K)
-    a, b = _frozen_weights(
-        spec.role, frozen, batch.time_bin, batch.event, times, spec.weight_floor, stats
+    times, vals, coefs = _game_values_coefs(
+        spec, own, frozen_pmf, batch.time_bin, batch.event, stats
     )
-    own_cdf_t = _own_cdf(own, times)
-    vals, coefs = _game_values_coefs(spec.family, own_cdf_t, a, b, spec.weight_floor, stats)
     value = float(w @ vals.sum(axis=1))
     # d cdf(t) / d pmf_k = 1{k <= t}: scatter per-horizon coefs, then suffix-sum
     tmp = np.zeros((n, K))
@@ -292,16 +305,10 @@ def per_horizon_loss(
     """
     if spec.family == "nll":
         raise ValueError("per-horizon form is defined for the game losses only")
-    n = batch.n
-    own = _as_matrix(own_pmf, n)
-    K = own.shape[1]
-    frozen = _as_matrix(frozen_pmf, n)
-    times = resolve_times(spec.times, K)
-    a, b = _frozen_weights(
-        spec.role, frozen, batch.time_bin, batch.event, times, spec.weight_floor, stats
+    own = _as_matrix(own_pmf, batch.n)
+    _, vals, coefs = _game_values_coefs(
+        spec, own, frozen_pmf, batch.time_bin, batch.event, stats
     )
-    own_cdf_t = _own_cdf(own, times)
-    vals, coefs = _game_values_coefs(spec.family, own_cdf_t, a, b, spec.weight_floor, stats)
     w = batch.norm_weight()
     return w @ vals, w @ coefs
 
@@ -320,68 +327,35 @@ def ipcw_weight_arrays(
     Exposed for bulk evaluation over checkpoint grids."""
     time_bin = np.asarray(time_bin, dtype=np.int64)
     event = np.asarray(event, dtype=bool)
-    frozen = _as_matrix(frozen_pmf, time_bin.size)
-    return _frozen_weights(role, frozen, time_bin, event, times, weight_floor, stats)
+    surv = 1.0 - _padded_cdf(_as_matrix(frozen_pmf, time_bin.size))
+    return _ipcw_weights(role, surv, time_bin, event, times, weight_floor, stats)
 
 
-def _per_sample_game(
-    family: str,
-    role: str,
-    t: int,
-    own_pmf: np.ndarray,
-    frozen_pmf: np.ndarray,
-    time_bin: np.ndarray,
-    event: np.ndarray,
-    weight_floor: float,
-    stats: ClampStats | None,
-) -> np.ndarray:
+def ipcw_per_sample(
+    family, role, t, own_pmf, frozen_pmf, time_bin, event, weight_floor=1e-6, stats=None
+):
+    """Per-sample horizon-t game loss of one player, censoring handled by
+    inverse weights from the other (frozen) player's pmf.
+
+    ipcw-bs, failure role:
+        value_i = Fbar(t)^2 * delta * 1{U <= t} / Gbar(U-)
+                + F(t)^2 * 1{U > t} / Gbar(t)
+    ipcw-bll replaces the squared residuals by negative logs, -log F(t) on
+    the event branch and -log Fbar(t) on the survival branch, with the same
+    weights. In the censor role events and censorings swap roles and the
+    event branch divides by Fbar(U) with no left limit (T > U strictly on
+    censored samples).
+    """
     time_bin = np.asarray(time_bin, dtype=np.int64)
     event = np.asarray(event, dtype=bool)
-    n = time_bin.size
-    own = _as_matrix(own_pmf, n)
-    times = resolve_times((t,), own.shape[1])
-    a, b = _frozen_weights(
-        role, _as_matrix(frozen_pmf, n), time_bin, event, times, weight_floor, stats
-    )
-    own_cdf_t = _own_cdf(own, times)
-    vals, _ = _game_values_coefs(family, own_cdf_t, a, b, weight_floor, stats)
+    own = _as_matrix(own_pmf, time_bin.size)
+    spec = LossSpec(family, role, (t,), weight_floor)
+    _, vals, _ = _game_values_coefs(spec, own, frozen_pmf, time_bin, event, stats)
     return vals[:, 0]
 
 
-def ipcw_bs_failure(t, f_pmf, g_pmf, time_bin, event, weight_floor=1e-6, stats=None):
-    """Per-sample horizon-t Brier score for the failure model, censoring
-    handled by inverse weights from the (frozen) censoring model.
-
-    value_i = Fbar(t)^2 * delta * 1{U <= t} / Gbar(U-)
-            + F(t)^2 * 1{U > t} / Gbar(t)
-    """
-    return _per_sample_game(
-        "ipcw-bs", "failure", t, f_pmf, g_pmf, time_bin, event, weight_floor, stats
-    )
-
-
-def ipcw_bs_censor(t, g_pmf, f_pmf, time_bin, event, weight_floor=1e-6, stats=None):
-    """Mirror image of :func:`ipcw_bs_failure` for the censoring model:
-    events and censorings swap roles and the event branch divides by
-    Fbar(U) with no left limit (T > U strictly on censored samples)."""
-    return _per_sample_game(
-        "ipcw-bs", "censor", t, g_pmf, f_pmf, time_bin, event, weight_floor, stats
-    )
-
-
-def ipcw_bll_failure(t, f_pmf, g_pmf, time_bin, event, weight_floor=1e-6, stats=None):
-    """As :func:`ipcw_bs_failure` with squared residuals replaced by negative
-    logs: -log F(t) on the event branch, -log Fbar(t) on the survival branch.
-    Weights are identical to the Brier case."""
-    return _per_sample_game(
-        "ipcw-bll", "failure", t, f_pmf, g_pmf, time_bin, event, weight_floor, stats
-    )
-
-
-def ipcw_bll_censor(t, g_pmf, f_pmf, time_bin, event, weight_floor=1e-6, stats=None):
-    return _per_sample_game(
-        "ipcw-bll", "censor", t, g_pmf, f_pmf, time_bin, event, weight_floor, stats
-    )
+ipcw_bs_failure = functools.partial(ipcw_per_sample, "ipcw-bs", "failure")
+ipcw_bll_failure = functools.partial(ipcw_per_sample, "ipcw-bll", "failure")
 
 
 def nll(pmf, time_bin, event, role="failure", weight_floor=1e-6, stats=None):
@@ -410,12 +384,12 @@ def ipcw_mean(time_bin, event, censor_pmf, values=None, weight=None, weight_floo
     """
     time_bin = np.asarray(time_bin, dtype=np.int64)
     event = np.asarray(event, dtype=bool)
-    n = time_bin.size
-    pad = _padded_cdf(_as_matrix(censor_pmf, n))
-    gbar_left = 1.0 - pad[np.arange(n), time_bin - 1]
-    den, _ = _clamp(gbar_left, weight_floor, event, stats)
+    surv = 1.0 - _padded_cdf(_as_matrix(censor_pmf, time_bin.size))
+    # horizon K covers every row, so the event-branch weight is delta / Gbar(U-)
+    horizon_k = np.array([surv.shape[1] - 1])
+    a, _ = _ipcw_weights("failure", surv, time_bin, event, horizon_k, weight_floor, stats)
     vals = np.asarray(time_bin if values is None else values, dtype=float)
-    contrib = np.where(event, vals / den, 0.0)
+    contrib = np.where(event, vals * a[:, 0], 0.0)  # censored values may be NaN
     if weight is None:
         return float(contrib.mean())
     w = np.asarray(weight, dtype=float)

@@ -1,11 +1,13 @@
 """Censoring-aware evaluation: Kaplan-Meier weights, horizon scores,
 concordance, calibration, and a serializable report.
 
-The per-horizon Brier and Bernoulli log-likelihood metrics accept pluggable
-inverse weights so a model can be scored against the latent failure times
-(simulation only), a Kaplan-Meier censoring estimate (the deployable
-choice), the jointly trained censoring model, or the true censoring
-distribution (simulation only, for bias checks).
+The per-horizon Brier and Bernoulli log-likelihood metrics are the failure
+player's training score, inverse-weighted by a censoring survival table
+Gbar[j] = P(C > j), j = 0..K, that each weighting supplies: the Kaplan-Meier
+censoring estimate at the bins (the deployable choice), one minus the padded
+cdf of the jointly trained censoring model or of the true censoring
+distribution (simulation only, for bias checks), or Gbar = 1 with the latent
+failure times as events (simulation only).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, assign_bins
+from .losses import _as_matrix, _ipcw_weights, _own_cdf, _own_terms, _padded_cdf
 from .losses import nll as _nll_per_sample
 from .simgen import MarginalWorld
 
@@ -64,11 +67,18 @@ class KaplanMeier:
 
 def km_fit(time: np.ndarray, event: np.ndarray) -> KaplanMeier:
     """Kaplan-Meier over observed times; ties share a time point, and a
-    subject censored at t is still at risk for the deaths at t."""
+    subject censored at t is still at risk for the deaths at t.
+
+    ``time`` and ``event`` must be 1-D of equal length with finite times;
+    otherwise ValueError names the field."""
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
-    if time.size == 0:
-        raise ValueError("need at least one observation")
+    if time.ndim != 1 or time.size == 0:
+        raise ValueError(f"time must be 1-D with at least one entry, got shape {time.shape}")
+    if event.shape != time.shape:
+        raise ValueError(f"event must match time's shape {time.shape}, got {event.shape}")
+    if not np.all(np.isfinite(time)):
+        raise ValueError("time must be finite")
     uniq, inv = np.unique(time, return_inverse=True)
     d = np.bincount(inv[event], minlength=uniq.size)
     c = np.bincount(inv[~event], minlength=uniq.size)
@@ -90,73 +100,41 @@ def _latent_bins(dataset: Dataset) -> np.ndarray:
     return assign_bins(dataset.latent_time, dataset.bin_edges)
 
 
-def _ipcw_denominators(dataset, weighting, g_pmf, world, ts):
-    """Per-sample event-branch weights Gbar(U-) and per-(sample, horizon)
-    survival-branch weights Gbar(t) under the chosen censoring estimate."""
-    u = dataset.time_bin
-    n = dataset.n
+def _censoring_survival(dataset: Dataset, weighting: str, g_pmf, world):
+    """Censoring survival table Gbar[..., j] = P(C > j), j = 0..K, under one
+    weighting, with the (time_bin, event) it weights. The latent weighting
+    scores the latent failure bins, every row an event, against Gbar = 1."""
+    K = dataset.n_bins
+    if weighting == "uncensored-latent":
+        return np.ones(K + 1), _latent_bins(dataset), np.ones(dataset.n, dtype=bool)
     if weighting == "km":
-        km = km_censoring(dataset)
-        den_evt = km.surv_left_at(u.astype(float))
-        den_surv = np.broadcast_to(km.surv_at(ts.astype(float)), (n, ts.size))
+        # binned times: KM jumps only at integer bins, so the table holds its
+        # values at 0..K and its left limit at U is the entry at U - 1
+        gbar = km_censoring(dataset).surv_at(np.arange(K + 1.0))
     elif weighting == "model-G":
         if g_pmf is None:
             raise ValueError("model-G weighting needs the censoring model's pmfs")
-        g_pmf = np.asarray(g_pmf, dtype=float)
-        if g_pmf.ndim == 1:
-            g_pmf = np.broadcast_to(g_pmf, (n, g_pmf.size))
-        cdf = np.cumsum(g_pmf, axis=1)
-        pad = np.concatenate([np.zeros((n, 1)), cdf], axis=1)
-        den_evt = 1.0 - pad[np.arange(n), u - 1]
-        den_surv = 1.0 - cdf[:, ts - 1]
+        gbar = 1.0 - _padded_cdf(_as_matrix(g_pmf, dataset.n))
     elif weighting == "true-G":
         if world is None:
             raise ValueError("true-G weighting needs the generating world")
-        cdf = np.concatenate([[0.0], np.cumsum(world.theta_c)])
-        den_evt = 1.0 - cdf[u - 1]
-        den_surv = np.broadcast_to(1.0 - cdf[ts], (n, ts.size))
+        gbar = 1.0 - _padded_cdf(world.theta_c)
     else:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}")
-    return den_evt, den_surv
+    return gbar, dataset.time_bin, dataset.event
 
 
-def _eval_weighted(dataset, f_cdf, weighting, g_pmf, world, floor, kind):
-    """Shared core of eval_bs / eval_bll."""
-    K = dataset.n_bins
-    ts = np.arange(1, K)
-    n = dataset.n
-    u = dataset.time_bin
-
-    if weighting == "uncensored-latent":
-        # direct scoring against the latent failure bins; no weights at all
-        lat = _latent_bins(dataset)
-        ind = (lat[:, None] <= ts[None, :]).astype(float)
-        if kind == "bs":
-            return np.mean((f_cdf - ind) ** 2, axis=0)
-        lo = -np.log(np.maximum(f_cdf, floor))
-        hi = -np.log(np.maximum(1.0 - f_cdf, floor))
-        return np.mean(np.where(ind > 0, lo, hi), axis=0)
-
-    den_evt, den_surv = _ipcw_denominators(dataset, weighting, g_pmf, world, ts)
-    le = u[:, None] <= ts[None, :]
-    a = (dataset.event[:, None] & le) / np.maximum(den_evt, floor)[:, None]
-    b = ~le / np.maximum(den_surv, floor)
-    if kind == "bs":
-        vals = (1.0 - f_cdf) ** 2 * a + f_cdf**2 * b
-    else:
-        vals = -np.log(np.maximum(f_cdf, floor)) * a - np.log(
-            np.maximum(1.0 - f_cdf, floor)
-        ) * b
-    return vals.mean(axis=0)
-
-
-def _f_cdf(f_pmf, dataset) -> np.ndarray:
-    f_pmf = np.asarray(f_pmf, dtype=float)
-    if f_pmf.ndim == 1:
-        f_pmf = np.broadcast_to(f_pmf, (dataset.n, f_pmf.size))
-    if f_pmf.shape != (dataset.n, dataset.n_bins):
+def _eval_weighted(f_pmf, dataset, weighting, g_pmf, world, floor, family):
+    """Shared core of eval_bs / eval_bll: the failure player's training
+    score, averaged per horizon over the dataset."""
+    f_pmf = _as_matrix(f_pmf, dataset.n)
+    if f_pmf.shape[1] != dataset.n_bins:
         raise ValueError("pmfs must be (n, K) aligned with the dataset")
-    return np.minimum(np.cumsum(f_pmf, axis=1), 1.0)[:, :-1]
+    times = np.arange(1, dataset.n_bins)
+    evt, srv = _own_terms(family, _own_cdf(f_pmf, times), floor)
+    gbar, time_bin, event = _censoring_survival(dataset, weighting, g_pmf, world)
+    a, b = _ipcw_weights("failure", gbar, time_bin, event, times, floor, None)
+    return (evt * a + srv * b).mean(axis=0)
 
 
 def eval_bs(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
@@ -166,13 +144,13 @@ def eval_bs(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
     On censoring-free data the 'km' weights are identically 1 and the score
     equals the plain uncensored Brier score exactly.
     """
-    return _eval_weighted(dataset, _f_cdf(f_pmf, dataset), weighting, g_pmf, world, floor, "bs")
+    return _eval_weighted(f_pmf, dataset, weighting, g_pmf, world, floor, "ipcw-bs")
 
 
 def eval_bll(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
              world: MarginalWorld | None = None, floor: float = 1e-6) -> np.ndarray:
     """Per-horizon negative Bernoulli log-likelihood, same weighting scheme."""
-    return _eval_weighted(dataset, _f_cdf(f_pmf, dataset), weighting, g_pmf, world, floor, "bll")
+    return _eval_weighted(f_pmf, dataset, weighting, g_pmf, world, floor, "ipcw-bll")
 
 
 def nll_metric(f_pmf, dataset: Dataset, floor: float = 1e-6) -> float:
@@ -287,11 +265,8 @@ def concordance_index(risk: np.ndarray, time: np.ndarray, event: np.ndarray) -> 
 def concordance(f_pmf, dataset: Dataset) -> float:
     """Concordance of the model's risk ordering; risk is the negative
     expected bin index, so earlier predicted failure = higher risk."""
-    f_pmf = np.asarray(f_pmf, dtype=float)
-    if f_pmf.ndim == 1:
-        f_pmf = np.broadcast_to(f_pmf, (dataset.n, f_pmf.size))
     bins = np.arange(1, dataset.n_bins + 1)
-    risk = -(f_pmf @ bins)
+    risk = -(_as_matrix(f_pmf, dataset.n) @ bins)
     return concordance_index(risk, dataset.time_bin, dataset.event)
 
 
@@ -303,10 +278,7 @@ def calibration_curve(f_pmf, dataset: Dataset, levels=None):
         levels = np.arange(1, 10) / 10.0
     levels = np.asarray(levels, dtype=float)
     lat = _latent_bins(dataset)
-    f_pmf = np.asarray(f_pmf, dtype=float)
-    if f_pmf.ndim == 1:
-        f_pmf = np.broadcast_to(f_pmf, (dataset.n, f_pmf.size))
-    cdf = np.minimum(np.cumsum(f_pmf, axis=1), 1.0)
+    cdf = np.minimum(np.cumsum(_as_matrix(f_pmf, dataset.n), axis=1), 1.0)
     cdf_at_latent = cdf[np.arange(dataset.n), lat - 1]
     observed = (cdf_at_latent[:, None] <= levels[None, :]).mean(axis=0)
     return levels, observed

@@ -129,6 +129,13 @@ def _check_model(world: MarginalWorld, pmf: np.ndarray) -> np.ndarray:
     return pmf
 
 
+def _outcome_probs(world: MarginalWorld):
+    """P(U = u, delta = 1) = theta_t[u] P(C >= u) and
+    P(U = u, delta = 0) = theta_c[u] P(T > u), u = 1..K."""
+    pad_t, pad_c = _pad(world.theta_t), _pad(world.theta_c)
+    return world.theta_t * (1.0 - pad_c[:-1]), world.theta_c * (1.0 - pad_t[1:])
+
+
 def _weight_sums(world: MarginalWorld, pmf_t: np.ndarray, pmf_c: np.ndarray):
     """The four per-horizon expectations that drive both players' losses,
     as exact sums over the 2K outcome table (horizons t = 1..K-1, so only
@@ -140,10 +147,8 @@ def _weight_sums(world: MarginalWorld, pmf_t: np.ndarray, pmf_c: np.ndarray):
                   W_t = E[1{U>t}] / Fbar_hat(t)
     """
     K = world.n_bins
-    pad_t, pad_c = _pad(world.theta_t), _pad(world.theta_c)
     hat_t, hat_c = _pad(pmf_t), _pad(pmf_c)
-    w_event = world.theta_t * (1.0 - pad_c[:-1])  # P(U=u, delta=1), u=1..K
-    w_cens = world.theta_c * (1.0 - pad_t[1:])  # P(U=u, delta=0)
+    w_event, w_cens = _outcome_probs(world)
     head = slice(0, K - 1)  # u = 1..K-1
     gbar_left_hat = 1.0 - hat_c[head]  # Gbar_hat(u-)
     fbar_hat = 1.0 - hat_t[1:K]  # Fbar_hat(u)
@@ -269,11 +274,8 @@ def population_failure_nll(world: MarginalWorld, pmf_t: np.ndarray) -> float:
     """Population value of the failure player's partial likelihood loss:
     E[delta (-log f(U)) + (1-delta)(-log Fbar(U))], exact outcome sum."""
     pmf_t = _check_model(world, pmf_t)
-    pad_t = _pad(world.theta_t)
-    pad_c = _pad(world.theta_c)
     hat = _pad(pmf_t)
-    w_event = world.theta_t * (1.0 - pad_c[:-1])
-    w_cens = world.theta_c * (1.0 - pad_t[1:])
+    w_event, w_cens = _outcome_probs(world)
     # censored-at-K has probability Fbar(K) = 0 structurally; cumsum dust
     # must not resurrect it
     w_cens[-1] = 0.0
@@ -304,20 +306,7 @@ def nll_censoring_dependence(rho: float) -> float:
         raise ValueError("rho must lie in [0, 1]")
     theta_t = np.array([0.0, 1 / 3, 1 / 3, 1 / 3, 0.0])
     theta_c = np.array([rho, 0.0, 0.0, 0.0, 1.0 - rho])
-    world = MarginalWorld(theta_t, theta_c)
-    pad_t = _pad(theta_t)
-    pad_c = _pad(theta_c)
-    w_event = theta_t * (1.0 - pad_c[:-1])
-    w_cens = theta_c * (1.0 - pad_t[1:])
-    w_cens[-1] = 0.0  # same structural zero as population_failure_nll
-    total = 0.0
-    for u in range(1, 6):
-        if w_event[u - 1] > 0:
-            total += w_event[u - 1] * -np.log(theta_t[u - 1])
-        if w_cens[u - 1] > 0:
-            fbar = 1.0 - pad_t[u]
-            total += w_cens[u - 1] * -np.log(fbar)
-    return float(total)
+    return population_failure_nll(MarginalWorld(theta_t, theta_c), theta_t)
 
 
 # -- two-bin visual diagnostics --------------------------------------------

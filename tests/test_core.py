@@ -79,6 +79,8 @@ def test_batch_validation():
         Batch(np.array([0, 2]), np.array([True, False]))
     with pytest.raises(ValueError, match="nonnegative"):
         Batch(np.array([1]), np.array([True]), weight=np.array([-1.0]))
+    with pytest.raises(ValueError, match="time_bin is empty"):
+        Batch(np.array([], int), np.array([], bool)).norm_weight()
     b = Batch(np.array([1, 2, 2]), np.array([True, False, True]))
     np.testing.assert_allclose(b.norm_weight(), 1.0 / 3.0)
     bw = Batch(np.array([1, 2]), np.array([True, False]), weight=np.array([1.0, 3.0]))

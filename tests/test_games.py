@@ -40,6 +40,18 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-0.1)
     with pytest.raises(ValueError, match="positive"):
         TrainConfig(batch_size=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=bad)
+    for bad in (2.0, 0.0, np.nan):
+        with pytest.raises(ValueError, match="weight_floor"):
+            TrainConfig(weight_floor=bad)
+
+
+def test_train_rejects_empty_dataset():
+    empty = gen_marginal(TRUTH, 10, seed=0).subset(np.array([], int))
+    with pytest.raises(ValueError, match="time_bin"):
+        train(empty, TrainConfig(objective="bs-game", epochs=1))
 
 
 def _sigmoid_pair(z):
@@ -226,23 +238,29 @@ def test_select_models_nll_reduces_to_argmin():
     np.testing.assert_array_equal(sel.model_f.params, state.checkpoints[sel.f_epoch][0])
 
 
-def test_select_models_game_is_best_response_pair():
+@pytest.mark.parametrize("objective", ["bs-game", "bll-game"])
+def test_select_models_game_is_best_response_pair(objective):
     ds = gen_marginal(TRUTH, 150, seed=8)
     val = gen_marginal(TRUTH, 250, seed=9)
-    cfg = TrainConfig(objective="bs-game", optimizer="adam", learning_rate=2e-2,
+    cfg = TrainConfig(objective=objective, optimizer="adam", learning_rate=2e-2,
                       epochs=5, batch_size=50, seed=4)
+    family = family_of(objective)
     state = train(ds, cfg)
     sel = select_models(state, val, selection_seed=0)
     epochs, lgf, lfg = _selection_tables(
         state.model_f.arch, state.model_g.arch, state.checkpoints, val,
-        "ipcw-bs", cfg.weight_floor)
+        family, cfg.weight_floor)
     fi = epochs.index(sel.f_epoch)
     gi = epochs.index(sel.g_epoch)
     if sel.converged:
         assert gi == int(np.argmin(lgf[fi]))
         assert fi == int(np.argmin(lfg[gi]))
-    # the tables themselves match direct loss evaluations
-    pf = state.model_at(sel.f_epoch, "F").predict_pmf(n=val.n)
-    pg = state.model_at(sel.g_epoch, "G").predict_pmf(n=val.n)
-    direct = batch_loss(LossSpec("ipcw-bs", "failure"), pf, pg, val.batch())[0]
-    assert lfg[gi, fi] == pytest.approx(direct, rel=1e-10)
+    # every entry of both tables matches a direct loss evaluation
+    pf = [state.model_at(e, "F").predict_pmf(n=val.n) for e in epochs]
+    pg = [state.model_at(e, "G").predict_pmf(n=val.n) for e in epochs]
+    for i in range(len(epochs)):
+        for j in range(len(epochs)):
+            censor = batch_loss(LossSpec(family, "censor"), pg[j], pf[i], val.batch())[0]
+            failure = batch_loss(LossSpec(family, "failure"), pf[i], pg[j], val.batch())[0]
+            assert lgf[i, j] == pytest.approx(censor, rel=1e-12)
+            assert lfg[j, i] == pytest.approx(failure, rel=1e-12)

@@ -8,11 +8,10 @@ from gamesurv.losses import (
     ClampStats,
     LossSpec,
     batch_loss,
-    ipcw_bll_censor,
     ipcw_bll_failure,
-    ipcw_bs_censor,
     ipcw_bs_failure,
     ipcw_mean,
+    ipcw_per_sample,
     ipcw_weight_arrays,
     nll,
     per_horizon_loss,
@@ -83,13 +82,21 @@ def test_per_horizon_matches_named_wrappers():
         ev = rng.random(n) < 0.6
         t = int(rng.integers(1, k))
         w = np.full(n, 1.0 / n)
+        np.testing.assert_array_equal(
+            ipcw_bs_failure(t, f, g, u, ev),
+            ipcw_per_sample("ipcw-bs", "failure", t, f, g, u, ev),
+        )
+        np.testing.assert_array_equal(
+            ipcw_bll_failure(t, f, g, u, ev),
+            ipcw_per_sample("ipcw-bll", "failure", t, f, g, u, ev),
+        )
         cases = [
-            (ipcw_bs_failure(t, f, g, u, ev), "ipcw-bs", "failure", f, g),
-            (ipcw_bs_censor(t, g, f, u, ev), "ipcw-bs", "censor", g, f),
-            (ipcw_bll_failure(t, f, g, u, ev), "ipcw-bll", "failure", f, g),
-            (ipcw_bll_censor(t, g, f, u, ev), "ipcw-bll", "censor", g, f),
+            (family, role, own, frz)
+            for family in ("ipcw-bs", "ipcw-bll")
+            for role, own, frz in (("failure", f, g), ("censor", g, f))
         ]
-        for per_sample, family, role, own, frz in cases:
+        for family, role, own, frz in cases:
+            per_sample = ipcw_per_sample(family, role, t, own, frz, u, ev)
             assert per_sample.shape == (n,)
             spec = LossSpec(family, role, times=(t,))
             vals, _ = per_horizon_loss(spec, own, frz, Batch(u, ev))

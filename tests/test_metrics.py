@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gamesurv.core import RawSurvivalData, discretize
+from gamesurv.core import Batch, RawSurvivalData, assign_bins, discretize
 from gamesurv.metrics import (
     calibration_curve,
     concordance,
@@ -17,7 +17,7 @@ from gamesurv.metrics import (
     km_fit,
     nll_metric,
 )
-from gamesurv.losses import nll
+from gamesurv.losses import LossSpec, nll, per_horizon_loss
 from gamesurv.simgen import MarginalWorld, gen_marginal
 
 
@@ -49,6 +49,19 @@ def test_km_matches_empirical_survival_without_censoring():
     km = km_fit(t, np.ones(500, bool))
     for q in range(1, 8):
         assert km.surv_at(float(q)) == pytest.approx((t > q).mean(), abs=1e-12)
+
+
+def test_km_fit_input_contract():
+    with pytest.raises(ValueError, match="time must be finite"):
+        km_fit([1.0, np.nan, 2.0], [True, True, False])
+    with pytest.raises(ValueError, match="time must be finite"):
+        km_fit([1.0, np.inf], [True, False])
+    with pytest.raises(ValueError, match="event must match"):
+        km_fit([1.0, 2.0, 3.0], [True, False])
+    with pytest.raises(ValueError, match="time must be 1-D"):
+        km_fit(np.ones((2, 2)), np.ones((2, 2), bool))
+    with pytest.raises(ValueError, match="time must be 1-D"):
+        km_fit([], [])
 
 
 def test_km_censoring_flips_indicator():
@@ -192,6 +205,31 @@ def test_true_g_weighting_beats_model_g_at_truth():
         eval_bs(pmf, ds, weighting="true-G")
     with pytest.raises(ValueError):
         eval_bs(pmf, ds, weighting="model-G")
+
+
+def test_evaluation_scores_are_the_training_scores():
+    # every weighting is the failure player's training loss against some
+    # censoring survival table: model-G and true-G against the censor pmf,
+    # km against the jumps of the KM censoring estimate, and the latent
+    # weighting against e_K (Gbar = 1 on 0..K-1) on latent bins
+    w = MarginalWorld([0.2, 0.3, 0.1, 0.4], [0.3, 0.2, 0.2, 0.3])
+    ds = gen_marginal(w, 400, seed=12)
+    rng = np.random.default_rng(4)
+    f = rng.dirichlet(np.ones(4), size=ds.n)
+    g = rng.dirichlet(np.ones(4), size=ds.n)
+    e_k = np.array([0.0, 0.0, 0.0, 1.0])
+    km_jumps = -np.diff(km_censoring(ds).surv_at(np.arange(5.0)))
+    lat = Batch(assign_bins(ds.latent_time, ds.bin_edges), np.ones(ds.n, bool))
+    for family, score in (("ipcw-bs", eval_bs), ("ipcw-bll", eval_bll)):
+        spec = LossSpec(family, "failure")
+        for kwargs, frozen, batch in (
+            ({"weighting": "model-G", "g_pmf": g}, g, ds.batch()),
+            ({"weighting": "true-G", "world": w}, w.theta_c, ds.batch()),
+            ({"weighting": "km"}, km_jumps, ds.batch()),
+            ({"weighting": "uncensored-latent"}, e_k, lat),
+        ):
+            want, _ = per_horizon_loss(spec, f, frozen, batch)
+            np.testing.assert_allclose(score(f, ds, **kwargs), want, rtol=1e-12)
 
 
 def test_nll_metric_is_mean_partial_likelihood():

@@ -1,8 +1,12 @@
 """Exact population-level oracles: closed forms, scans, stationarity."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gamesurv.oracle
 from gamesurv.losses import LossSpec, per_horizon_loss
 from gamesurv.oracle import (
     gradient_field,
@@ -230,3 +234,21 @@ def test_nll_censoring_dependence_line():
     # exact halving, not approximate
     assert nll_censoring_dependence(0.5) == base / 2.0
     assert nll_censoring_dependence(1.0) == 0.0
+
+
+def test_oracle_never_imports_losses():
+    # the oracle sits on the other side of a cross-check from the training
+    # path, so it must not reach the estimator code in any import form
+    forbidden = {"gamesurv.losses", ".losses", "losses"}
+    tree = ast.parse(Path(gamesurv.oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):  # "from . import losses" has base "."
+            base = "." * node.level + (node.module or "")
+            names = {base} | {f"{base.rstrip('.')}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Constant):  # importlib.import_module("gamesurv.losses")
+            names = {node.value}
+        else:
+            continue
+        assert not names & forbidden, f"oracle imports losses at line {node.lineno}"
