@@ -2,7 +2,9 @@
 
 Both players descend their own censoring-aware loss while the other's
 probabilities enter as frozen constants, and both updates in a step are
-computed from the pre-step parameters (simultaneous, not alternating).
+computed from the pre-step parameters (simultaneous, not alternating). The
+two players are one (2, P) model, row 0 the failure model and row 1 the
+censoring model, so a step is one forward, one backprop and one update.
 Nothing here is a minimax fight: each player would be happy at the truth,
 the game is only in the weights they lend each other.
 
@@ -108,10 +110,10 @@ class _Sgd:
 
 
 class _Adam:
-    def __init__(self, lr: float, beta1: float, beta2: float, eps: float, n: int):
+    def __init__(self, lr: float, beta1: float, beta2: float, eps: float, shape):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
 
     def update(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -123,43 +125,47 @@ class _Adam:
         return params - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _make_optimizer(config: TrainConfig, n_params: int):
+def _make_optimizer(config: TrainConfig, shape):
     if config.optimizer == "sgd":
         return _Sgd(config.learning_rate)
     return _Adam(
-        config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps, n_params
+        config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps, shape
     )
 
 
 @dataclass
 class GameState:
-    """Mutable state of a run: the two models, their optimizers, the
-    checkpoint store (epoch -> parameter copies), clamp counter, and the
-    per-epoch history that becomes the training log."""
+    """Mutable state of a run: the player pair (row 0 the failure model,
+    row 1 the censoring model), one elementwise optimizer over both rows,
+    the checkpoint store (epoch -> (2, P) parameter copies), clamp counter,
+    and the per-epoch history that becomes the training log."""
 
-    model_f: Model
-    model_g: Model
-    opt_f: object
-    opt_g: object
+    pair: Model
+    opt: object
     config: TrainConfig
     epoch: int = 0
     checkpoints: dict = field(default_factory=dict)
     clamp: ClampStats = field(default_factory=ClampStats)
     history: list = field(default_factory=list)
 
+    @property
+    def model_f(self) -> Model:
+        return Model(self.pair.arch, self.pair.params[0])
+
+    @property
+    def model_g(self) -> Model:
+        return Model(self.pair.arch, self.pair.params[1])
+
     def checkpoint(self) -> None:
-        self.checkpoints[self.epoch] = (self.model_f.params.copy(), self.model_g.params.copy())
+        self.checkpoints[self.epoch] = self.pair.params.copy()
 
     def model_at(self, epoch: int, which: str) -> Model:
-        params_f, params_g = self.checkpoints[epoch]
-        if which == "F":
-            return Model(self.model_f.arch, params_f)
-        return Model(self.model_g.arch, params_g)
+        return Model(self.pair.arch, self.checkpoints[epoch][0 if which == "F" else 1])
 
 
 def init_state(n_bins: int, feature_dim: int, config: TrainConfig) -> GameState:
-    """Fresh models and optimizers. The two players get independent seeds
-    derived from config.seed and identical optimizer hyperparameters."""
+    """Fresh player pair and optimizer. The two players get independent
+    seeds derived from config.seed and share the optimizer hyperparameters."""
     seed_f, seed_g, _ = np.random.SeedSequence(config.seed).spawn(3)
     if config.game_form == "multiplayer":
         arch = ArchSpec("marginal-prob", n_bins)
@@ -167,68 +173,62 @@ def init_state(n_bins: int, feature_dim: int, config: TrainConfig) -> GameState:
         arch = ArchSpec("mlp", n_bins, feature_dim, config.hidden)
     else:
         arch = ArchSpec("marginal", n_bins)
-    model_f = Model.init(arch, seed_f, config.init_scale)
-    model_g = Model.init(arch, seed_g, config.init_scale)
-    return GameState(
-        model_f,
-        model_g,
-        _make_optimizer(config, model_f.arch.n_params),
-        _make_optimizer(config, model_g.arch.n_params),
-        config,
-    )
+    params = [Model.init(arch, seed, config.init_scale).params for seed in (seed_f, seed_g)]
+    pair = Model(arch, np.stack(params))
+    return GameState(pair, _make_optimizer(config, pair.params.shape), config)
 
 
-def _check_finite(state: GameState, name: str, grad: np.ndarray) -> None:
-    if not np.all(np.isfinite(grad)):
-        raise RuntimeError(
-            f"non-finite gradient for {name} at epoch {state.epoch} "
-            f"(clamp count so far: {state.clamp.count}); aborting the run"
-        )
+def _check_finite(state: GameState, grad: np.ndarray) -> None:
+    for name, row in zip(("the failure model", "the censoring model"), grad):
+        if not np.all(np.isfinite(row)):
+            raise RuntimeError(
+                f"non-finite gradient for {name} at epoch {state.epoch} "
+                f"(clamp count so far: {state.clamp.count}); aborting the run"
+            )
+
+
+def _role_specs(family: str, weight_floor: float) -> tuple[LossSpec, LossSpec]:
+    return tuple(LossSpec(family, role, "all", weight_floor) for role in ("failure", "censor"))
+
+
+def _step_metrics(losses, grad: np.ndarray) -> dict:
+    return {
+        "loss_F": losses[0],
+        "loss_G": losses[1],
+        "grad_norm_F": float(np.linalg.norm(grad[0])),
+        "grad_norm_G": float(np.linalg.norm(grad[1])),
+    }
 
 
 def step_summed(state: GameState, batch: Batch) -> dict:
     """One simultaneous step of the horizon-summed game (or of the two
     independent likelihood fits when the objective is 'nll').
 
-    Both gradients are evaluated at the pre-step parameters before either
-    player moves; swapping the player order cannot change the result.
+    Both gradients come from one forward and one backprop of the pair at
+    the pre-step parameters; each player's loss sees the other's pre-step
+    probabilities as constants, so the player order cannot matter.
     """
     cfg = state.config
     family = family_of(cfg.objective)
-    pmf_f, cache_f = state.model_f.forward(batch.features, n=batch.n)
-    pmf_g, cache_g = state.model_g.forward(batch.features, n=batch.n)
-    frozen_g = None if family == "nll" else np.array(pmf_g)
-    frozen_f = None if family == "nll" else np.array(pmf_f)
-
-    loss_f, dpmf_f = batch_loss(
-        LossSpec(family, "failure", "all", cfg.weight_floor), pmf_f, frozen_g, batch, state.clamp
-    )
-    loss_g, dpmf_g = batch_loss(
-        LossSpec(family, "censor", "all", cfg.weight_floor), pmf_g, frozen_f, batch, state.clamp
-    )
-    grad_f = state.model_f.backprop(cache_f, dpmf_f)
-    grad_g = state.model_g.backprop(cache_g, dpmf_g)
-    _check_finite(state, "the failure model", grad_f)
-    _check_finite(state, "the censoring model", grad_g)
-
-    state.model_f.params = state.opt_f.update(state.model_f.params, grad_f)
-    state.model_g.params = state.opt_g.update(state.model_g.params, grad_g)
-    return {
-        "loss_F": loss_f,
-        "loss_G": loss_g,
-        "grad_norm_F": float(np.linalg.norm(grad_f)),
-        "grad_norm_G": float(np.linalg.norm(grad_g)),
-    }
+    pmf, cache = state.pair.forward(batch.features, n=batch.n)
+    frozen = [None, None] if family == "nll" else np.array(pmf[::-1])
+    values, dpmfs = zip(*(
+        batch_loss(spec, own, other, batch, state.clamp)
+        for spec, own, other in zip(_role_specs(family, cfg.weight_floor), pmf, frozen)
+    ))
+    grad = state.pair.backprop(cache, np.stack(dpmfs))
+    _check_finite(state, grad)
+    state.pair.params = state.opt.update(state.pair.params, grad)
+    return _step_metrics(values, grad)
 
 
 def _project_simplex_coords(theta: np.ndarray, floor: float) -> np.ndarray:
-    """Clip the K-1 free masses to >= floor and rescale if they crowd out
-    the last bin, keeping every bin's mass at least ``floor``."""
+    """Clip the K-1 free masses of each row to >= floor and rescale a row
+    if they crowd out its last bin, keeping every bin's mass at least
+    ``floor``."""
     theta = np.maximum(theta, floor)
-    total = theta.sum()
-    if total > 1.0 - floor:
-        theta = theta * ((1.0 - floor) / total)
-    return theta
+    total = theta.sum(axis=-1, keepdims=True)
+    return np.where(total > 1.0 - floor, theta * ((1.0 - floor) / total), theta)
 
 
 def step_multiplayer(state: GameState, batch: Batch) -> dict:
@@ -242,28 +242,18 @@ def step_multiplayer(state: GameState, batch: Batch) -> dict:
     family = family_of(cfg.objective)
     if family == "nll":
         raise ValueError("the per-horizon game is defined for the game objectives")
-    if state.model_f.arch.kind != "marginal-prob":
+    if state.pair.arch.kind != "marginal-prob":
         raise ValueError("the per-horizon game runs on direct probability coordinates")
-    pmf_f = state.model_f.predict_pmf(n=batch.n)
-    pmf_g = state.model_g.predict_pmf(n=batch.n)
-    vals_f, coef_f = per_horizon_loss(
-        LossSpec(family, "failure", "all", cfg.weight_floor), pmf_f, pmf_g, batch, state.clamp
-    )
-    vals_g, coef_g = per_horizon_loss(
-        LossSpec(family, "censor", "all", cfg.weight_floor), pmf_g, pmf_f, batch, state.clamp
-    )
-    _check_finite(state, "the failure model", coef_f)
-    _check_finite(state, "the censoring model", coef_g)
-    theta_f = state.opt_f.update(state.model_f.view("theta").copy(), coef_f)
-    theta_g = state.opt_g.update(state.model_g.view("theta").copy(), coef_g)
-    state.model_f.view("theta")[...] = _project_simplex_coords(theta_f, cfg.weight_floor)
-    state.model_g.view("theta")[...] = _project_simplex_coords(theta_g, cfg.weight_floor)
-    return {
-        "loss_F": float(vals_f.sum()),
-        "loss_G": float(vals_g.sum()),
-        "grad_norm_F": float(np.linalg.norm(coef_f)),
-        "grad_norm_G": float(np.linalg.norm(coef_g)),
-    }
+    pmf = state.pair.predict_pmf(n=batch.n)
+    values, coefs = zip(*(
+        per_horizon_loss(spec, own, other, batch, state.clamp)
+        for spec, own, other in zip(_role_specs(family, cfg.weight_floor), pmf, pmf[::-1])
+    ))
+    coef = np.stack(coefs)
+    _check_finite(state, coef)
+    theta = state.opt.update(state.pair.view("theta").copy(), coef)
+    state.pair.view("theta")[...] = _project_simplex_coords(theta, cfg.weight_floor)
+    return _step_metrics([float(v.sum()) for v in values], coef)
 
 
 def train(dataset: Dataset, config: TrainConfig) -> GameState:
@@ -334,8 +324,7 @@ def _alternating_argmin(loss_g_given_f, loss_f_given_g, start_f: int, max_rounds
 
 
 def _selection_tables(
-    arch_f: ArchSpec,
-    arch_g: ArchSpec,
+    arch: ArchSpec,
     checkpoints: dict,
     val: Dataset,
     family: str,
@@ -349,12 +338,10 @@ def _selection_tables(
     """
     epochs = sorted(checkpoints)
     batch = val.batch()
-    pmfs_f = np.stack(
-        [Model(arch_f, checkpoints[e][0]).predict_pmf(val.features, n=val.n) for e in epochs]
+    pmfs = np.stack(
+        [Model(arch, checkpoints[e]).predict_pmf(val.features, n=val.n) for e in epochs]
     )
-    pmfs_g = np.stack(
-        [Model(arch_g, checkpoints[e][1]).predict_pmf(val.features, n=val.n) for e in epochs]
-    )
+    pmfs_f, pmfs_g = pmfs[:, 0], pmfs[:, 1]
     E = len(epochs)
     times = resolve_times("all", val.n_bins)
     flat = lambda arr: arr.reshape(E, val.n * times.size)
@@ -393,7 +380,7 @@ def select_models(
     cfg = state.config
     family = family_of(cfg.objective)
     epochs, loss_g_given_f, loss_f_given_g = _selection_tables(
-        state.model_f.arch, state.model_g.arch, state.checkpoints, val, family, cfg.weight_floor
+        state.pair.arch, state.checkpoints, val, family, cfg.weight_floor
     )
     rng = np.random.default_rng(cfg.seed if selection_seed is None else selection_seed)
     start = int(rng.integers(len(epochs)))

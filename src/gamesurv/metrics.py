@@ -7,7 +7,8 @@ Gbar[j] = P(C > j), j = 0..K, that each weighting supplies: the Kaplan-Meier
 censoring estimate at the bins (the deployable choice), one minus the padded
 cdf of the jointly trained censoring model or of the true censoring
 distribution (simulation only, for bias checks), or Gbar = 1 with the latent
-failure times as events (simulation only).
+failure times as events (simulation only). The scores reject pmfs whose
+rows are not distributions with a ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -100,6 +101,18 @@ def _latent_bins(dataset: Dataset) -> np.ndarray:
     return assign_bins(dataset.latent_time, dataset.bin_edges)
 
 
+def _pmf_matrix(name: str, pmf, n: int) -> np.ndarray:
+    """``pmf`` as (n, K) rows, which must be distributions: finite,
+    nonnegative and summing to 1 within 1e-9 (the CategoricalSurvival
+    tolerance). A NaN or infinite entry fails its row-sum comparison, so
+    two passes check everything."""
+    pmf = np.asarray(pmf, dtype=float)
+    matrix = _as_matrix(pmf, n)
+    if not np.all(np.abs(pmf.sum(axis=-1) - 1.0) <= 1e-9) or pmf.min(initial=0.0) < 0:
+        raise ValueError(f"{name} rows must be finite, nonnegative and sum to 1 within 1e-9")
+    return matrix
+
+
 def _censoring_survival(dataset: Dataset, weighting: str, g_pmf, world):
     """Censoring survival table Gbar[..., j] = P(C > j), j = 0..K, under one
     weighting, with the (time_bin, event) it weights. The latent weighting
@@ -114,10 +127,12 @@ def _censoring_survival(dataset: Dataset, weighting: str, g_pmf, world):
     elif weighting == "model-G":
         if g_pmf is None:
             raise ValueError("model-G weighting needs the censoring model's pmfs")
-        gbar = 1.0 - _padded_cdf(_as_matrix(g_pmf, dataset.n))
+        gbar = 1.0 - _padded_cdf(_pmf_matrix("g_pmf", g_pmf, dataset.n))
     elif weighting == "true-G":
         if world is None:
             raise ValueError("true-G weighting needs the generating world")
+        if world.n_bins != K:
+            raise ValueError(f"world has {world.n_bins} bins but the dataset has {K}")
         gbar = 1.0 - _padded_cdf(world.theta_c)
     else:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}")
@@ -127,7 +142,7 @@ def _censoring_survival(dataset: Dataset, weighting: str, g_pmf, world):
 def _eval_weighted(f_pmf, dataset, weighting, g_pmf, world, floor, family):
     """Shared core of eval_bs / eval_bll: the failure player's training
     score, averaged per horizon over the dataset."""
-    f_pmf = _as_matrix(f_pmf, dataset.n)
+    f_pmf = _pmf_matrix("f_pmf", f_pmf, dataset.n)
     if f_pmf.shape[1] != dataset.n_bins:
         raise ValueError("pmfs must be (n, K) aligned with the dataset")
     times = np.arange(1, dataset.n_bins)
@@ -155,7 +170,7 @@ def eval_bll(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
 
 def nll_metric(f_pmf, dataset: Dataset, floor: float = 1e-6) -> float:
     """Mean partial likelihood loss of the failure model on observed data."""
-    f_pmf = np.asarray(f_pmf, dtype=float)
+    f_pmf = _pmf_matrix("f_pmf", f_pmf, dataset.n)
     vals = _nll_per_sample(f_pmf, dataset.time_bin, dataset.event, "failure", floor)
     return float(vals.mean())
 

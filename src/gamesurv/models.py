@@ -12,6 +12,7 @@ Three parameterizations share one interface:
 Gradients are computed by hand against the flat vector so the training loop
 can treat the other player's probabilities as constants: the frozen side
 enters losses only through plain numbers, never through a gradient path.
+A (2, P) array holds the failure/censoring pair as one stacked model.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ class ArchSpec:
         elif self.feature_dim != 0 or self.hidden:
             raise ValueError(f"{self.kind} takes no features or hidden layers")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        slices, start = {}, 0
+        for name, shape in self.layout():
+            size = int(np.prod(shape))
+            slices[name] = (slice(start, start + size), shape)
+            start += size
+        object.__setattr__(self, "_slices", slices)
 
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         if self.kind == "marginal":
@@ -66,6 +73,11 @@ class ArchSpec:
     def n_params(self) -> int:
         return sum(int(np.prod(shape)) for _, shape in self.layout())
 
+    def view(self, params: np.ndarray, name: str) -> np.ndarray:
+        """The named block of ``params`` (..., P), shaped (..., *block)."""
+        sl, shape = self._slices[name]
+        return params[..., sl].reshape(params.shape[:-1] + shape)
+
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - z.max(axis=-1, keepdims=True))
@@ -73,24 +85,21 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 class Model:
-    """Flat parameter vector plus an :class:`ArchSpec` describing its layout."""
+    """Flat parameters plus an :class:`ArchSpec` describing their layout:
+    ``params`` is (P,) for one model or (2, P) for the failure/censoring
+    pair, and every method broadcasts over the leading axis."""
 
     def __init__(self, arch: ArchSpec, params: np.ndarray):
         params = np.asarray(params, dtype=float).copy()
-        if params.shape != (arch.n_params,):
-            raise ValueError(f"expected {arch.n_params} params, got {params.shape}")
+        if params.ndim not in (1, 2) or params.shape[-1] != arch.n_params:
+            raise ValueError(
+                f"expected ({arch.n_params},) or (2, {arch.n_params}) params, got {params.shape}"
+            )
         self.arch = arch
         self.params = params
-        self._slices = {}
-        start = 0
-        for name, shape in arch.layout():
-            size = int(np.prod(shape))
-            self._slices[name] = (slice(start, start + size), shape)
-            start += size
 
     def view(self, name: str) -> np.ndarray:
-        sl, shape = self._slices[name]
-        return self.params[sl].reshape(shape)
+        return self.arch.view(self.params, name)
 
     @classmethod
     def init(cls, arch: ArchSpec, seed=0, init_scale: float = 0.1) -> "Model":
@@ -108,9 +117,6 @@ class Model:
                 model.view(name)[...] = rng.normal(0.0, init_scale, shape)
         return model
 
-    def copy(self) -> "Model":
-        return Model(self.arch, self.params)
-
     # -- forward ---------------------------------------------------------
 
     def _batch_n(self, features: np.ndarray | None, n: int | None) -> int:
@@ -125,29 +131,31 @@ class Model:
         raise ValueError("marginal model needs n (or features to infer it)")
 
     def forward(self, features: np.ndarray | None = None, n: int | None = None):
-        """Predicted pmfs (n, K) plus the cache needed for backprop."""
+        """Predicted pmfs (..., n, K) plus the cache needed for backprop."""
         n = self._batch_n(features, n)
         kind = self.arch.kind
+        shape = (*self.params.shape[:-1], n, self.arch.n_bins)
         if kind == "marginal":
             pmf_row = _softmax(self.view("logits"))
-            return np.broadcast_to(pmf_row, (n, self.arch.n_bins)), ("marginal", n, pmf_row)
+            return np.broadcast_to(pmf_row[..., None, :], shape), ("marginal", n, pmf_row)
         if kind == "marginal-prob":
             theta = self.view("theta")
-            last = 1.0 - theta.sum()
-            if np.any(theta < 0) or last < 0:
+            last = 1.0 - theta.sum(axis=-1, keepdims=True)
+            if np.any(theta < 0) or np.any(last < 0):
                 raise ValueError("probability coordinates left the simplex")
-            pmf_row = np.concatenate([theta, [last]])
-            return np.broadcast_to(pmf_row, (n, self.arch.n_bins)), ("marginal-prob", n)
+            pmf_row = np.concatenate([theta, last], axis=-1)
+            return np.broadcast_to(pmf_row[..., None, :], shape), ("marginal-prob", n)
         x = np.asarray(features, dtype=float)
         if x.shape != (n, self.arch.feature_dim):
             raise ValueError(f"features must be (n, {self.arch.feature_dim})")
         acts = [x]
         h = x
         depth = len(self.arch.hidden)
+        view = self.view
         for i in range(depth):
-            h = np.maximum(h @ self.view(f"W{i}").T + self.view(f"b{i}"), 0.0)
+            h = np.maximum(h @ view(f"W{i}").swapaxes(-1, -2) + view(f"b{i}")[..., None, :], 0.0)
             acts.append(h)
-        logits = h @ self.view(f"W{depth}").T + self.view(f"b{depth}")
+        logits = h @ view(f"W{depth}").swapaxes(-1, -2) + view(f"b{depth}")[..., None, :]
         pmf = _softmax(logits)
         return pmf, ("mlp", acts, pmf)
 
@@ -159,28 +167,30 @@ class Model:
 
     def backprop(self, cache, dpmf: np.ndarray) -> np.ndarray:
         """Gradient of sum_i <dpmf[i], pmf[i]>-style losses w.r.t. the flat
-        parameter vector. ``dpmf`` must already carry any batch weights."""
+        parameters, (..., n, K) -> (..., P). ``dpmf`` must already carry any
+        batch weights."""
         kind = cache[0]
         grad = np.zeros_like(self.params)
-        out = Model(self.arch, grad)  # reuse the layout views
+        out = lambda name: self.arch.view(grad, name)
         if kind == "marginal":
             _, _, pmf_row = cache
-            g = dpmf.sum(axis=0)
-            out.view("logits")[...] = pmf_row * (g - g @ pmf_row)
+            g = dpmf.sum(axis=-2)
+            mean = (g[..., None, :] @ pmf_row[..., :, None])[..., 0]
+            out("logits")[...] = pmf_row * (g - mean)
         elif kind == "marginal-prob":
-            g = dpmf.sum(axis=0)
-            out.view("theta")[...] = g[:-1] - g[-1]
+            g = dpmf.sum(axis=-2)
+            out("theta")[...] = g[..., :-1] - g[..., -1:]
         else:
             _, acts, pmf = cache
-            gdot = (dpmf * pmf).sum(axis=1, keepdims=True)
+            gdot = (dpmf * pmf).sum(axis=-1, keepdims=True)
             delta = pmf * (dpmf - gdot)
             depth = len(self.arch.hidden)
             for i in range(depth, -1, -1):
-                out.view(f"W{i}")[...] = delta.T @ acts[i]
-                out.view(f"b{i}")[...] = delta.sum(axis=0)
+                out(f"W{i}")[...] = delta.swapaxes(-1, -2) @ acts[i]
+                out(f"b{i}")[...] = delta.sum(axis=-2)
                 if i > 0:
                     delta = (delta @ self.view(f"W{i}")) * (acts[i] > 0)
-        return out.params
+        return grad
 
     # -- persistence -----------------------------------------------------
 

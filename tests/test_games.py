@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamesurv.core import Batch
 from gamesurv.games import (
@@ -17,6 +19,7 @@ from gamesurv.games import (
     train,
 )
 from gamesurv.losses import LossSpec, batch_loss
+from gamesurv.models import loss_and_grad
 from gamesurv.oracle import population_fbs, population_gbs
 from gamesurv.simgen import MarginalWorld, gen_marginal, population_batch
 
@@ -74,8 +77,8 @@ def test_one_step_matches_hand_chain():
     for objective in ("bs-game", "bll-game"):
         cfg = TrainConfig(objective=objective, optimizer="sgd", learning_rate=lr, epochs=0)
         state = init_state(2, 0, cfg)
-        state.model_f.params = zf.copy()
-        state.model_g.params = zg.copy()
+        state.pair.params[0] = zf
+        state.pair.params[1] = zg
 
         f1 = _sigmoid_pair(zf)[0]
         g1 = _sigmoid_pair(zg)[0]
@@ -101,6 +104,45 @@ def test_one_step_matches_hand_chain():
         np.testing.assert_allclose(state.model_g.params, want_zg, rtol=0, atol=1e-14)
 
 
+@settings(max_examples=40)
+@given(
+    objective=st.sampled_from(["nll", "bs-game", "bll-game"]),
+    feature_dim=st.sampled_from([0, 3]),
+    n_bins=st.integers(2, 5),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_summed_is_two_frozen_single_steps(objective, feature_dim, n_bins, n, seed):
+    # one pair step equals each player's own loss_and_grad with the other
+    # player's pre-step pmf frozen, followed by its own SGD update
+    rng = np.random.default_rng(seed)
+    lr = 0.1
+    cfg = TrainConfig(objective=objective, optimizer="sgd", learning_rate=lr, epochs=0,
+                      hidden=(4, 3), init_scale=1.0, seed=int(rng.integers(100)))
+    state = init_state(n_bins, feature_dim, cfg)
+    features = rng.normal(size=(n, feature_dim)) if feature_dim else None
+    batch = Batch(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.6, features)
+    f, g = state.model_f, state.model_g
+    game = family_of(objective) != "nll"
+    frozen_g = g.predict_pmf(features, n=n) if game else None
+    frozen_f = f.predict_pmf(features, n=n) if game else None
+    want_f = loss_and_grad(f, frozen_g, batch, LossSpec(family_of(objective), "failure"))
+    want_g = loss_and_grad(g, frozen_f, batch, LossSpec(family_of(objective), "censor"))
+    metrics = step_summed(state, batch)
+    assert (metrics["loss_F"], metrics["loss_G"]) == (want_f.value, want_g.value)
+    np.testing.assert_array_equal(state.pair.params[0], f.params - lr * want_f.grad)
+    np.testing.assert_array_equal(state.pair.params[1], g.params - lr * want_g.grad)
+
+
+def test_step_names_the_player_with_a_non_finite_gradient():
+    # under the likelihood the players are independent, so a NaN in the
+    # censoring model's parameters reaches only its own gradient
+    state = init_state(3, 0, TrainConfig(objective="nll", optimizer="sgd", epochs=0))
+    state.pair.params[1, 0] = np.nan
+    with pytest.raises(RuntimeError, match="for the censoring model at epoch 0"):
+        step_summed(state, Batch(np.array([1, 2]), np.array([True, False])))
+
+
 def test_truth_is_stationary_multiplayer():
     # start both players exactly at the truth of an interior world; plain
     # gradient steps on the enumerated population batch must not move them
@@ -109,8 +151,7 @@ def test_truth_is_stationary_multiplayer():
         cfg = TrainConfig(objective=objective, game_form="multiplayer",
                           optimizer="sgd", learning_rate=0.2, epochs=0)
         state = init_state(2, 0, cfg)
-        state.model_f.view("theta")[...] = TRUTH.theta_t[:-1]
-        state.model_g.view("theta")[...] = TRUTH.theta_c[:-1]
+        state.pair.view("theta")[...] = [TRUTH.theta_t[:-1], TRUTH.theta_c[:-1]]
         for _ in range(50):
             step_multiplayer(state, pb)
         assert abs(state.model_f.predict_pmf(n=1)[0, 0] - 0.3) < 1e-12
@@ -123,8 +164,7 @@ def test_truth_is_stationary_summed():
     for objective in ("bs-game", "bll-game"):
         cfg = TrainConfig(objective=objective, optimizer="sgd", learning_rate=0.2, epochs=0)
         state = init_state(3, 0, cfg)
-        state.model_f.params = np.log(world.theta_t)
-        state.model_g.params = np.log(world.theta_c)
+        state.pair.params[...] = np.log([world.theta_t, world.theta_c])
         start_f = state.model_f.predict_pmf(n=1)[0].copy()
         start_g = state.model_g.predict_pmf(n=1)[0].copy()
         for _ in range(50):
@@ -248,8 +288,7 @@ def test_select_models_game_is_best_response_pair(objective):
     state = train(ds, cfg)
     sel = select_models(state, val, selection_seed=0)
     epochs, lgf, lfg = _selection_tables(
-        state.model_f.arch, state.model_g.arch, state.checkpoints, val,
-        family, cfg.weight_floor)
+        state.pair.arch, state.checkpoints, val, family, cfg.weight_floor)
     fi = epochs.index(sel.f_epoch)
     gi = epochs.index(sel.g_epoch)
     if sel.converged:

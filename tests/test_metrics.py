@@ -207,6 +207,49 @@ def test_true_g_weighting_beats_model_g_at_truth():
         eval_bs(pmf, ds, weighting="model-G")
 
 
+def test_true_g_world_must_match_the_bin_count():
+    ds = gen_marginal(MarginalWorld([0.3, 0.4, 0.3], [0.2, 0.5, 0.3]), 50, seed=1)
+    five = MarginalWorld(np.full(5, 0.2), np.full(5, 0.2))
+    pmf = np.tile([0.3, 0.4, 0.3], (50, 1))
+    for score in (eval_bs, eval_bll):
+        with pytest.raises(ValueError, match="world has 5 bins but the dataset has 3"):
+            score(pmf, ds, weighting="true-G", world=five)
+
+
+def test_scores_reject_pmfs_that_are_not_distributions():
+    w = MarginalWorld([0.3, 0.4, 0.3], [0.2, 0.5, 0.3])
+    ds = gen_marginal(w, 40, seed=2)
+    good = np.random.default_rng(1).dirichlet(np.ones(3), size=40)
+    bads = []
+    for row, value in ((3, np.nan), (0, np.inf)):
+        bad = good.copy()
+        bad[row, 1] = value
+        bads.append(bad)
+    bads.append(good * 1.5)  # rows sum to 1.5
+    bad = good.copy()
+    bad[5] = [1.2, -0.2, 0.0]  # sums to 1, one entry negative
+    bads.append(bad)
+    bads.append(np.array([0.5, 0.5 + 1e-8, 0.0]))  # (K,), just outside 1e-9
+    for bad in bads:
+        for call in (
+            lambda: eval_bs(bad, ds),
+            lambda: eval_bll(bad, ds, weighting="true-G", world=w),
+            lambda: nll_metric(bad, ds),
+            lambda: evaluate(bad, ds),
+        ):
+            with pytest.raises(ValueError, match="f_pmf rows must be finite, nonnegative"):
+                call()
+        for score in (eval_bs, eval_bll):
+            with pytest.raises(ValueError, match="g_pmf rows must be finite, nonnegative"):
+                score(good, ds, weighting="model-G", g_pmf=bad)
+    # rounding-level deviations and zero masses are distributions
+    ok = good.copy()
+    ok[:, 0] += 5e-10
+    ok[0] = [0.0, 1.0, 0.0]
+    assert np.all(np.isfinite(eval_bs(ok, ds, weighting="model-G", g_pmf=ok)))
+    assert np.isfinite(nll_metric(np.array([0.2, 0.3, 0.5]), ds))
+
+
 def test_evaluation_scores_are_the_training_scores():
     # every weighting is the failure player's training loss against some
     # censoring survival table: model-G and true-G against the censor pmf,

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamesurv.core import Batch
 from gamesurv.losses import LossSpec
-from gamesurv.models import ArchSpec, Model, loss_and_grad
+from gamesurv.models import KINDS, ArchSpec, Model, loss_and_grad
 
 
 def test_arch_layout_and_param_count():
@@ -86,6 +88,48 @@ def test_view_maps_into_flat_vector():
     assert w0.shape == (4, 3)
     w0[0, 0] = 123.0
     assert m.params[0] == 123.0  # views alias, not copy
+    pair = Model(arch, np.zeros((2, arch.n_params)))
+    assert pair.view("W0").shape == (2, 4, 3)
+    pair.view("b1")[1] = [5.0, 6.0]
+    np.testing.assert_array_equal(pair.params[1, -2:], [5.0, 6.0])
+    assert not pair.params[0].any()
+    with pytest.raises(ValueError, match="params"):
+        Model(arch, np.zeros((2, 2, arch.n_params)))
+
+
+@settings(max_examples=60)
+@given(
+    kind=st.sampled_from(KINDS),
+    n_bins=st.integers(2, 6),
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_equals_two_singles(kind, n_bins, n, seed):
+    # a (2, P) model is two independent models computed in one pass: its
+    # pmfs and gradients equal the single models' bit for bit
+    rng = np.random.default_rng(seed)
+    features = None
+    if kind == "mlp":
+        hidden = tuple(int(h) for h in rng.integers(1, 8, size=rng.integers(0, 3)))
+        arch = ArchSpec("mlp", n_bins, 3, hidden)
+        features = rng.normal(size=(n, 3))
+        params = rng.normal(0.0, 0.8, size=(2, arch.n_params))
+    elif kind == "marginal":
+        arch = ArchSpec(kind, n_bins)
+        params = rng.normal(0.0, 1.5, size=(2, n_bins))
+    else:
+        arch = ArchSpec(kind, n_bins)
+        params = rng.dirichlet(np.ones(n_bins), size=2)[:, :-1]
+    dpmf = rng.normal(size=(2, n, n_bins))
+    pair = Model(arch, params)
+    pmf, cache = pair.forward(features, n=n)
+    grad = pair.backprop(cache, dpmf)
+    assert pmf.shape == (2, n, n_bins) and grad.shape == params.shape
+    for i in range(2):
+        single = Model(arch, params[i])
+        pmf_i, cache_i = single.forward(features, n=n)
+        np.testing.assert_array_equal(pmf[i], pmf_i)
+        np.testing.assert_array_equal(grad[i], single.backprop(cache_i, dpmf[i]))
 
 
 def _fd_grad(make_loss, params, eps=1e-6):
