@@ -45,6 +45,17 @@ def _require(cfg: dict, key: str, context: str = "config"):
     return cfg[key]
 
 
+def _int_key(cfg: dict, key: str, minimum: int, default=None, context: str = "config") -> int:
+    """An integer config value of at least ``minimum``; required when no
+    default is given. Floats and strings are rejected, not truncated."""
+    value = _require(cfg, key, context) if default is None else cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{context} key {key!r} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{context} key {key!r} must be >= {minimum}, got {value}")
+    return value
+
+
 def _json_dump(payload, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -316,7 +327,7 @@ def cmd_gradient_field(cfg: dict, args) -> None:
     out = _out_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
     world = _world_from(_require(cfg, "world"))
-    field = oracle.gradient_field(world, int(cfg.get("resolution", 200)))
+    field = oracle.gradient_field(world, _int_key(cfg, "resolution", 2, 200))
     with open(out / "field.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "u", "v"])
@@ -341,7 +352,7 @@ def cmd_joint_scan(cfg: dict, args) -> None:
     out = _out_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
     world = _world_from(_require(cfg, "world"))
-    scan = oracle.joint_objective_scan(world, int(cfg.get("resolution", 201)))
+    scan = oracle.joint_objective_scan(world, _int_key(cfg, "resolution", 1, 201))
     with open(out / "joint_scan.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "value"])
@@ -372,14 +383,15 @@ def cmd_stationary_check(cfg: dict, args) -> None:
         worlds = [_world_from(w) for w in cfg["worlds"]]
     elif "random" in cfg:
         spec = cfg["random"]
-        rng = np.random.default_rng(int(spec.get("seed", 0)))
+        rng = np.random.default_rng(_int_key(spec, "seed", 0, 0, "random"))
+        n_bins = _int_key(spec, "n_bins", 2, context="random")
         worlds = [
-            simgen.random_interior_world(int(_require(spec, "n_bins", "random")), rng)
-            for _ in range(int(spec.get("count", 5)))
+            simgen.random_interior_world(n_bins, rng)
+            for _ in range(_int_key(spec, "count", 1, 5, "random"))
         ]
     else:
         raise ConfigError("stationary-check needs 'worlds' or 'random'")
-    n_starts = int(cfg.get("n_starts", 100))
+    n_starts = _int_key(cfg, "n_starts", 1, 100)
     results = []
     for idx, world in enumerate(worlds):
         scan = oracle.stationary_scan(world, n_starts=n_starts, seed=idx)

@@ -192,11 +192,14 @@ def _role_specs(family: str, weight_floor: float) -> tuple[LossSpec, LossSpec]:
 
 
 def _step_metrics(losses, grad: np.ndarray) -> dict:
+    # a ufunc reduction, not np.linalg.norm: BLAS ddot splits its sum by
+    # thread count, which would make the training log depend on it
+    norm_f, norm_g = np.sqrt((grad * grad).sum(axis=-1))
     return {
         "loss_F": losses[0],
         "loss_G": losses[1],
-        "grad_norm_F": float(np.linalg.norm(grad[0])),
-        "grad_norm_G": float(np.linalg.norm(grad[1])),
+        "grad_norm_F": float(norm_f),
+        "grad_norm_G": float(norm_g),
     }
 
 

@@ -14,7 +14,8 @@ The failure player's horizon-(k+1) population loss splits into an event
 branch A and a survival branch B; the censor player's into C and D. Setting
 the derivatives in (x, y) to zero recovers (t, c) as the only root with all
 survival probabilities positive; the second algebraic root forces the
-censoring cdf past 1 and is infeasible.
+censoring cdf past 1 and is infeasible. The four closed forms broadcast
+over array (x, y), so a planar grid is one array expression.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import root as _scipy_root
+from scipy.special import expit
 
 from .simgen import MarginalWorld
 
@@ -47,7 +49,9 @@ __all__ = [
 
 def _pad(theta: np.ndarray) -> np.ndarray:
     """padded cdf: entry j = P(X <= j) for j = 0..K."""
-    return np.concatenate([[0.0], np.cumsum(theta)])
+    out = np.zeros(theta.size + 1)
+    theta.cumsum(out=out[1:])
+    return out
 
 
 def _step_context(world: MarginalWorld, step: int):
@@ -62,7 +66,7 @@ def _step_context(world: MarginalWorld, step: int):
     return p, q, t, c
 
 
-def population_fbs(world: MarginalWorld, step: int, x: float, y: float) -> float:
+def population_fbs(world: MarginalWorld, step: int, x, y):
     """Failure player's population Brier loss at horizon ``step`` when both
     models match the truth below the step and put masses (x, y) on it.
 
@@ -70,41 +74,41 @@ def population_fbs(world: MarginalWorld, step: int, x: float, y: float) -> float
     B = (p+x)^2 (1-p-t)(1-q-c) / (1-q-y)      survival branch
     """
     p, q, t, c = _step_context(world, step)
-    if 1.0 - q - y <= 0:
+    if np.any(1.0 - q - y <= 0):
         raise ValueError("censor survival 1-q-y must stay positive")
     a = (1.0 - p - x) ** 2 * (p + t)
     b = (p + x) ** 2 * (1.0 - p - t) * (1.0 - q - c) / (1.0 - q - y)
     return a + b
 
 
-def population_gbs(world: MarginalWorld, step: int, x: float, y: float) -> float:
+def population_gbs(world: MarginalWorld, step: int, x, y):
     """Censor player's population Brier loss at horizon ``step``.
 
     C = (1-q-y)^2 (q + c(1-p-t)/(1-p-x))      event branch
     D = (q+y)^2 (1-q-c)(1-p-t) / (1-p-x)      survival branch
     """
     p, q, t, c = _step_context(world, step)
-    if 1.0 - p - x <= 0:
+    if np.any(1.0 - p - x <= 0):
         raise ValueError("failure survival 1-p-x must stay positive")
     cc = (1.0 - q - y) ** 2 * (q + c * (1.0 - p - t) / (1.0 - p - x))
     d = (q + y) ** 2 * (1.0 - q - c) * (1.0 - p - t) / (1.0 - p - x)
     return cc + d
 
 
-def population_fbs_dx(world: MarginalWorld, step: int, x: float, y: float) -> float:
+def population_fbs_dx(world: MarginalWorld, step: int, x, y):
     """d population_fbs / dx; zero at x = t when y = c."""
     p, q, t, c = _step_context(world, step)
-    if 1.0 - q - y <= 0:
+    if np.any(1.0 - q - y <= 0):
         raise ValueError("censor survival 1-q-y must stay positive")
     return -2.0 * (1.0 - p - x) * (p + t) + 2.0 * (p + x) * (1.0 - p - t) * (
         1.0 - q - c
     ) / (1.0 - q - y)
 
 
-def population_gbs_dy(world: MarginalWorld, step: int, x: float, y: float) -> float:
+def population_gbs_dy(world: MarginalWorld, step: int, x, y):
     """d population_gbs / dy; zero at y = c when x = t."""
     p, q, t, c = _step_context(world, step)
-    if 1.0 - p - x <= 0:
+    if np.any(1.0 - p - x <= 0):
         raise ValueError("failure survival 1-p-x must stay positive")
     return -2.0 * (1.0 - q - y) * (q + c * (1.0 - p - t) / (1.0 - p - x)) + 2.0 * (
         q + y
@@ -136,10 +140,11 @@ def _outcome_probs(world: MarginalWorld):
     return world.theta_t * (1.0 - pad_c[:-1]), world.theta_c * (1.0 - pad_t[1:])
 
 
-def _weight_sums(world: MarginalWorld, pmf_t: np.ndarray, pmf_c: np.ndarray):
+def _weight_sums(world: MarginalWorld, hat_t: np.ndarray, hat_c: np.ndarray):
     """The four per-horizon expectations that drive both players' losses,
     as exact sums over the 2K outcome table (horizons t = 1..K-1, so only
-    outcomes with u <= K-1 ever sit in an event branch).
+    outcomes with u <= K-1 ever sit in an event branch), from the models'
+    padded cdfs ``hat_t`` and ``hat_c``.
 
     failure side: A_t = E[delta 1{U<=t} / Gbar_hat(U-)],
                   B_t = E[1{U>t}] / Gbar_hat(t)
@@ -147,7 +152,6 @@ def _weight_sums(world: MarginalWorld, pmf_t: np.ndarray, pmf_c: np.ndarray):
                   W_t = E[1{U>t}] / Fbar_hat(t)
     """
     K = world.n_bins
-    hat_t, hat_c = _pad(pmf_t), _pad(pmf_c)
     w_event, w_cens = _outcome_probs(world)
     head = slice(0, K - 1)  # u = 1..K-1
     gbar_left_hat = 1.0 - hat_c[head]  # Gbar_hat(u-)
@@ -169,29 +173,24 @@ def _weight_sums(world: MarginalWorld, pmf_t: np.ndarray, pmf_c: np.ndarray):
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num/den with 0/0 := 0 (zero-probability outcomes carry no mass);
     positive mass over zero survival is a genuine +inf, not a warning."""
-    out = np.zeros_like(num, dtype=float)
-    nz = num != 0
     with np.errstate(divide="ignore"):
-        out[nz] = num[nz] / den[nz]
-    return out
+        return np.divide(num, den, out=np.zeros_like(num, dtype=float), where=num != 0)
 
 
-def _ratio_sums(world: MarginalWorld, pmf_t: np.ndarray, pmf_c: np.ndarray):
-    """Same expectations in ratio form: identical survival probabilities
-    divide out to exactly 1.0, so at the truth the Brier gradients cancel
-    bit-exactly instead of within roundoff. Only u = 1..K-1 enters the
-    event-branch sums for horizons t <= K-1."""
+def _ratio_sums(world: MarginalWorld, hat_t: np.ndarray, hat_c: np.ndarray):
+    """Same expectations in ratio form, from the models' padded cdfs:
+    identical survival probabilities divide out to exactly 1.0, so at the
+    truth the Brier gradients cancel bit-exactly instead of within roundoff.
+    Only u = 1..K-1 enters the event-branch sums for horizons t <= K-1."""
     K = world.n_bins
     pad_t, pad_c = _pad(world.theta_t), _pad(world.theta_c)
-    hat_t, hat_c = _pad(pmf_t), _pad(pmf_c)
     head = slice(0, K - 1)
-    ratio_g_left = _safe_div(1.0 - pad_c[head], 1.0 - hat_c[head])
-    ratio_f = _safe_div(1.0 - pad_t[1:K], 1.0 - hat_t[1:K])
-    ts = np.arange(1, K)
-    w1 = np.cumsum(world.theta_t[head] * ratio_g_left)
+    ratio_g = _safe_div(1.0 - pad_c[:K], 1.0 - hat_c[:K])  # Gbar/Gbar_hat at 0..K-1
+    ratio_f = _safe_div(1.0 - pad_t[1:K], 1.0 - hat_t[1:K])  # Fbar/Fbar_hat at 1..K-1
+    w1 = np.cumsum(world.theta_t[head] * ratio_g[:-1])
     v1 = np.cumsum(world.theta_c[head] * ratio_f)
-    w2 = (1.0 - pad_t[ts]) * _safe_div(1.0 - pad_c[ts], 1.0 - hat_c[ts])
-    v2 = _safe_div(1.0 - pad_t[ts], 1.0 - hat_t[ts]) * (1.0 - pad_c[ts])
+    w2 = (1.0 - pad_t[1:K]) * ratio_g[1:]
+    v2 = ratio_f * (1.0 - pad_c[1:K])
     return w1, w2, v1, v2
 
 
@@ -216,12 +215,12 @@ def population_loss(
     hat_t, hat_c = _pad(pmf_t), _pad(pmf_c)
     fhat, ghat = hat_t[t], hat_c[t]
     if family == "ipcw-bs":
-        w1, w2, v1, v2 = _ratio_sums(world, pmf_t, pmf_c)
+        w1, w2, v1, v2 = _ratio_sums(world, hat_t, hat_c)
         if player == "failure":
             return (1.0 - fhat) ** 2 * w1[t - 1] + fhat**2 * w2[t - 1]
         return (1.0 - ghat) ** 2 * v1[t - 1] + ghat**2 * v2[t - 1]
     if family == "ipcw-bll":
-        a_t, b_t, v_t, w_t = _weight_sums(world, pmf_t, pmf_c)
+        a_t, b_t, v_t, w_t = _weight_sums(world, hat_t, hat_c)
         if player == "failure":
             if not 0 < fhat < 1:
                 raise ValueError("log loss needs 0 < F_hat(t) < 1")
@@ -253,7 +252,7 @@ def population_gradients(
     hat_t, hat_c = _pad(pmf_t), _pad(pmf_c)
     fhat, ghat = hat_t[ts], hat_c[ts]
     if family == "ipcw-bs":
-        w1, w2, v1, v2 = _ratio_sums(world, pmf_t, pmf_c)
+        w1, w2, v1, v2 = _ratio_sums(world, hat_t, hat_c)
         # zero survival sends both weight sums to +inf; nan is the honest
         # gradient at such boundary models, not a numeric accident
         with np.errstate(invalid="ignore"):
@@ -261,7 +260,7 @@ def population_gradients(
             xi_c = 2.0 * (ghat * v2 - (1.0 - ghat) * v1)
         return xi_t, xi_c
     if family == "ipcw-bll":
-        a_t, b_t, v_t, w_t = _weight_sums(world, pmf_t, pmf_c)
+        a_t, b_t, v_t, w_t = _weight_sums(world, hat_t, hat_c)
         if np.any(fhat <= 0) or np.any(fhat >= 1) or np.any(ghat <= 0) or np.any(ghat >= 1):
             raise ValueError("log loss gradients need interior models")
         xi_t = -a_t / fhat + b_t / (1.0 - fhat)
@@ -335,12 +334,9 @@ def gradient_field(world: MarginalWorld, resolution: int = 200) -> GradientField
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     grid = (np.arange(resolution) + 0.5) / resolution  # interior, no boundary
-    u = np.empty((resolution, resolution))
-    v = np.empty((resolution, resolution))
-    for i, yv in enumerate(grid):
-        for j, xv in enumerate(grid):
-            u[i, j] = -population_fbs_dx(world, 1, xv, yv)
-            v[i, j] = -population_gbs_dy(world, 1, xv, yv)
+    x, y = grid[None, :], grid[:, None]  # row i holds y = grid[i]
+    u = -population_fbs_dx(world, 1, x, y)
+    v = -population_gbs_dy(world, 1, x, y)
     return GradientField(grid.copy(), grid.copy(), u, v)
 
 
@@ -368,13 +364,11 @@ class JointScan:
 def joint_objective_scan(world: MarginalWorld, resolution: int = 201) -> JointScan:
     if world.n_bins != 2:
         raise ValueError("the planar scan is defined for two-bin worlds")
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
     grid = (np.arange(resolution) + 0.5) / resolution
-    values = np.empty((resolution, resolution))
-    for i, yv in enumerate(grid):
-        for j, xv in enumerate(grid):
-            values[i, j] = population_fbs(world, 1, xv, yv) + population_gbs(
-                world, 1, xv, yv
-            )
+    x, y = grid[None, :], grid[:, None]
+    values = population_fbs(world, 1, x, y) + population_gbs(world, 1, x, y)
     i, j = np.unravel_index(np.argmin(values), values.shape)
     t, c = world.theta_t[0], world.theta_c[0]
     truth_value = population_fbs(world, 1, t, c) + population_gbs(world, 1, t, c)
@@ -388,25 +382,12 @@ def joint_objective_scan(world: MarginalWorld, resolution: int = 201) -> JointSc
 # -- stationary-point scan --------------------------------------------------
 
 
-def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _theta_from_z(z: np.ndarray) -> np.ndarray:
-    """Stick-breaking map R^{K-1} -> interior of the K-simplex."""
-    fracs = _sigmoid(np.asarray(z, dtype=float))
-    theta = np.empty(z.size + 1)
-    rem = 1.0
-    for i, f in enumerate(fracs):
-        theta[i] = rem * f
-        rem *= 1.0 - f
-    theta[-1] = rem
-    return theta
+    """Stick-breaking map R^{K-1} -> interior of the K-simplex: bin i takes
+    the share expit(z_i) of the mass the earlier bins left over."""
+    fracs = expit(np.asarray(z, dtype=float))
+    rem = np.cumprod(np.concatenate([[1.0], 1.0 - fracs]))
+    return np.concatenate([rem[:-1] * fracs, rem[-1:]])
 
 
 def _z_from_theta(theta: np.ndarray) -> np.ndarray:
@@ -432,6 +413,69 @@ class StationaryScan:
     spurious_qy: np.ndarray  # per step; all > 1 for interior worlds
 
 
+def _scan_residual(zvec: np.ndarray, world: MarginalWorld) -> np.ndarray:
+    """Both players' per-horizon Brier gradients at stick-breaking
+    coordinates ``zvec`` = (failure z, censor z)."""
+    m = world.n_bins - 1
+    # |z| <= 30 keeps every stick-breaking mass strictly positive, so the
+    # solver cannot step onto a simplex face where the weights blow up
+    zvec = np.clip(zvec, -30.0, 30.0)
+    xi_t, xi_c = population_gradients(
+        world, _theta_from_z(zvec[:m]), _theta_from_z(zvec[m:]), "ipcw-bs"
+    )
+    return np.concatenate([xi_t, xi_c])
+
+
+def _cdf_jacobian(world: MarginalWorld, pmf_t: np.ndarray, pmf_c: np.ndarray) -> np.ndarray:
+    """Exact derivative of the Brier gradients (xi_t, xi_c) of
+    :func:`population_gradients` with respect to the model cdfs
+    (F_hat(1..K-1), G_hat(1..K-1)), shape (2(K-1), 2(K-1)).
+
+    With F = F_hat(t), G = G_hat(t) and the ratio sums of :func:`_ratio_sums`,
+    xi_t = 2(F w2 - (1-F) w1) and xi_c = 2(G v2 - (1-G) v1), where w2 and v2
+    divide by 1-G and 1-F at the same horizon and w1 (v1) sums terms
+    dividing by 1-G_hat(u-1) for u <= t (1-F_hat(u) for u <= t).
+    """
+    K = world.n_bins
+    m = K - 1
+    pad_t, pad_c = _pad(world.theta_t), _pad(world.theta_c)
+    hat_t, hat_c = _pad(pmf_t), _pad(pmf_c)
+    f, g = hat_t[1:K], hat_c[1:K]
+    sf, sg = 1.0 - f, 1.0 - g
+    w1, w2, v1, v2 = _ratio_sums(world, hat_t, hat_c)
+    # d w1(t) / d G_hat(u-1), u = 2..t: the event at u divides by 1-G_hat(u-1)
+    dw1 = world.theta_t[1:K] * (1.0 - pad_c[1:K]) / sg**2
+    # d v1(t) / d F_hat(u), u = 1..t: the censoring at u divides by 1-F_hat(u)
+    dv1 = world.theta_c[:m] * (1.0 - pad_t[1:K]) / sf**2
+    jac = np.zeros((2 * m, 2 * m))
+    jac[:m, m:] = np.tril(-2.0 * sf[:, None] * dw1, k=-1)
+    jac[m:, :m] = np.tril(-2.0 * sg[:, None] * dv1)
+    diag = np.arange(m)
+    jac[diag, diag] = 2.0 * (w1 + w2)
+    jac[diag, m + diag] = 2.0 * f * w2 / sg
+    jac[m + diag, diag] += 2.0 * g * v2 / sf
+    jac[m + diag, m + diag] = 2.0 * (v1 + v2)
+    return jac
+
+
+def _scan_jacobian(zvec: np.ndarray, world: MarginalWorld) -> np.ndarray:
+    """Exact Jacobian of :func:`_scan_residual`. The cdf derivative is
+    chained through stick-breaking, d cdf_j / d z_i = (1 - cdf_j) expit(z_i)
+    for i <= j; coordinates the residual clips at |z| = 30 get zero columns."""
+    m = world.n_bins - 1
+    z = np.clip(zvec, -30.0, 30.0)
+    pmf_t, pmf_c = _theta_from_z(z[:m]), _theta_from_z(z[m:])
+    d_cdf = _cdf_jacobian(world, pmf_t, pmf_c)
+    cols = []
+    for block, zs, pmf in ((d_cdf[:, :m], z[:m], pmf_t), (d_cdf[:, m:], z[m:], pmf_c)):
+        surv = 1.0 - _pad(pmf)[1 : m + 1]
+        # d r / d z_i = expit(z_i) * sum over j >= i of (d r / d cdf_j)(1 - cdf_j)
+        cols.append((block * surv)[:, ::-1].cumsum(axis=1)[:, ::-1] * expit(zs))
+    jac = np.hstack(cols)
+    jac[:, np.abs(zvec) > 30.0] = 0.0
+    return jac
+
+
 def stationary_scan(
     world: MarginalWorld,
     n_starts: int = 100,
@@ -447,18 +491,11 @@ def stationary_scan(
     cdf beyond 1) is unreachable by construction and reported separately via
     :func:`spurious_gbs_root_qy`.
     """
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
     K = world.n_bins
     m = K - 1
     rng = np.random.default_rng(seed)
-
-    def resid(zvec):
-        # |z| <= 30 keeps every stick-breaking mass strictly positive, so the
-        # solver cannot step onto a simplex face where the weights blow up
-        zvec = np.clip(zvec, -30.0, 30.0)
-        theta_t = _theta_from_z(zvec[:m])
-        theta_c = _theta_from_z(zvec[m:])
-        xi_t, xi_c = population_gradients(world, theta_t, theta_c, "ipcw-bs")
-        return np.concatenate([xi_t, xi_c])
 
     roots = []
     n_converged = 0
@@ -466,8 +503,11 @@ def stationary_scan(
         start = np.concatenate(
             [_z_from_theta(rng.dirichlet(np.ones(K))), _z_from_theta(rng.dirichlet(np.ones(K)))]
         )
-        sol = _scipy_root(resid, start, method="hybr", tol=1e-12)
-        if not np.all(np.abs(resid(sol.x)) < root_tol):
+        sol = _scipy_root(
+            _scan_residual, start, args=(world,), method="hybr", jac=_scan_jacobian, tol=1e-12
+        )
+        # hybr returns the residual evaluated at its final point
+        if not np.all(np.abs(sol.fun) < root_tol):
             continue
         n_converged += 1
         zs = np.clip(sol.x, -30.0, 30.0)
@@ -512,8 +552,8 @@ def _induction_root(world: MarginalWorld, rng, starts_per_step: int = 8):
 
         def resid2(z):
             z = np.clip(z, -30.0, 30.0)  # keep (x, y) strictly inside (0, rem)
-            x = rem_t * _sigmoid(z[:1])[0]
-            y = rem_c * _sigmoid(z[1:])[0]
+            x = rem_t * expit(z[0])
+            y = rem_c * expit(z[1])
             return [
                 population_fbs_dx(world, step, x, y),
                 population_gbs_dy(world, step, x, y),
@@ -525,8 +565,8 @@ def _induction_root(world: MarginalWorld, rng, starts_per_step: int = 8):
             if not np.all(np.abs(resid2(sol.x)) < 1e-10):
                 continue
             zs = np.clip(sol.x, -30.0, 30.0)
-            x = rem_t * _sigmoid(zs[:1])[0]
-            y = rem_c * _sigmoid(zs[1:])[0]
+            x = rem_t * expit(zs[0])
+            y = rem_c * expit(zs[1])
             if not any(abs(x - fx) < 1e-8 and abs(y - fy) < 1e-8 for fx, fy in found):
                 found.append((x, y))
         if len(found) != 1:

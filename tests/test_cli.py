@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +81,34 @@ def test_train_is_deterministic(tmp_path):
         fa = (tmp_path / "a" / "exp" / "0" / name).read_bytes()
         fb = (tmp_path / "b" / "exp" / "0" / name).read_bytes()
         assert fa == fb, name
+
+
+def test_train_output_independent_of_blas_threads(tmp_path):
+    # a gradient of ~13k entries is long enough for OpenBLAS to split its
+    # dot products across threads; every artefact must still be the same
+    cfg = {
+        "experiment": "thr", "seed": 0, "n_bins": 20,
+        "data": {"generator": {"kind": "gamma"}, "n_train": 128, "n_val": 64},
+        "train": {"objective": "bs-game", "epochs": 2, "batch_size": 64,
+                  "learning_rate": 0.01, "hidden": [128, 64, 64]},
+        "selection": {"enabled": True},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "gamesurv.cli", "train", str(path), "--out", str(out)],
+                       env=env, check=True)
+        outs.append(out / "thr" / "0")
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == sorted(f.name for f in outs[1].iterdir())
+    assert "train_log.jsonl" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_train_without_validation_fails_under_selection(tmp_path, capsys):
@@ -232,6 +264,36 @@ def test_error_contract(tmp_path, capsys):
     assert main(["train", str(tmp_path / "missing.json")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FileNotFoundError"
+
+
+PLANAR_WORLD = {"theta_t": [0.3, 0.7], "theta_c": [0.4, 0.6]}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("gradient-field", {"world": PLANAR_WORLD, "resolution": 2.7}, "resolution"),
+        ("gradient-field", {"world": PLANAR_WORLD, "resolution": "abc"}, "resolution"),
+        ("gradient-field", {"world": PLANAR_WORLD, "resolution": 1}, "resolution"),
+        ("joint-scan", {"world": PLANAR_WORLD, "resolution": 2.7}, "resolution"),
+        ("joint-scan", {"world": PLANAR_WORLD, "resolution": 0}, "resolution"),
+        ("stationary-check", {"random": {"n_bins": 2}, "n_starts": 2.7}, "n_starts"),
+        ("stationary-check", {"random": {"n_bins": 2}, "n_starts": 0}, "n_starts"),
+        ("stationary-check", {"random": {"n_bins": 2, "count": "abc"}}, "count"),
+        ("stationary-check", {"random": {"n_bins": 2, "count": 0}}, "count"),
+        ("stationary-check", {"random": {"n_bins": 2.7}}, "n_bins"),
+        ("stationary-check", {"random": {"n_bins": True}}, "n_bins"),
+        ("stationary-check", {"random": {"n_bins": 1}}, "n_bins"),
+        ("stationary-check", {"random": {"count": 1}}, "n_bins"),
+        ("stationary-check", {"random": {"n_bins": 2, "seed": 2.7}}, "seed"),
+        ("stationary-check", {"random": {"n_bins": 2, "seed": -1}}, "seed"),
+    ],
+)
+def test_oracle_commands_reject_bad_integer_keys(tmp_path, capsys, command, cfg, key):
+    assert _run(tmp_path, command, {"experiment": "bad", **cfg}) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert repr(key) in err["message"]
 
 
 def test_unknown_generator_kind(tmp_path, capsys):

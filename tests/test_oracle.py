@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gamesurv.oracle
-from gamesurv.losses import LossSpec, per_horizon_loss
+from gamesurv.losses import LossSpec, batch_loss, per_horizon_loss
 from gamesurv.oracle import (
     gradient_field,
     joint_objective_scan,
@@ -171,6 +173,114 @@ def test_population_gradients_zero_at_truth():
             xi_t, xi_c = population_gradients(world, world.theta_t, world.theta_c, family)
             assert np.abs(xi_t).max() < 1e-13
             assert np.abs(xi_c).max() < 1e-13
+
+
+def _scalar_forms(world, x, y):
+    """Reference: the four step-1 closed forms of a two-bin world at one
+    point (x, y), evaluated scalar by scalar as written before they
+    broadcast: (fbs, gbs, fbs_dx, gbs_dy)."""
+    p = q = np.float64(0.0)  # step 1 has no prefix
+    t, c = world.theta_t[0], world.theta_c[0]
+    fbs = (1.0 - p - x) ** 2 * (p + t) + (p + x) ** 2 * (1.0 - p - t) * (1.0 - q - c) / (
+        1.0 - q - y
+    )
+    gbs = (1.0 - q - y) ** 2 * (q + c * (1.0 - p - t) / (1.0 - p - x)) + (q + y) ** 2 * (
+        1.0 - q - c
+    ) * (1.0 - p - t) / (1.0 - p - x)
+    fbs_dx = -2.0 * (1.0 - p - x) * (p + t) + 2.0 * (p + x) * (1.0 - p - t) * (
+        1.0 - q - c
+    ) / (1.0 - q - y)
+    gbs_dy = -2.0 * (1.0 - q - y) * (q + c * (1.0 - p - t) / (1.0 - p - x)) + 2.0 * (
+        q + y
+    ) * (1.0 - q - c) * (1.0 - p - t) / (1.0 - p - x)
+    return fbs, gbs, fbs_dx, gbs_dy
+
+
+def test_array_closed_forms_equal_scalar_reference_bitwise():
+    rng = np.random.default_rng(11)
+    res = 24
+    grid = (np.arange(res) + 0.5) / res
+    for _ in range(20):
+        world = random_interior_world(2, rng)
+        ref = np.empty((4, res, res))
+        for i, yv in enumerate(grid):
+            for j, xv in enumerate(grid):
+                ref[:, i, j] = _scalar_forms(world, xv, yv)
+        x, y = grid[None, :], grid[:, None]
+        for k, form in enumerate(
+            (population_fbs, population_gbs, population_fbs_dx, population_gbs_dy)
+        ):
+            assert np.array_equal(form(world, 1, x, y), ref[k])
+        field = gradient_field(world, res)
+        assert np.array_equal(field.u, -ref[2]) and np.array_equal(field.v, -ref[3])
+        scan = joint_objective_scan(world, res)
+        assert np.array_equal(scan.values, ref[0] + ref[1])
+
+
+def test_array_closed_forms_reject_one_infeasible_point():
+    xs = np.array([0.1, 0.5, 1.0, 0.2])  # 1 - p - x = 0 at one point only
+    ys = np.array([0.1, 1.0, 0.5, 0.2])  # 1 - q - y = 0 at one point only
+    ok = np.full(4, 0.3)
+    for form in (population_fbs, population_fbs_dx):
+        with pytest.raises(ValueError, match="censor survival"):
+            form(TRUTH, 1, ok, ys)
+    for form in (population_gbs, population_gbs_dy):
+        with pytest.raises(ValueError, match="failure survival"):
+            form(TRUTH, 1, xs, ok)
+
+
+def test_grid_resolution_and_start_count_contracts():
+    with pytest.raises(ValueError, match="resolution"):
+        joint_objective_scan(TRUTH, 0)
+    with pytest.raises(ValueError, match="resolution"):
+        gradient_field(TRUTH, 1)
+    with pytest.raises(ValueError, match="n_starts"):
+        stationary_scan(TRUTH, n_starts=0)
+
+
+@settings(max_examples=30)
+@given(k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_scan_jacobian_matches_central_differences(k, seed):
+    # step 1e-6: truncation error ~1e-12 times the third derivative and
+    # roundoff ~1e-16 * |residual| / 1e-6 both sit far below the tolerance
+    rng = np.random.default_rng(seed)
+    world = random_interior_world(k, rng)
+    z = np.clip(rng.normal(0.0, 1.5, 2 * (k - 1)), -3.0, 3.0)
+    jac = gamesurv.oracle._scan_jacobian(z, world)
+    h = 1e-6
+    fd = np.empty_like(jac)
+    for i in range(z.size):
+        step = np.zeros_like(z)
+        step[i] = h
+        hi = gamesurv.oracle._scan_residual(z + step, world)
+        lo = gamesurv.oracle._scan_residual(z - step, world)
+        fd[:, i] = (hi - lo) / (2 * h)
+    np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6)
+
+
+def test_scan_jacobian_zero_on_clipped_coordinates():
+    world = random_interior_world(4, np.random.default_rng(12))
+    z = np.array([0.3, 31.0, -0.5, -40.0, 0.2, 1.0])
+    jac = gamesurv.oracle._scan_jacobian(z, world)
+    assert np.all(jac[:, [1, 3]] == 0.0)
+    assert np.all(np.any(jac[:, [0, 2, 4, 5]] != 0.0, axis=0))
+
+
+@settings(max_examples=30)
+@given(k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_population_loss_matches_estimator_value(k, seed):
+    # the oracle's per-horizon values, summed, against the estimator's loss
+    # on the exact outcome batch: two independent code paths, one number
+    rng = np.random.default_rng(seed)
+    world = random_interior_world(k, rng)
+    pt = random_interior_world(k, rng).theta_t
+    pc = random_interior_world(k, rng).theta_c
+    pb = population_batch(world)
+    for family in ("ipcw-bs", "ipcw-bll"):
+        for role, own, other in (("failure", pt, pc), ("censor", pc, pt)):
+            value, _ = batch_loss(LossSpec(family, role), own, other, pb)
+            expect = sum(population_loss(world, pt, pc, t, family, role) for t in range(1, k))
+            assert value == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 def test_gradient_field_frozen_grid():
