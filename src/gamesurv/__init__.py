@@ -8,6 +8,8 @@ that the true pair is the unique interior stationary point of that game,
 while the *joint* objective is generally minimized elsewhere.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     Batch,
     CategoricalSurvival,
@@ -86,71 +88,8 @@ from .simgen import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArchSpec",
-    "Batch",
-    "CategoricalSurvival",
-    "ClampStats",
-    "Dataset",
-    "EvalReport",
-    "GameState",
-    "GammaSimConfig",
-    "GradientField",
-    "JointScan",
-    "KaplanMeier",
-    "LossGradient",
-    "LossSpec",
-    "MarginalWorld",
-    "Model",
-    "RawSurvivalData",
-    "SelectionResult",
-    "StationaryScan",
-    "Standardizer",
-    "SurvivalRecord",
-    "TrainConfig",
-    "assign_bins",
-    "batch_loss",
-    "bin_lower_bounds",
-    "calibration_curve",
-    "concordance",
-    "concordance_index",
-    "discretize",
-    "eval_bll",
-    "eval_bs",
-    "evaluate",
-    "family_of",
-    "gen_gamma",
-    "gen_marginal",
-    "gradient_field",
-    "init_state",
-    "ipcw_bll_failure",
-    "ipcw_bs_failure",
-    "ipcw_mean",
-    "ipcw_per_sample",
-    "joint_objective_scan",
-    "km_censoring",
-    "km_fit",
-    "loss_and_grad",
-    "nll",
-    "nll_censoring_dependence",
-    "nll_metric",
-    "per_horizon_loss",
-    "population_batch",
-    "population_failure_nll",
-    "population_fbs",
-    "population_fbs_dx",
-    "population_gbs",
-    "population_gbs_dy",
-    "population_gradients",
-    "population_loss",
-    "quantile_discretize",
-    "random_interior_world",
-    "resolve_times",
-    "select_models",
-    "spurious_gbs_root_qy",
-    "stationary_scan",
-    "step_multiplayer",
-    "step_summed",
-    "summed_loss",
-    "train",
-]
+# every name imported above; the submodules stay reachable as attributes
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

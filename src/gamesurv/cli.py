@@ -56,6 +56,17 @@ def _int_key(cfg: dict, key: str, minimum: int, default=None, context: str = "co
     return value
 
 
+def _int_list(cfg: dict, key: str, minimum: int, context: str = "config") -> list[int]:
+    """A required non-empty list of integers, each checked like ``_int_key``."""
+    values = _require(cfg, key, context)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{context} key {key!r} must be a non-empty list, got {values!r}")
+    return [
+        _int_key({f"{key}[{i}]": v}, f"{key}[{i}]", minimum, context=context)
+        for i, v in enumerate(values)
+    ]
+
+
 def _json_dump(payload, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -98,13 +109,16 @@ def _world_from(spec: dict, context: str = "world") -> simgen.MarginalWorld:
 def cmd_simulate(cfg: dict, args) -> None:
     out = _out_dir(cfg, args)
     gen = _require(cfg, "generator")
-    seeds = cfg.get("seeds", [cfg.get("seed", 0)])
-    sizes = cfg.get("sizes", [gen.get("n")] if gen.get("n") else None)
-    if not sizes:
+    seeds = _int_list(cfg, "seeds", 0) if "seeds" in cfg else [_int_key(cfg, "seed", 0, 0)]
+    if "sizes" in cfg:
+        sizes = _int_list(cfg, "sizes", 1)
+    elif "n" in gen:
+        sizes = [_int_key(gen, "n", 1, context="generator")]
+    else:
         raise ConfigError("simulate needs 'sizes' (or a generator 'n')")
     for seed in seeds:
         for n in sizes:
-            data = _make_generator(gen, int(n), int(seed))
+            data = _make_generator(gen, n, seed)
             base = out / str(seed)
             base.mkdir(parents=True, exist_ok=True)
             simgen.save_csv(base / f"data_n{n}.csv", data)
@@ -121,9 +135,10 @@ def _prepare_splits(cfg: dict, seed: int, need_val: bool):
         val_raw = simgen.load_csv(data_cfg["val_csv"]) if "val_csv" in data_cfg else None
     elif "generator" in data_cfg:
         gen = data_cfg["generator"]
-        train_raw = _make_generator(gen, int(_require(data_cfg, "n_train", "data")), (seed, 0))
+        n_train = _int_key(data_cfg, "n_train", 1, context="data")
+        train_raw = _make_generator(gen, n_train, (seed, 0))
         val_raw = (
-            _make_generator(gen, int(data_cfg["n_val"]), (seed, 1))
+            _make_generator(gen, _int_key(data_cfg, "n_val", 1, context="data"), (seed, 1))
             if "n_val" in data_cfg
             else None
         )
@@ -153,7 +168,7 @@ def _run_training(cfg: dict, seed: int):
     selection_cfg = cfg.get("selection", {"enabled": True})
     need_val = bool(selection_cfg.get("enabled", True))
     train_raw, val_raw, std = _prepare_splits(cfg, seed, need_val)
-    n_bins = int(cfg.get("n_bins", 20))
+    n_bins = _int_key(cfg, "n_bins", 2, 20)
     train_ds = core.discretize(train_raw, n_bins=n_bins)
     val_ds = (
         core.discretize(val_raw, edges=train_ds.bin_edges) if val_raw is not None else None
@@ -176,7 +191,7 @@ def _run_training(cfg: dict, seed: int):
 
 
 def cmd_train(cfg: dict, args) -> None:
-    seed = int(cfg.get("seed", 0))
+    seed = _int_key(cfg, "seed", 0, 0)
     out = _out_dir(cfg, args) / str(seed)
     out.mkdir(parents=True, exist_ok=True)
     state, model_f, model_g, train_ds, std, selection = _run_training(cfg, seed)
@@ -219,7 +234,7 @@ def _score_test_split(test_raw, edges, model_f, model_g, weighting, world=None):
 def cmd_evaluate(cfg: dict, args) -> None:
     from .models import Model
 
-    seed = int(cfg.get("seed", 0))
+    seed = _int_key(cfg, "seed", 0, 0)
     out = _out_dir(cfg, args) / str(seed)
     out.mkdir(parents=True, exist_ok=True)
     model_f = Model.load(_require(cfg, "model_f"))
@@ -231,7 +246,7 @@ def cmd_evaluate(cfg: dict, args) -> None:
     else:
         test_raw = _make_generator(
             _require(data_cfg, "generator", "data"),
-            int(_require(data_cfg, "n_test", "data")),
+            _int_key(data_cfg, "n_test", 1, context="data"),
             (seed, 2),
         )
     if cfg.get("standardizer"):
@@ -266,7 +281,7 @@ def _sweep_point(payload: dict) -> dict:
     }
     state, model_f, model_g, train_ds, std, selection = _run_training(sub, seed)
     test_raw = std.apply(
-        _make_generator(cfg["generator"], int(cfg.get("n_test", 2048)), (seed, 2))
+        _make_generator(cfg["generator"], _int_key(cfg, "n_test", 1, 2048), (seed, 2))
     )
     report = _score_test_split(
         test_raw, train_ds.bin_edges, model_f, model_g,
@@ -288,8 +303,8 @@ def cmd_sweep(cfg: dict, args) -> None:
     out = _out_dir(cfg, args) / "sweep"
     out.mkdir(parents=True, exist_ok=True)
     _require(cfg, "generator")
-    sizes = [int(n) for n in _require(cfg, "sizes")]
-    seeds = [int(s) for s in _require(cfg, "seeds")]
+    sizes = _int_list(cfg, "sizes", 1)
+    seeds = _int_list(cfg, "seeds", 0)
     objectives = cfg.get("objectives", ["nll", "bs-game"])
     for obj in objectives:
         games.family_of(obj)
@@ -299,7 +314,7 @@ def cmd_sweep(cfg: dict, args) -> None:
         for n in sizes
         for s in seeds
     ]
-    workers = int(cfg.get("workers", 1))
+    workers = _int_key(cfg, "workers", 1, 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, points))

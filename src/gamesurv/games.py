@@ -31,6 +31,7 @@ import numpy as np
 
 from .core import Batch, Dataset
 from .losses import (
+    ROLES,
     ClampStats,
     LossSpec,
     _own_cdf,
@@ -84,8 +85,10 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        # the spec every loss of the run will carry; checks the objective and weight_floor
-        LossSpec(family_of(self.objective), "failure", "all", self.weight_floor)
+        # both players' loss spec, roles stacked as the pair's rows; building
+        # it checks the objective and weight_floor
+        spec = LossSpec(family_of(self.objective), ROLES, "all", self.weight_floor)
+        object.__setattr__(self, "_spec", spec)
         if self.game_form not in ("summed", "multiplayer"):
             raise ValueError(f"unknown game_form {self.game_form!r}")
         if self.optimizer not in ("adam", "sgd"):
@@ -114,15 +117,26 @@ class _Adam:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
+        self._scratch = np.empty(shape)
         self.t = 0
 
     def update(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """params - lr * mhat / (sqrt(vhat) + eps), with the moments updated
+        in place; the same elementwise operations as the textbook
+        expression, in the same order, so the same bits."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        mhat = self.m / (1 - self.beta1**self.t)
-        vhat = self.v / (1 - self.beta2**self.t)
-        return params - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        m, v, s = self.m, self.v, self._scratch
+        m *= self.beta1
+        m += np.multiply(grad, 1 - self.beta1, out=s)
+        v *= self.beta2
+        np.multiply(grad, 1 - self.beta2, out=s)
+        v += np.multiply(s, grad, out=s)
+        np.sqrt(np.divide(v, 1 - self.beta2**self.t, out=s), out=s)
+        s += self.eps
+        step = np.divide(m, 1 - self.beta1**self.t)
+        step *= self.lr
+        step /= s
+        return np.subtract(params, step, out=step)
 
 
 def _make_optimizer(config: TrainConfig, shape):
@@ -179,25 +193,24 @@ def init_state(n_bins: int, feature_dim: int, config: TrainConfig) -> GameState:
 
 
 def _check_finite(state: GameState, grad: np.ndarray) -> None:
+    if np.isfinite(grad).all():
+        return
     for name, row in zip(("the failure model", "the censoring model"), grad):
-        if not np.all(np.isfinite(row)):
+        if not np.isfinite(row).all():
             raise RuntimeError(
                 f"non-finite gradient for {name} at epoch {state.epoch} "
                 f"(clamp count so far: {state.clamp.count}); aborting the run"
             )
 
 
-def _role_specs(family: str, weight_floor: float) -> tuple[LossSpec, LossSpec]:
-    return tuple(LossSpec(family, role, "all", weight_floor) for role in ("failure", "censor"))
-
-
 def _step_metrics(losses, grad: np.ndarray) -> dict:
     # a ufunc reduction, not np.linalg.norm: BLAS ddot splits its sum by
     # thread count, which would make the training log depend on it
     norm_f, norm_g = np.sqrt((grad * grad).sum(axis=-1))
+    loss_f, loss_g = losses.tolist()
     return {
-        "loss_F": losses[0],
-        "loss_G": losses[1],
+        "loss_F": loss_f,
+        "loss_G": loss_g,
         "grad_norm_F": float(norm_f),
         "grad_norm_G": float(norm_g),
     }
@@ -211,15 +224,11 @@ def step_summed(state: GameState, batch: Batch) -> dict:
     the pre-step parameters; each player's loss sees the other's pre-step
     probabilities as constants, so the player order cannot matter.
     """
-    cfg = state.config
-    family = family_of(cfg.objective)
+    spec = state.config._spec
     pmf, cache = state.pair.forward(batch.features, n=batch.n)
-    frozen = [None, None] if family == "nll" else np.array(pmf[::-1])
-    values, dpmfs = zip(*(
-        batch_loss(spec, own, other, batch, state.clamp)
-        for spec, own, other in zip(_role_specs(family, cfg.weight_floor), pmf, frozen)
-    ))
-    grad = state.pair.backprop(cache, np.stack(dpmfs))
+    frozen = None if spec.family == "nll" else pmf[::-1]
+    values, dpmf = batch_loss(spec, pmf, frozen, batch, state.clamp)
+    grad = state.pair.backprop(cache, dpmf)
     _check_finite(state, grad)
     state.pair.params = state.opt.update(state.pair.params, grad)
     return _step_metrics(values, grad)
@@ -242,21 +251,17 @@ def step_multiplayer(state: GameState, batch: Batch) -> dict:
     directly in probability space.
     """
     cfg = state.config
-    family = family_of(cfg.objective)
-    if family == "nll":
+    spec = cfg._spec
+    if spec.family == "nll":
         raise ValueError("the per-horizon game is defined for the game objectives")
     if state.pair.arch.kind != "marginal-prob":
         raise ValueError("the per-horizon game runs on direct probability coordinates")
     pmf = state.pair.predict_pmf(n=batch.n)
-    values, coefs = zip(*(
-        per_horizon_loss(spec, own, other, batch, state.clamp)
-        for spec, own, other in zip(_role_specs(family, cfg.weight_floor), pmf, pmf[::-1])
-    ))
-    coef = np.stack(coefs)
+    values, coef = per_horizon_loss(spec, pmf, pmf[::-1], batch, state.clamp)
     _check_finite(state, coef)
     theta = state.opt.update(state.pair.view("theta").copy(), coef)
     state.pair.view("theta")[...] = _project_simplex_coords(theta, cfg.weight_floor)
-    return _step_metrics([float(v.sum()) for v in values], coef)
+    return _step_metrics(values.sum(axis=-1), coef)
 
 
 def train(dataset: Dataset, config: TrainConfig) -> GameState:

@@ -18,6 +18,12 @@ Conventions, fixed across the package:
 - Weight denominators and log arguments below ``weight_floor`` are clamped
   to the floor and the clamp is counted (only where the term is active).
   Clamped log terms contribute zero gradient.
+- The role is an array axis. ``LossSpec.role`` is one role or a tuple of R
+  roles; with a tuple, the pmfs carry a leading (R, ...) axis and one kernel
+  pass scores every player. Inside the kernels a role is data, a per-role
+  flag c (0 failure, 1 censor): the event indicator is ``event ^ c``, the
+  event-branch survival column is U - 1 + c (Gbar(U-) or Fbar(U)), and the
+  likelihood's tail starts at U - c. A single role is R = 1.
 """
 
 from __future__ import annotations
@@ -57,20 +63,28 @@ class ClampStats:
         self.count += int(k)
 
 
+def _role_flags(roles: tuple[str, ...]) -> np.ndarray:
+    """(R, 1) censor flags, broadcasting against (R, n) per-sample arrays."""
+    if not roles or any(role not in ROLES for role in roles):
+        raise ValueError(f"role must be one of {ROLES} or a tuple of them, got {roles!r}")
+    return np.array([[role == "censor"] for role in roles])
+
+
 @dataclass(frozen=True)
 class LossSpec:
-    """Which loss to compute, for whom, at which horizons."""
+    """Which loss to compute, for whom, at which horizons. ``role`` is one
+    of ``ROLES`` or a tuple of them (one per leading pmf axis)."""
 
     family: str
-    role: str
+    role: str | tuple[str, ...]
     times: tuple[int, ...] | str = "all"
     weight_floor: float = 1e-6
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.role not in ROLES:
-            raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
+        roles = self.role if isinstance(self.role, tuple) else (self.role,)
+        object.__setattr__(self, "_flags", _role_flags(roles))
         if not 0 < self.weight_floor < 1:
             raise ValueError("weight_floor must lie in (0, 1)")
 
@@ -92,27 +106,39 @@ def resolve_times(times: tuple[int, ...] | str, n_bins: int) -> np.ndarray:
     return arr
 
 
-def _as_matrix(pmf: np.ndarray, n: int) -> np.ndarray:
-    """Broadcast a (K,) marginal pmf or pass through an (n, K) matrix."""
+def _as_matrix(pmf: np.ndarray, n: int, lead: int = 0) -> np.ndarray:
+    """Broadcast (*lead, K) marginal pmfs to (*lead, n, K) or pass (*lead,
+    n, K) matrices through; ``lead`` counts the leading (role) axes."""
     pmf = np.asarray(pmf, dtype=float)
-    if pmf.ndim == 1:
-        return np.broadcast_to(pmf, (n, pmf.size))
-    if pmf.ndim == 2 and pmf.shape[0] == n:
+    if pmf.ndim == lead + 1:
+        return np.broadcast_to(pmf[..., None, :], (*pmf.shape[:-1], n, pmf.shape[-1]))
+    if pmf.ndim == lead + 2 and pmf.shape[-2] == n:
         return pmf
-    raise ValueError(f"pmf must be (K,) or (n, K); got shape {pmf.shape}")
+    raise ValueError(f"pmf must be (K,) or (n, K) after {lead} leading axes; got {pmf.shape}")
+
+
+def _role_stack(spec: LossSpec, pmf: np.ndarray, n: int) -> np.ndarray:
+    """A spec's pmf argument as an (R, n, K) stack: a tuple role's pmfs
+    carry the role axis already, a single role's gain it."""
+    if not isinstance(spec.role, tuple):
+        return _as_matrix(pmf, n)[None]
+    stack = _as_matrix(pmf, n, 1)
+    if stack.shape[0] != len(spec.role):
+        raise ValueError(f"pmf stack has {stack.shape[0]} rows for roles {spec.role}")
+    return stack
 
 
 def _padded_cdf(pmf: np.ndarray) -> np.ndarray:
     """Cumulative along the last axis with a leading zero: entry j is
     P(X <= j) for j = 0..K."""
     out = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
-    np.cumsum(pmf, axis=-1, out=out[..., 1:])
+    pmf.cumsum(axis=-1, out=out[..., 1:])
     return out
 
 
 def _own_cdf(own: np.ndarray, times: np.ndarray) -> np.ndarray:
     # rounding in the cumsum may poke a hair above 1; keep 1 - cdf >= 0
-    return np.minimum(np.cumsum(own, axis=-1)[..., times - 1], 1.0)
+    return np.minimum(own.cumsum(axis=-1)[..., times - 1], 1.0)
 
 
 def _clamp(values: np.ndarray, floor: float, active: np.ndarray, stats: ClampStats | None):
@@ -123,7 +149,7 @@ def _clamp(values: np.ndarray, floor: float, active: np.ndarray, stats: ClampSta
 
 
 def _ipcw_weights(
-    role: str,
+    flags: np.ndarray,
     surv: np.ndarray,
     time_bin: np.ndarray,
     event: np.ndarray,
@@ -131,33 +157,29 @@ def _ipcw_weights(
     floor: float,
     stats: ClampStats | None,
 ):
-    """Per-(sample, horizon) inverse weights for the event and survival
-    branches, from the other player's survival table ``surv``: entry j is
-    P(X > j) for j = 0..K, shape (K+1,) shared by all rows or (n, K+1).
+    """Per-(role, sample, horizon) inverse weights for the event and
+    survival branches, from the other player's survival tables ``surv``
+    (R, m, K+1): entry j is P(X > j) for j = 0..K, with m = n rows or one
+    row shared by all samples. ``flags`` are the (R, 1) censor flags.
 
-    Returns (a, b), shape (n, T): a = indicator/weight for the event
+    Returns (a, b), shape (R, n, T): a = indicator/weight for the event
     branch, b = 1{U > t}/weight for the survival branch. The failure
     role's event branch divides by Gbar(U-) = surv[U-1], the censor role's
     by Fbar(U) = surv[U]."""
-    if role == "failure":
-        ind, evt_col = event, time_bin - 1  # Gbar(U-)
-    else:
-        ind, evt_col = ~event, time_bin  # Fbar(U)
-    if surv.ndim == 2:
-        den_evt = surv[np.arange(time_bin.size), evt_col]
-    else:
-        den_evt = surv[evt_col]
+    ind = event ^ flags  # event or ~event
+    rows = np.arange(time_bin.size) if surv.shape[1] > 1 else 0
+    den_evt = surv[np.arange(flags.shape[0])[:, None], rows, time_bin - 1 + flags]
     den_surv = surv[..., times]  # Xbar(t) columns
 
-    le = time_bin[:, None] <= times[None, :]
-    evt_active = ind[:, None] & le
+    le = time_bin[:, None] <= times
+    evt_active = ind[..., None] & le
     surv_active = ~le
 
     evt_used = ind & (time_bin <= times[-1])
     den_evt, _ = _clamp(den_evt, floor, evt_used, stats)
     den_surv, _ = _clamp(den_surv, floor, surv_active, stats)
 
-    a = evt_active / den_evt[:, None]
+    a = evt_active / den_evt[..., None]
     b = surv_active / den_surv
     return a, b
 
@@ -176,18 +198,18 @@ def _own_terms(family: str, cdf: np.ndarray, floor: float):
 def _game_values_coefs(
     spec: LossSpec,
     own: np.ndarray,
-    frozen_pmf: np.ndarray,
+    frozen: np.ndarray,
     time_bin: np.ndarray,
     event: np.ndarray,
     stats: ClampStats | None,
 ):
-    """Horizons, per-(sample, horizon) loss values and d(value)/d(own cdf
-    at t), with the other player's pmf frozen into the inverse weights."""
-    n, K = own.shape
-    times = resolve_times(spec.times, K)
+    """Horizons, per-(role, sample, horizon) loss values and d(value)/d(own
+    cdf at t), for (R, n, K) stacks ``own`` and ``frozen``: each role's
+    other player enters only through its frozen inverse weights."""
+    times = resolve_times(spec.times, own.shape[-1])
     floor = spec.weight_floor
-    surv = 1.0 - _padded_cdf(_as_matrix(frozen_pmf, n))
-    a, b = _ipcw_weights(spec.role, surv, time_bin, event, times, floor, stats)
+    surv = 1.0 - _padded_cdf(frozen)
+    a, b = _ipcw_weights(spec._flags, surv, time_bin, event, times, floor, stats)
     P = _own_cdf(own, times)
     evt, srv = _own_terms(spec.family, P, floor)
     vals = evt * a + srv * b
@@ -201,7 +223,7 @@ def _game_values_coefs(
 
 
 def _nll_values_dpmf(
-    role: str,
+    flags: np.ndarray,
     own_pmf: np.ndarray,
     time_bin: np.ndarray,
     event: np.ndarray,
@@ -209,22 +231,21 @@ def _nll_values_dpmf(
     stats: ClampStats | None,
     weights: np.ndarray | None,
 ):
-    """Per-sample partial log-likelihood terms and the pmf gradient of the
-    weighted total. The two players' likelihoods share no parameters, which
-    is what lets the joint likelihood split into independent problems."""
-    n, K = own_pmf.shape
+    """Per-(role, sample) partial log-likelihood terms (R, n) and the pmf
+    gradient (R, n, K) of each role's weighted total. The two players'
+    likelihoods share no parameters, which is what lets the joint
+    likelihood split into independent problems."""
+    R, n, K = own_pmf.shape
     pad = _padded_cdf(own_pmf)
-    rows = np.arange(n)
+    roles, rows = np.arange(R)[:, None], np.arange(n)
 
-    if role == "failure":
-        point_rows = event  # -log f(U)
-        tail_start = time_bin  # -log Fbar(U) = -log sum_{k > U}
-    else:
-        point_rows = ~event  # -log g(U)
-        tail_start = time_bin - 1  # -log Gbar(U-) = -log sum_{k >= U}
+    # failure: -log f(U) on events, -log Fbar(U) = -log sum_{k > U} otherwise;
+    # censor: -log g(U) on censorings, -log Gbar(U-) = -log sum_{k >= U}
+    point_rows = event ^ flags
+    tail_start = time_bin - flags
 
-    point_mass = own_pmf[rows, time_bin - 1]
-    tail_mass = 1.0 - pad[rows, tail_start]
+    point_mass = own_pmf[roles, rows, time_bin - 1]
+    tail_mass = 1.0 - pad[roles, rows, tail_start]
 
     pm, pm_clamped = _clamp(point_mass, floor, point_rows, stats)
     tm, tm_clamped = _clamp(tail_mass, floor, ~point_rows, stats)
@@ -232,14 +253,14 @@ def _nll_values_dpmf(
     vals = np.where(point_rows, -np.log(pm), -np.log(tm))
 
     w = np.full(n, 1.0 / n) if weights is None else weights
-    dpmf = np.zeros((n, K))
-    pr = point_rows & ~pm_clamped
-    dpmf[rows[pr], time_bin[pr] - 1] = -w[pr] / pm[pr]
-    tr = ~point_rows & ~tm_clamped
-    spread = np.zeros((n, K + 1))
-    spread[rows[tr], tail_start[tr]] = -w[tr] / tm[tr]
+    dpmf = np.zeros((R, n, K))
+    r, i = np.nonzero(point_rows & ~pm_clamped)
+    dpmf[r, i, time_bin[i] - 1] = -w[i] / pm[r, i]
+    r, i = np.nonzero(~point_rows & ~tm_clamped)
+    spread = np.zeros((R, n, K + 1))
+    spread[r, i, tail_start[r, i]] = -w[i] / tm[r, i]
     # tail term covers all bins from tail_start on
-    dpmf += np.cumsum(spread[:, :K], axis=1)
+    dpmf += spread[..., :K].cumsum(axis=-1)
     return vals, dpmf
 
 
@@ -254,35 +275,37 @@ def batch_loss(
 
     The frozen side enters only through probabilities treated as constants;
     the returned gradient is exactly d(value)/d(own_pmf), rows scaled by the
-    normalized batch weights.
+    normalized batch weights. With a tuple ``spec.role`` both pmf arguments
+    carry a leading role axis and every role is scored in one pass.
 
     Returns
     -------
-    value : float
-    dpmf : ndarray, shape (n, K)
+    value : float, or ndarray (R,) for a tuple role
+    dpmf : ndarray, shape (n, K), or (R, n, K) for a tuple role
     """
     n = batch.n
-    own = _as_matrix(own_pmf, n)
-    K = own.shape[1]
+    own = _role_stack(spec, own_pmf, n)
     w = batch.norm_weight()
 
     if spec.family == "nll":
         vals, dpmf = _nll_values_dpmf(
-            spec.role, own, batch.time_bin, batch.event, spec.weight_floor, stats, w
+            spec._flags, own, batch.time_bin, batch.event, spec.weight_floor, stats, w
         )
-        return float(vals @ w), dpmf
-
-    if frozen_pmf is None:
-        raise ValueError("game losses need the other player's pmf")
-    times, vals, coefs = _game_values_coefs(
-        spec, own, frozen_pmf, batch.time_bin, batch.event, stats
-    )
-    value = float(w @ vals.sum(axis=1))
-    # d cdf(t) / d pmf_k = 1{k <= t}: scatter per-horizon coefs, then suffix-sum
-    tmp = np.zeros((n, K))
-    tmp[:, times - 1] = coefs * w[:, None]
-    dpmf = np.flip(np.cumsum(np.flip(tmp, axis=1), axis=1), axis=1)
-    return value, dpmf
+        values = [float(v @ w) for v in vals]
+    else:
+        if frozen_pmf is None:
+            raise ValueError("game losses need the other player's pmf")
+        times, vals, coefs = _game_values_coefs(
+            spec, own, _role_stack(spec, frozen_pmf, n), batch.time_bin, batch.event, stats
+        )
+        values = [float(w @ v) for v in vals.sum(axis=-1)]
+        # d cdf(t) / d pmf_k = 1{k <= t}: scatter per-horizon coefs, then suffix-sum
+        tmp = np.zeros(own.shape)
+        tmp[..., times - 1] = coefs * w[:, None]
+        dpmf = tmp[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    if isinstance(spec.role, tuple):
+        return np.array(values), dpmf
+    return values[0], dpmf[0]
 
 
 def per_horizon_loss(
@@ -300,17 +323,19 @@ def per_horizon_loss(
 
     Returns
     -------
-    values : ndarray, shape (T,)
-    coefs : ndarray, shape (T,)
+    values : ndarray, shape (T,), or (R, T) for a tuple role
+    coefs : ndarray, shape (T,), or (R, T) for a tuple role
     """
     if spec.family == "nll":
         raise ValueError("per-horizon form is defined for the game losses only")
-    own = _as_matrix(own_pmf, batch.n)
-    _, vals, coefs = _game_values_coefs(
-        spec, own, frozen_pmf, batch.time_bin, batch.event, stats
-    )
+    own, frozen = (_role_stack(spec, pmf, batch.n) for pmf in (own_pmf, frozen_pmf))
+    _, vals, coefs = _game_values_coefs(spec, own, frozen, batch.time_bin, batch.event, stats)
     w = batch.norm_weight()
-    return w @ vals, w @ coefs
+    values = np.array([w @ v for v in vals])
+    coefs = np.array([w @ c for c in coefs])
+    if isinstance(spec.role, tuple):
+        return values, coefs
+    return values[0], coefs[0]
 
 
 def ipcw_weight_arrays(
@@ -328,7 +353,9 @@ def ipcw_weight_arrays(
     time_bin = np.asarray(time_bin, dtype=np.int64)
     event = np.asarray(event, dtype=bool)
     surv = 1.0 - _padded_cdf(_as_matrix(frozen_pmf, time_bin.size))
-    return _ipcw_weights(role, surv, time_bin, event, times, weight_floor, stats)
+    flags = _role_flags((role,))
+    a, b = _ipcw_weights(flags, surv[None], time_bin, event, times, weight_floor, stats)
+    return a[0], b[0]
 
 
 def ipcw_per_sample(
@@ -348,10 +375,10 @@ def ipcw_per_sample(
     """
     time_bin = np.asarray(time_bin, dtype=np.int64)
     event = np.asarray(event, dtype=bool)
-    own = _as_matrix(own_pmf, time_bin.size)
     spec = LossSpec(family, role, (t,), weight_floor)
-    _, vals, _ = _game_values_coefs(spec, own, frozen_pmf, time_bin, event, stats)
-    return vals[:, 0]
+    own, frozen = (_role_stack(spec, pmf, time_bin.size) for pmf in (own_pmf, frozen_pmf))
+    _, vals, _ = _game_values_coefs(spec, own, frozen, time_bin, event, stats)
+    return vals[0, :, 0]
 
 
 ipcw_bs_failure = functools.partial(ipcw_per_sample, "ipcw-bs", "failure")
@@ -369,9 +396,9 @@ def nll(pmf, time_bin, event, role="failure", weight_floor=1e-6, stats=None):
     """
     time_bin = np.asarray(time_bin, dtype=np.int64)
     event = np.asarray(event, dtype=bool)
-    own = _as_matrix(pmf, time_bin.size)
-    vals, _ = _nll_values_dpmf(role, own, time_bin, event, weight_floor, stats, None)
-    return vals
+    own = _as_matrix(pmf, time_bin.size)[None]
+    flags = _role_flags((role,))
+    return _nll_values_dpmf(flags, own, time_bin, event, weight_floor, stats, None)[0][0]
 
 
 def ipcw_mean(time_bin, event, censor_pmf, values=None, weight=None, weight_floor=1e-6, stats=None):
@@ -384,10 +411,11 @@ def ipcw_mean(time_bin, event, censor_pmf, values=None, weight=None, weight_floo
     """
     time_bin = np.asarray(time_bin, dtype=np.int64)
     event = np.asarray(event, dtype=bool)
-    surv = 1.0 - _padded_cdf(_as_matrix(censor_pmf, time_bin.size))
     # horizon K covers every row, so the event-branch weight is delta / Gbar(U-)
-    horizon_k = np.array([surv.shape[1] - 1])
-    a, _ = _ipcw_weights("failure", surv, time_bin, event, horizon_k, weight_floor, stats)
+    horizon_k = np.array([np.shape(censor_pmf)[-1]])
+    a, _ = ipcw_weight_arrays(
+        "failure", censor_pmf, time_bin, event, horizon_k, weight_floor, stats
+    )
     vals = np.asarray(time_bin if values is None else values, dtype=float)
     contrib = np.where(event, vals * a[:, 0], 0.0)  # censored values may be NaN
     if weight is None:
@@ -411,10 +439,8 @@ def summed_loss(
     probabilities; for 'nll' the two partial likelihoods share nothing and
     the pair is simply (failure NLL, censoring NLL).
     """
-    loss_f, _ = batch_loss(
-        LossSpec(family, "failure", times, weight_floor), f_pmf, g_pmf, batch, stats
+    pair = np.stack([_as_matrix(f_pmf, batch.n), _as_matrix(g_pmf, batch.n)])
+    values, _ = batch_loss(
+        LossSpec(family, ROLES, times, weight_floor), pair, pair[::-1], batch, stats
     )
-    loss_g, _ = batch_loss(
-        LossSpec(family, "censor", times, weight_floor), g_pmf, f_pmf, batch, stats
-    )
-    return loss_f, loss_g
+    return float(values[0]), float(values[1])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, assign_bins
-from .losses import _as_matrix, _ipcw_weights, _own_cdf, _own_terms, _padded_cdf
+from .losses import _as_matrix, _ipcw_weights, _own_cdf, _own_terms, _padded_cdf, _role_flags
 from .losses import nll as _nll_per_sample
 from .simgen import MarginalWorld
 
@@ -148,8 +148,9 @@ def _eval_weighted(f_pmf, dataset, weighting, g_pmf, world, floor, family):
     times = np.arange(1, dataset.n_bins)
     evt, srv = _own_terms(family, _own_cdf(f_pmf, times), floor)
     gbar, time_bin, event = _censoring_survival(dataset, weighting, g_pmf, world)
-    a, b = _ipcw_weights("failure", gbar, time_bin, event, times, floor, None)
-    return (evt * a + srv * b).mean(axis=0)
+    surv = gbar.reshape(1, -1, gbar.shape[-1])  # one shared row or one per sample
+    a, b = _ipcw_weights(_role_flags(("failure",)), surv, time_bin, event, times, floor, None)
+    return (evt * a[0] + srv * b[0]).mean(axis=0)
 
 
 def eval_bs(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,

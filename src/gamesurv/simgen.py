@@ -140,7 +140,15 @@ def random_interior_world(n_bins: int, rng, min_mass: float = 0.02) -> MarginalW
 
     Interior worlds keep the positivity assumption comfortably away from the
     boundary, where the inverse weights and the uniqueness argument degrade.
+    A draw passes with probability (1 - K * min_mass)^(K-1); below 1e-6 the
+    loop would all but never end, so such (n_bins, min_mass) are rejected.
     """
+    if max(0.0, 1.0 - n_bins * min_mass) ** (n_bins - 1) < 1e-6:
+        raise ValueError(
+            f"n_bins={n_bins} with min_mass={min_mass}: a Dirichlet(1) draw "
+            "holds min_mass in every bin with probability below 1e-6"
+        )
+
     def draw():
         while True:
             theta = rng.dirichlet(np.ones(n_bins))

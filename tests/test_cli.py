@@ -296,6 +296,74 @@ def test_oracle_commands_reject_bad_integer_keys(tmp_path, capsys, command, cfg,
     assert repr(key) in err["message"]
 
 
+SWEEP_CFG = {
+    "generator": GAMMA_GEN, "sizes": [30], "seeds": [0], "objectives": ["nll"],
+    "n_bins": 4, "n_val": 20, "n_test": 30,
+    "train": {"epochs": 1, "batch_size": 15, "hidden": [4]},
+}
+
+
+def _with(cfg, **changes):
+    return {**cfg, **changes}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("simulate", {"generator": MARGINAL_GEN, "seed": 2.7, "sizes": [10]}, "seed"),
+        ("simulate", {"generator": MARGINAL_GEN, "seeds": [0, -1], "sizes": [10]}, "seeds[1]"),
+        ("simulate", {"generator": MARGINAL_GEN, "seeds": 3, "sizes": [10]}, "seeds"),
+        ("simulate", {"generator": MARGINAL_GEN, "sizes": ["x"]}, "sizes[0]"),
+        ("simulate", {"generator": MARGINAL_GEN, "sizes": []}, "sizes"),
+        ("simulate", {"generator": {**MARGINAL_GEN, "n": 10.5}}, "n"),
+        ("train", _with(TRAIN_CFG, seed="0"), "seed"),
+        ("train", _with(TRAIN_CFG, n_bins="x"), "n_bins"),
+        ("train", _with(TRAIN_CFG, n_bins=1), "n_bins"),
+        ("train", _with(TRAIN_CFG, data={"generator": GAMMA_GEN, "n_train": 48.5,
+                                         "n_val": 40}), "n_train"),
+        ("train", _with(TRAIN_CFG, data={"generator": GAMMA_GEN, "n_train": 48,
+                                         "n_val": 0}), "n_val"),
+        ("evaluate", {"seed": True, "model_f": "unread.json"}, "seed"),
+        ("sweep", _with(SWEEP_CFG, sizes=[30, 2.5]), "sizes[1]"),
+        ("sweep", _with(SWEEP_CFG, seeds=["a"]), "seeds[0]"),
+        ("sweep", _with(SWEEP_CFG, n_test=-5), "n_test"),
+        ("sweep", _with(SWEEP_CFG, workers=2.7), "workers"),
+        ("sweep", _with(SWEEP_CFG, workers=0), "workers"),
+        ("sweep", _with(SWEEP_CFG, workers="2"), "workers"),
+    ],
+)
+def test_data_commands_reject_bad_integer_keys(tmp_path, capsys, command, cfg, key):
+    # floats and strings are rejected, not truncated; workers fail before a pool starts
+    assert _run(tmp_path, command, {"experiment": "bad", **cfg}) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert repr(key) in err["message"]
+
+
+def test_evaluate_rejects_bad_n_test(tmp_path, capsys):
+    assert _run(tmp_path, "train", TRAIN_CFG) == 0
+    model_dir = tmp_path / "out" / "exp" / "0"
+    cfg = {
+        "experiment": "eval",
+        "model_f": str(model_dir / "model_F.json"),
+        "bin_edges": str(model_dir / "bin_edges.json"),
+        "data": {"generator": GAMMA_GEN, "n_test": 12.5},
+    }
+    assert _run(tmp_path, "evaluate", cfg) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "'n_test'" in err["message"]
+
+
+def test_stationary_check_rejects_unreachable_random_worlds(tmp_path, capsys):
+    # 60 bins at the 0.02 mass floor used to spin in the rejection sampler
+    cfg = {"experiment": "st", "random": {"n_bins": 60, "count": 1}, "n_starts": 1}
+    assert _run(tmp_path, "stationary-check", cfg) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "n_bins=60" in err["message"]
+
+
 def test_unknown_generator_kind(tmp_path, capsys):
     cfg = {"experiment": "x", "generator": {"kind": "weibull"}, "sizes": [10]}
     assert _run(tmp_path, "simulate", cfg) == 1

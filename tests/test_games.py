@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gamesurv import games
 from gamesurv.core import Batch
 from gamesurv.games import (
     TrainConfig,
+    _Adam,
     _alternating_argmin,
     _project_simplex_coords,
     _selection_tables,
@@ -216,6 +218,55 @@ def test_multiplayer_guards():
     state2 = init_state(2, 0, cfg2)
     with pytest.raises(ValueError, match="probability coordinates"):
         step_multiplayer(state2, Batch(np.array([1]), np.array([True])))
+
+
+@pytest.mark.parametrize(
+    "objective, game_form",
+    [("nll", "summed"), ("bs-game", "summed"), ("bll-game", "summed"),
+     ("bs-game", "multiplayer"), ("bll-game", "multiplayer")],
+)
+def test_one_loss_call_per_step(monkeypatch, objective, game_form):
+    # both players are scored by one role-stacked kernel call per step
+    calls = {"batch_loss": 0, "per_horizon_loss": 0}
+    for name in calls:
+        original = getattr(games, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(games, name, counted)
+    state = init_state(3, 0, TrainConfig(objective=objective, game_form=game_form,
+                                         optimizer="sgd", learning_rate=0.01, epochs=0))
+    batch = population_batch(MarginalWorld([0.2, 0.3, 0.5], [0.3, 0.3, 0.4]))
+    step = step_multiplayer if game_form == "multiplayer" else step_summed
+    for _ in range(3):
+        step(state, batch)
+    used = "per_horizon_loss" if game_form == "multiplayer" else "batch_loss"
+    assert calls == {**dict.fromkeys(calls, 0), used: 3}
+
+
+def test_adam_update_is_the_textbook_expression():
+    # the in-place moment updates give the same bits as the allocating form
+    rng = np.random.default_rng(21)
+    shape = (2, 7)
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    opt = _Adam(lr, b1, b2, eps, shape)
+    params = rng.normal(size=shape)
+    want, m, v = params.copy(), np.zeros(shape), np.zeros(shape)
+    for t in range(1, 51):
+        grad = rng.normal(scale=10.0 ** rng.integers(-4, 3), size=shape)
+        m = b1 * m + (1 - b1) * grad
+        v = b2 * v + (1 - b2) * grad * grad
+        mhat = m / (1 - b1**t)
+        vhat = v / (1 - b2**t)
+        want = want - lr * mhat / (np.sqrt(vhat) + eps)
+        before = params
+        params = opt.update(params, grad)
+        assert params is not before and not np.shares_memory(params, opt.m)
+        np.testing.assert_array_equal(params, want)
+        np.testing.assert_array_equal(opt.m, m)
+        np.testing.assert_array_equal(opt.v, v)
 
 
 def test_train_epoch_accounting():

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamesurv.core import Batch
 from gamesurv.losses import (
+    ROLES,
     ClampStats,
     LossSpec,
     batch_loss,
@@ -230,3 +233,110 @@ def test_bll_needs_interior_cdf_values():
     f = np.array([0.0, 1.0])
     v = ipcw_bll_failure(1, f, np.array([0.5, 0.5]), np.array([1]), np.array([True]))
     assert np.isfinite(v[0])
+
+
+def _floored_pmfs(rng, shape, floor):
+    """Dirichlet pmfs with about a quarter of the masses pushed to or
+    below ``floor``, so weight and log clamps fire."""
+    pmf = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    low = (rng.random(shape) < 0.25) & (pmf < pmf.max(axis=-1, keepdims=True))
+    pmf[low] = floor * rng.choice([0.0, 0.5, 1.0])
+    return pmf / pmf.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=60)
+@given(
+    family=st.sampled_from(["nll", "ipcw-bs", "ipcw-bll"]),
+    roles=st.lists(st.sampled_from(ROLES), min_size=1, max_size=3).map(tuple),
+    per_row=st.booleans(),
+    weighted=st.booleans(),
+    n_bins=st.integers(2, 5),
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_role_stack_equals_single_role_calls(family, roles, per_row, weighted, n_bins, n, seed):
+    # one tuple-role call is, bit for bit, the single-role calls stacked:
+    # values, gradients and clamp counts
+    rng = np.random.default_rng(seed)
+    floor = 0.02
+    shape = (len(roles), n, n_bins) if per_row else (len(roles), n_bins)
+    own, frozen = _floored_pmfs(rng, shape, floor), _floored_pmfs(rng, shape, floor)
+    weight = rng.random(n) + 0.1 if weighted else None
+    batch = Batch(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5, weight=weight)
+    spec = LossSpec(family, roles, weight_floor=floor)
+    stats = ClampStats()
+    values, dpmf = batch_loss(spec, own, frozen, batch, stats)
+    assert values.shape == (len(roles),) and dpmf.shape == (len(roles), n, n_bins)
+    single_stats = ClampStats()
+    for r, role in enumerate(roles):
+        one = LossSpec(family, role, weight_floor=floor)
+        value, grad = batch_loss(one, own[r], frozen[r], batch, single_stats)
+        assert type(value) is float and value == values[r]
+        np.testing.assert_array_equal(grad, dpmf[r])
+    assert stats.count == single_stats.count
+
+    if family == "nll":
+        return
+    stats, single_stats = ClampStats(), ClampStats()
+    values, coefs = per_horizon_loss(spec, own, frozen, batch, stats)
+    assert values.shape == coefs.shape == (len(roles), n_bins - 1)
+    for r, role in enumerate(roles):
+        one = LossSpec(family, role, weight_floor=floor)
+        value, coef = per_horizon_loss(one, own[r], frozen[r], batch, single_stats)
+        np.testing.assert_array_equal(value, values[r])
+        np.testing.assert_array_equal(coef, coefs[r])
+    assert stats.count == single_stats.count
+
+
+@settings(max_examples=30)
+@given(
+    family=st.sampled_from(["nll", "ipcw-bs", "ipcw-bll"]),
+    n_bins=st.integers(2, 5),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_loss_gradient_matches_finite_differences(family, n_bins, n, seed):
+    # both roles in one stacked call, pmfs softmax(z) per row; the chain
+    # through the softmax removes the constant-vector freedom a pmf
+    # gradient has off the simplex
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(2, n, n_bins))
+    frozen = rng.dirichlet(np.full(n_bins, 2.0), size=(2, n))
+    batch = Batch(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5,
+                  weight=rng.random(n) + 0.1)
+    spec = LossSpec(family, ROLES)
+
+    def softmax(x):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    pmf = softmax(z)
+    _, dpmf = batch_loss(spec, pmf, frozen, batch)
+    grad = pmf * (dpmf - (dpmf * pmf).sum(axis=-1, keepdims=True))
+    h = 1e-6
+    fd = np.empty_like(z)
+    for idx in np.ndindex(z.shape):
+        up, dn = z.copy(), z.copy()
+        up[idx] += h
+        dn[idx] -= h
+        diff = batch_loss(spec, softmax(up), frozen, batch)[0] - batch_loss(
+            spec, softmax(dn), frozen, batch
+        )[0]
+        fd[idx] = diff[idx[0]] / (2 * h)
+    np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
+
+
+def test_role_spec_validation():
+    with pytest.raises(ValueError, match="role"):
+        LossSpec("ipcw-bs", ())
+    with pytest.raises(ValueError, match="role"):
+        LossSpec("ipcw-bs", ("failure", "other"))
+    # the raw-role helpers reject a typo instead of scoring the other player
+    u, ev, pmf = np.array([1, 2]), np.array([True, False]), np.array([0.4, 0.6])
+    with pytest.raises(ValueError, match="role"):
+        nll(pmf, u, ev, role="censr")
+    with pytest.raises(ValueError, match="role"):
+        ipcw_weight_arrays("Failure", pmf, u, ev, np.array([1]))
+    with pytest.raises(ValueError, match="roles"):
+        batch_loss(LossSpec("ipcw-bs", ROLES), np.full((3, 2), 0.5), np.full((3, 2), 0.5),
+                   Batch(np.array([1]), np.array([True])))

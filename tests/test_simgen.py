@@ -97,6 +97,30 @@ def test_random_interior_world_mass_floor():
         assert w.interior()
 
 
+def test_random_interior_world_rejects_unreachable_floors():
+    # (1 - K * min_mass)^(K-1) < 1e-6: the rejection loop would not end
+    for k in (30, 60):
+        with pytest.raises(ValueError, match=f"n_bins={k}.*min_mass=0.02"):
+            random_interior_world(k, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="min_mass=0.5"):
+        random_interior_world(2, np.random.default_rng(0), min_mass=0.5)
+    # seeded draws the rejection sampler has always made stay the same
+    w0 = random_interior_world(4, np.random.default_rng(0))
+    assert w0.theta_t.tolist() == [
+        0.1524847086420527, 0.4516111766669403, 0.18663110833286156, 0.2092730063581455
+    ]
+    assert w0.theta_c.tolist() == [
+        0.5939582519363663, 0.06675342335601325, 0.05790999541693114, 0.28137832929068934
+    ]
+    w7 = random_interior_world(4, np.random.default_rng(7))
+    assert w7.theta_t.tolist() == [
+        0.22135252793178753, 0.3207377658683681, 0.1778720548073249, 0.2800376513925194
+    ]
+    assert w7.theta_c.tolist() == [
+        0.33272609678429865, 0.17380465103831522, 0.31294938783849685, 0.18051986433888936
+    ]
+
+
 def test_gen_marginal_matches_world():
     w = MarginalWorld([0.3, 0.5, 0.2], [0.4, 0.3, 0.3])
     ds = gen_marginal(w, 200_000, seed=1)
