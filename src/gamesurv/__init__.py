@@ -12,12 +12,9 @@ from types import ModuleType as _ModuleType
 
 from .core import (
     Batch,
-    CategoricalSurvival,
     Dataset,
     RawSurvivalData,
-    SurvivalRecord,
     assign_bins,
-    bin_lower_bounds,
     discretize,
     quantile_discretize,
 )

@@ -67,6 +67,20 @@ def _int_list(cfg: dict, key: str, minimum: int, context: str = "config") -> lis
     ]
 
 
+def _choice_key(cfg: dict, key: str, choices: tuple, default: str) -> str:
+    value = cfg.get(key, default)
+    if value not in choices:
+        raise ConfigError(f"config key {key!r} must be one of {choices}, got {value!r}")
+    return value
+
+
+def _selection_key(cfg: dict) -> dict:
+    value = cfg.get("selection", {"enabled": True})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key 'selection' must be an object, got {value!r}")
+    return value
+
+
 def _json_dump(payload, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -165,7 +179,7 @@ def _train_config(cfg: dict, seed: int) -> games.TrainConfig:
 
 def _run_training(cfg: dict, seed: int):
     """Shared train + select pipeline; returns everything evaluate needs."""
-    selection_cfg = cfg.get("selection", {"enabled": True})
+    selection_cfg = _selection_key(cfg)
     need_val = bool(selection_cfg.get("enabled", True))
     train_raw, val_raw, std = _prepare_splits(cfg, seed, need_val)
     n_bins = _int_key(cfg, "n_bins", 2, 20)
@@ -235,6 +249,7 @@ def cmd_evaluate(cfg: dict, args) -> None:
     from .models import Model
 
     seed = _int_key(cfg, "seed", 0, 0)
+    weighting = _choice_key(cfg, "weighting", metrics.WEIGHTINGS, "km")
     out = _out_dir(cfg, args) / str(seed)
     out.mkdir(parents=True, exist_ok=True)
     model_f = Model.load(_require(cfg, "model_f"))
@@ -252,9 +267,7 @@ def cmd_evaluate(cfg: dict, args) -> None:
     if cfg.get("standardizer"):
         test_raw = _load_standardizer(cfg["standardizer"]).apply(test_raw)
     world = _world_from(cfg["world"]) if "world" in cfg else None
-    report = _score_test_split(
-        test_raw, edges, model_f, model_g, cfg.get("weighting", "km"), world
-    )
+    report = _score_test_split(test_raw, edges, model_f, model_g, weighting, world)
     _json_dump(report.to_dict(), out / "report.json")
     if report.calibration_levels is not None:
         _write_calibration(
@@ -277,7 +290,7 @@ def _sweep_point(payload: dict) -> dict:
         },
         "n_bins": cfg.get("n_bins", 20),
         "train": {**cfg.get("train", {}), "objective": objective},
-        "selection": cfg.get("selection", {"enabled": True}),
+        "selection": _selection_key(cfg),
     }
     state, model_f, model_g, train_ds, std, selection = _run_training(sub, seed)
     test_raw = std.apply(
@@ -285,7 +298,7 @@ def _sweep_point(payload: dict) -> dict:
     )
     report = _score_test_split(
         test_raw, train_ds.bin_edges, model_f, model_g,
-        cfg.get("weighting", "uncensored-latent"),
+        _choice_key(cfg, "weighting", _SWEEP_WEIGHTINGS, "uncensored-latent"),
     )
     return {
         "objective": objective,
@@ -296,6 +309,8 @@ def _sweep_point(payload: dict) -> dict:
     }
 
 
+# a sweep point scores against no world, so the true-G weighting is out
+_SWEEP_WEIGHTINGS = ("uncensored-latent", "km", "model-G")
 _AGGREGATE_KEYS = ("bs_sum", "bs_mean", "bll_sum", "bll_mean", "nll", "concordance")
 
 
@@ -306,8 +321,15 @@ def cmd_sweep(cfg: dict, args) -> None:
     sizes = _int_list(cfg, "sizes", 1)
     seeds = _int_list(cfg, "seeds", 0)
     objectives = cfg.get("objectives", ["nll", "bs-game"])
-    for obj in objectives:
-        games.family_of(obj)
+    if not (isinstance(objectives, list) and objectives) or not all(
+        obj in games.OBJECTIVES for obj in objectives
+    ):
+        raise ConfigError(
+            f"config key 'objectives' must be a non-empty list of names from "
+            f"{games.OBJECTIVES}, got {objectives!r}"
+        )
+    _choice_key(cfg, "weighting", _SWEEP_WEIGHTINGS, "uncensored-latent")
+    _selection_key(cfg)
     points = [
         {"cfg": cfg, "objective": obj, "size": n, "seed": s}
         for obj in objectives

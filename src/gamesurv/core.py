@@ -12,87 +12,21 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CategoricalSurvival",
-    "SurvivalRecord",
     "RawSurvivalData",
     "Dataset",
     "Batch",
     "quantile_discretize",
     "assign_bins",
-    "bin_lower_bounds",
     "discretize",
 ]
-
-
-@dataclass(frozen=True)
-class CategoricalSurvival:
-    """Distribution of a positive discrete time over bins 1..K.
-
-    Parameters
-    ----------
-    pmf : ndarray, shape (K,)
-        Bin probabilities. Must be nonnegative and sum to 1 within 1e-9.
-
-    Notes
-    -----
-    Accessors are exact arithmetic on the pmf; no probability floor is
-    applied here. Loss functions own their clamping.
-    """
-
-    pmf: np.ndarray
-
-    def __post_init__(self):
-        pmf = np.asarray(self.pmf, dtype=float)
-        if pmf.ndim != 1 or pmf.size < 1:
-            raise ValueError("pmf must be a 1-d array with at least one bin")
-        if np.any(pmf < 0):
-            raise ValueError("pmf entries must be nonnegative")
-        if abs(pmf.sum() - 1.0) > 1e-9:
-            raise ValueError(f"pmf sums to {pmf.sum()!r}, expected 1 within 1e-9")
-        object.__setattr__(self, "pmf", pmf)
-
-    @property
-    def n_bins(self) -> int:
-        return self.pmf.size
-
-    def _check_t(self, t: int, lo: int) -> None:
-        if not lo <= t <= self.n_bins:
-            raise ValueError(f"t={t} outside [{lo}, {self.n_bins}]")
-
-    def cdf(self, t: int) -> float:
-        """P(T <= t) for t in 0..K; cdf(0) = 0, cdf(K) = 1."""
-        self._check_t(t, 0)
-        return float(self.pmf[:t].sum())
-
-    def surv(self, t: int) -> float:
-        """P(T > t) = 1 - cdf(t) for t in 0..K."""
-        self._check_t(t, 0)
-        return 1.0 - self.cdf(t)
-
-    def surv_left(self, t: int) -> float:
-        """Left limit P(T >= t) = 1 - cdf(t-1) for t in 1..K."""
-        self._check_t(t, 1)
-        return 1.0 - self.cdf(t - 1)
-
-
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One observation: features, observed bin, and event indicator.
-
-    ``event`` is True when the failure was observed (T <= C) and False when
-    the observation is censored (C < T). Ties count as events; the indicator
-    is fixed when the data is generated and never re-derived from times.
-    """
-
-    features: np.ndarray
-    time_bin: int
-    event: bool
 
 
 @dataclass(frozen=True)
 class Batch:
     """Array-of-records view used by losses and training steps.
 
+    ``event`` is True when the failure was observed (T <= C): ties count as
+    events, fixed when the data is generated and never re-derived from bins.
     ``weight`` is an optional nonnegative per-record weight (normalized to
     sum 1 inside batch reductions); enumerated population batches use it to
     carry exact outcome probabilities.
@@ -228,12 +162,6 @@ class Dataset:
             return Batch(self.time_bin, self.event, self.features)
         return Batch(self.time_bin[idx], self.event[idx], self.features[idx])
 
-    def records(self) -> list[SurvivalRecord]:
-        return [
-            SurvivalRecord(self.features[i], int(self.time_bin[i]), bool(self.event[i]))
-            for i in range(self.n)
-        ]
-
     def subset(self, idx: np.ndarray) -> "Dataset":
         pick = lambda a: None if a is None else a[idx]
         return Dataset(
@@ -288,15 +216,6 @@ def assign_bins(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     edges = np.asarray(edges, dtype=float)
     return np.searchsorted(edges[1:-1], times, side="right").astype(np.int64) + 1
-
-
-def bin_lower_bounds(edges: np.ndarray) -> np.ndarray:
-    """Representative value per bin: the lower boundary of its interval.
-
-    Replacing a time by its bin's lower bound never increases it, which keeps
-    censoring conservative (a censored subject is not pushed past an event).
-    """
-    return np.asarray(edges, dtype=float)[:-1].copy()
 
 
 def discretize(

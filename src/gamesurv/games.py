@@ -80,9 +80,6 @@ class TrainConfig:
     hidden: tuple[int, ...] = (128, 64, 64)
     init_scale: float = 0.1
     weight_floor: float = 1e-6
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         # both players' loss spec, roles stacked as the pair's rows; building
@@ -142,9 +139,7 @@ class _Adam:
 def _make_optimizer(config: TrainConfig, shape):
     if config.optimizer == "sgd":
         return _Sgd(config.learning_rate)
-    return _Adam(
-        config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps, shape
-    )
+    return _Adam(config.learning_rate, 0.9, 0.999, 1e-8, shape)  # the textbook constants
 
 
 @dataclass
@@ -376,14 +371,13 @@ def select_models(
     state: GameState,
     val: Dataset,
     selection_seed: int | None = None,
-    max_rounds: int = 50,
 ) -> SelectionResult:
     """Pick a (failure, censoring) checkpoint pair on the validation set.
 
     Starts from a random failure checkpoint (``selection_seed``) and
-    alternates best responses under the training objective's own loss; for
-    the likelihood objective the responses don't interact and this reduces
-    to the two independent validation argmins.
+    alternates best responses under the training objective's own loss, for
+    at most 50 rounds; for the likelihood objective the responses don't
+    interact and this reduces to the two independent validation argmins.
     """
     cfg = state.config
     family = family_of(cfg.objective)
@@ -393,7 +387,7 @@ def select_models(
     rng = np.random.default_rng(cfg.seed if selection_seed is None else selection_seed)
     start = int(rng.integers(len(epochs)))
     f_idx, g_idx, converged, rounds = _alternating_argmin(
-        loss_g_given_f, loss_f_given_g, start, max_rounds
+        loss_g_given_f, loss_f_given_g, start, max_rounds=50
     )
     return SelectionResult(
         epochs[f_idx],

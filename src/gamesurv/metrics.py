@@ -103,7 +103,7 @@ def _latent_bins(dataset: Dataset) -> np.ndarray:
 
 def _pmf_matrix(name: str, pmf, n: int) -> np.ndarray:
     """``pmf`` as (n, K) rows, which must be distributions: finite,
-    nonnegative and summing to 1 within 1e-9 (the CategoricalSurvival
+    nonnegative and summing to 1 within 1e-9 (the MarginalWorld
     tolerance). A NaN or infinite entry fails its row-sum comparison, so
     two passes check everything."""
     pmf = np.asarray(pmf, dtype=float)
@@ -286,13 +286,12 @@ def concordance(f_pmf, dataset: Dataset) -> float:
     return concordance_index(risk, dataset.time_bin, dataset.event)
 
 
-def calibration_curve(f_pmf, dataset: Dataset, levels=None):
+def calibration_curve(f_pmf, dataset: Dataset):
     """Observed coverage of predicted-cdf level sets on latent times:
-    fraction of subjects with F(T_i | x_i) <= alpha per level alpha. A
-    calibrated model tracks the diagonal up to bin coarseness."""
-    if levels is None:
-        levels = np.arange(1, 10) / 10.0
-    levels = np.asarray(levels, dtype=float)
+    fraction of subjects with F(T_i | x_i) <= alpha per level alpha = 0.1,
+    0.2, ..., 0.9. A calibrated model tracks the diagonal up to bin
+    coarseness."""
+    levels = np.arange(1, 10) / 10.0
     lat = _latent_bins(dataset)
     cdf = np.minimum(np.cumsum(_as_matrix(f_pmf, dataset.n), axis=1), 1.0)
     cdf_at_latent = cdf[np.arange(dataset.n), lat - 1]

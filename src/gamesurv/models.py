@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, CategoricalSurvival
+from .core import Batch
 from .losses import ClampStats, LossSpec, batch_loss
 
 __all__ = ["ArchSpec", "Model", "LossGradient", "loss_and_grad"]
@@ -227,16 +227,6 @@ class LossGradient:
     grad: np.ndarray
 
 
-def _frozen_pmf(frozen, batch: Batch) -> np.ndarray | None:
-    if frozen is None:
-        return None
-    if isinstance(frozen, Model):
-        return frozen.predict_pmf(batch.features, n=batch.n)
-    if isinstance(frozen, CategoricalSurvival):
-        return frozen.pmf
-    return np.asarray(frozen, dtype=float)
-
-
 def loss_and_grad(
     model: Model,
     frozen_other,
@@ -246,12 +236,11 @@ def loss_and_grad(
 ) -> LossGradient:
     """Batch loss and its exact gradient for one player.
 
-    ``frozen_other`` supplies the other player's probabilities (a Model, an
-    (n, K) array, a (K,) pmf, or a CategoricalSurvival); it is evaluated
-    once and treated as a constant, so the returned gradient has exactly
-    ``model.arch.n_params`` entries and no path into the other player.
+    ``frozen_other`` supplies the other player's probabilities (an (n, K)
+    array, a (K,) pmf, or None for the likelihood); it is treated as a
+    constant, so the returned gradient has exactly ``model.arch.n_params``
+    entries and no path into the other player.
     """
     pmf, cache = model.forward(batch.features, n=batch.n)
-    frozen = _frozen_pmf(frozen_other, batch)
-    value, dpmf = batch_loss(spec, pmf, frozen, batch, stats)
+    value, dpmf = batch_loss(spec, pmf, frozen_other, batch, stats)
     return LossGradient(value, model.backprop(cache, dpmf))

@@ -16,6 +16,11 @@ the derivatives in (x, y) to zero recovers (t, c) as the only root with all
 survival probabilities positive; the second algebraic root forces the
 censoring cdf past 1 and is infeasible. The four closed forms broadcast
 over array (x, y), so a planar grid is one array expression.
+
+At arbitrary models, both players' losses and gradients come from one table
+of expectations with a player axis, rows (failure, censor), in which the
+other player's survival enters as the ratio Sbar/Sbar_hat. At the truth each
+ratio is exactly 1.0, so the Brier and log-loss gradients vanish exactly.
 """
 
 from __future__ import annotations
@@ -47,23 +52,27 @@ __all__ = [
 ]
 
 
+_PLAYERS = ("failure", "censor")  # the row order of every stacked table
+
+
 def _pad(theta: np.ndarray) -> np.ndarray:
-    """padded cdf: entry j = P(X <= j) for j = 0..K."""
-    out = np.zeros(theta.size + 1)
-    theta.cumsum(out=out[1:])
+    """padded cdf along the last axis: entry j = P(X <= j) for j = 0..K."""
+    out = np.zeros(theta.shape[:-1] + (theta.shape[-1] + 1,))
+    theta.cumsum(axis=-1, out=out[..., 1:])
     return out
+
+
+def _truth(world: MarginalWorld):
+    """The true pmfs (2, K) and padded cdfs (2, K+1), rows (failure, censor)."""
+    theta = np.array([world.theta_t, world.theta_c])
+    return theta, _pad(theta)
 
 
 def _step_context(world: MarginalWorld, step: int):
     if not 1 <= step <= world.n_bins - 1:
         raise ValueError(f"step must lie in 1..{world.n_bins - 1}")
-    pad_t = _pad(world.theta_t)
-    pad_c = _pad(world.theta_c)
-    p = pad_t[step - 1]
-    q = pad_c[step - 1]
-    t = world.theta_t[step - 1]
-    c = world.theta_c[step - 1]
-    return p, q, t, c
+    theta, pad = _truth(world)
+    return pad[0, step - 1], pad[1, step - 1], theta[0, step - 1], theta[1, step - 1]
 
 
 def population_fbs(world: MarginalWorld, step: int, x, y):
@@ -136,38 +145,8 @@ def _check_model(world: MarginalWorld, pmf: np.ndarray) -> np.ndarray:
 def _outcome_probs(world: MarginalWorld):
     """P(U = u, delta = 1) = theta_t[u] P(C >= u) and
     P(U = u, delta = 0) = theta_c[u] P(T > u), u = 1..K."""
-    pad_t, pad_c = _pad(world.theta_t), _pad(world.theta_c)
-    return world.theta_t * (1.0 - pad_c[:-1]), world.theta_c * (1.0 - pad_t[1:])
-
-
-def _weight_sums(world: MarginalWorld, hat_t: np.ndarray, hat_c: np.ndarray):
-    """The four per-horizon expectations that drive both players' losses,
-    as exact sums over the 2K outcome table (horizons t = 1..K-1, so only
-    outcomes with u <= K-1 ever sit in an event branch), from the models'
-    padded cdfs ``hat_t`` and ``hat_c``.
-
-    failure side: A_t = E[delta 1{U<=t} / Gbar_hat(U-)],
-                  B_t = E[1{U>t}] / Gbar_hat(t)
-    censor side:  V_t = E[(1-delta) 1{U<=t} / Fbar_hat(U)],
-                  W_t = E[1{U>t}] / Fbar_hat(t)
-    """
-    K = world.n_bins
-    w_event, w_cens = _outcome_probs(world)
-    head = slice(0, K - 1)  # u = 1..K-1
-    gbar_left_hat = 1.0 - hat_c[head]  # Gbar_hat(u-)
-    fbar_hat = 1.0 - hat_t[1:K]  # Fbar_hat(u)
-    if np.any(gbar_left_hat[w_event[head] > 0] <= 0) or np.any(
-        fbar_hat[w_cens[head] > 0] <= 0
-    ):
-        raise ValueError("model survival vanishes on the world's support")
-    tail = w_event + w_cens  # P(U = u)
-    tail_gt = np.concatenate([tail[::-1].cumsum()[::-1], [0.0]])  # P(U >= u), u=1..K+1
-    ts = np.arange(1, K)
-    a_t = np.cumsum(_safe_div(w_event[head], gbar_left_hat))
-    v_t = np.cumsum(_safe_div(w_cens[head], fbar_hat))
-    b_t = tail_gt[ts] / (1.0 - hat_c[ts])
-    w_t = tail_gt[ts] / (1.0 - hat_t[ts])
-    return a_t, b_t, v_t, w_t
+    theta, pad = _truth(world)
+    return theta[0] * (1.0 - pad[1, :-1]), theta[1] * (1.0 - pad[0, 1:])
 
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -177,21 +156,52 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return np.divide(num, den, out=np.zeros_like(num, dtype=float), where=num != 0)
 
 
-def _ratio_sums(world: MarginalWorld, hat_t: np.ndarray, hat_c: np.ndarray):
-    """Same expectations in ratio form, from the models' padded cdfs:
-    identical survival probabilities divide out to exactly 1.0, so at the
-    truth the Brier gradients cancel bit-exactly instead of within roundoff.
-    Only u = 1..K-1 enters the event-branch sums for horizons t <= K-1."""
+def _ratio_sums(world: MarginalWorld, hat: np.ndarray):
+    """Both players' per-horizon expectations, (2, K-1) each over horizons
+    t = 1..K-1, from the models' padded cdfs ``hat`` (2, K+1):
+
+    w1[r](t) = E[r's own event, U <= t, / other's Sbar_hat(U-1+c)]  event branch
+    w2[r](t) = P(U > t) / other's Sbar_hat(t)                       survival branch
+
+    with c = 0 for the failure player (left limit Gbar_hat(U-)) and c = 1
+    for the censor player (Fbar_hat(U)). Only u = 1..K-1 enters w1. Both
+    are computed from truth-over-model survival ratios, exactly 1.0 at the truth.
+    """
     K = world.n_bins
-    pad_t, pad_c = _pad(world.theta_t), _pad(world.theta_c)
-    head = slice(0, K - 1)
-    ratio_g = _safe_div(1.0 - pad_c[:K], 1.0 - hat_c[:K])  # Gbar/Gbar_hat at 0..K-1
-    ratio_f = _safe_div(1.0 - pad_t[1:K], 1.0 - hat_t[1:K])  # Fbar/Fbar_hat at 1..K-1
-    w1 = np.cumsum(world.theta_t[head] * ratio_g[:-1])
-    v1 = np.cumsum(world.theta_c[head] * ratio_f)
-    w2 = (1.0 - pad_t[1:K]) * ratio_g[1:]
-    v2 = ratio_f * (1.0 - pad_c[1:K])
-    return w1, w2, v1, v2
+    theta, pad = _truth(world)
+    # the other player's survival ratio at 0..K-1, row r for player r
+    ratio = _safe_div(1.0 - pad[::-1, :K], 1.0 - hat[::-1, :K])
+    event_ratio = np.array([ratio[0, : K - 1], ratio[1, 1:K]])  # column U-1+c
+    w1 = np.cumsum(theta[:, : K - 1] * event_ratio, axis=1)
+    w2 = (1.0 - pad[:, 1:K]) * ratio[:, 1:K]
+    return w1, w2
+
+
+def _scores(world: MarginalWorld, pmf_t: np.ndarray, pmf_c: np.ndarray, family: str):
+    """Both players' per-horizon population losses and the derivatives of
+    each in the player's own cdf at that horizon, as (2, K-1) arrays with
+    rows (failure, censor) and columns t = 1..K-1.
+
+    With H = own model cdf at t: Brier (1-H)^2 w1 + H^2 w2, log loss
+    -log(H) w1 - log(1-H) w2 (no closed form is used for either).
+    """
+    hat = _pad(np.array([_check_model(world, pmf_t), _check_model(world, pmf_c)]))
+    own = hat[:, 1 : world.n_bins]
+    w1, w2 = _ratio_sums(world, hat)
+    if family == "ipcw-bs":
+        # zero survival sends both weight sums to +inf; nan is the honest
+        # gradient at such boundary models, not a numeric accident
+        with np.errstate(invalid="ignore"):
+            values = (1.0 - own) ** 2 * w1 + own**2 * w2
+            grads = 2.0 * (own * w2 - (1.0 - own) * w1)
+        return values, grads
+    if family == "ipcw-bll":
+        if np.any(own <= 0) or np.any(own >= 1):
+            raise ValueError("log loss needs interior models: 0 < F_hat(t), G_hat(t) < 1")
+        values = -np.log(own) * w1 - np.log1p(-own) * w2
+        grads = -w1 / own + w2 / (1.0 - own)
+        return values, grads
+    raise ValueError(f"unknown family {family!r}")
 
 
 def population_loss(
@@ -204,31 +214,15 @@ def population_loss(
 ) -> float:
     """Exact population loss of one player at horizon t, arbitrary models.
 
-    The Brier value uses the rational closed form; the log-likelihood value
-    is an exact sum over the 2K-outcome table (no closed form is used).
+    Both families are exact sums over the 2K-outcome table. The log loss
+    needs every model cdf strictly inside (0, 1) at every horizon.
     """
-    pmf_t = _check_model(world, pmf_t)
-    pmf_c = _check_model(world, pmf_c)
-    K = world.n_bins
-    if not 1 <= t <= K - 1:
-        raise ValueError(f"t must lie in 1..{K - 1}")
-    hat_t, hat_c = _pad(pmf_t), _pad(pmf_c)
-    fhat, ghat = hat_t[t], hat_c[t]
-    if family == "ipcw-bs":
-        w1, w2, v1, v2 = _ratio_sums(world, hat_t, hat_c)
-        if player == "failure":
-            return (1.0 - fhat) ** 2 * w1[t - 1] + fhat**2 * w2[t - 1]
-        return (1.0 - ghat) ** 2 * v1[t - 1] + ghat**2 * v2[t - 1]
-    if family == "ipcw-bll":
-        a_t, b_t, v_t, w_t = _weight_sums(world, hat_t, hat_c)
-        if player == "failure":
-            if not 0 < fhat < 1:
-                raise ValueError("log loss needs 0 < F_hat(t) < 1")
-            return -np.log(fhat) * a_t[t - 1] - np.log1p(-fhat) * b_t[t - 1]
-        if not 0 < ghat < 1:
-            raise ValueError("log loss needs 0 < G_hat(t) < 1")
-        return -np.log(ghat) * v_t[t - 1] - np.log1p(-ghat) * w_t[t - 1]
-    raise ValueError(f"unknown family {family!r}")
+    if player not in _PLAYERS:
+        raise ValueError(f"player must be one of {_PLAYERS}, got {player!r}")
+    if not 1 <= t <= world.n_bins - 1:
+        raise ValueError(f"t must lie in 1..{world.n_bins - 1}")
+    values, _ = _scores(world, pmf_t, pmf_c, family)
+    return values[_PLAYERS.index(player), t - 1]
 
 
 def population_gradients(
@@ -245,28 +239,8 @@ def population_gradients(
     Both vanish identically at the truth, for every horizon, regardless of
     the other player's parameters entering through the weights.
     """
-    pmf_t = _check_model(world, pmf_t)
-    pmf_c = _check_model(world, pmf_c)
-    K = world.n_bins
-    ts = np.arange(1, K)
-    hat_t, hat_c = _pad(pmf_t), _pad(pmf_c)
-    fhat, ghat = hat_t[ts], hat_c[ts]
-    if family == "ipcw-bs":
-        w1, w2, v1, v2 = _ratio_sums(world, hat_t, hat_c)
-        # zero survival sends both weight sums to +inf; nan is the honest
-        # gradient at such boundary models, not a numeric accident
-        with np.errstate(invalid="ignore"):
-            xi_t = 2.0 * (fhat * w2 - (1.0 - fhat) * w1)
-            xi_c = 2.0 * (ghat * v2 - (1.0 - ghat) * v1)
-        return xi_t, xi_c
-    if family == "ipcw-bll":
-        a_t, b_t, v_t, w_t = _weight_sums(world, hat_t, hat_c)
-        if np.any(fhat <= 0) or np.any(fhat >= 1) or np.any(ghat <= 0) or np.any(ghat >= 1):
-            raise ValueError("log loss gradients need interior models")
-        xi_t = -a_t / fhat + b_t / (1.0 - fhat)
-        xi_c = -v_t / ghat + w_t / (1.0 - ghat)
-        return xi_t, xi_c
-    raise ValueError(f"unknown family {family!r}")
+    _, grads = _scores(world, pmf_t, pmf_c, family)
+    return grads[0], grads[1]
 
 
 def population_failure_nll(world: MarginalWorld, pmf_t: np.ndarray) -> float:
@@ -398,6 +372,10 @@ def _z_from_theta(theta: np.ndarray) -> np.ndarray:
     return np.log(fracs) - np.log1p(-fracs)
 
 
+_ROOT_TOL = 1e-10  # max |residual| of a converged start
+_DEDUPE_TOL = 1e-6  # max mass difference between two starts' copies of a root
+
+
 @dataclass(frozen=True)
 class StationaryScan:
     """Result of hunting for simultaneous stationary points of the
@@ -420,10 +398,9 @@ def _scan_residual(zvec: np.ndarray, world: MarginalWorld) -> np.ndarray:
     # |z| <= 30 keeps every stick-breaking mass strictly positive, so the
     # solver cannot step onto a simplex face where the weights blow up
     zvec = np.clip(zvec, -30.0, 30.0)
-    xi_t, xi_c = population_gradients(
-        world, _theta_from_z(zvec[:m]), _theta_from_z(zvec[m:]), "ipcw-bs"
+    return np.concatenate(
+        population_gradients(world, _theta_from_z(zvec[:m]), _theta_from_z(zvec[m:]), "ipcw-bs")
     )
-    return np.concatenate([xi_t, xi_c])
 
 
 def _cdf_jacobian(world: MarginalWorld, pmf_t: np.ndarray, pmf_c: np.ndarray) -> np.ndarray:
@@ -431,31 +408,28 @@ def _cdf_jacobian(world: MarginalWorld, pmf_t: np.ndarray, pmf_c: np.ndarray) ->
     :func:`population_gradients` with respect to the model cdfs
     (F_hat(1..K-1), G_hat(1..K-1)), shape (2(K-1), 2(K-1)).
 
-    With F = F_hat(t), G = G_hat(t) and the ratio sums of :func:`_ratio_sums`,
-    xi_t = 2(F w2 - (1-F) w1) and xi_c = 2(G v2 - (1-G) v1), where w2 and v2
-    divide by 1-G and 1-F at the same horizon and w1 (v1) sums terms
-    dividing by 1-G_hat(u-1) for u <= t (1-F_hat(u) for u <= t).
+    With H = own cdf at t and the sums of :func:`_ratio_sums`, player r's
+    gradient is xi = 2(H w2 - (1-H) w1). Both sums depend only on the other
+    player's cdf: w2 divides by its survival at t, and w1 sums terms that
+    divide by its survival at u-1+c for u <= t (c = 0 failure, 1 censor).
     """
-    K = world.n_bins
-    m = K - 1
-    pad_t, pad_c = _pad(world.theta_t), _pad(world.theta_c)
-    hat_t, hat_c = _pad(pmf_t), _pad(pmf_c)
-    f, g = hat_t[1:K], hat_c[1:K]
-    sf, sg = 1.0 - f, 1.0 - g
-    w1, w2, v1, v2 = _ratio_sums(world, hat_t, hat_c)
-    # d w1(t) / d G_hat(u-1), u = 2..t: the event at u divides by 1-G_hat(u-1)
-    dw1 = world.theta_t[1:K] * (1.0 - pad_c[1:K]) / sg**2
-    # d v1(t) / d F_hat(u), u = 1..t: the censoring at u divides by 1-F_hat(u)
-    dv1 = world.theta_c[:m] * (1.0 - pad_t[1:K]) / sf**2
-    jac = np.zeros((2 * m, 2 * m))
-    jac[:m, m:] = np.tril(-2.0 * sf[:, None] * dw1, k=-1)
-    jac[m:, :m] = np.tril(-2.0 * sg[:, None] * dv1)
+    m = world.n_bins - 1
+    hat = _pad(np.array([pmf_t, pmf_c]))
+    own = hat[:, 1 : m + 1]
+    surv = 1.0 - own
+    w1, w2 = _ratio_sums(world, hat)
+    # d w1[r](t) / d (other's cdf at j), j = 1..K-1, nonzero for j <= t-1+c:
+    # r's event at bin u = j+1-c over the other's survival at j, squared
+    theta, pad = _truth(world)
+    event = np.array([theta[0, 1:], theta[1, :m]])
+    d_w1 = event * (1.0 - pad[::-1, 1 : m + 1]) / surv[::-1] ** 2
+    jac = np.zeros((2, m, 2, m))
     diag = np.arange(m)
-    jac[diag, diag] = 2.0 * (w1 + w2)
-    jac[diag, m + diag] = 2.0 * f * w2 / sg
-    jac[m + diag, diag] += 2.0 * g * v2 / sf
-    jac[m + diag, m + diag] = 2.0 * (v1 + v2)
-    return jac
+    for r, o in ((0, 1), (1, 0)):
+        jac[r, :, o] = np.tril(-2.0 * surv[r, :, None] * d_w1[r], k=r - 1)
+        jac[r, diag, o, diag] += 2.0 * own[r] * w2[r] / surv[o]
+        jac[r, diag, r, diag] = 2.0 * (w1[r] + w2[r])
+    return jac.reshape(2 * m, 2 * m)
 
 
 def _scan_jacobian(zvec: np.ndarray, world: MarginalWorld) -> np.ndarray:
@@ -476,13 +450,12 @@ def _scan_jacobian(zvec: np.ndarray, world: MarginalWorld) -> np.ndarray:
     return jac
 
 
-def stationary_scan(
-    world: MarginalWorld,
-    n_starts: int = 100,
-    seed: int = 0,
-    root_tol: float = 1e-10,
-    dedupe_tol: float = 1e-6,
-) -> StationaryScan:
+def _gap(a, b) -> float:
+    """Largest mass difference between two (theta_t, theta_c) pairs."""
+    return max(np.abs(a[0] - b[0]).max(), np.abs(a[1] - b[1]).max())
+
+
+def stationary_scan(world: MarginalWorld, n_starts: int = 100, seed: int = 0) -> StationaryScan:
     """Multi-start root finding on the full simultaneous gradient system,
     cross-checked against the per-step induction solve.
 
@@ -507,32 +480,19 @@ def stationary_scan(
             _scan_residual, start, args=(world,), method="hybr", jac=_scan_jacobian, tol=1e-12
         )
         # hybr returns the residual evaluated at its final point
-        if not np.all(np.abs(sol.fun) < root_tol):
+        if not np.all(np.abs(sol.fun) < _ROOT_TOL):
             continue
         n_converged += 1
         zs = np.clip(sol.x, -30.0, 30.0)
         theta = (_theta_from_z(zs[:m]), _theta_from_z(zs[m:]))
-        if not any(
-            max(np.abs(theta[0] - r[0]).max(), np.abs(theta[1] - r[1]).max()) < dedupe_tol
-            for r in roots
-        ):
+        if not any(_gap(theta, r) < _DEDUPE_TOL for r in roots):
             roots.append(theta)
 
-    deviation = max(
-        (
-            max(np.abs(r[0] - world.theta_t).max(), np.abs(r[1] - world.theta_c).max())
-            for r in roots
-        ),
-        default=np.inf,
-    )
-    matches = bool(len(roots) == 1 and deviation < dedupe_tol)
+    deviation = max((_gap(r, (world.theta_t, world.theta_c)) for r in roots), default=np.inf)
+    matches = bool(len(roots) == 1 and deviation < _DEDUPE_TOL)
 
     induction = _induction_root(world, rng)
-    ind_agrees = bool(
-        len(roots) == 1
-        and np.abs(induction[0] - roots[0][0]).max() < dedupe_tol
-        and np.abs(induction[1] - roots[0][1]).max() < dedupe_tol
-    )
+    ind_agrees = bool(len(roots) == 1 and _gap(induction, roots[0]) < _DEDUPE_TOL)
     spurious = np.array([spurious_gbs_root_qy(world, s) for s in range(1, K)])
     return StationaryScan(
         roots, n_starts, n_converged, matches, float(deviation), induction, ind_agrees, spurious
@@ -543,11 +503,11 @@ def _induction_root(world: MarginalWorld, rng, starts_per_step: int = 8):
     """Solve each step's 2-variable system with the prefix pinned at the
     truth, in the order the uniqueness argument advances."""
     K = world.n_bins
-    pad_t, pad_c = _pad(world.theta_t), _pad(world.theta_c)
+    pad = _truth(world)[1]
     out_t = np.empty(K)
     out_c = np.empty(K)
     for step in range(1, K):
-        p, q = pad_t[step - 1], pad_c[step - 1]
+        p, q = pad[:, step - 1]
         rem_t, rem_c = 1.0 - p, 1.0 - q
 
         def resid2(z):

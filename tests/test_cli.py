@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gamesurv.games
+import gamesurv.simgen
 from gamesurv.cli import main
 from gamesurv.models import Model
 from gamesurv.simgen import load_csv, load_latent_csv, read_bin_edges
@@ -369,3 +371,58 @@ def test_unknown_generator_kind(tmp_path, capsys):
     assert _run(tmp_path, "simulate", cfg) == 1
     err = json.loads(capsys.readouterr().err)
     assert "weibull" in err["message"]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if any data is generated or any training starts."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a config check ran after work had started")
+
+    monkeypatch.setattr(gamesurv.games, "train", boom)
+    monkeypatch.setattr(gamesurv.simgen, "gen_gamma", boom)
+
+
+def _config_error(tmp_path, capsys, command, cfg):
+    assert _run(tmp_path, command, {"experiment": "bad", **cfg}) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    return err["message"]
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("sweep", _with(SWEEP_CFG, weighting="kmm")),
+        ("sweep", _with(SWEEP_CFG, weighting="true-G")),  # a sweep has no world
+        ("evaluate", {"weighting": "kmm", "model_f": "unread.json"}),
+        ("evaluate", {"weighting": ["km"], "model_f": "unread.json"}),
+    ],
+)
+def test_commands_reject_bad_weighting(tmp_path, capsys, no_work, command, cfg):
+    assert "'weighting'" in _config_error(tmp_path, capsys, command, cfg)
+
+
+@pytest.mark.parametrize("objectives", ["nll", [], ["nll", "bogus"], [["nll"]]])
+def test_sweep_rejects_bad_objectives(tmp_path, capsys, no_work, objectives):
+    cfg = _with(SWEEP_CFG, objectives=objectives)
+    assert "'objectives'" in _config_error(tmp_path, capsys, "sweep", cfg)
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("train", _with(TRAIN_CFG, selection=True)),
+        ("train", _with(TRAIN_CFG, selection=["enabled"])),
+        ("sweep", _with(SWEEP_CFG, selection=True)),
+    ],
+)
+def test_training_commands_reject_non_object_selection(tmp_path, capsys, no_work, command, cfg):
+    assert "'selection'" in _config_error(tmp_path, capsys, command, cfg)
+
+
+def test_train_rejects_unknown_train_keys(tmp_path, capsys):
+    # the Adam constants are fixed, not settable
+    cfg = _with(TRAIN_CFG, train={**TRAIN_CFG["train"], "adam_beta1": 0.8})
+    assert "bad train config" in _config_error(tmp_path, capsys, "train", cfg)

@@ -5,38 +5,12 @@ import pytest
 
 from gamesurv.core import (
     Batch,
-    CategoricalSurvival,
     Dataset,
     RawSurvivalData,
     assign_bins,
-    bin_lower_bounds,
     discretize,
     quantile_discretize,
 )
-
-
-def test_categorical_accessors():
-    d = CategoricalSurvival(np.array([0.3, 0.5, 0.2]))
-    assert d.n_bins == 3
-    assert d.cdf(0) == 0.0
-    assert d.cdf(2) == 0.8
-    assert d.cdf(3) == 1.0
-    assert d.surv(1) == 0.7
-    # left limit includes the mass at t itself
-    assert d.surv_left(2) == 0.7
-    assert d.surv_left(1) == 1.0
-    assert d.surv(2) == pytest.approx(0.2)
-
-
-def test_categorical_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
-        CategoricalSurvival(np.array([1.2, -0.2]))
-    with pytest.raises(ValueError, match="sums to"):
-        CategoricalSurvival(np.array([0.5, 0.4]))
-    with pytest.raises(ValueError, match="outside"):
-        CategoricalSurvival(np.array([0.5, 0.5])).cdf(3)
-    with pytest.raises(ValueError, match="outside"):
-        CategoricalSurvival(np.array([0.5, 0.5])).surv_left(0)
 
 
 def test_assign_bins_hand_case():
@@ -44,10 +18,6 @@ def test_assign_bins_hand_case():
     times = np.array([0.5, 1.0, 3.9, 4.0, 5.0, -1.0])
     # bins are [e_{j-1}, e_j) with the last closed; out-of-range times clip
     np.testing.assert_array_equal(assign_bins(times, edges), [1, 2, 3, 3, 3, 1])
-
-
-def test_bin_lower_bounds():
-    np.testing.assert_array_equal(bin_lower_bounds(np.array([0.0, 1.0, 2.0, 4.0])), [0.0, 1.0, 2.0])
 
 
 def test_quantile_discretize_covers_data():
@@ -137,7 +107,3 @@ def test_dataset_batch_subset_records():
     assert sub.n == 10
     np.testing.assert_array_equal(sub.bin_edges, ds.bin_edges)
     assert sub.latent_time is not None and sub.latent_time.size == 10
-    recs = ds.records()
-    assert len(recs) == 50
-    assert recs[7].time_bin == int(ds.time_bin[7])
-    assert recs[7].event == bool(ds.event[7])

@@ -165,14 +165,50 @@ def test_population_gradients_match_estimator_path():
 
 
 def test_population_gradients_zero_at_truth():
+    # at the truth every survival ratio in the expectation table is 1.0, so
+    # both families' gradients cancel exactly, not within roundoff
     rng = np.random.default_rng(7)
     for _ in range(30):
-        k = int(rng.integers(2, 5))
+        k = int(rng.integers(2, 7))
         world = random_interior_world(k, rng)
         for family in ("ipcw-bs", "ipcw-bll"):
             xi_t, xi_c = population_gradients(world, world.theta_t, world.theta_c, family)
-            assert np.abs(xi_t).max() < 1e-13
-            assert np.abs(xi_c).max() < 1e-13
+            assert np.abs(xi_t).max() == 0.0
+            assert np.abs(xi_c).max() == 0.0
+
+
+def test_population_loss_contracts():
+    pt, pc = TRUTH.theta_t, TRUTH.theta_c
+    assert population_loss(TRUTH, pt, pc, 1, "ipcw-bs", "failure") == pytest.approx(0.21, abs=1e-15)
+    assert population_loss(TRUTH, pt, pc, 1, "ipcw-bs", "censor") == pytest.approx(0.24, abs=1e-15)
+    # a mistyped player is an error, not the censor player's value
+    for player in ("censr", "Failure", None):
+        with pytest.raises(ValueError, match="player"):
+            population_loss(TRUTH, pt, pc, 1, "ipcw-bs", player)
+    with pytest.raises(ValueError, match="family"):
+        population_loss(TRUTH, pt, pc, 1, "ipcw-nll")
+    with pytest.raises(ValueError, match="t must"):
+        population_loss(TRUTH, pt, pc, 2)
+
+
+def test_population_log_loss_needs_interior_models_at_every_horizon():
+    world = MarginalWorld([0.2, 0.3, 0.5], [0.3, 0.3, 0.4])
+    interior = world.theta_t
+    # F_hat(1) = 0 or G_hat(2) = 1 refuses every query, also one whose own
+    # cdf at t is interior: the log loss needs the whole table defined
+    for pmf_t, pmf_c, t, player in (
+        ([0.0, 0.5, 0.5], world.theta_c, 2, "failure"),
+        ([0.0, 0.5, 0.5], world.theta_c, 1, "censor"),
+        (interior, [0.5, 0.5, 0.0], 1, "censor"),
+        (interior, [0.5, 0.5, 0.0], 1, "failure"),
+    ):
+        with pytest.raises(ValueError, match="interior"):
+            population_loss(world, np.array(pmf_t), np.array(pmf_c), t, "ipcw-bll", player)
+        with pytest.raises(ValueError, match="interior"):
+            population_gradients(world, np.array(pmf_t), np.array(pmf_c), "ipcw-bll")
+        # the Brier family stays defined there
+        assert np.isfinite(
+            population_loss(world, np.array(pmf_t), np.array(pmf_c), t, "ipcw-bs", player))
 
 
 def _scalar_forms(world, x, y):
