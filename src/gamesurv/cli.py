@@ -78,6 +78,12 @@ def _selection_key(cfg: dict) -> dict:
     value = cfg.get("selection", {"enabled": True})
     if not isinstance(value, dict):
         raise ConfigError(f"config key 'selection' must be an object, got {value!r}")
+    if not isinstance(value.get("enabled", True), bool):
+        raise ConfigError(
+            f"selection key 'enabled' must be true or false, got {value['enabled']!r}"
+        )
+    if "seed" in value:
+        _int_key(value, "seed", 0, context="selection")
     return value
 
 
@@ -108,6 +114,15 @@ def _make_generator(spec: dict, n: int, seed) -> simgen.RawSurvivalData:
             latent_time=ds.latent_time, latent_censor=ds.latent_censor,
         )
     raise ConfigError(f"unknown generator kind {kind!r}")
+
+
+def _marginal_grid(data_cfg: dict) -> np.ndarray | None:
+    """The world's own bin grid when the splits come from a marginal
+    generator, whose times are already the bin indices 1..K."""
+    gen = data_cfg.get("generator")
+    if "train_csv" in data_cfg or not isinstance(gen, dict) or gen.get("kind") != "marginal":
+        return None
+    return _world_from(gen, "generator").bin_edges
 
 
 def _world_from(spec: dict, context: str = "world") -> simgen.MarginalWorld:
@@ -150,12 +165,9 @@ def _prepare_splits(cfg: dict, seed: int, need_val: bool):
     elif "generator" in data_cfg:
         gen = data_cfg["generator"]
         n_train = _int_key(data_cfg, "n_train", 1, context="data")
+        n_val = _int_key(data_cfg, "n_val", 1, context="data") if "n_val" in data_cfg else None
         train_raw = _make_generator(gen, n_train, (seed, 0))
-        val_raw = (
-            _make_generator(gen, _int_key(data_cfg, "n_val", 1, context="data"), (seed, 1))
-            if "n_val" in data_cfg
-            else None
-        )
+        val_raw = _make_generator(gen, n_val, (seed, 1)) if n_val is not None else None
     else:
         raise ConfigError("data needs either train_csv or generator")
     if need_val and val_raw is None:
@@ -180,10 +192,18 @@ def _train_config(cfg: dict, seed: int) -> games.TrainConfig:
 def _run_training(cfg: dict, seed: int):
     """Shared train + select pipeline; returns everything evaluate needs."""
     selection_cfg = _selection_key(cfg)
-    need_val = bool(selection_cfg.get("enabled", True))
+    need_val = selection_cfg.get("enabled", True)
+    grid = _marginal_grid(_require(cfg, "data"))
+    n_bins = _int_key(cfg, "n_bins", 2, 20 if grid is None else grid.size - 1)
+    if grid is not None and n_bins != grid.size - 1:
+        raise ConfigError(
+            f"config key 'n_bins' must be the marginal world's {grid.size - 1} bins, got {n_bins}"
+        )
     train_raw, val_raw, std = _prepare_splits(cfg, seed, need_val)
-    n_bins = _int_key(cfg, "n_bins", 2, 20)
-    train_ds = core.discretize(train_raw, n_bins=n_bins)
+    if grid is None:
+        train_ds = core.discretize(train_raw, n_bins=n_bins)
+    else:
+        train_ds = core.discretize(train_raw, edges=grid)
     val_ds = (
         core.discretize(val_raw, edges=train_ds.bin_edges) if val_raw is not None else None
     )
@@ -250,6 +270,9 @@ def cmd_evaluate(cfg: dict, args) -> None:
 
     seed = _int_key(cfg, "seed", 0, 0)
     weighting = _choice_key(cfg, "weighting", metrics.WEIGHTINGS, "km")
+    needs = {"true-G": "world", "model-G": "model_g"}.get(weighting)
+    if needs is not None and not cfg.get(needs):
+        raise ConfigError(f"config key 'weighting' {weighting!r} needs config key {needs!r}")
     out = _out_dir(cfg, args) / str(seed)
     out.mkdir(parents=True, exist_ok=True)
     model_f = Model.load(_require(cfg, "model_f"))
@@ -288,10 +311,11 @@ def _sweep_point(payload: dict) -> dict:
             "n_train": size,
             "n_val": cfg.get("n_val", 1024),
         },
-        "n_bins": cfg.get("n_bins", 20),
         "train": {**cfg.get("train", {}), "objective": objective},
         "selection": _selection_key(cfg),
     }
+    if "n_bins" in cfg:
+        sub["n_bins"] = cfg["n_bins"]
     state, model_f, model_g, train_ds, std, selection = _run_training(sub, seed)
     test_raw = std.apply(
         _make_generator(cfg["generator"], _int_key(cfg, "n_test", 1, 2048), (seed, 2))
@@ -330,6 +354,7 @@ def cmd_sweep(cfg: dict, args) -> None:
         )
     _choice_key(cfg, "weighting", _SWEEP_WEIGHTINGS, "uncensored-latent")
     _selection_key(cfg)
+    _int_key(cfg, "n_test", 1, 2048)
     points = [
         {"cfg": cfg, "objective": obj, "size": n, "seed": s}
         for obj in objectives

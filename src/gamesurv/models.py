@@ -13,6 +13,10 @@ Gradients are computed by hand against the flat vector so the training loop
 can treat the other player's probabilities as constants: the frozen side
 enters losses only through plain numbers, never through a gradient path.
 A (2, P) array holds the failure/censoring pair as one stacked model.
+
+Training and inference share one MLP layer loop. ``predict_pmf`` keeps no
+activations and, from 2 * BLOCK rows on, works in row blocks of at least
+BLOCK rows; its pmfs equal the training forward's bit for bit (see BLOCK).
 """
 
 from __future__ import annotations
@@ -28,6 +32,12 @@ from .losses import ClampStats, LossSpec, batch_loss
 __all__ = ["ArchSpec", "Model", "LossGradient", "loss_and_grad"]
 
 KINDS = ("mlp", "marginal", "marginal-prob")
+
+# Rows per block of a cache-free MLP forward. A block never has fewer rows:
+# with OpenBLAS a matmul over a few dozen rows (60 or fewer with 0.3.31) can
+# round differently from the same rows inside a large matmul, and a large
+# block gives the same bits as the whole batch.
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -130,8 +140,12 @@ class Model:
             return features.shape[0]
         raise ValueError("marginal model needs n (or features to infer it)")
 
-    def forward(self, features: np.ndarray | None = None, n: int | None = None):
-        """Predicted pmfs (..., n, K) plus the cache needed for backprop."""
+    def forward(
+        self, features: np.ndarray | None = None, n: int | None = None, cache: bool = True
+    ):
+        """Predicted pmfs (..., n, K) plus the cache needed for backprop.
+        With ``cache=False`` an MLP returns None for the cache, keeps no
+        activations and runs in row blocks into one preallocated output."""
         n = self._batch_n(features, n)
         kind = self.arch.kind
         shape = (*self.params.shape[:-1], n, self.arch.n_bins)
@@ -148,20 +162,41 @@ class Model:
         x = np.asarray(features, dtype=float)
         if x.shape != (n, self.arch.feature_dim):
             raise ValueError(f"features must be (n, {self.arch.feature_dim})")
-        acts = [x]
-        h = x
+        if cache:
+            acts = [x]
+            pmf = self._mlp(x, acts)
+            return pmf, ("mlp", acts, pmf)
+        pmf = np.empty(shape)
+        # every block holds at least BLOCK rows: the remainder joins the last
+        cuts = [0, *range(BLOCK, n - BLOCK + 1, BLOCK), n]
+        for start, stop in zip(cuts, cuts[1:]):
+            self._mlp(x[start:stop], out=pmf[..., start:stop, :])
+        return pmf, None
+
+    def _mlp(self, x: np.ndarray, acts: list | None = None, out: np.ndarray | None = None):
+        """The MLP's pmfs on rows ``x``, written to ``out`` when given. Each
+        layer is a fresh matmul then in-place bias, ReLU and softmax; the
+        hidden activations are appended to ``acts`` when it is a list."""
         depth = len(self.arch.hidden)
-        view = self.view
-        for i in range(depth):
-            h = np.maximum(h @ view(f"W{i}").swapaxes(-1, -2) + view(f"b{i}")[..., None, :], 0.0)
-            acts.append(h)
-        logits = h @ view(f"W{depth}").swapaxes(-1, -2) + view(f"b{depth}")[..., None, :]
-        pmf = _softmax(logits)
-        return pmf, ("mlp", acts, pmf)
+        h = x
+        for i in range(depth + 1):
+            h = np.matmul(h, self.view(f"W{i}").swapaxes(-1, -2))
+            h += self.view(f"b{i}")[..., None, :]
+            if i < depth:
+                np.maximum(h, 0.0, out=h)
+                if acts is not None:
+                    acts.append(h)
+        # _softmax's arithmetic, in place on the fresh logits
+        h -= h.max(axis=-1, keepdims=True)
+        np.exp(h, out=h)
+        return np.divide(h, h.sum(axis=-1, keepdims=True), out=h if out is None else out)
 
     def predict_pmf(self, features: np.ndarray | None = None, n: int | None = None) -> np.ndarray:
-        pmf, _ = self.forward(features, n)
-        return np.array(pmf)
+        """Pmfs (..., n, K) from a forward that keeps no cache; equal bit
+        for bit to ``forward(features, n)[0]``."""
+        pmf, _ = self.forward(features, n, cache=False)
+        # the MLP output is already a fresh array; the marginal kinds broadcast one row
+        return pmf if self.arch.kind == "mlp" else np.array(pmf)
 
     # -- backward --------------------------------------------------------
 

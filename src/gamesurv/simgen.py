@@ -131,6 +131,11 @@ class MarginalWorld:
     def n_bins(self) -> int:
         return self.theta_t.size
 
+    @property
+    def bin_edges(self) -> np.ndarray:
+        """The grid whose bins are the integer times 1..K."""
+        return np.arange(self.n_bins + 1) + 0.5
+
     def interior(self, floor: float = 0.0) -> bool:
         return bool(min(self.theta_t.min(), self.theta_c.min()) > floor)
 
@@ -169,12 +174,11 @@ def gen_marginal(world: MarginalWorld, n: int, seed: int = 0) -> Dataset:
     c = np.minimum(c, K)
     event = t <= c
     u = np.where(event, t, c)
-    edges = np.arange(K + 1) + 0.5
     return Dataset(
         features=np.zeros((n, 0)),
         time_bin=u,
         event=event,
-        bin_edges=edges,
+        bin_edges=world.bin_edges,
         raw_time=u.astype(float),
         latent_time=t.astype(float),
         latent_censor=c.astype(float),

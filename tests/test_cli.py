@@ -14,7 +14,7 @@ import gamesurv.games
 import gamesurv.simgen
 from gamesurv.cli import main
 from gamesurv.models import Model
-from gamesurv.simgen import load_csv, load_latent_csv, read_bin_edges
+from gamesurv.simgen import MarginalWorld, load_csv, load_latent_csv, read_bin_edges
 
 GAMMA_GEN = {"kind": "gamma", "feature_dim": 4}
 MARGINAL_GEN = {"kind": "marginal", "theta_t": [0.3, 0.5, 0.2], "theta_c": [0.4, 0.3, 0.3]}
@@ -332,14 +332,16 @@ def _with(cfg, **changes):
         ("sweep", _with(SWEEP_CFG, workers=2.7), "workers"),
         ("sweep", _with(SWEEP_CFG, workers=0), "workers"),
         ("sweep", _with(SWEEP_CFG, workers="2"), "workers"),
+        ("train", _with(TRAIN_CFG, selection={"enabled": True, "seed": "x"}), "seed"),
+        ("train", _with(TRAIN_CFG, selection={"enabled": 1}), "enabled"),
+        ("sweep", _with(SWEEP_CFG, selection={"seed": -1}), "seed"),
+        ("sweep", _with(SWEEP_CFG, selection={"enabled": "yes"}), "enabled"),
     ],
 )
-def test_data_commands_reject_bad_integer_keys(tmp_path, capsys, command, cfg, key):
-    # floats and strings are rejected, not truncated; workers fail before a pool starts
-    assert _run(tmp_path, command, {"experiment": "bad", **cfg}) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError"
-    assert repr(key) in err["message"]
+def test_data_commands_reject_bad_integer_keys(tmp_path, capsys, no_work, command, cfg, key):
+    # floats and strings are rejected, not truncated, and every key fails
+    # before any data is generated or a pool starts
+    assert repr(key) in _config_error(tmp_path, capsys, command, cfg)
 
 
 def test_evaluate_rejects_bad_n_test(tmp_path, capsys):
@@ -355,6 +357,37 @@ def test_evaluate_rejects_bad_n_test(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert "'n_test'" in err["message"]
+
+
+@pytest.mark.parametrize("weighting, key", [("true-G", "world"), ("model-G", "model_g")])
+def test_evaluate_rejects_weighting_without_its_input(tmp_path, capsys, monkeypatch,
+                                                      weighting, key):
+    assert _run(tmp_path, "train", TRAIN_CFG) == 0
+    model_dir = tmp_path / "out" / "exp" / "0"
+    calls = []
+    monkeypatch.setattr(gamesurv.simgen, "gen_gamma", lambda *args: calls.append(args))
+    cfg = {
+        "weighting": weighting,
+        "model_f": str(model_dir / "model_F.json"),
+        "bin_edges": str(model_dir / "bin_edges.json"),
+        "data": {"generator": GAMMA_GEN, "n_test": 20},
+    }
+    assert repr(key) in _config_error(tmp_path, capsys, "evaluate", cfg)
+    assert calls == []
+
+
+def test_train_bins_marginal_worlds_on_their_own_grid(tmp_path, capsys):
+    # a marginal generator's times are the bin indices 1..K, so its world's
+    # grid is the bin grid; quantile edges would coincide
+    world = MarginalWorld(MARGINAL_GEN["theta_t"], MARGINAL_GEN["theta_c"])
+    cfg = _with(TRAIN_CFG, data={"generator": MARGINAL_GEN, "n_train": 48, "n_val": 40})
+    del cfg["n_bins"]
+    for name, run_cfg in (("omitted", cfg), ("three", _with(cfg, n_bins=3))):
+        assert _run(tmp_path, "train", run_cfg, out=name) == 0
+        out = tmp_path / name / "exp" / "0"
+        np.testing.assert_array_equal(read_bin_edges(out / "bin_edges.json"), world.bin_edges)
+        assert Model.load(out / "model_F.json").arch.n_bins == 3
+    assert "'n_bins'" in _config_error(tmp_path, capsys, "train", _with(cfg, n_bins=5))
 
 
 def test_stationary_check_rejects_unreachable_random_worlds(tmp_path, capsys):
