@@ -102,11 +102,18 @@ def _out_dir(cfg: dict, args) -> Path:
 # -- generators --------------------------------------------------------------
 
 
+def _gamma_config(spec: dict, n: int, seed) -> simgen.GammaSimConfig:
+    knobs = {k: v for k, v in spec.items() if k not in ("kind", "n", "seed")}
+    try:
+        return simgen.GammaSimConfig(n=n, seed=seed, **knobs)
+    except (TypeError, ValueError) as exc:  # an unknown knob is a TypeError naming it
+        raise ConfigError(f"bad gamma generator: {exc}") from None
+
+
 def _make_generator(spec: dict, n: int, seed) -> simgen.RawSurvivalData:
     kind = _require(spec, "kind", "generator")
     if kind == "gamma":
-        knobs = {k: v for k, v in spec.items() if k not in ("kind", "n", "seed")}
-        return simgen.gen_gamma(simgen.GammaSimConfig(n=n, seed=seed, **knobs))
+        return simgen.gen_gamma(_gamma_config(spec, n, seed))
     if kind == "marginal":
         ds = simgen.gen_marginal(_world_from(spec, "generator"), n, seed)
         return simgen.RawSurvivalData(
@@ -155,7 +162,7 @@ def cmd_simulate(cfg: dict, args) -> None:
                 simgen.save_latent_csv(base / f"data_n{n}_latent.csv", data)
 
 
-def _prepare_splits(cfg: dict, seed: int, need_val: bool):
+def _prepare_splits(cfg: dict, seed: int):
     """Raw train/val splits from CSVs or a generator, standardized by the
     training split, plus the generator spec for downstream test draws."""
     data_cfg = _require(cfg, "data")
@@ -170,8 +177,6 @@ def _prepare_splits(cfg: dict, seed: int, need_val: bool):
         val_raw = _make_generator(gen, n_val, (seed, 1)) if n_val is not None else None
     else:
         raise ConfigError("data needs either train_csv or generator")
-    if need_val and val_raw is None:
-        raise ConfigError("model selection is enabled but no validation split is configured")
     std = simgen.Standardizer.fit(train_raw.features)
     train_raw = std.apply(train_raw)
     val_raw = std.apply(val_raw) if val_raw is not None else None
@@ -185,7 +190,7 @@ def _train_config(cfg: dict, seed: int) -> games.TrainConfig:
         train_cfg["hidden"] = tuple(train_cfg["hidden"])
     try:
         return games.TrainConfig(**train_cfg)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad train config: {exc}") from None
 
 
@@ -193,13 +198,21 @@ def _run_training(cfg: dict, seed: int):
     """Shared train + select pipeline; returns everything evaluate needs."""
     selection_cfg = _selection_key(cfg)
     need_val = selection_cfg.get("enabled", True)
-    grid = _marginal_grid(_require(cfg, "data"))
+    data_cfg = _require(cfg, "data")
+    grid = _marginal_grid(data_cfg)
     n_bins = _int_key(cfg, "n_bins", 2, 20 if grid is None else grid.size - 1)
     if grid is not None and n_bins != grid.size - 1:
         raise ConfigError(
             f"config key 'n_bins' must be the marginal world's {grid.size - 1} bins, got {n_bins}"
         )
-    train_raw, val_raw, std = _prepare_splits(cfg, seed, need_val)
+    config = _train_config(cfg, seed)
+    val_key = "val_csv" if "train_csv" in data_cfg else "n_val"
+    if need_val and val_key not in data_cfg:
+        raise ConfigError(
+            f"model selection is enabled but no validation split is configured "
+            f"(data has no {val_key!r})"
+        )
+    train_raw, val_raw, std = _prepare_splits(cfg, seed)
     if grid is None:
         train_ds = core.discretize(train_raw, n_bins=n_bins)
     else:
@@ -207,7 +220,6 @@ def _run_training(cfg: dict, seed: int):
     val_ds = (
         core.discretize(val_raw, edges=train_ds.bin_edges) if val_raw is not None else None
     )
-    config = _train_config(cfg, seed)
     state = games.train(train_ds, config)
     selection = None
     if need_val:
@@ -311,7 +323,7 @@ def _sweep_point(payload: dict) -> dict:
             "n_train": size,
             "n_val": cfg.get("n_val", 1024),
         },
-        "train": {**cfg.get("train", {}), "objective": objective},
+        "train": _sweep_train(cfg, objective),
         "selection": _selection_key(cfg),
     }
     if "n_bins" in cfg:
@@ -333,6 +345,10 @@ def _sweep_point(payload: dict) -> dict:
     }
 
 
+def _sweep_train(cfg: dict, objective: str) -> dict:
+    return {**cfg.get("train", {}), "objective": objective}
+
+
 # a sweep point scores against no world, so the true-G weighting is out
 _SWEEP_WEIGHTINGS = ("uncensored-latent", "km", "model-G")
 _AGGREGATE_KEYS = ("bs_sum", "bs_mean", "bll_sum", "bll_mean", "nll", "concordance")
@@ -341,7 +357,7 @@ _AGGREGATE_KEYS = ("bs_sum", "bs_mean", "bll_sum", "bll_mean", "nll", "concordan
 def cmd_sweep(cfg: dict, args) -> None:
     out = _out_dir(cfg, args) / "sweep"
     out.mkdir(parents=True, exist_ok=True)
-    _require(cfg, "generator")
+    gen = _require(cfg, "generator")
     sizes = _int_list(cfg, "sizes", 1)
     seeds = _int_list(cfg, "seeds", 0)
     objectives = cfg.get("objectives", ["nll", "bs-game"])
@@ -355,6 +371,11 @@ def cmd_sweep(cfg: dict, args) -> None:
     _choice_key(cfg, "weighting", _SWEEP_WEIGHTINGS, "uncensored-latent")
     _selection_key(cfg)
     _int_key(cfg, "n_test", 1, 2048)
+    _int_key(cfg, "n_val", 1, 1024)
+    if isinstance(gen, dict) and gen.get("kind") == "gamma":
+        _gamma_config(gen, 1, 0)
+    for obj in objectives:  # the checks of every point's TrainConfig, before any data
+        _train_config({"train": _sweep_train(cfg, obj)}, seeds[0])
     points = [
         {"cfg": cfg, "objective": obj, "size": n, "seed": s}
         for obj in objectives

@@ -7,7 +7,7 @@ Continuous times are mapped onto the grid with empirical-quantile bin edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,12 @@ __all__ = [
 ]
 
 
+def _frozen_copy(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class Batch:
     """Array-of-records view used by losses and training steps.
@@ -30,16 +36,21 @@ class Batch:
     ``weight`` is an optional nonnegative per-record weight (normalized to
     sum 1 inside batch reductions); enumerated population batches use it to
     carry exact outcome probabilities.
+
+    The batch keeps read-only copies of ``time_bin``, ``event`` and
+    ``weight``, so the label plans that ``losses`` builds from them on first
+    use and keeps in ``_plans`` can never go stale.
     """
 
     time_bin: np.ndarray
     event: np.ndarray
     features: np.ndarray | None = None
     weight: np.ndarray | None = None
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "time_bin", np.asarray(self.time_bin, dtype=np.int64))
-        object.__setattr__(self, "event", np.asarray(self.event, dtype=bool))
+        object.__setattr__(self, "time_bin", _frozen_copy(self.time_bin, np.int64))
+        object.__setattr__(self, "event", _frozen_copy(self.event, bool))
         if self.time_bin.shape != self.event.shape:
             raise ValueError("time_bin and event must have the same shape")
         if self.time_bin.size == 0:
@@ -47,7 +58,7 @@ class Batch:
         if np.any(self.time_bin < 1):
             raise ValueError("time bins are 1-indexed; found bin < 1")
         if self.weight is not None:
-            w = np.asarray(self.weight, dtype=float)
+            w = _frozen_copy(self.weight, float)
             if np.any(w < 0):
                 raise ValueError("weights must be nonnegative")
             object.__setattr__(self, "weight", w)

@@ -25,6 +25,7 @@ comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,10 @@ from .losses import (
     ROLES,
     ClampStats,
     LossSpec,
+    _nll_values_dpmf,
     _own_cdf,
     _own_terms,
+    _role_flags,
     batch_loss,
     ipcw_weight_arrays,
     per_horizon_loss,
@@ -88,6 +91,9 @@ class TrainConfig:
         object.__setattr__(self, "_spec", spec)
         if self.game_form not in ("summed", "multiplayer"):
             raise ValueError(f"unknown game_form {self.game_form!r}")
+        if self.game_form == "multiplayer" and spec.family == "nll":
+            raise ValueError("objective 'nll' has no per-horizon game; game_form 'multiplayer' "
+                             "needs 'bs-game' or 'bll-game'")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -187,28 +193,23 @@ def init_state(n_bins: int, feature_dim: int, config: TrainConfig) -> GameState:
     return GameState(pair, _make_optimizer(config, pair.params.shape), config)
 
 
-def _check_finite(state: GameState, grad: np.ndarray) -> None:
-    if np.isfinite(grad).all():
-        return
-    for name, row in zip(("the failure model", "the censoring model"), grad):
-        if not np.isfinite(row).all():
-            raise RuntimeError(
-                f"non-finite gradient for {name} at epoch {state.epoch} "
-                f"(clamp count so far: {state.clamp.count}); aborting the run"
-            )
-
-
-def _step_metrics(losses, grad: np.ndarray) -> dict:
+def _step_metrics(state: GameState, losses: np.ndarray, grad: np.ndarray) -> dict:
+    """The step's log record; raises if either player's gradient is not
+    finite. A squared sum cannot cancel, so a finite norm implies a finite
+    gradient, and the exact per-row check runs only when a norm is not
+    finite (a finite gradient near |g| = 1e154 overflows its norm)."""
     # a ufunc reduction, not np.linalg.norm: BLAS ddot splits its sum by
     # thread count, which would make the training log depend on it
-    norm_f, norm_g = np.sqrt((grad * grad).sum(axis=-1))
+    norm_f, norm_g = np.sqrt((grad * grad).sum(axis=-1)).tolist()
+    if not (math.isfinite(norm_f) and math.isfinite(norm_g)):
+        for name, row in zip(("the failure model", "the censoring model"), grad):
+            if not np.isfinite(row).all():
+                raise RuntimeError(
+                    f"non-finite gradient for {name} at epoch {state.epoch} "
+                    f"(clamp count so far: {state.clamp.count}); aborting the run"
+                )
     loss_f, loss_g = losses.tolist()
-    return {
-        "loss_F": loss_f,
-        "loss_G": loss_g,
-        "grad_norm_F": float(norm_f),
-        "grad_norm_G": float(norm_g),
-    }
+    return {"loss_F": loss_f, "loss_G": loss_g, "grad_norm_F": norm_f, "grad_norm_G": norm_g}
 
 
 def step_summed(state: GameState, batch: Batch) -> dict:
@@ -224,9 +225,9 @@ def step_summed(state: GameState, batch: Batch) -> dict:
     frozen = None if spec.family == "nll" else pmf[::-1]
     values, dpmf = batch_loss(spec, pmf, frozen, batch, state.clamp)
     grad = state.pair.backprop(cache, dpmf)
-    _check_finite(state, grad)
+    metrics = _step_metrics(state, values, grad)
     state.pair.params = state.opt.update(state.pair.params, grad)
-    return _step_metrics(values, grad)
+    return metrics
 
 
 def _project_simplex_coords(theta: np.ndarray, floor: float) -> np.ndarray:
@@ -251,12 +252,12 @@ def step_multiplayer(state: GameState, batch: Batch) -> dict:
         raise ValueError("the per-horizon game is defined for the game objectives")
     if state.pair.arch.kind != "marginal-prob":
         raise ValueError("the per-horizon game runs on direct probability coordinates")
-    pmf = state.pair.predict_pmf(n=batch.n)
+    pmf, _ = state.pair.forward(n=batch.n)
     values, coef = per_horizon_loss(spec, pmf, pmf[::-1], batch, state.clamp)
-    _check_finite(state, coef)
-    theta = state.opt.update(state.pair.view("theta").copy(), coef)
+    metrics = _step_metrics(state, values.sum(axis=-1), coef)
+    theta = state.opt.update(state.pair.view("theta"), coef)  # a new array
     state.pair.view("theta")[...] = _project_simplex_coords(theta, cfg.weight_floor)
-    return _step_metrics(values.sum(axis=-1), coef)
+    return metrics
 
 
 def train(dataset: Dataset, config: TrainConfig) -> GameState:
@@ -340,7 +341,6 @@ def _selection_tables(
     For 'nll' neither depends on the frozen side, so rows are constant.
     """
     epochs = sorted(checkpoints)
-    batch = val.batch()
     pmfs = np.stack(
         [Model(arch, checkpoints[e]).predict_pmf(val.features, n=val.n) for e in epochs]
     )
@@ -351,17 +351,17 @@ def _selection_tables(
 
     def table(role, own_pmfs, frozen_pmfs):  # [j, i]: own i against frozen j
         if family == "nll":
-            own_loss = [batch_loss(LossSpec("nll", role), p, None, batch)[0] for p in own_pmfs]
-            return np.tile(own_loss, (E, 1))
+            # one values-only pass over the (E, n, K) stack, reduced per checkpoint
+            vals, _ = _nll_values_dpmf(
+                _role_flags((role,)), own_pmfs, val.time_bin, val.event, weight_floor, None
+            )
+            w = np.full(val.n, 1.0 / val.n)
+            return np.tile([float(v @ w) for v in vals], (E, 1))
         # Bulk route: each entry is a sum over (sample, horizon) of own-term *
         # frozen-weight, so the whole E x E table is two matrix products
         # between flattened (E, n*T) stacks.
-        evt, srv = _own_terms(family, _own_cdf(own_pmfs, times), weight_floor)
-        pairs = [
-            ipcw_weight_arrays(role, p, val.time_bin, val.event, times, weight_floor)
-            for p in frozen_pmfs
-        ]
-        a, b = np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
+        evt, srv = _own_terms(family, _own_cdf(own_pmfs, times - 1), weight_floor)
+        a, b = ipcw_weight_arrays(role, frozen_pmfs, val.time_bin, val.event, times, weight_floor)
         return (flat(a) @ flat(evt).T + flat(b) @ flat(srv).T) / val.n
 
     return epochs, table("censor", pmfs_g, pmfs_f), table("failure", pmfs_f, pmfs_g)

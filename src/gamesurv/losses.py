@@ -85,6 +85,8 @@ class LossSpec:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         roles = self.role if isinstance(self.role, tuple) else (self.role,)
         object.__setattr__(self, "_flags", _role_flags(roles))
+        times = self.times if isinstance(self.times, str) else tuple(np.ravel(self.times).tolist())
+        object.__setattr__(self, "_plan_key", (times, roles))
         if not 0 < self.weight_floor < 1:
             raise ValueError("weight_floor must lie in (0, 1)")
 
@@ -136,9 +138,10 @@ def _padded_cdf(pmf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _own_cdf(own: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _own_cdf(own: np.ndarray, cols) -> np.ndarray:
+    """cdf values F(t) at the columns ``cols`` = t - 1 of ``own``."""
     # rounding in the cumsum may poke a hair above 1; keep 1 - cdf >= 0
-    return np.minimum(own.cumsum(axis=-1)[..., times - 1], 1.0)
+    return np.minimum(own.cumsum(axis=-1)[..., cols], 1.0)
 
 
 def _clamp(values: np.ndarray, floor: float, active: np.ndarray, stats: ClampStats | None):
@@ -148,40 +151,90 @@ def _clamp(values: np.ndarray, floor: float, active: np.ndarray, stats: ClampSta
     return np.maximum(values, floor), clamped
 
 
-def _ipcw_weights(
-    flags: np.ndarray,
-    surv: np.ndarray,
+@dataclass(frozen=True)
+class LabelPlan:
+    """The label side of the inverse weights, fixed by the labels (U, delta),
+    the row weights, the horizons and the roles; a batch builds it on its
+    first loss call and every later call reuses it. For R roles, n rows and
+    T horizons: ``roles`` (R, 1), ``rows`` (n,) and ``evt_col`` (R, n), the
+    event-branch column U - 1 + c, gather from a survival table;
+    ``surv_cols`` and ``cdf_cols`` pick the columns t and t - 1 (slices when
+    the horizons are contiguous, which index faster than arrays);
+    ``evt_active`` (R, n, T) is the indicator ``event ^ c`` with U <= t,
+    ``surv_active`` (n, T) is U > t, ``evt_used`` (R, n) marks the rows some
+    horizon's event branch uses, and ``weight`` (n,) sums to 1."""
+
+    times: np.ndarray
+    roles: np.ndarray
+    rows: np.ndarray
+    evt_col: np.ndarray
+    surv_cols: slice | np.ndarray
+    cdf_cols: slice | np.ndarray
+    evt_active: np.ndarray
+    surv_active: np.ndarray
+    evt_used: np.ndarray
+    weight: np.ndarray
+
+
+def label_plan(
     time_bin: np.ndarray,
     event: np.ndarray,
     times: np.ndarray,
-    floor: float,
-    stats: ClampStats | None,
-):
+    flags: np.ndarray,
+    weight: np.ndarray | None = None,
+) -> LabelPlan:
+    """The label plan of (``time_bin``, ``event``) at horizons ``times`` for
+    the roles with (R, 1) censor ``flags``; ``weight`` holds normalized row
+    weights, uniform when None."""
+    n = time_bin.size
+    ind = event ^ flags  # event or ~event
+    le = time_bin[:, None] <= times
+    if np.all(np.diff(times) == 1):
+        first, last = int(times[0]), int(times[-1])
+        surv_cols, cdf_cols = slice(first, last + 1), slice(first - 1, last)
+    else:
+        surv_cols, cdf_cols = times, times - 1
+    return LabelPlan(
+        times=times,
+        roles=np.arange(flags.shape[0])[:, None],
+        rows=np.arange(n),
+        evt_col=time_bin - 1 + flags,
+        surv_cols=surv_cols,
+        cdf_cols=cdf_cols,
+        evt_active=ind[..., None] & le,
+        surv_active=~le,
+        evt_used=ind & (time_bin <= times[-1]),
+        weight=np.full(n, 1.0 / n) if weight is None else weight,
+    )
+
+
+def _batch_plan(spec: LossSpec, batch: Batch, n_bins: int) -> LabelPlan:
+    """``batch``'s label plan for the horizons and roles of ``spec``, built
+    on first use and kept on the batch, whose label arrays are read-only."""
+    key = (spec._plan_key, n_bins)
+    plan = batch._plans.get(key)
+    if plan is None:
+        times = resolve_times(spec.times, n_bins)
+        plan = label_plan(batch.time_bin, batch.event, times, spec._flags, batch.norm_weight())
+        batch._plans[key] = plan
+    return plan
+
+
+def _ipcw_weights(plan: LabelPlan, surv: np.ndarray, floor: float, stats: ClampStats | None):
     """Per-(role, sample, horizon) inverse weights for the event and
     survival branches, from the other player's survival tables ``surv``
-    (R, m, K+1): entry j is P(X > j) for j = 0..K, with m = n rows or one
-    row shared by all samples. ``flags`` are the (R, 1) censor flags.
+    (..., R, m, K+1): entry j is P(X > j) for j = 0..K, with m = n rows or
+    one row shared by all samples, and any leading axes stacking tables.
 
-    Returns (a, b), shape (R, n, T): a = indicator/weight for the event
-    branch, b = 1{U > t}/weight for the survival branch. The failure
+    Returns (a, b), shape (..., R, n, T): a = indicator/weight for the
+    event branch, b = 1{U > t}/weight for the survival branch. The failure
     role's event branch divides by Gbar(U-) = surv[U-1], the censor role's
     by Fbar(U) = surv[U]."""
-    ind = event ^ flags  # event or ~event
-    rows = np.arange(time_bin.size) if surv.shape[1] > 1 else 0
-    den_evt = surv[np.arange(flags.shape[0])[:, None], rows, time_bin - 1 + flags]
-    den_surv = surv[..., times]  # Xbar(t) columns
-
-    le = time_bin[:, None] <= times
-    evt_active = ind[..., None] & le
-    surv_active = ~le
-
-    evt_used = ind & (time_bin <= times[-1])
-    den_evt, _ = _clamp(den_evt, floor, evt_used, stats)
-    den_surv, _ = _clamp(den_surv, floor, surv_active, stats)
-
-    a = evt_active / den_evt[..., None]
-    b = surv_active / den_surv
-    return a, b
+    rows = plan.rows if surv.shape[-2] > 1 else 0
+    den_evt = surv[..., plan.roles, rows, plan.evt_col]
+    den_evt, _ = _clamp(den_evt, floor, plan.evt_used, stats)
+    den_surv, _ = _clamp(surv[..., plan.surv_cols], floor, plan.surv_active, stats)  # Xbar(t)
+    return plan.evt_active / den_evt[..., None], plan.surv_active / den_surv
 
 
 def _own_terms(family: str, cdf: np.ndarray, floor: float):
@@ -197,29 +250,27 @@ def _own_terms(family: str, cdf: np.ndarray, floor: float):
 
 def _game_values_coefs(
     spec: LossSpec,
+    plan: LabelPlan,
     own: np.ndarray,
     frozen: np.ndarray,
-    time_bin: np.ndarray,
-    event: np.ndarray,
     stats: ClampStats | None,
 ):
-    """Horizons, per-(role, sample, horizon) loss values and d(value)/d(own
-    cdf at t), for (R, n, K) stacks ``own`` and ``frozen``: each role's
-    other player enters only through its frozen inverse weights."""
-    times = resolve_times(spec.times, own.shape[-1])
+    """Per-(role, sample, horizon) loss values and d(value)/d(own cdf at t)
+    at the plan's horizons, for (R, n, K) stacks ``own`` and ``frozen``:
+    each role's other player enters only through its frozen inverse
+    weights."""
     floor = spec.weight_floor
-    surv = 1.0 - _padded_cdf(frozen)
-    a, b = _ipcw_weights(spec._flags, surv, time_bin, event, times, floor, stats)
-    P = _own_cdf(own, times)
+    a, b = _ipcw_weights(plan, 1.0 - _padded_cdf(frozen), floor, stats)
+    P = _own_cdf(own, plan.cdf_cols)
     evt, srv = _own_terms(spec.family, P, floor)
     vals = evt * a + srv * b
     if spec.family == "ipcw-bs":
-        return times, vals, 2.0 * (P * b - (1.0 - P) * a)
-    Pc, P_clamped = _clamp(P, floor, a > 0, stats)
-    Qc, Q_clamped = _clamp(1.0 - P, floor, b > 0, stats)
+        return vals, 2.0 * (P * b - (1.0 - P) * a)
+    Pc, P_clamped = _clamp(P, floor, plan.evt_active, stats)
+    Qc, Q_clamped = _clamp(1.0 - P, floor, plan.surv_active, stats)
     # clamped terms are flat in the cdf, so they contribute no gradient
     coefs = np.where(Q_clamped, 0.0, b / Qc) - np.where(P_clamped, 0.0, a / Pc)
-    return times, vals, coefs
+    return vals, coefs
 
 
 def _nll_values_dpmf(
@@ -229,12 +280,14 @@ def _nll_values_dpmf(
     event: np.ndarray,
     floor: float,
     stats: ClampStats | None,
-    weights: np.ndarray | None,
+    weights: np.ndarray | None = None,
 ):
-    """Per-(role, sample) partial log-likelihood terms (R, n) and the pmf
-    gradient (R, n, K) of each role's weighted total. The two players'
-    likelihoods share no parameters, which is what lets the joint
-    likelihood split into independent problems."""
+    """Per-(role, sample) partial log-likelihood terms (R, n) and, given
+    row ``weights``, the pmf gradient (R, n, K) of each role's weighted
+    total (None without). One role's (1, 1) ``flags`` broadcast over any
+    (E, n, K) stack of its pmfs. The two players' likelihoods share no
+    parameters, which is what lets the joint likelihood split into
+    independent problems."""
     R, n, K = own_pmf.shape
     pad = _padded_cdf(own_pmf)
     roles, rows = np.arange(R)[:, None], np.arange(n)
@@ -251,14 +304,15 @@ def _nll_values_dpmf(
     tm, tm_clamped = _clamp(tail_mass, floor, ~point_rows, stats)
 
     vals = np.where(point_rows, -np.log(pm), -np.log(tm))
+    if weights is None:
+        return vals, None
 
-    w = np.full(n, 1.0 / n) if weights is None else weights
     dpmf = np.zeros((R, n, K))
     r, i = np.nonzero(point_rows & ~pm_clamped)
-    dpmf[r, i, time_bin[i] - 1] = -w[i] / pm[r, i]
+    dpmf[r, i, time_bin[i] - 1] = -weights[i] / pm[r, i]
     r, i = np.nonzero(~point_rows & ~tm_clamped)
     spread = np.zeros((R, n, K + 1))
-    spread[r, i, tail_start[r, i]] = -w[i] / tm[r, i]
+    spread[r, i, tail_start[r, i]] = -weights[i] / tm[r, i]
     # tail term covers all bins from tail_start on
     dpmf += spread[..., :K].cumsum(axis=-1)
     return vals, dpmf
@@ -276,7 +330,8 @@ def batch_loss(
     The frozen side enters only through probabilities treated as constants;
     the returned gradient is exactly d(value)/d(own_pmf), rows scaled by the
     normalized batch weights. With a tuple ``spec.role`` both pmf arguments
-    carry a leading role axis and every role is scored in one pass.
+    carry a leading role axis and every role is scored in one pass. The game
+    families take the batch's label plan, built on the first call.
 
     Returns
     -------
@@ -285,9 +340,9 @@ def batch_loss(
     """
     n = batch.n
     own = _role_stack(spec, own_pmf, n)
-    w = batch.norm_weight()
 
     if spec.family == "nll":
+        w = batch.norm_weight()
         vals, dpmf = _nll_values_dpmf(
             spec._flags, own, batch.time_bin, batch.event, spec.weight_floor, stats, w
         )
@@ -295,13 +350,13 @@ def batch_loss(
     else:
         if frozen_pmf is None:
             raise ValueError("game losses need the other player's pmf")
-        times, vals, coefs = _game_values_coefs(
-            spec, own, _role_stack(spec, frozen_pmf, n), batch.time_bin, batch.event, stats
-        )
+        plan = _batch_plan(spec, batch, own.shape[-1])
+        w = plan.weight
+        vals, coefs = _game_values_coefs(spec, plan, own, _role_stack(spec, frozen_pmf, n), stats)
         values = [float(w @ v) for v in vals.sum(axis=-1)]
         # d cdf(t) / d pmf_k = 1{k <= t}: scatter per-horizon coefs, then suffix-sum
         tmp = np.zeros(own.shape)
-        tmp[..., times - 1] = coefs * w[:, None]
+        tmp[..., plan.cdf_cols] = coefs * w[:, None]
         dpmf = tmp[..., ::-1].cumsum(axis=-1)[..., ::-1]
     if isinstance(spec.role, tuple):
         return np.array(values), dpmf
@@ -329,8 +384,9 @@ def per_horizon_loss(
     if spec.family == "nll":
         raise ValueError("per-horizon form is defined for the game losses only")
     own, frozen = (_role_stack(spec, pmf, batch.n) for pmf in (own_pmf, frozen_pmf))
-    _, vals, coefs = _game_values_coefs(spec, own, frozen, batch.time_bin, batch.event, stats)
-    w = batch.norm_weight()
+    plan = _batch_plan(spec, batch, own.shape[-1])
+    vals, coefs = _game_values_coefs(spec, plan, own, frozen, stats)
+    w = plan.weight
     values = np.array([w @ v for v in vals])
     coefs = np.array([w @ c for c in coefs])
     if isinstance(spec.role, tuple):
@@ -347,15 +403,17 @@ def ipcw_weight_arrays(
     weight_floor: float = 1e-6,
     stats: ClampStats | None = None,
 ):
-    """(a, b) inverse-weight arrays, shape (n, T): the event-branch and
-    survival-branch multipliers a player's own terms contract against.
+    """(a, b) inverse-weight arrays, shape (..., n, T): the event-branch and
+    survival-branch multipliers a player's own terms contract against, for
+    a frozen pmf of shape (K,) or (n, K), or a (..., n, K) stack of them.
     Exposed for bulk evaluation over checkpoint grids."""
     time_bin = np.asarray(time_bin, dtype=np.int64)
     event = np.asarray(event, dtype=bool)
-    surv = 1.0 - _padded_cdf(_as_matrix(frozen_pmf, time_bin.size))
-    flags = _role_flags((role,))
-    a, b = _ipcw_weights(flags, surv[None], time_bin, event, times, weight_floor, stats)
-    return a[0], b[0]
+    frozen = _as_matrix(frozen_pmf, time_bin.size, max(np.ndim(frozen_pmf) - 2, 0))
+    plan = label_plan(time_bin, event, times, _role_flags((role,)))
+    surv = 1.0 - _padded_cdf(frozen)
+    a, b = _ipcw_weights(plan, surv[..., None, :, :], weight_floor, stats)
+    return a[..., 0, :, :], b[..., 0, :, :]
 
 
 def ipcw_per_sample(
@@ -377,7 +435,8 @@ def ipcw_per_sample(
     event = np.asarray(event, dtype=bool)
     spec = LossSpec(family, role, (t,), weight_floor)
     own, frozen = (_role_stack(spec, pmf, time_bin.size) for pmf in (own_pmf, frozen_pmf))
-    _, vals, _ = _game_values_coefs(spec, own, frozen, time_bin, event, stats)
+    plan = label_plan(time_bin, event, resolve_times(spec.times, own.shape[-1]), spec._flags)
+    vals, _ = _game_values_coefs(spec, plan, own, frozen, stats)
     return vals[0, :, 0]
 
 
@@ -398,7 +457,7 @@ def nll(pmf, time_bin, event, role="failure", weight_floor=1e-6, stats=None):
     event = np.asarray(event, dtype=bool)
     own = _as_matrix(pmf, time_bin.size)[None]
     flags = _role_flags((role,))
-    return _nll_values_dpmf(flags, own, time_bin, event, weight_floor, stats, None)[0][0]
+    return _nll_values_dpmf(flags, own, time_bin, event, weight_floor, stats)[0][0]
 
 
 def ipcw_mean(time_bin, event, censor_pmf, values=None, weight=None, weight_floor=1e-6, stats=None):

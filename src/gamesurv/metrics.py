@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import Dataset, assign_bins
 from .losses import _as_matrix, _ipcw_weights, _own_cdf, _own_terms, _padded_cdf, _role_flags
+from .losses import label_plan
 from .losses import nll as _nll_per_sample
 from .simgen import MarginalWorld
 
@@ -146,10 +147,11 @@ def _eval_weighted(f_pmf, dataset, weighting, g_pmf, world, floor, family):
     if f_pmf.shape[1] != dataset.n_bins:
         raise ValueError("pmfs must be (n, K) aligned with the dataset")
     times = np.arange(1, dataset.n_bins)
-    evt, srv = _own_terms(family, _own_cdf(f_pmf, times), floor)
+    evt, srv = _own_terms(family, _own_cdf(f_pmf, times - 1), floor)
     gbar, time_bin, event = _censoring_survival(dataset, weighting, g_pmf, world)
     surv = gbar.reshape(1, -1, gbar.shape[-1])  # one shared row or one per sample
-    a, b = _ipcw_weights(_role_flags(("failure",)), surv, time_bin, event, times, floor, None)
+    plan = label_plan(time_bin, event, times, _role_flags(("failure",)))
+    a, b = _ipcw_weights(plan, surv, floor, None)
     return (evt * a[0] + srv * b[0]).mean(axis=0)
 
 

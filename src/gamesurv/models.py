@@ -149,16 +149,16 @@ class Model:
         n = self._batch_n(features, n)
         kind = self.arch.kind
         shape = (*self.params.shape[:-1], n, self.arch.n_bins)
+        # the marginal kinds repeat one row, which costs less than a broadcast view
         if kind == "marginal":
             pmf_row = _softmax(self.view("logits"))
-            return np.broadcast_to(pmf_row[..., None, :], shape), ("marginal", n, pmf_row)
+            return np.repeat(pmf_row[..., None, :], n, axis=-2), ("marginal", n, pmf_row)
         if kind == "marginal-prob":
             theta = self.view("theta")
-            last = 1.0 - theta.sum(axis=-1, keepdims=True)
-            if np.any(theta < 0) or np.any(last < 0):
+            pmf_row = np.concatenate([theta, 1.0 - theta.sum(axis=-1, keepdims=True)], axis=-1)
+            if (pmf_row < 0).any():
                 raise ValueError("probability coordinates left the simplex")
-            pmf_row = np.concatenate([theta, last], axis=-1)
-            return np.broadcast_to(pmf_row[..., None, :], shape), ("marginal-prob", n)
+            return np.repeat(pmf_row[..., None, :], n, axis=-2), ("marginal-prob", n)
         x = np.asarray(features, dtype=float)
         if x.shape != (n, self.arch.feature_dim):
             raise ValueError(f"features must be (n, {self.arch.feature_dim})")
@@ -194,9 +194,7 @@ class Model:
     def predict_pmf(self, features: np.ndarray | None = None, n: int | None = None) -> np.ndarray:
         """Pmfs (..., n, K) from a forward that keeps no cache; equal bit
         for bit to ``forward(features, n)[0]``."""
-        pmf, _ = self.forward(features, n, cache=False)
-        # the MLP output is already a fresh array; the marginal kinds broadcast one row
-        return pmf if self.arch.kind == "mlp" else np.array(pmf)
+        return self.forward(features, n, cache=False)[0]
 
     # -- backward --------------------------------------------------------
 
@@ -205,7 +203,7 @@ class Model:
         parameters, (..., n, K) -> (..., P). ``dpmf`` must already carry any
         batch weights."""
         kind = cache[0]
-        grad = np.zeros_like(self.params)
+        grad = np.zeros(self.params.shape)
         out = lambda name: self.arch.view(grad, name)
         if kind == "marginal":
             _, _, pmf_row = cache

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 
+_REAL_KNOBS = ("feature_variance", "coef_low", "coef_high", "time_variance", "censor_mean_factor")
+
+
 @dataclass(frozen=True)
 class GammaSimConfig:
     """Knobs of the conditional gamma simulator (defaults = reference setup)."""
@@ -62,12 +66,23 @@ class GammaSimConfig:
     censor_mean_factor: float = 0.9
 
     def __post_init__(self):
-        if self.n < 1 or self.feature_dim < 1:
-            raise ValueError("n and feature_dim must be positive")
+        for name in ("n", "feature_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name!r} must be a positive integer, got {value!r}")
+        for name in _REAL_KNOBS:
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and np.isfinite(value)):
+                raise ValueError(f"{name!r} must be a finite number, got {value!r}")
         if self.time_variance <= 0 or self.feature_variance <= 0:
             raise ValueError("variances must be positive")
         if not 0 < self.censor_mean_factor:
             raise ValueError("censor_mean_factor must be positive")
+        if self.coef_low > self.coef_high:
+            raise ValueError(
+                f"'coef_low' must not exceed 'coef_high', got {self.coef_low} > {self.coef_high}"
+            )
 
 
 def gamma_from_uniform(mean: np.ndarray, variance: float, u: np.ndarray) -> np.ndarray:

@@ -455,7 +455,51 @@ def test_training_commands_reject_non_object_selection(tmp_path, capsys, no_work
     assert "'selection'" in _config_error(tmp_path, capsys, command, cfg)
 
 
-def test_train_rejects_unknown_train_keys(tmp_path, capsys):
+def test_train_rejects_unknown_train_keys(tmp_path, capsys, no_work):
     # the Adam constants are fixed, not settable
     cfg = _with(TRAIN_CFG, train={**TRAIN_CFG["train"], "adam_beta1": 0.8})
     assert "bad train config" in _config_error(tmp_path, capsys, "train", cfg)
+
+
+def _without_n_val(data):
+    return {k: v for k, v in data.items() if k != "n_val"}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("train", _with(TRAIN_CFG, train={**TRAIN_CFG["train"], "objective": "bogus"}),
+         "objective"),
+        # the per-horizon game has no likelihood form: one TrainConfig per sweep objective
+        ("sweep", _with(SWEEP_CFG, objectives=["bs-game", "nll"],
+                        train={**SWEEP_CFG["train"], "game_form": "multiplayer"}), "objective"),
+        ("train", _with(TRAIN_CFG, data=_without_n_val(TRAIN_CFG["data"])), "'n_val'"),
+        ("train", _with(TRAIN_CFG, data={"train_csv": "unread.csv"}), "'val_csv'"),
+        ("sweep", _with(SWEEP_CFG, n_val=0), "'n_val'"),
+        ("sweep", _with(SWEEP_CFG, n_val="20"), "'n_val'"),
+    ],
+)
+def test_training_commands_check_train_and_val_before_data(tmp_path, capsys, no_work,
+                                                           command, cfg, key):
+    assert key in _config_error(tmp_path, capsys, command, cfg)
+
+
+@pytest.mark.parametrize(
+    "knobs, key",
+    [
+        ({"feature_variance": float("nan")}, "'feature_variance'"),
+        ({"time_variance": float("inf")}, "'time_variance'"),
+        ({"feature_dim": "x"}, "'feature_dim'"),
+        ({"feature_dimm": 4}, "'feature_dimm'"),
+        ({"coef_low": 0.2, "coef_high": 0.1}, "'coef_low'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["train", "sweep", "simulate"])
+def test_commands_reject_bad_gamma_knobs(tmp_path, capsys, no_work, command, knobs, key):
+    gen = {**GAMMA_GEN, **knobs}
+    cfg = {
+        "train": _with(TRAIN_CFG, data={**TRAIN_CFG["data"], "generator": gen}),
+        "sweep": _with(SWEEP_CFG, generator=gen),
+        "simulate": {"generator": gen, "sizes": [10]},
+    }[command]
+    assert key in _config_error(tmp_path, capsys, command, cfg)

@@ -57,6 +57,23 @@ def test_batch_validation():
     np.testing.assert_allclose(bw.norm_weight(), [0.25, 0.75])
 
 
+def test_batch_keeps_read_only_copies_of_its_labels():
+    # label plans are memoised on a batch, so its labels must not change
+    u, ev, w = np.array([1, 2, 2]), np.array([True, False, True]), np.array([1.0, 2.0, 3.0])
+    b = Batch(u, ev, weight=w)
+    for label, given in ((b.time_bin, u), (b.event, ev), (b.weight, w)):
+        assert not label.flags.writeable and given.flags.writeable
+        assert not np.shares_memory(label, given)
+        with pytest.raises(ValueError, match="read-only"):
+            label[0] = label[1]
+    ds = Dataset(np.zeros((3, 1)), u, ev, np.array([0.0, 1.0, 2.0]))
+    whole = ds.batch()
+    assert ds.time_bin.flags.writeable and ds.event.flags.writeable
+    assert not np.shares_memory(whole.time_bin, ds.time_bin)
+    ds.time_bin[0] = 2
+    assert whole.time_bin[0] == 1
+
+
 def test_discretize_roundtrip():
     rng = np.random.default_rng(7)
     raw = RawSurvivalData(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamesurv import games
+from gamesurv import games, losses
 from gamesurv.core import Batch
 from gamesurv.games import (
     TrainConfig,
@@ -13,6 +13,7 @@ from gamesurv.games import (
     _alternating_argmin,
     _project_simplex_coords,
     _selection_tables,
+    _step_metrics,
     family_of,
     init_state,
     select_models,
@@ -41,6 +42,8 @@ def test_train_config_validation():
         TrainConfig(game_form="solo")
     with pytest.raises(ValueError, match="optimizer"):
         TrainConfig(optimizer="rmsprop")
+    with pytest.raises(ValueError, match="'nll' has no per-horizon game"):
+        TrainConfig(objective="nll", game_form="multiplayer")
     with pytest.raises(ValueError, match="nonnegative"):
         TrainConfig(learning_rate=-0.1)
     with pytest.raises(ValueError, match="positive"):
@@ -143,6 +146,40 @@ def test_step_names_the_player_with_a_non_finite_gradient():
     state.pair.params[1, 0] = np.nan
     with pytest.raises(RuntimeError, match="for the censoring model at epoch 0"):
         step_summed(state, Batch(np.array([1, 2]), np.array([True, False])))
+
+
+def test_step_metrics_check_rows_only_when_a_norm_is_not_finite():
+    state = init_state(2, 0, TrainConfig(objective="bs-game", epochs=0))
+    values = np.array([0.5, 0.25])
+    for bad in (np.nan, np.inf):
+        grad = np.array([[bad, 1.0], [1.0, 2.0]])
+        with pytest.raises(RuntimeError, match="for the failure model at epoch 0"):
+            _step_metrics(state, values, grad)
+    # a finite gradient whose squared sum overflows is not an error
+    with np.errstate(over="ignore"):
+        record = _step_metrics(state, values, np.array([[1e200, 1.0], [3.0, 4.0]]))
+    assert record == {"loss_F": 0.5, "loss_G": 0.25, "grad_norm_F": np.inf, "grad_norm_G": 5.0}
+
+
+@pytest.mark.parametrize("game_form, steps", [("summed", 2000), ("multiplayer", 500)])
+def test_repeated_steps_on_one_batch_build_one_label_plan(monkeypatch, game_form, steps):
+    # guards the label-plan memo: the population batch's labels are
+    # planned once, however many steps reuse it
+    builds = []
+    original = losses.label_plan
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(losses, "label_plan", counted)
+    state = init_state(2, 0, TrainConfig(objective="bs-game", game_form=game_form,
+                                         optimizer="sgd", learning_rate=0.01, epochs=0))
+    batch = population_batch(TRUTH)
+    step = step_multiplayer if game_form == "multiplayer" else step_summed
+    for _ in range(steps):
+        step(state, batch)
+    assert len(builds) == 1
 
 
 def test_truth_is_stationary_multiplayer():

@@ -16,6 +16,7 @@ from gamesurv.losses import (
     ipcw_mean,
     ipcw_per_sample,
     ipcw_weight_arrays,
+    label_plan,
     nll,
     per_horizon_loss,
     resolve_times,
@@ -340,3 +341,62 @@ def test_role_spec_validation():
     with pytest.raises(ValueError, match="roles"):
         batch_loss(LossSpec("ipcw-bs", ROLES), np.full((3, 2), 0.5), np.full((3, 2), 0.5),
                    Batch(np.array([1]), np.array([True])))
+
+
+@settings(max_examples=60)
+@given(
+    family=st.sampled_from(["ipcw-bs", "ipcw-bll"]),
+    roles=st.sampled_from(["failure", "censor", ROLES, ("censor", "failure", "censor")]),
+    all_times=st.booleans(),
+    weighted=st.booleans(),
+    n_bins=st.integers(2, 20),
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reused_label_plan_equals_a_fresh_batch(family, roles, all_times, weighted, n_bins, n,
+                                                seed):
+    # a batch builds its label plan on the first call; every later call on
+    # it equals, bit for bit, the same call on a fresh equal batch: values,
+    # gradients and clamp counts, with other horizons and roles interleaved
+    rng = np.random.default_rng(seed)
+    floor = 0.02
+    labels = (rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5,
+              rng.random(n) + 0.1 if weighted else None)
+    batch = Batch(*labels[:2], weight=labels[2])
+    subset = rng.choice(np.arange(1, n_bins), size=rng.integers(1, n_bins), replace=False)
+    horizons = "all" if all_times else tuple(subset.tolist())
+    other_role = {"failure": "censor", "censor": "failure"}.get(roles, "failure")
+    specs = [
+        LossSpec(family, roles, horizons, floor),
+        LossSpec(family, other_role, horizons, floor),
+        LossSpec(family, roles, "all" if horizons != "all" else (1,), floor),
+    ]
+    for _ in range(2):
+        for spec in specs:
+            lead = (len(spec.role),) if isinstance(spec.role, tuple) else ()
+            own, frozen = (_floored_pmfs(rng, (*lead, n, n_bins), floor) for _ in range(2))
+            for kernel in (batch_loss, per_horizon_loss):
+                reused, fresh = ClampStats(), ClampStats()
+                got = kernel(spec, own, frozen, batch, reused)
+                want = kernel(spec, own, frozen, Batch(*labels[:2], weight=labels[2]), fresh)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+                assert reused.count == fresh.count
+    # horizon sets that resolve alike may share; other horizons or roles never do
+    distinct = {(tuple(resolve_times(s.times, n_bins)), s._flags.tobytes()) for s in specs}
+    plans = list(batch._plans.values())
+    assert len({id(p) for p in plans}) == len(plans) >= len(distinct)
+    for (spec_key, k), plan in batch._plans.items():
+        times, spec_roles = spec_key
+        np.testing.assert_array_equal(plan.times, resolve_times(times, k))
+        assert plan.evt_col.shape == (len(spec_roles), n)
+
+
+def test_label_plan_indexes_contiguous_horizons_by_slices():
+    u, ev, flags = np.array([1, 3, 2]), np.array([True, False, True]), np.array([[False]])
+    surv = np.arange(3 * 5.0).reshape(3, 5)
+    for times in (np.array([1, 2, 3]), np.array([2, 3]), np.array([1, 3])):
+        plan = label_plan(u, ev, times, flags)
+        np.testing.assert_array_equal(surv[:, plan.surv_cols], surv[:, times])
+        np.testing.assert_array_equal(surv[:, plan.cdf_cols], surv[:, times - 1])
+        assert isinstance(plan.surv_cols, slice) == (times.size == times[-1] - times[0] + 1)
