@@ -346,6 +346,8 @@ def _sweep_point(payload: dict) -> dict:
 
 
 def _sweep_train(cfg: dict, objective: str) -> dict:
+    if "objective" in cfg.get("train", {}):
+        raise ConfigError("a sweep takes its objectives from config key 'objectives', not 'train'")
     return {**cfg.get("train", {}), "objective": objective}
 
 

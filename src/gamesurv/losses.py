@@ -96,10 +96,11 @@ def resolve_times(times: tuple[int, ...] | str, n_bins: int) -> np.ndarray:
     if isinstance(times, str):
         if times != "all":
             raise ValueError("times must be 'all' or an iterable of horizons")
-        return np.arange(1, n_bins)
-    arr = np.unique(np.asarray(times, dtype=np.int64))
+        arr = np.arange(1, n_bins)
+    else:
+        arr = np.unique(np.asarray(times, dtype=np.int64))
     if arr.size == 0:
-        raise ValueError("need at least one horizon")
+        raise ValueError(f"times {times!r} gives no horizon in 1..K-1 for K = {n_bins} bins")
     if arr[0] < 1 or arr[-1] > n_bins - 1:
         raise ValueError(
             f"horizons must lie in 1..{n_bins - 1}; t = {n_bins} has zero "

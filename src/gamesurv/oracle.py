@@ -11,16 +11,18 @@ Notation for the per-step closed forms (prefix bins pinned at the truth):
     q = P*(C <= k),  c = true censor mass at step k+1,   y = model's
 
 The failure player's horizon-(k+1) population loss splits into an event
-branch A and a survival branch B; the censor player's into C and D. Setting
-the derivatives in (x, y) to zero recovers (t, c) as the only root with all
-survival probabilities positive; the second algebraic root forces the
-censoring cdf past 1 and is infeasible. The four closed forms broadcast
-over array (x, y), so a planar grid is one array expression.
+branch A and a survival branch B; the censor player's into C and D. Their
+zero-derivative pair clears to a quadratic in the censor survival whose one
+root inside the simplices is (t, c); the other forces the censoring cdf past
+1. The induction solves it in closed form, step by step, and the multistart
+scan stays an independent numerical cross-check. The four closed forms
+broadcast over array (x, y), so a planar grid is one array expression.
 
 At arbitrary models, both players' losses and gradients come from one table
 of expectations with a player axis, rows (failure, censor), in which the
-other player's survival enters as the ratio Sbar/Sbar_hat. At the truth each
-ratio is exactly 1.0, so the Brier and log-loss gradients vanish exactly.
+other player's survival enters as the ratio Sbar/Sbar_hat against the
+world's read-only tables, built once per world. At the truth each ratio is
+exactly 1.0, so the Brier and log-loss gradients vanish exactly.
 """
 
 from __future__ import annotations
@@ -62,17 +64,10 @@ def _pad(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _truth(world: MarginalWorld):
-    """The true pmfs (2, K) and padded cdfs (2, K+1), rows (failure, censor)."""
-    theta = np.array([world.theta_t, world.theta_c])
-    return theta, _pad(theta)
-
-
 def _step_context(world: MarginalWorld, step: int):
     if not 1 <= step <= world.n_bins - 1:
         raise ValueError(f"step must lie in 1..{world.n_bins - 1}")
-    theta, pad = _truth(world)
-    return pad[0, step - 1], pad[1, step - 1], theta[0, step - 1], theta[1, step - 1]
+    return (*world.cdfs[:, step - 1], *world.pmfs[:, step - 1])  # p, q, t, c
 
 
 def population_fbs(world: MarginalWorld, step: int, x, y):
@@ -142,20 +137,6 @@ def _check_model(world: MarginalWorld, pmf: np.ndarray) -> np.ndarray:
     return pmf
 
 
-def _outcome_probs(world: MarginalWorld):
-    """P(U = u, delta = 1) = theta_t[u] P(C >= u) and
-    P(U = u, delta = 0) = theta_c[u] P(T > u), u = 1..K."""
-    theta, pad = _truth(world)
-    return theta[0] * (1.0 - pad[1, :-1]), theta[1] * (1.0 - pad[0, 1:])
-
-
-def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num/den with 0/0 := 0 (zero-probability outcomes carry no mass);
-    positive mass over zero survival is a genuine +inf, not a warning."""
-    with np.errstate(divide="ignore"):
-        return np.divide(num, den, out=np.zeros_like(num, dtype=float), where=num != 0)
-
-
 def _ratio_sums(world: MarginalWorld, hat: np.ndarray):
     """Both players' per-horizon expectations, (2, K-1) each over horizons
     t = 1..K-1, from the models' padded cdfs ``hat`` (2, K+1):
@@ -168,19 +149,23 @@ def _ratio_sums(world: MarginalWorld, hat: np.ndarray):
     are computed from truth-over-model survival ratios, exactly 1.0 at the truth.
     """
     K = world.n_bins
-    theta, pad = _truth(world)
-    # the other player's survival ratio at 0..K-1, row r for player r
-    ratio = _safe_div(1.0 - pad[::-1, :K], 1.0 - hat[::-1, :K])
+    theta, surv = world.pmfs, world.survs
+    # the other player's survival ratio at 0..K-1, row r for player r, with
+    # 0/0 := 0 (zero-probability outcomes carry no mass); positive mass over
+    # zero survival is a genuine +inf, not a warning
+    with np.errstate(divide="ignore"):
+        num = surv[::-1, :K]
+        ratio = np.divide(num, 1.0 - hat[::-1, :K], out=np.zeros((2, K)), where=num != 0)
     event_ratio = np.array([ratio[0, : K - 1], ratio[1, 1:K]])  # column U-1+c
-    w1 = np.cumsum(theta[:, : K - 1] * event_ratio, axis=1)
-    w2 = (1.0 - pad[:, 1:K]) * ratio[:, 1:K]
+    w1 = (theta[:, : K - 1] * event_ratio).cumsum(axis=1)
+    w2 = surv[:, 1:K] * ratio[:, 1:K]
     return w1, w2
 
 
-def _scores(world: MarginalWorld, pmf_t: np.ndarray, pmf_c: np.ndarray, family: str):
-    """Both players' per-horizon population losses and the derivatives of
-    each in the player's own cdf at that horizon, as (2, K-1) arrays with
-    rows (failure, censor) and columns t = 1..K-1.
+def _scores(world: MarginalWorld, pmf_t, pmf_c, family: str, values: bool = True):
+    """Both players' per-horizon population losses (None unless ``values``)
+    and the derivatives of each in the player's own cdf at that horizon, as
+    (2, K-1) arrays with rows (failure, censor) and columns t = 1..K-1.
 
     With H = own model cdf at t: Brier (1-H)^2 w1 + H^2 w2, log loss
     -log(H) w1 - log(1-H) w2 (no closed form is used for either).
@@ -192,15 +177,13 @@ def _scores(world: MarginalWorld, pmf_t: np.ndarray, pmf_c: np.ndarray, family: 
         # zero survival sends both weight sums to +inf; nan is the honest
         # gradient at such boundary models, not a numeric accident
         with np.errstate(invalid="ignore"):
-            values = (1.0 - own) ** 2 * w1 + own**2 * w2
-            grads = 2.0 * (own * w2 - (1.0 - own) * w1)
-        return values, grads
+            loss = (1.0 - own) ** 2 * w1 + own**2 * w2 if values else None
+            return loss, 2.0 * (own * w2 - (1.0 - own) * w1)
     if family == "ipcw-bll":
         if np.any(own <= 0) or np.any(own >= 1):
             raise ValueError("log loss needs interior models: 0 < F_hat(t), G_hat(t) < 1")
-        values = -np.log(own) * w1 - np.log1p(-own) * w2
-        grads = -w1 / own + w2 / (1.0 - own)
-        return values, grads
+        loss = -np.log(own) * w1 - np.log1p(-own) * w2 if values else None
+        return loss, -w1 / own + w2 / (1.0 - own)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -239,7 +222,7 @@ def population_gradients(
     Both vanish identically at the truth, for every horizon, regardless of
     the other player's parameters entering through the weights.
     """
-    _, grads = _scores(world, pmf_t, pmf_c, family)
+    _, grads = _scores(world, pmf_t, pmf_c, family, values=False)
     return grads[0], grads[1]
 
 
@@ -248,7 +231,8 @@ def population_failure_nll(world: MarginalWorld, pmf_t: np.ndarray) -> float:
     E[delta (-log f(U)) + (1-delta)(-log Fbar(U))], exact outcome sum."""
     pmf_t = _check_model(world, pmf_t)
     hat = _pad(pmf_t)
-    w_event, w_cens = _outcome_probs(world)
+    # P(U = u, delta = 1) = theta_t[u] P(C >= u), P(U = u, delta = 0) = theta_c[u] P(T > u)
+    w_event, w_cens = world.theta_t * world.survs[1, :-1], world.theta_c * world.survs[0, 1:]
     # censored-at-K has probability Fbar(K) = 0 structurally; cumsum dust
     # must not resurrect it
     w_cens[-1] = 0.0
@@ -356,12 +340,14 @@ def joint_objective_scan(world: MarginalWorld, resolution: int = 201) -> JointSc
 # -- stationary-point scan --------------------------------------------------
 
 
-def _theta_from_z(z: np.ndarray) -> np.ndarray:
-    """Stick-breaking map R^{K-1} -> interior of the K-simplex: bin i takes
-    the share expit(z_i) of the mass the earlier bins left over."""
-    fracs = expit(np.asarray(z, dtype=float))
-    rem = np.cumprod(np.concatenate([[1.0], 1.0 - fracs]))
-    return np.concatenate([rem[:-1] * fracs, rem[-1:]])
+def _pmfs_from_z(z: np.ndarray):
+    """Stick-breaking map of both players at once, coordinates ``z`` =
+    (failure z, censor z) clipped to |z| <= 30 -> pmfs (2, K) in the
+    interior of the simplex: bin i takes the share expit(z_i) of the mass
+    the earlier bins left over. Also returns the shares, (2, K-1)."""
+    fracs = expit(np.clip(z, -30.0, 30.0).reshape(2, -1))
+    rem = (1.0 - fracs).cumprod(axis=1)  # mass left after each bin
+    return np.concatenate((fracs[:, :1], rem[:, :-1] * fracs[:, 1:], rem[:, -1:]), axis=1), fracs
 
 
 def _z_from_theta(theta: np.ndarray) -> np.ndarray:
@@ -394,19 +380,18 @@ class StationaryScan:
 def _scan_residual(zvec: np.ndarray, world: MarginalWorld) -> np.ndarray:
     """Both players' per-horizon Brier gradients at stick-breaking
     coordinates ``zvec`` = (failure z, censor z)."""
-    m = world.n_bins - 1
-    # |z| <= 30 keeps every stick-breaking mass strictly positive, so the
-    # solver cannot step onto a simplex face where the weights blow up
-    zvec = np.clip(zvec, -30.0, 30.0)
-    return np.concatenate(
-        population_gradients(world, _theta_from_z(zvec[:m]), _theta_from_z(zvec[m:]), "ipcw-bs")
-    )
+    # |z| <= 30 keeps every stick-breaking mass strictly positive, but not
+    # every survival: once the earlier bins hold all but ~1e-13 of the mass,
+    # 1 - cdf can round to 0 and the residual is NaN inside the box
+    pmfs, _ = _pmfs_from_z(zvec)
+    return np.concatenate(population_gradients(world, pmfs[0], pmfs[1], "ipcw-bs"))
 
 
-def _cdf_jacobian(world: MarginalWorld, pmf_t: np.ndarray, pmf_c: np.ndarray) -> np.ndarray:
+def _cdf_jacobian(world: MarginalWorld, hat: np.ndarray) -> np.ndarray:
     """Exact derivative of the Brier gradients (xi_t, xi_c) of
-    :func:`population_gradients` with respect to the model cdfs
-    (F_hat(1..K-1), G_hat(1..K-1)), shape (2(K-1), 2(K-1)).
+    :func:`population_gradients` with respect to the model cdfs, at the
+    models' padded cdfs ``hat`` (2, K+1); shape (2, K-1, 2, K-1), indexed
+    [player, horizon, player, cdf horizon].
 
     With H = own cdf at t and the sums of :func:`_ratio_sums`, player r's
     gradient is xi = 2(H w2 - (1-H) w1). Both sums depend only on the other
@@ -414,22 +399,20 @@ def _cdf_jacobian(world: MarginalWorld, pmf_t: np.ndarray, pmf_c: np.ndarray) ->
     divide by its survival at u-1+c for u <= t (c = 0 failure, 1 censor).
     """
     m = world.n_bins - 1
-    hat = _pad(np.array([pmf_t, pmf_c]))
     own = hat[:, 1 : m + 1]
     surv = 1.0 - own
     w1, w2 = _ratio_sums(world, hat)
     # d w1[r](t) / d (other's cdf at j), j = 1..K-1, nonzero for j <= t-1+c:
     # r's event at bin u = j+1-c over the other's survival at j, squared
-    theta, pad = _truth(world)
-    event = np.array([theta[0, 1:], theta[1, :m]])
-    d_w1 = event * (1.0 - pad[::-1, 1 : m + 1]) / surv[::-1] ** 2
+    event = np.array([world.theta_t[1:], world.theta_c[:m]])
+    d_w1 = event * world.survs[::-1, 1 : m + 1] / surv[::-1] ** 2
     jac = np.zeros((2, m, 2, m))
-    diag = np.arange(m)
-    for r, o in ((0, 1), (1, 0)):
-        jac[r, :, o] = np.tril(-2.0 * surv[r, :, None] * d_w1[r], k=r - 1)
-        jac[r, diag, o, diag] += 2.0 * own[r] * w2[r] / surv[o]
-        jac[r, diag, r, diag] = 2.0 * (w1[r] + w2[r])
-    return jac.reshape(2 * m, 2 * m)
+    r, o, diag = np.array([[0], [1]]), np.array([[1], [0]]), np.arange(m)
+    below = diag[:, None] + r[:, :, None] > diag  # j <= t-1+c, rows (t, j)
+    jac[r[:, 0], :, o[:, 0]] = np.where(below, -2.0 * surv[:, :, None] * d_w1[:, None], 0.0)
+    jac[r, diag, o, diag] += 2.0 * own * w2 / surv[::-1]
+    jac[r, diag, r, diag] = 2.0 * (w1 + w2)
+    return jac
 
 
 def _scan_jacobian(zvec: np.ndarray, world: MarginalWorld) -> np.ndarray:
@@ -437,15 +420,12 @@ def _scan_jacobian(zvec: np.ndarray, world: MarginalWorld) -> np.ndarray:
     chained through stick-breaking, d cdf_j / d z_i = (1 - cdf_j) expit(z_i)
     for i <= j; coordinates the residual clips at |z| = 30 get zero columns."""
     m = world.n_bins - 1
-    z = np.clip(zvec, -30.0, 30.0)
-    pmf_t, pmf_c = _theta_from_z(z[:m]), _theta_from_z(z[m:])
-    d_cdf = _cdf_jacobian(world, pmf_t, pmf_c)
-    cols = []
-    for block, zs, pmf in ((d_cdf[:, :m], z[:m], pmf_t), (d_cdf[:, m:], z[m:], pmf_c)):
-        surv = 1.0 - _pad(pmf)[1 : m + 1]
-        # d r / d z_i = expit(z_i) * sum over j >= i of (d r / d cdf_j)(1 - cdf_j)
-        cols.append((block * surv)[:, ::-1].cumsum(axis=1)[:, ::-1] * expit(zs))
-    jac = np.hstack(cols)
+    pmfs, fracs = _pmfs_from_z(zvec)
+    hat = _pad(pmfs)
+    d_cdf = _cdf_jacobian(world, hat).reshape(2 * m, 2, m)
+    # d r / d z_i = expit(z_i) * sum over j >= i of (d r / d cdf_j)(1 - cdf_j)
+    chain = (d_cdf * (1.0 - hat[:, 1 : m + 1]))[..., ::-1].cumsum(axis=-1)[..., ::-1] * fracs
+    jac = chain.reshape(2 * m, 2 * m)
     jac[:, np.abs(zvec) > 30.0] = 0.0
     return jac
 
@@ -457,7 +437,7 @@ def _gap(a, b) -> float:
 
 def stationary_scan(world: MarginalWorld, n_starts: int = 100, seed: int = 0) -> StationaryScan:
     """Multi-start root finding on the full simultaneous gradient system,
-    cross-checked against the per-step induction solve.
+    cross-checked against the closed-form per-step induction solve.
 
     The search runs in stick-breaking coordinates, so every candidate stays
     strictly inside the simplices; the infeasible algebraic root (censoring
@@ -467,9 +447,8 @@ def stationary_scan(world: MarginalWorld, n_starts: int = 100, seed: int = 0) ->
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     K = world.n_bins
-    m = K - 1
+    induction = _induction_root(world)  # fails before any start without a feasible root
     rng = np.random.default_rng(seed)
-
     roots = []
     n_converged = 0
     for _ in range(n_starts):
@@ -483,15 +462,12 @@ def stationary_scan(world: MarginalWorld, n_starts: int = 100, seed: int = 0) ->
         if not np.all(np.abs(sol.fun) < _ROOT_TOL):
             continue
         n_converged += 1
-        zs = np.clip(sol.x, -30.0, 30.0)
-        theta = (_theta_from_z(zs[:m]), _theta_from_z(zs[m:]))
+        theta = tuple(_pmfs_from_z(sol.x)[0])
         if not any(_gap(theta, r) < _DEDUPE_TOL for r in roots):
             roots.append(theta)
 
     deviation = max((_gap(r, (world.theta_t, world.theta_c)) for r in roots), default=np.inf)
     matches = bool(len(roots) == 1 and deviation < _DEDUPE_TOL)
-
-    induction = _induction_root(world, rng)
     ind_agrees = bool(len(roots) == 1 and _gap(induction, roots[0]) < _DEDUPE_TOL)
     spurious = np.array([spurious_gbs_root_qy(world, s) for s in range(1, K)])
     return StationaryScan(
@@ -499,41 +475,50 @@ def stationary_scan(world: MarginalWorld, n_starts: int = 100, seed: int = 0) ->
     )
 
 
-def _induction_root(world: MarginalWorld, rng, starts_per_step: int = 8):
+def _step_roots(world: MarginalWorld, step: int):
+    """Both algebraic roots (x, y) of the step's pair of equations, as two
+    arrays of length 2 in no fixed order.
+
+    Cleared of denominators, the pair is bilinear in the survivals
+    v = 1-p-x and u = 1-q-y. The failure equation gives
+    v = s_t s_c / ((p+t) u + s_t s_c), and the censor equation then leaves
+
+        (p+t)(1-q) u^2 + s_c (q + s_t (1-q) - (p+t)) u - s_c^2 s_t = 0,
+
+    with s_t = 1-p-t and s_c = 1-q-c. The roots' product is negative, so
+    one root is u = s_c (the truth) and the other puts q + y beyond 1.
+    """
+    p, q, t, c = _step_context(world, step)
+    s_t, s_c = 1.0 - p - t, 1.0 - q - c
+    a = (p + t) * (1.0 - q)
+    b = s_c * (q + s_t * (1.0 - q) - (p + t))
+    c0 = -s_c * s_c * s_t
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate worlds
+        h = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c0), b))  # no cancellation
+        u = np.array([h / a, c0 / h])
+        v = s_t * s_c / ((p + t) * u + s_t * s_c)
+    return 1.0 - p - v, 1.0 - q - u
+
+
+def _induction_root(world: MarginalWorld):
     """Solve each step's 2-variable system with the prefix pinned at the
-    truth, in the order the uniqueness argument advances."""
+    truth, in the order the uniqueness argument advances: keep the one
+    root inside [0, 1-p) x [0, 1-q) and check it against both derivatives.
+    A truth on a face (an empty bin) may round to a mass just below 0."""
     K = world.n_bins
-    pad = _truth(world)[1]
-    out_t = np.empty(K)
-    out_c = np.empty(K)
+    out = np.empty((2, K))
     for step in range(1, K):
-        p, q = pad[:, step - 1]
-        rem_t, rem_c = 1.0 - p, 1.0 - q
-
-        def resid2(z):
-            z = np.clip(z, -30.0, 30.0)  # keep (x, y) strictly inside (0, rem)
-            x = rem_t * expit(z[0])
-            y = rem_c * expit(z[1])
-            return [
-                population_fbs_dx(world, step, x, y),
-                population_gbs_dy(world, step, x, y),
-            ]
-
-        found = []
-        for _ in range(starts_per_step):
-            sol = _scipy_root(resid2, rng.normal(0.0, 1.5, 2), method="hybr", tol=1e-12)
-            if not np.all(np.abs(resid2(sol.x)) < 1e-10):
-                continue
-            zs = np.clip(sol.x, -30.0, 30.0)
-            x = rem_t * expit(zs[0])
-            y = rem_c * expit(zs[1])
-            if not any(abs(x - fx) < 1e-8 and abs(y - fy) < 1e-8 for fx, fy in found):
-                found.append((x, y))
-        if len(found) != 1:
+        p, q = world.cdfs[:, step - 1]
+        x, y = _step_roots(world, step)
+        inside = (x > -1e-12) & (x < 1.0 - p) & (y > -1e-12) & (y < 1.0 - q)
+        if inside.sum() != 1:
             raise RuntimeError(
-                f"step {step}: expected a unique interior root, found {len(found)}"
+                f"step {step}: expected a unique interior root, found {inside.sum()}"
             )
-        out_t[step - 1], out_c[step - 1] = found[0]
-    out_t[K - 1] = 1.0 - out_t[: K - 1].sum()
-    out_c[K - 1] = 1.0 - out_c[: K - 1].sum()
-    return out_t, out_c
+        x, y = x[inside][0], y[inside][0]
+        resid = (population_fbs_dx(world, step, x, y), population_gbs_dy(world, step, x, y))
+        if not max(abs(resid[0]), abs(resid[1])) < 1e-12:
+            raise RuntimeError(f"step {step}: root ({x}, {y}) leaves residual {resid}")
+        out[:, step - 1] = x, y
+    out[:, K - 1] = 1.0 - out[:, : K - 1].sum(axis=1)
+    return out[0], out[1]

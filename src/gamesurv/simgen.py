@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -124,10 +124,19 @@ def gen_gamma(config: GammaSimConfig) -> RawSurvivalData:
 @dataclass(frozen=True)
 class MarginalWorld:
     """A pair of categorical distributions over bins 1..K: the true failure
-    pmf and the true censoring pmf of a feature-free population."""
+    pmf and the true censoring pmf of a feature-free population.
+
+    The world's tables are built once and kept read-only, rows (failure,
+    censor): ``pmfs`` (2, K), of which ``theta_t`` and ``theta_c`` are
+    views, the padded cdfs ``cdfs`` (2, K+1), entry j = P(X <= j) for
+    j = 0..K, and the survivals ``survs`` = 1 - ``cdfs``.
+    """
 
     theta_t: np.ndarray
     theta_c: np.ndarray
+    pmfs: np.ndarray = field(init=False, repr=False, compare=False)
+    cdfs: np.ndarray = field(init=False, repr=False, compare=False)
+    survs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tt = np.asarray(self.theta_t, dtype=float)
@@ -139,8 +148,13 @@ class MarginalWorld:
                 raise ValueError(f"{name} must be a probability vector")
         if tt.size != tc.size:
             raise ValueError("theta_t and theta_c must share the bin count")
-        object.__setattr__(self, "theta_t", tt)
-        object.__setattr__(self, "theta_c", tc)
+        pmfs = np.array([tt, tc])
+        cdfs = np.zeros((2, tt.size + 1))
+        pmfs.cumsum(axis=1, out=cdfs[:, 1:])
+        tables = dict(theta_t=pmfs[0], theta_c=pmfs[1], pmfs=pmfs, cdfs=cdfs, survs=1.0 - cdfs)
+        for name, table in tables.items():
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
     def n_bins(self) -> int:
@@ -183,8 +197,8 @@ def gen_marginal(world: MarginalWorld, n: int, seed: int = 0) -> Dataset:
     streams = np.random.SeedSequence(seed).spawn(2)
     rng_t, rng_c = (np.random.default_rng(s) for s in streams)
     K = world.n_bins
-    t = 1 + np.searchsorted(np.cumsum(world.theta_t), rng_t.random(n), side="right")
-    c = 1 + np.searchsorted(np.cumsum(world.theta_c), rng_c.random(n), side="right")
+    t = 1 + np.searchsorted(world.cdfs[0, 1:], rng_t.random(n), side="right")
+    c = 1 + np.searchsorted(world.cdfs[1, 1:], rng_c.random(n), side="right")
     t = np.minimum(t, K)  # guard the u == 1.0 corner of searchsorted
     c = np.minimum(c, K)
     event = t <= c
@@ -212,11 +226,9 @@ def population_batch(world: MarginalWorld):
     from .core import Batch
 
     K = world.n_bins
-    cum_t = np.concatenate([[0.0], np.cumsum(world.theta_t)])
-    cum_c = np.concatenate([[0.0], np.cumsum(world.theta_c)])
     u_all = np.arange(1, K + 1)
-    w_event = world.theta_t * (1.0 - cum_c[:-1])  # C >= u
-    w_cens = world.theta_c * (1.0 - cum_t[1:])  # T > u
+    w_event = world.theta_t * world.survs[1, :-1]  # C >= u
+    w_cens = world.theta_c * world.survs[0, 1:]  # T > u
     u = np.concatenate([u_all, u_all])
     delta = np.concatenate([np.ones(K, dtype=bool), np.zeros(K, dtype=bool)])
     w = np.concatenate([w_event, w_cens])

@@ -443,6 +443,12 @@ def test_sweep_rejects_bad_objectives(tmp_path, capsys, no_work, objectives):
     assert "'objectives'" in _config_error(tmp_path, capsys, "sweep", cfg)
 
 
+def test_sweep_rejects_objective_in_train_block(tmp_path, capsys, no_work):
+    # a sweep's objectives come from 'objectives' alone, never from 'train'
+    cfg = _with(SWEEP_CFG, train={**SWEEP_CFG["train"], "objective": "bogus"})
+    assert "'objectives'" in _config_error(tmp_path, capsys, "sweep", cfg)
+
+
 @pytest.mark.parametrize(
     "command, cfg",
     [

@@ -35,6 +35,15 @@ def test_resolve_times():
         resolve_times((0,), 4)
     with pytest.raises(ValueError):
         resolve_times((4,), 4)
+    with pytest.raises(ValueError, match="times"):
+        resolve_times("all", 1)
+
+
+def test_one_bin_pmfs_fail_naming_times():
+    # a one-bin pmf has no horizon in 1..K-1, so the loss has nothing to score
+    for family in ("ipcw-bs", "ipcw-bll"):
+        with pytest.raises(ValueError, match="times"):
+            batch_loss(LossSpec(family, "failure"), [1.0], [1.0], Batch([1], [True]))
 
 
 def test_weight_arrays_left_limit_asymmetry():

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamesurv.core import Batch, RawSurvivalData, assign_bins, discretize
 from gamesurv.metrics import (
@@ -153,6 +155,22 @@ def test_concordance_index_matches_brute_force():
                 concordance_index(risk, time, event)
             continue
         assert concordance_index(risk, time, event) == brute
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4), st.booleans()),
+                     min_size=2, max_size=40))
+def test_concordance_equals_brute_force_on_tie_heavy_data(rows):
+    # four risk levels and four times: most pairs tie in risk, time or both
+    risk, time, event = (np.array(col) for col in zip(*rows))
+    risk = risk.astype(float)
+    try:
+        brute = _brute_concordance(risk, time, event)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="no admissible pairs"):
+            concordance_index(risk, time, event)
+        return
+    assert concordance_index(risk, time, event) == brute
 
 
 def test_concordance_uses_expected_bin_risk():

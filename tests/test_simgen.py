@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gamesurv.core import RawSurvivalData, assign_bins
@@ -85,6 +87,21 @@ def test_marginal_world_validation():
     w = MarginalWorld([0.3, 0.7], [0.4, 0.6])
     assert w.n_bins == 2
     assert w.interior()
+
+
+def test_marginal_world_tables_are_read_only_copies():
+    theta_t = np.array([0.2, 0.3, 0.5])
+    w = MarginalWorld(theta_t, [0.1, 0.6, 0.3])
+    theta_t[0] = 0.9  # the caller's array is not the world's
+    for row, pmf in enumerate((w.theta_t, w.theta_c)):
+        assert np.shares_memory(pmf, w.pmfs)
+        cdf = np.concatenate([[0.0], np.cumsum(w.pmfs[row])])
+        assert w.cdfs[row].tobytes() == cdf.tobytes()
+        assert w.survs[row].tobytes() == (1.0 - cdf).tobytes()
+    assert w.theta_t[0] == 0.2
+    for table in (w.theta_t, w.pmfs, w.cdfs, w.survs):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.5
 
 
 def test_random_interior_world_mass_floor():
@@ -192,6 +209,37 @@ def test_csv_roundtrip_bitexact(tmp_path):
     np.testing.assert_array_equal(back.features, raw.features)
     np.testing.assert_array_equal(back.time, raw.time)
     np.testing.assert_array_equal(back.event, raw.event)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d=st.integers(0, 3), data=st.data())
+def test_csv_roundtrip_is_exact_for_any_finite_values(tmp_path, d, data):
+    # repr(float) round-trips every double, signed zeros and subnormals too
+    rows = data.draw(st.lists(st.tuples(st.lists(_FINITE, min_size=d, max_size=d), _FINITE,
+                                        st.booleans()), max_size=8))
+    raw = RawSurvivalData(np.array([r[0] for r in rows], dtype=float).reshape(len(rows), d),
+                          np.array([r[1] for r in rows], dtype=float),
+                          np.array([r[2] for r in rows], dtype=bool))
+    p = tmp_path / "data.csv"
+    save_csv(p, raw)
+    back = load_csv(p)
+    for got, want in zip((back.features, back.time, back.event),
+                         (raw.features, raw.time, raw.event)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edges=st.lists(_FINITE, min_size=2, max_size=12))
+def test_bin_edges_roundtrip_is_exact(tmp_path, edges):
+    edges = np.array(edges)
+    p = tmp_path / "edges.json"
+    write_bin_edges(p, edges)
+    assert read_bin_edges(p).tobytes() == edges.tobytes()
 
 
 def test_latent_csv_roundtrip(tmp_path):
