@@ -40,7 +40,6 @@ from .losses import (
     nll,
     per_horizon_loss,
     resolve_times,
-    summed_loss,
 )
 from .metrics import (
     EvalReport,
@@ -55,7 +54,7 @@ from .metrics import (
     km_fit,
     nll_metric,
 )
-from .models import ArchSpec, LossGradient, Model, loss_and_grad
+from .models import ArchSpec, Model, loss_and_grad
 from .oracle import (
     GradientField,
     JointScan,

@@ -26,6 +26,7 @@ comparison.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,14 +97,20 @@ class TrainConfig:
                              "needs 'bs-game' or 'bll-game'")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(
-                f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}"
-            )
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        if self.batch_size < 1 or self.checkpoint_every < 1:
-            raise ValueError("batch_size and checkpoint_every must be positive")
+        for name in ("learning_rate", "init_scale"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name!r} must be a finite nonnegative number, got {value!r}")
+        if not isinstance(self.hidden, (tuple, list)):
+            raise ValueError(f"'hidden' must be a list of layer widths, got {self.hidden!r}")
+        integers = [("epochs", self.epochs, 0), ("seed", self.seed, 0),
+                    ("batch_size", self.batch_size, 1),
+                    ("checkpoint_every", self.checkpoint_every, 1)]
+        for name, value, low in integers + [("hidden", width, 1) for width in self.hidden]:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                kind = "positive" if low else "nonnegative"
+                raise ValueError(f"{name!r} must be a {kind} integer, got {value!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 

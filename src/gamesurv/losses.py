@@ -44,7 +44,6 @@ __all__ = [
     "ipcw_bs_failure",
     "ipcw_bll_failure",
     "ipcw_mean",
-    "summed_loss",
     "batch_loss",
     "per_horizon_loss",
 ]
@@ -482,25 +481,3 @@ def ipcw_mean(time_bin, event, censor_pmf, values=None, weight=None, weight_floo
         return float(contrib.mean())
     w = np.asarray(weight, dtype=float)
     return float(contrib @ (w / w.sum()))
-
-
-def summed_loss(
-    family: str,
-    f_pmf: np.ndarray,
-    g_pmf: np.ndarray,
-    batch: Batch,
-    times: tuple[int, ...] | str = "all",
-    weight_floor: float = 1e-6,
-    stats: ClampStats | None = None,
-) -> tuple[float, float]:
-    """Both players' losses summed over horizons (batch means).
-
-    For the game families each player is weighted by the other's frozen
-    probabilities; for 'nll' the two partial likelihoods share nothing and
-    the pair is simply (failure NLL, censoring NLL).
-    """
-    pair = np.stack([_as_matrix(f_pmf, batch.n), _as_matrix(g_pmf, batch.n)])
-    values, _ = batch_loss(
-        LossSpec(family, ROLES, times, weight_floor), pair, pair[::-1], batch, stats
-    )
-    return float(values[0]), float(values[1])

@@ -29,7 +29,7 @@ import numpy as np
 from .core import Batch
 from .losses import ClampStats, LossSpec, batch_loss
 
-__all__ = ["ArchSpec", "Model", "LossGradient", "loss_and_grad"]
+__all__ = ["ArchSpec", "Model", "loss_and_grad"]
 
 KINDS = ("mlp", "marginal", "marginal-prob")
 

@@ -144,7 +144,7 @@ class MarginalWorld:
         for name, arr in (("theta_t", tt), ("theta_c", tc)):
             if arr.ndim != 1 or arr.size < 2:
                 raise ValueError(f"{name} must be 1-d with at least two bins")
-            if np.any(arr < 0) or abs(arr.sum() - 1.0) > 1e-9:
+            if not (np.all(arr >= 0) and abs(arr.sum() - 1.0) <= 1e-9):  # NaN fails too
                 raise ValueError(f"{name} must be a probability vector")
         if tt.size != tc.size:
             raise ValueError("theta_t and theta_c must share the bin count")

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 import gamesurv.games
+import gamesurv.models
+import gamesurv.oracle
 import gamesurv.simgen
 from gamesurv.cli import main
 from gamesurv.models import Model
@@ -408,19 +411,30 @@ def test_unknown_generator_kind(tmp_path, capsys):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Fail the test if any data is generated or any training starts."""
+    """Fail the test if any data is generated or read, a model is loaded,
+    training starts or an oracle scan runs."""
 
     def boom(*args, **kwargs):
         raise AssertionError("a config check ran after work had started")
 
-    monkeypatch.setattr(gamesurv.games, "train", boom)
-    monkeypatch.setattr(gamesurv.simgen, "gen_gamma", boom)
+    for module, name in [
+        (gamesurv.games, "train"),
+        (gamesurv.simgen, "gen_gamma"),
+        (gamesurv.simgen, "gen_marginal"),
+        (gamesurv.simgen, "load_csv"),
+        (gamesurv.models.Model, "load"),
+        (gamesurv.oracle, "gradient_field"),
+        (gamesurv.oracle, "joint_objective_scan"),
+        (gamesurv.oracle, "stationary_scan"),
+    ]:
+        monkeypatch.setattr(module, name, boom)
 
 
 def _config_error(tmp_path, capsys, command, cfg):
     assert _run(tmp_path, command, {"experiment": "bad", **cfg}) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
+    assert not (tmp_path / "out" / "bad").exists()  # a failing config writes nothing
     return err["message"]
 
 
@@ -509,3 +523,125 @@ def test_commands_reject_bad_gamma_knobs(tmp_path, capsys, no_work, command, kno
         "simulate": {"generator": gen, "sizes": [10]},
     }[command]
     assert key in _config_error(tmp_path, capsys, command, cfg)
+
+
+# Every hole in a config fails up front with a ConfigError naming the key:
+# unknown keys at every object level, path keys that name no file, worlds
+# that are not distributions (or do not fit the command), and bad train
+# fields. The path keys that are meant to exist name PRESENT, which the test
+# creates in its working directory.
+PRESENT, MISSING = "present.json", "missing.json"
+CSV_DATA = {"train_csv": PRESENT, "val_csv": PRESENT}
+EVAL_CFG = {"model_f": PRESENT, "bin_edges": PRESENT,
+            "data": {"generator": GAMMA_GEN, "n_test": 20}}
+NOT_A_PMF = {"theta_t": [0.5, 0.6], "theta_c": [0.4, 0.6]}
+NAN_WORLD = {"theta_t": [float("nan"), 0.5], "theta_c": [0.4, 0.6]}
+THREE_BINS = {"theta_t": [0.2, 0.3, 0.5], "theta_c": [0.3, 0.3, 0.4]}
+
+
+def _train_data(**changes):
+    return _with(TRAIN_CFG, data={**TRAIN_CFG["data"], **changes})
+
+
+def _train_block(**changes):
+    return _with(TRAIN_CFG, train={**TRAIN_CFG["train"], **changes})
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        # unknown keys, at every object level
+        ("simulate", {"generator": MARGINAL_GEN, "sizes": [10], "size": 10}, "size"),
+        ("simulate", {"generator": MARGINAL_GEN, "sizes": [10], "seeds": [0], "seed": 0}, "seed"),
+        ("simulate", {"generator": {**GAMMA_GEN, "seed": 3}, "sizes": [10]}, "seed"),
+        ("simulate", {"generator": {**MARGINAL_GEN, "n": 10}, "sizes": [10]}, "n"),
+        ("train", _with(TRAIN_CFG, selecton={"enabled": False}), "selecton"),
+        ("train", _with(TRAIN_CFG, selection={"enabled": True, "sead": 1}), "sead"),
+        ("train", _train_data(n_test=10), "n_test"),
+        ("train", _with(TRAIN_CFG, data={**CSV_DATA, "n_train": 10}), "n_train"),
+        ("train", _train_data(generator={**GAMMA_GEN, "n": 10}), "n"),
+        ("train", _train_data(generator={**GAMMA_GEN, "seed": 1}), "seed"),
+        ("train", _train_data(generator={**MARGINAL_GEN, "seed": 1}), "seed"),
+        ("evaluate", _with(EVAL_CFG, wieghting="km"), "wieghting"),
+        ("evaluate", _with(EVAL_CFG, data={"generator": GAMMA_GEN, "n_test": 20, "n_val": 5}),
+         "n_val"),
+        ("evaluate", _with(EVAL_CFG, data={"test_csv": PRESENT, "n_test": 20}), "n_test"),
+        ("evaluate", _with(EVAL_CFG, data={"generator": {**GAMMA_GEN, "n": 5}, "n_test": 20}),
+         "n"),
+        ("evaluate", _with(EVAL_CFG, world={**PLANAR_WORLD, "theta": [1.0]}), "theta"),
+        ("sweep", _with(SWEEP_CFG, worker=2), "worker"),
+        ("sweep", _with(SWEEP_CFG, generator={**GAMMA_GEN, "seed": 0}), "seed"),
+        ("sweep", _with(SWEEP_CFG, generator={**GAMMA_GEN, "n": 30}), "n"),
+        ("sweep", _with(SWEEP_CFG, selection={"enabled": True, "sead": 1}), "sead"),
+        ("gradient-field", {"world": PLANAR_WORLD, "resolutoin": 5}, "resolutoin"),
+        ("gradient-field", {"world": {**PLANAR_WORLD, "kind": "marginal"}}, "kind"),
+        ("joint-scan", {"world": PLANAR_WORLD, "n_starts": 5}, "n_starts"),
+        ("joint-scan", {"world": {**PLANAR_WORLD, "n": 3}}, "n"),
+        ("stationary-check", {"random": {"n_bins": 2}, "resolution": 5}, "resolution"),
+        ("stationary-check", {"random": {"n_bins": 2, "counts": 2}}, "counts"),
+        ("stationary-check", {"worlds": [PLANAR_WORLD, {**PLANAR_WORLD, "seed": 0}]}, "seed"),
+        ("stationary-check", {"worlds": [PLANAR_WORLD], "random": {"n_bins": 2}}, "random"),
+        # string keys
+        ("simulate", {"generator": MARGINAL_GEN, "sizes": [10], "experiment": 5}, "experiment"),
+        ("joint-scan", {"world": PLANAR_WORLD, "out": ["out"]}, "out"),
+        # path keys must name existing files
+        ("train", _with(TRAIN_CFG, data={**CSV_DATA, "train_csv": MISSING}), "train_csv"),
+        ("train", _with(TRAIN_CFG, data={**CSV_DATA, "val_csv": MISSING}), "val_csv"),
+        ("evaluate", _with(EVAL_CFG, model_f=MISSING), "model_f"),
+        ("evaluate", _with(EVAL_CFG, model_g=MISSING), "model_g"),
+        ("evaluate", _with(EVAL_CFG, bin_edges=MISSING), "bin_edges"),
+        ("evaluate", _with(EVAL_CFG, standardizer=MISSING), "standardizer"),
+        ("evaluate", _with(EVAL_CFG, data={"test_csv": MISSING}), "test_csv"),
+        # worlds must be distributions that fit the command
+        ("simulate", {"generator": {"kind": "marginal", **NOT_A_PMF}, "sizes": [10]},
+         "generator"),
+        ("train", _train_data(generator={"kind": "marginal", **NAN_WORLD}), "generator"),
+        ("sweep", _with(SWEEP_CFG, generator={"kind": "marginal", **NOT_A_PMF}), "generator"),
+        ("evaluate", _with(EVAL_CFG, world=NOT_A_PMF), "world"),
+        ("evaluate", _with(EVAL_CFG, world=[0.5, 0.5]), "world"),
+        ("gradient-field", {"world": NOT_A_PMF}, "world"),
+        ("gradient-field", {"world": THREE_BINS}, "world"),
+        ("joint-scan", {"world": NAN_WORLD}, "world"),
+        ("joint-scan", {"world": THREE_BINS}, "world"),
+        ("stationary-check", {"worlds": [PLANAR_WORLD, NOT_A_PMF]}, "worlds[1]"),
+        ("stationary-check", {"worlds": [{"theta_t": [0.2, 0.3, 0.5],
+                                          "theta_c": [0.3, 0.7, 0.0]}]}, "worlds[0]"),
+        ("stationary-check", {"worlds": [THREE_BINS, {"theta_t": [0.2, 0.8, 0.0],
+                                                      "theta_c": [0.3, 0.3, 0.4]}]}, "worlds[1]"),
+        # train fields are integers or finite reals, never truncated
+        ("train", _train_block(hidden=[6.7]), "hidden"),
+        ("train", _train_block(hidden=[0]), "hidden"),
+        ("train", _train_block(epochs=2.5), "epochs"),
+        ("train", _train_block(batch_size=24.5), "batch_size"),
+        ("train", _train_block(init_scale=float("nan")), "init_scale"),
+        ("train", _train_block(learning_rate="0.1"), "learning_rate"),
+        ("sweep", _with(SWEEP_CFG, train={**SWEEP_CFG["train"], "hidden": [6.7]}), "hidden"),
+    ],
+)
+def test_commands_reject_config_holes_before_work(tmp_path, capsys, monkeypatch, no_work,
+                                                  command, cfg, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / PRESENT).touch()
+    assert repr(key) in _config_error(tmp_path, capsys, command, cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def _readme_cli_examples():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+
+
+def test_readme_cli_examples_pass_their_checks(tmp_path, capsys, monkeypatch, no_work):
+    # the README's train and evaluate configs get past every config check
+    # and reach work, where the no_work fixture stops them
+    train_cfg, eval_cfg = _readme_cli_examples()
+    monkeypatch.chdir(tmp_path)
+    for key in ("model_f", "model_g", "bin_edges", "standardizer"):
+        Path(eval_cfg[key]).parent.mkdir(parents=True, exist_ok=True)
+        Path(eval_cfg[key]).touch()
+    for command, cfg in (("train", train_cfg), ("evaluate", eval_cfg)):
+        Path(f"{command}.json").write_text(json.dumps(cfg))
+        assert main([command, f"{command}.json"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "AssertionError", err

@@ -56,6 +56,23 @@ def test_train_config_validation():
             TrainConfig(weight_floor=bad)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epochs", 2.5), ("epochs", -1), ("epochs", True),
+        ("batch_size", 24.5), ("batch_size", 0), ("checkpoint_every", 0),
+        ("seed", -1), ("seed", 1.5),
+        ("hidden", (6.7,)), ("hidden", [0]), ("hidden", (16, True)), ("hidden", 16),
+        ("learning_rate", "0.1"), ("learning_rate", -0.1), ("learning_rate", np.nan),
+        ("init_scale", np.nan), ("init_scale", np.inf), ("init_scale", -0.1),
+    ],
+)
+def test_train_config_rejects_bad_fields(field, value):
+    # integers stay integers (never truncated, never bool), reals stay finite
+    with pytest.raises(ValueError, match=repr(field)):
+        TrainConfig(**{field: value})
+
+
 def test_train_rejects_empty_dataset():
     empty = gen_marginal(TRUTH, 10, seed=0).subset(np.array([], int))
     with pytest.raises(ValueError, match="time_bin"):

@@ -20,7 +20,6 @@ from gamesurv.losses import (
     nll,
     per_horizon_loss,
     resolve_times,
-    summed_loss,
 )
 from gamesurv.simgen import MarginalWorld, population_batch
 
@@ -66,7 +65,8 @@ def test_population_hand_values():
     # two-bin world (0.3, 0.4): at truth the single-horizon Brier values are
     # fbs = 0.7^2*0.3 + 0.3^2*0.7 = 0.21 and gbs = 0.6^2*0.4 + 0.4^2*0.6 = 0.24
     pb = population_batch(TRUTH)
-    lf, lg = summed_loss("ipcw-bs", TRUTH.theta_t, TRUTH.theta_c, pb)
+    pair = np.tile(TRUTH.pmfs[:, None], (1, pb.n, 1))  # rows (failure, censor)
+    (lf, lg), _ = batch_loss(LossSpec("ipcw-bs", ROLES), pair, pair[::-1], pb)
     assert lf == pytest.approx(0.21, abs=5e-16)
     assert lg == pytest.approx(0.24, abs=5e-16)
     assert lf + lg == pytest.approx(0.45, abs=1e-15)
@@ -130,18 +130,6 @@ def test_batch_loss_sums_horizons():
     spec_1 = LossSpec("ipcw-bs", "failure", times=(2,))
     single, _ = batch_loss(spec_1, f, g, b)
     assert single == pytest.approx(vals[1], rel=1e-14)
-
-
-def test_summed_loss_matches_batch_loss_pair():
-    rng = np.random.default_rng(40)
-    k, n = 4, 25
-    f = rng.dirichlet(np.ones(k), size=n)
-    g = rng.dirichlet(np.ones(k), size=n)
-    b = Batch(rng.integers(1, k + 1, size=n), rng.random(n) < 0.5)
-    for family in ("ipcw-bs", "ipcw-bll"):
-        lf, lg = summed_loss(family, f, g, b)
-        assert lf == pytest.approx(batch_loss(LossSpec(family, "failure"), f, g, b)[0], rel=1e-14)
-        assert lg == pytest.approx(batch_loss(LossSpec(family, "censor"), g, f, b)[0], rel=1e-14)
 
 
 def test_censoring_free_reduces_to_plain_scores():
