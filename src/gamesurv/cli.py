@@ -463,6 +463,7 @@ def cmd_stationary_check(cfg: dict, out: Path) -> None:
     else:
         raise ConfigError("stationary-check needs 'worlds' or 'random'")
     n_starts = _int_key(cfg, "n_starts", 1, 100)
+    finite = lambda value: float(value) if np.isfinite(value) else None  # JSON has no inf
     results = []
     for idx, world in enumerate(worlds):
         scan = oracle.stationary_scan(world, n_starts=n_starts, seed=idx)
@@ -473,11 +474,9 @@ def cmd_stationary_check(cfg: dict, out: Path) -> None:
                 "n_roots": len(scan.roots),
                 "n_converged": scan.n_converged,
                 "matches_truth": scan.matches_truth,
-                "max_truth_deviation": (
-                    scan.max_truth_deviation if np.isfinite(scan.max_truth_deviation) else None
-                ),
+                "max_truth_deviation": finite(scan.max_truth_deviation),
                 "induction_agrees": scan.induction_agrees,
-                "spurious_qy_min": float(scan.spurious_qy.min()),
+                "spurious_qy_min": finite(scan.spurious_qy.min()),
             }
         )
     _json_dump({"n_starts": n_starts, "worlds": results}, out / "stationary.json")

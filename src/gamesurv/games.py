@@ -367,7 +367,7 @@ def _selection_tables(
         # Bulk route: each entry is a sum over (sample, horizon) of own-term *
         # frozen-weight, so the whole E x E table is two matrix products
         # between flattened (E, n*T) stacks.
-        evt, srv = _own_terms(family, _own_cdf(own_pmfs, times - 1), weight_floor)
+        evt, srv = _own_terms(family, _own_cdf(own_pmfs, slice(0, times.size)), weight_floor)
         a, b = ipcw_weight_arrays(role, frozen_pmfs, val.time_bin, val.event, times, weight_floor)
         return (flat(a) @ flat(evt).T + flat(b) @ flat(srv).T) / val.n
 

@@ -18,6 +18,13 @@ Conventions, fixed across the package:
 - Weight denominators and log arguments below ``weight_floor`` are clamped
   to the floor and the clamp is counted (only where the term is active).
   Clamped log terms contribute zero gradient.
+- The inverse weights are factored. A (sample, horizon) cell takes its
+  event branch when U <= t and its survival branch otherwise, never both,
+  so its weight is a per-row event factor r = (event ^ c) / Xbar(U-1+c) or
+  a per-horizon survival factor s = 1 / Xbar(t), picked by one select on
+  the plan's mask U <= t. The products are the ones a materialized
+  (n, T) weight pair would give, so the bits are too. A NaN in the frozen
+  table reaches exactly the cells whose branch reads it.
 - The role is an array axis. ``LossSpec.role`` is one role or a tuple of R
   roles; with a tuple, the pmfs carry a leading (R, ...) axis and one kernel
   pass scores every player. Inside the kernels a role is data, a per-role
@@ -130,24 +137,32 @@ def _role_stack(spec: LossSpec, pmf: np.ndarray, n: int) -> np.ndarray:
     return stack
 
 
-def _padded_cdf(pmf: np.ndarray) -> np.ndarray:
-    """Cumulative along the last axis with a leading zero: entry j is
-    P(X <= j) for j = 0..K."""
+def _padded_surv(pmf: np.ndarray) -> np.ndarray:
+    """Survival along the last axis, one minus the cumulative sum with a
+    leading zero: entry j is P(X > j) for j = 0..K."""
     out = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
     pmf.cumsum(axis=-1, out=out[..., 1:])
-    return out
+    return np.subtract(1.0, out, out=out)
 
 
 def _own_cdf(own: np.ndarray, cols) -> np.ndarray:
-    """cdf values F(t) at the columns ``cols`` = t - 1 of ``own``."""
+    """cdf values F(t) at the columns ``cols`` = t - 1 of ``own``, in C
+    order for either kind of ``cols``: the scores inherit the layout, and
+    the sums over them add in an order that follows it."""
     # rounding in the cumsum may poke a hair above 1; keep 1 - cdf >= 0
-    return np.minimum(own.cumsum(axis=-1)[..., cols], 1.0)
+    return np.minimum(own.cumsum(axis=-1)[..., cols], 1.0, order="C")
 
 
-def _clamp(values: np.ndarray, floor: float, active: np.ndarray, stats: ClampStats | None):
+def _clamp(values: np.ndarray, floor: float, active, stats: ClampStats | None):
+    """``values`` raised to ``floor`` and the mask of the raised entries
+    (``np.False_`` when none is); a clamp counts where ``active()`` holds.
+    One min() passes the common case through untouched; a NaN fails it and
+    takes the full path, where it is neither raised nor counted."""
+    if values.min(initial=np.inf) >= floor:
+        return values, np.False_
     clamped = values < floor
     if stats is not None:
-        stats.add(np.count_nonzero(clamped & active))
+        stats.add(np.count_nonzero(clamped & active()))
     return np.maximum(values, floor), clamped
 
 
@@ -159,10 +174,10 @@ class LabelPlan:
     T horizons: ``roles`` (R, 1), ``rows`` (n,) and ``evt_col`` (R, n), the
     event-branch column U - 1 + c, gather from a survival table;
     ``surv_cols`` and ``cdf_cols`` pick the columns t and t - 1 (slices when
-    the horizons are contiguous, which index faster than arrays);
-    ``evt_active`` (R, n, T) is the indicator ``event ^ c`` with U <= t,
-    ``surv_active`` (n, T) is U > t, ``evt_used`` (R, n) marks the rows some
-    horizon's event branch uses, and ``weight`` (n,) sums to 1."""
+    the horizons are contiguous, which index faster than arrays); ``ind``
+    (R, n) is the indicator ``event ^ c`` as 0.0/1.0, ``evt_used`` (R, n)
+    marks the rows some horizon's event branch uses, ``le`` (n, T) is the
+    branch mask U <= t, and ``weight`` (n,) sums to 1."""
 
     times: np.ndarray
     roles: np.ndarray
@@ -170,9 +185,9 @@ class LabelPlan:
     evt_col: np.ndarray
     surv_cols: slice | np.ndarray
     cdf_cols: slice | np.ndarray
-    evt_active: np.ndarray
-    surv_active: np.ndarray
+    ind: np.ndarray
     evt_used: np.ndarray
+    le: np.ndarray
     weight: np.ndarray
 
 
@@ -188,7 +203,6 @@ def label_plan(
     weights, uniform when None."""
     n = time_bin.size
     ind = event ^ flags  # event or ~event
-    le = time_bin[:, None] <= times
     if np.all(np.diff(times) == 1):
         first, last = int(times[0]), int(times[-1])
         surv_cols, cdf_cols = slice(first, last + 1), slice(first - 1, last)
@@ -201,9 +215,9 @@ def label_plan(
         evt_col=time_bin - 1 + flags,
         surv_cols=surv_cols,
         cdf_cols=cdf_cols,
-        evt_active=ind[..., None] & le,
-        surv_active=~le,
+        ind=ind.astype(float),  # a float numerator divides faster than a bool one
         evt_used=ind & (time_bin <= times[-1]),
+        le=time_bin[:, None] <= times,
         weight=np.full(n, 1.0 / n) if weight is None else weight,
     )
 
@@ -220,21 +234,21 @@ def _batch_plan(spec: LossSpec, batch: Batch, n_bins: int) -> LabelPlan:
     return plan
 
 
-def _ipcw_weights(plan: LabelPlan, surv: np.ndarray, floor: float, stats: ClampStats | None):
-    """Per-(role, sample, horizon) inverse weights for the event and
-    survival branches, from the other player's survival tables ``surv``
-    (..., R, m, K+1): entry j is P(X > j) for j = 0..K, with m = n rows or
-    one row shared by all samples, and any leading axes stacking tables.
+def _ipcw_factors(plan: LabelPlan, surv: np.ndarray, floor: float, stats: ClampStats | None):
+    """The inverse weights as factors, from the other player's survival
+    tables ``surv`` (..., R, m, K+1): entry j is P(X > j) for j = 0..K, with
+    m = n rows or one row shared by all samples, and any leading axes
+    stacking tables.
 
-    Returns (a, b), shape (..., R, n, T): a = indicator/weight for the
-    event branch, b = 1{U > t}/weight for the survival branch. The failure
-    role's event branch divides by Gbar(U-) = surv[U-1], the censor role's
-    by Fbar(U) = surv[U]."""
+    Returns (r, s): the event factor r = (event ^ c) / Xbar(U-1+c) per row,
+    shape (..., R, n), and the survival factor s = 1 / Xbar(t) per
+    horizon, shape (..., R, m, T). The failure role's event branch divides
+    by Gbar(U-) = surv[U-1], the censor role's by Fbar(U) = surv[U]."""
     rows = plan.rows if surv.shape[-2] > 1 else 0
     den_evt = surv[..., plan.roles, rows, plan.evt_col]
-    den_evt, _ = _clamp(den_evt, floor, plan.evt_used, stats)
-    den_surv, _ = _clamp(surv[..., plan.surv_cols], floor, plan.surv_active, stats)  # Xbar(t)
-    return plan.evt_active / den_evt[..., None], plan.surv_active / den_surv
+    den_evt, _ = _clamp(den_evt, floor, lambda: plan.evt_used, stats)
+    den_surv, _ = _clamp(surv[..., plan.surv_cols], floor, lambda: ~plan.le, stats)  # Xbar(t)
+    return plan.ind / den_evt, 1.0 / den_surv
 
 
 def _own_terms(family: str, cdf: np.ndarray, floor: float):
@@ -248,29 +262,38 @@ def _own_terms(family: str, cdf: np.ndarray, floor: float):
     return -np.log(np.maximum(cdf, floor)), -np.log(np.maximum(1.0 - cdf, floor))
 
 
-def _game_values_coefs(
-    spec: LossSpec,
-    plan: LabelPlan,
-    own: np.ndarray,
-    frozen: np.ndarray,
-    stats: ClampStats | None,
-):
-    """Per-(role, sample, horizon) loss values and d(value)/d(own cdf at t)
-    at the plan's horizons, for (R, n, K) stacks ``own`` and ``frozen``:
-    each role's other player enters only through its frozen inverse
-    weights."""
-    floor = spec.weight_floor
-    a, b = _ipcw_weights(plan, 1.0 - _padded_cdf(frozen), floor, stats)
-    P = _own_cdf(own, plan.cdf_cols)
-    evt, srv = _own_terms(spec.family, P, floor)
-    vals = evt * a + srv * b
-    if spec.family == "ipcw-bs":
-        return vals, 2.0 * (P * b - (1.0 - P) * a)
-    Pc, P_clamped = _clamp(P, floor, plan.evt_active, stats)
-    Qc, Q_clamped = _clamp(1.0 - P, floor, plan.surv_active, stats)
-    # clamped terms are flat in the cdf, so they contribute no gradient
-    coefs = np.where(Q_clamped, 0.0, b / Qc) - np.where(P_clamped, 0.0, a / Pc)
-    return vals, coefs
+def _scores(family, plan: LabelPlan, own, surv, floor, stats: ClampStats | None, grad=True):
+    """Per-(role, sample, horizon) IPCW values and, with ``grad``, their
+    derivatives in the own cdf F(t), for (R, n, K) pmfs ``own`` against the
+    other player's survival tables ``surv`` (see `_ipcw_factors`). A cell's
+    branch picks its weight w (r or s) and its argument x: 1 - F or F in the
+    Brier value x^2 w, F or 1 - F (clamped) in the log-loss value -log(x) w."""
+    le = plan.le
+    r, s = _ipcw_factors(plan, surv, floor, stats)
+    w = np.where(le, r[..., None], s)
+    x = _own_cdf(own, plan.cdf_cols)
+    if family == "ipcw-bs":
+        np.subtract(1.0, x, out=x, where=le)
+        vals = x * x
+        vals *= w
+        if not grad:
+            return vals, None
+        w *= x
+        w += w  # doubles exactly
+    else:
+        np.subtract(1.0, x, out=x, where=~le)
+        # counted on the survival branch and the event rows (where U <= t,
+        # a row's event branch is used exactly when its indicator is set)
+        x, clamped = _clamp(x, floor, lambda: ~le | plan.evt_used[..., None], stats)
+        vals = np.log(x)
+        np.subtract(0.0, vals, out=vals)
+        vals *= w
+        if not grad:
+            return vals, None
+        w /= x
+        w[clamped] = 0.0  # clamped terms are flat in the cdf
+    np.subtract(0.0, w, out=w, where=le)
+    return vals, w
 
 
 def _nll_values_dpmf(
@@ -289,7 +312,6 @@ def _nll_values_dpmf(
     parameters, which is what lets the joint likelihood split into
     independent problems."""
     R, n, K = own_pmf.shape
-    pad = _padded_cdf(own_pmf)
     roles, rows = np.arange(R)[:, None], np.arange(n)
 
     # failure: -log f(U) on events, -log Fbar(U) = -log sum_{k > U} otherwise;
@@ -298,10 +320,10 @@ def _nll_values_dpmf(
     tail_start = time_bin - flags
 
     point_mass = own_pmf[roles, rows, time_bin - 1]
-    tail_mass = 1.0 - pad[roles, rows, tail_start]
+    tail_mass = _padded_surv(own_pmf)[roles, rows, tail_start]
 
-    pm, pm_clamped = _clamp(point_mass, floor, point_rows, stats)
-    tm, tm_clamped = _clamp(tail_mass, floor, ~point_rows, stats)
+    pm, pm_clamped = _clamp(point_mass, floor, lambda: point_rows, stats)
+    tm, tm_clamped = _clamp(tail_mass, floor, lambda: ~point_rows, stats)
 
     vals = np.where(point_rows, -np.log(pm), -np.log(tm))
     if weights is None:
@@ -352,11 +374,13 @@ def batch_loss(
             raise ValueError("game losses need the other player's pmf")
         plan = _batch_plan(spec, batch, own.shape[-1])
         w = plan.weight
-        vals, coefs = _game_values_coefs(spec, plan, own, _role_stack(spec, frozen_pmf, n), stats)
+        surv = _padded_surv(_role_stack(spec, frozen_pmf, n))
+        vals, coefs = _scores(spec.family, plan, own, surv, spec.weight_floor, stats)
         values = [float(w @ v) for v in vals.sum(axis=-1)]
         # d cdf(t) / d pmf_k = 1{k <= t}: scatter per-horizon coefs, then suffix-sum
+        coefs *= w[:, None]
         tmp = np.zeros(own.shape)
-        tmp[..., plan.cdf_cols] = coefs * w[:, None]
+        tmp[..., plan.cdf_cols] = coefs
         dpmf = tmp[..., ::-1].cumsum(axis=-1)[..., ::-1]
     if isinstance(spec.role, tuple):
         return np.array(values), dpmf
@@ -385,7 +409,7 @@ def per_horizon_loss(
         raise ValueError("per-horizon form is defined for the game losses only")
     own, frozen = (_role_stack(spec, pmf, batch.n) for pmf in (own_pmf, frozen_pmf))
     plan = _batch_plan(spec, batch, own.shape[-1])
-    vals, coefs = _game_values_coefs(spec, plan, own, frozen, stats)
+    vals, coefs = _scores(spec.family, plan, own, _padded_surv(frozen), spec.weight_floor, stats)
     w = plan.weight
     values = np.array([w @ v for v in vals])
     coefs = np.array([w @ c for c in coefs])
@@ -411,9 +435,8 @@ def ipcw_weight_arrays(
     event = np.asarray(event, dtype=bool)
     frozen = _as_matrix(frozen_pmf, time_bin.size, max(np.ndim(frozen_pmf) - 2, 0))
     plan = label_plan(time_bin, event, times, _role_flags((role,)))
-    surv = 1.0 - _padded_cdf(frozen)
-    a, b = _ipcw_weights(plan, surv[..., None, :, :], weight_floor, stats)
-    return a[..., 0, :, :], b[..., 0, :, :]
+    r, s = _ipcw_factors(plan, _padded_surv(frozen)[..., None, :, :], weight_floor, stats)
+    return plan.le * r[..., 0, :, None], ~plan.le * s[..., 0, :, :]
 
 
 def ipcw_per_sample(
@@ -436,7 +459,7 @@ def ipcw_per_sample(
     spec = LossSpec(family, role, (t,), weight_floor)
     own, frozen = (_role_stack(spec, pmf, time_bin.size) for pmf in (own_pmf, frozen_pmf))
     plan = label_plan(time_bin, event, resolve_times(spec.times, own.shape[-1]), spec._flags)
-    vals, _ = _game_values_coefs(spec, plan, own, frozen, stats)
+    vals, _ = _scores(family, plan, own, _padded_surv(frozen), weight_floor, stats, False)
     return vals[0, :, 0]
 
 

@@ -7,7 +7,9 @@ Gbar[j] = P(C > j), j = 0..K, that each weighting supplies: the Kaplan-Meier
 censoring estimate at the bins (the deployable choice), one minus the padded
 cdf of the jointly trained censoring model or of the true censoring
 distribution (simulation only, for bias checks), or Gbar = 1 with the latent
-failure times as events (simulation only). The scores reject pmfs whose
+failure times as events (simulation only). The table goes through the loss
+kernel's factored weights and scoring function (``losses._scores``), so
+this module keeps no weight code of its own. The scores reject pmfs whose
 rows are not distributions with a ValueError naming the argument.
 """
 
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, assign_bins
-from .losses import _as_matrix, _ipcw_weights, _own_cdf, _own_terms, _padded_cdf, _role_flags
-from .losses import label_plan
+from .losses import _as_matrix, _padded_surv, _role_flags, _scores, label_plan
 from .losses import nll as _nll_per_sample
 from .simgen import MarginalWorld
 
@@ -128,13 +129,13 @@ def _censoring_survival(dataset: Dataset, weighting: str, g_pmf, world):
     elif weighting == "model-G":
         if g_pmf is None:
             raise ValueError("model-G weighting needs the censoring model's pmfs")
-        gbar = 1.0 - _padded_cdf(_pmf_matrix("g_pmf", g_pmf, dataset.n))
+        gbar = _padded_surv(_pmf_matrix("g_pmf", g_pmf, dataset.n))
     elif weighting == "true-G":
         if world is None:
             raise ValueError("true-G weighting needs the generating world")
         if world.n_bins != K:
             raise ValueError(f"world has {world.n_bins} bins but the dataset has {K}")
-        gbar = 1.0 - _padded_cdf(world.theta_c)
+        gbar = _padded_surv(world.theta_c)
     else:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}")
     return gbar, dataset.time_bin, dataset.event
@@ -146,13 +147,11 @@ def _eval_weighted(f_pmf, dataset, weighting, g_pmf, world, floor, family):
     f_pmf = _pmf_matrix("f_pmf", f_pmf, dataset.n)
     if f_pmf.shape[1] != dataset.n_bins:
         raise ValueError("pmfs must be (n, K) aligned with the dataset")
-    times = np.arange(1, dataset.n_bins)
-    evt, srv = _own_terms(family, _own_cdf(f_pmf, times - 1), floor)
     gbar, time_bin, event = _censoring_survival(dataset, weighting, g_pmf, world)
+    plan = label_plan(time_bin, event, np.arange(1, dataset.n_bins), _role_flags(("failure",)))
     surv = gbar.reshape(1, -1, gbar.shape[-1])  # one shared row or one per sample
-    plan = label_plan(time_bin, event, times, _role_flags(("failure",)))
-    a, b = _ipcw_weights(plan, surv, floor, None)
-    return (evt * a[0] + srv * b[0]).mean(axis=0)
+    vals, _ = _scores(family, plan, f_pmf[None], surv, floor, None, grad=False)
+    return vals[0].mean(axis=0)
 
 
 def eval_bs(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
@@ -295,8 +294,8 @@ def calibration_curve(f_pmf, dataset: Dataset):
     coarseness."""
     levels = np.arange(1, 10) / 10.0
     lat = _latent_bins(dataset)
-    cdf = np.minimum(np.cumsum(_as_matrix(f_pmf, dataset.n), axis=1), 1.0)
-    cdf_at_latent = cdf[np.arange(dataset.n), lat - 1]
+    cdf = np.cumsum(_as_matrix(f_pmf, dataset.n), axis=1)
+    cdf_at_latent = np.minimum(cdf[np.arange(dataset.n), lat - 1], 1.0)
     observed = (cdf_at_latent[:, None] <= levels[None, :]).mean(axis=0)
     return levels, observed
 

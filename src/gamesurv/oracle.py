@@ -122,8 +122,12 @@ def population_gbs_dy(world: MarginalWorld, step: int, x, y):
 def spurious_gbs_root_qy(world: MarginalWorld, step: int) -> float:
     """Censoring cdf value q + y at the second algebraic root of the per-step
     system. Always exceeds 1 for interior worlds, so the root is infeasible
-    and the truth is the unique valid stationary point of the step."""
+    and the truth is the unique valid stationary point of the step. When
+    the failure cdf p + t is 0 at the step, the step's equation is linear
+    and the truth is its only root: the result is ``np.inf``."""
     p, q, t, c = _step_context(world, step)
+    if p + t == 0:
+        return np.inf
     return (-1.0 + q - c * (-1.0 + p + t)) / ((-1.0 + q) * (p + t))
 
 

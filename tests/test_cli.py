@@ -253,6 +253,22 @@ def test_stationary_check_outputs(tmp_path):
         assert world["spurious_qy_min"] > 1.0
 
 
+def test_stationary_check_writes_strict_json_for_a_linear_step(tmp_path):
+    # theta_t puts no mass in bin 1, so step 1 has no spurious root and its
+    # q + y is infinite; the file must still be JSON, which has no Infinity
+    cfg = {"experiment": "lin", "n_starts": 5,
+           "worlds": [{"theta_t": [0.0, 1.0], "theta_c": [0.4, 0.6]}]}
+    assert _run(tmp_path, "stationary-check", cfg) == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    text = (tmp_path / "out" / "lin" / "stationary.json").read_text()
+    (world,) = json.loads(text, parse_constant=reject)["worlds"]
+    assert world["spurious_qy_min"] is None
+    assert world["n_roots"] == 1 and world["matches_truth"] is True
+
+
 def test_error_contract(tmp_path, capsys):
     # missing required key
     assert _run(tmp_path, "simulate", {"generator": MARGINAL_GEN, "sizes": [10]}) == 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gamesurv import metrics
 from gamesurv.core import Batch
 from gamesurv.losses import (
     ROLES,
@@ -21,7 +22,7 @@ from gamesurv.losses import (
     per_horizon_loss,
     resolve_times,
 )
-from gamesurv.simgen import MarginalWorld, population_batch
+from gamesurv.simgen import MarginalWorld, gen_marginal, population_batch
 
 TRUTH = MarginalWorld([0.3, 0.7], [0.4, 0.6])
 
@@ -397,3 +398,144 @@ def test_label_plan_indexes_contiguous_horizons_by_slices():
         np.testing.assert_array_equal(surv[:, plan.surv_cols], surv[:, times])
         np.testing.assert_array_equal(surv[:, plan.cdf_cols], surv[:, times - 1])
         assert isinstance(plan.surv_cols, slice) == (times.size == times[-1] - times[0] + 1)
+
+
+def _materialized_weights(flags, surv, time_bin, event, times, floor):
+    """The inverse weights built the materialized way, as full (R, n, T)
+    arrays a (event branch) and b (survival branch) that hold exact zeros
+    where the other branch applies, and their clamp count. ``surv``
+    (R, m, K+1) has m = n rows or one shared row."""
+    R, n = flags.shape[0], time_bin.size
+    ind = event ^ flags
+    le = time_bin[:, None] <= times
+    rows = np.arange(n) if surv.shape[-2] > 1 else 0
+    den_evt = surv[np.arange(R)[:, None], rows, time_bin - 1 + flags]
+    den_surv = surv[..., times]
+    clamps = np.count_nonzero((den_evt < floor) & ind & (time_bin <= times[-1]))
+    clamps += np.count_nonzero((den_surv < floor) & ~le)
+    a = (ind[..., None] & le) / np.maximum(den_evt, floor)[..., None]
+    return a, ~le / np.maximum(den_surv, floor), clamps
+
+
+def _materialized(family, flags, own, surv, time_bin, event, times, floor):
+    """Per-(role, sample, horizon) values, cdf coefficients and the clamp
+    count from the materialized weights: each cell sums both branches."""
+    a, b, clamps = _materialized_weights(flags, surv, time_bin, event, times, floor)
+    P = np.minimum(own.cumsum(axis=-1)[..., times - 1], 1.0)
+    if family == "ipcw-bs":
+        q = 1.0 - P
+        vals = q * q * a + P * P * b
+        coefs = 2.0 * (P * b - (1.0 - P) * a)
+    else:
+        Pc, Qc = np.maximum(P, floor), np.maximum(1.0 - P, floor)
+        vals = -np.log(Pc) * a + -np.log(Qc) * b
+        clamps += np.count_nonzero((P < floor) & (a > 0))
+        clamps += np.count_nonzero((1.0 - P < floor) & (b > 0))
+        coefs = np.where(1.0 - P < floor, 0.0, b / Qc) - np.where(P < floor, 0.0, a / Pc)
+    # in C order, as the kernel's, so that sums over them add in the same order
+    return np.ascontiguousarray(vals), np.ascontiguousarray(coefs), clamps
+
+
+def _surv_table(pmf):
+    return 1.0 - np.concatenate([np.zeros((*pmf.shape[:-1], 1)), pmf.cumsum(axis=-1)], axis=-1)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80)
+@given(
+    family=st.sampled_from(["ipcw-bs", "ipcw-bll"]),
+    roles=st.lists(st.sampled_from(ROLES), min_size=1, max_size=3).map(tuple),
+    per_row=st.booleans(),
+    weighted=st.booleans(),
+    horizons=st.sampled_from(["all", "subset"]),
+    n_bins=st.integers(2, 8),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_weights_equal_the_materialized_route(family, roles, per_row, weighted,
+                                                       horizons, n_bins, n, seed):
+    # the select over per-row and per-horizon factors gives, bit for bit,
+    # the values, gradients, weight arrays and clamp counts of full (n, T)
+    # weight arrays, with masses at the floor so that every clamp fires
+    rng = np.random.default_rng(seed)
+    floor = 0.02
+    shape = (len(roles), n, n_bins) if per_row else (len(roles), n_bins)
+    own, frozen = _floored_pmfs(rng, shape, floor), _floored_pmfs(rng, shape, floor)
+    weight = rng.random(n) + 0.1 if weighted else None
+    batch = Batch(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5, weight=weight)
+    times = np.arange(1, n_bins)
+    if horizons == "subset":  # often not contiguous
+        times = np.sort(rng.choice(times, size=rng.integers(1, n_bins), replace=False))
+    spec = LossSpec(family, roles, tuple(times.tolist()), floor)
+    flags = np.array([[role == "censor"] for role in roles])
+    own_n = np.broadcast_to(own if per_row else own[:, None], (len(roles), n, n_bins))
+    frozen_n = np.broadcast_to(frozen if per_row else frozen[:, None], own_n.shape)
+    vals, coefs, clamps = _materialized(family, flags, own_n, _surv_table(frozen_n),
+                                        batch.time_bin, batch.event, times, floor)
+    w = batch.norm_weight()
+
+    stats = ClampStats()
+    values, dpmf = batch_loss(spec, own, frozen, batch, stats)
+    want = np.zeros(own_n.shape)
+    want[..., times - 1] = coefs * w[:, None]
+    assert _same_bits(values, [float(w @ v) for v in vals.sum(axis=-1)])
+    assert _same_bits(dpmf, want[..., ::-1].cumsum(axis=-1)[..., ::-1])
+    assert stats.count == clamps
+
+    stats = ClampStats()
+    got_vals, got_coefs = per_horizon_loss(spec, own, frozen, batch, stats)
+    assert _same_bits(got_vals, [w @ v for v in vals])
+    assert _same_bits(got_coefs, [w @ c for c in coefs])
+    assert stats.count == clamps
+
+    # one role's weight arrays and their clamps
+    a, b, weight_clamps = _materialized_weights(flags[:1], _surv_table(frozen_n[:1]),
+                                                batch.time_bin, batch.event, times, floor)
+    stats = ClampStats()
+    got = ipcw_weight_arrays(roles[0], frozen[0], batch.time_bin, batch.event, times, floor,
+                             stats)
+    assert _same_bits(got[0], a[0]) and _same_bits(got[1], b[0])
+    assert stats.count == weight_clamps
+
+
+@settings(max_examples=40)
+@given(
+    n_bins=st.integers(2, 8),
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_evaluation_equals_the_materialized_route(n_bins, n, seed):
+    # eval_bs / eval_bll under all four weightings, shared (km, true-G,
+    # latent) and per-row (model-G) censoring tables, bit for bit
+    rng = np.random.default_rng(seed)
+    floor = 0.02
+    world = MarginalWorld(rng.dirichlet(np.ones(n_bins)), rng.dirichlet(np.ones(n_bins)))
+    ds = gen_marginal(world, n, seed=int(rng.integers(1000)))
+    f, g = (_floored_pmfs(rng, (n, n_bins), floor) for _ in range(2))
+    times = np.arange(1, n_bins)
+    for weighting in metrics.WEIGHTINGS:
+        gbar, time_bin, event = metrics._censoring_survival(ds, weighting, g, world)
+        surv = gbar.reshape(1, -1, n_bins + 1)
+        for family, score in (("ipcw-bs", metrics.eval_bs), ("ipcw-bll", metrics.eval_bll)):
+            vals, _, _ = _materialized(family, np.array([[False]]), f[None], surv, time_bin,
+                                       event, times, floor)
+            got = score(f, ds, weighting, g, world, floor)
+            assert _same_bits(got, vals[0].mean(axis=0))
+
+
+def test_a_nan_in_the_frozen_pmf_reaches_the_value():
+    # every row with U >= 2 reads Xbar(1) on its survival branch at t = 1,
+    # so a NaN in the first bin of the frozen pmf must surface
+    own = np.array([0.2, 0.3, 0.5])
+    frozen = np.array([np.nan, 0.5, 0.5])
+    batch = Batch(np.array([1, 2, 3]), np.array([True, False, True]))
+    for family in ("ipcw-bs", "ipcw-bll"):
+        for role in ROLES:
+            value, dpmf = batch_loss(LossSpec(family, role), own, frozen, batch)
+            assert not np.isfinite(value)
+            values, coefs = per_horizon_loss(LossSpec(family, role), own, frozen, batch)
+            assert not np.isfinite(values[0]) and not np.isfinite(coefs[0])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamesurv.core import Batch, RawSurvivalData, assign_bins, discretize
+from gamesurv.core import Batch, Dataset, RawSurvivalData, assign_bins, discretize
 from gamesurv.metrics import (
     calibration_curve,
     concordance,
@@ -196,6 +196,30 @@ def test_censoring_free_scores_equal_plain_scores():
     got_bll = eval_bll(pmf, ds, weighting="km")
     want_bll = (-ind * np.log(cdf[:, :-1]) - (1 - ind) * np.log(1 - cdf[:, :-1])).mean(axis=0)
     np.testing.assert_allclose(got_bll, want_bll, rtol=1e-12)
+
+
+@settings(max_examples=60)
+@given(
+    n_bins=st.integers(2, 8),
+    bins=st.lists(st.integers(0, 7), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_censoring_free_km_scores_equal_plain_scores(n_bins, bins, seed):
+    # Graf et al. (1999): without censoring the KM censoring survival is 1
+    # at every bin, so the IPCW scores are the plain ones; drawn bins are
+    # tie-heavy (at most 8 values over up to 40 rows)
+    time_bin = np.array(bins) % n_bins + 1
+    n = time_bin.size
+    ds = Dataset(np.zeros((n, 0)), time_bin, np.ones(n, bool), np.arange(n_bins + 1.0))
+    pmf = np.random.default_rng(seed).dirichlet(np.ones(n_bins), size=n)
+    cdf = np.minimum(np.cumsum(pmf, axis=1), 1.0)[:, :-1]  # every score caps the cdf at 1
+    ind = time_bin[:, None] <= np.arange(1, n_bins)
+    plain_bs = ((ind - cdf) ** 2).mean(axis=0)
+    np.testing.assert_array_equal(eval_bs(pmf, ds, weighting="km"), plain_bs)
+    floor = 1e-6
+    plain_bll = np.where(ind, -np.log(np.maximum(cdf, floor)),
+                         -np.log(np.maximum(1.0 - cdf, floor))).mean(axis=0)
+    np.testing.assert_allclose(eval_bll(pmf, ds, weighting="km"), plain_bll, rtol=1e-12)
 
 
 def test_latent_weighting_scores_true_failure_times():

@@ -145,6 +145,16 @@ def test_spurious_root_hand_value():
     assert spurious_gbs_root_qy(TRUTH, 1) == pytest.approx(2.4, abs=1e-12)
 
 
+def test_spurious_root_of_a_linear_step_is_infinite():
+    # no failure mass up to the step (p + t = 0): the quadratic's leading
+    # coefficient T(1 - q) vanishes, the step's equation is linear and the
+    # truth is its only root, so there is no second root to report
+    world = MarginalWorld([0.0, 0.5, 0.5], [0.3, 0.3, 0.4])
+    assert spurious_gbs_root_qy(world, 1) == np.inf
+    assert 1.0 < spurious_gbs_root_qy(world, 2) < np.inf
+    assert spurious_gbs_root_qy(MarginalWorld([0.0, 1.0], [0.4, 0.6]), 1) == np.inf
+
+
 def test_population_gradients_match_estimator_path():
     # enumerated oracle vs the per-horizon estimator on the exact outcome
     # batch: same mathematical object along two very different code paths
