@@ -15,8 +15,9 @@ branch A and a survival branch B; the censor player's into C and D. Their
 zero-derivative pair clears to a quadratic in the censor survival whose one
 root inside the simplices is (t, c); the other forces the censoring cdf past
 1. The induction solves it in closed form, step by step, and the multistart
-scan stays an independent numerical cross-check. The four closed forms
-broadcast over array (x, y), so a planar grid is one array expression.
+scan, one Levenberg-Marquardt loop over all starts at once, stays an
+independent numerical cross-check. The four closed forms broadcast over
+array (x, y), so a planar grid is one array expression.
 
 At arbitrary models, both players' losses and gradients come from one table
 of expectations with a player axis, rows (failure, censor), in which the
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import root as _scipy_root
 from scipy.special import expit
 
 from .simgen import MarginalWorld
@@ -64,10 +64,16 @@ def _pad(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_context(world: MarginalWorld, step: int):
+def _step_context(world: MarginalWorld, step: int, x=None, y=None):
+    """(p, q, t, c) of the step; models' survivals 1-p-x, 1-q-y given must stay positive."""
     if not 1 <= step <= world.n_bins - 1:
         raise ValueError(f"step must lie in 1..{world.n_bins - 1}")
-    return (*world.cdfs[:, step - 1], *world.pmfs[:, step - 1])  # p, q, t, c
+    p, q, t, c = (*world.cdfs[:, step - 1], *world.pmfs[:, step - 1])
+    if y is not None and np.any(1.0 - q - y <= 0):
+        raise ValueError("censor survival 1-q-y must stay positive")
+    if x is not None and np.any(1.0 - p - x <= 0):
+        raise ValueError("failure survival 1-p-x must stay positive")
+    return p, q, t, c
 
 
 def population_fbs(world: MarginalWorld, step: int, x, y):
@@ -77,9 +83,7 @@ def population_fbs(world: MarginalWorld, step: int, x, y):
     A = (1-p-x)^2 (p+t)                       event branch
     B = (p+x)^2 (1-p-t)(1-q-c) / (1-q-y)      survival branch
     """
-    p, q, t, c = _step_context(world, step)
-    if np.any(1.0 - q - y <= 0):
-        raise ValueError("censor survival 1-q-y must stay positive")
+    p, q, t, c = _step_context(world, step, y=y)
     a = (1.0 - p - x) ** 2 * (p + t)
     b = (p + x) ** 2 * (1.0 - p - t) * (1.0 - q - c) / (1.0 - q - y)
     return a + b
@@ -91,9 +95,7 @@ def population_gbs(world: MarginalWorld, step: int, x, y):
     C = (1-q-y)^2 (q + c(1-p-t)/(1-p-x))      event branch
     D = (q+y)^2 (1-q-c)(1-p-t) / (1-p-x)      survival branch
     """
-    p, q, t, c = _step_context(world, step)
-    if np.any(1.0 - p - x <= 0):
-        raise ValueError("failure survival 1-p-x must stay positive")
+    p, q, t, c = _step_context(world, step, x=x)
     cc = (1.0 - q - y) ** 2 * (q + c * (1.0 - p - t) / (1.0 - p - x))
     d = (q + y) ** 2 * (1.0 - q - c) * (1.0 - p - t) / (1.0 - p - x)
     return cc + d
@@ -101,9 +103,7 @@ def population_gbs(world: MarginalWorld, step: int, x, y):
 
 def population_fbs_dx(world: MarginalWorld, step: int, x, y):
     """d population_fbs / dx; zero at x = t when y = c."""
-    p, q, t, c = _step_context(world, step)
-    if np.any(1.0 - q - y <= 0):
-        raise ValueError("censor survival 1-q-y must stay positive")
+    p, q, t, c = _step_context(world, step, y=y)
     return -2.0 * (1.0 - p - x) * (p + t) + 2.0 * (p + x) * (1.0 - p - t) * (
         1.0 - q - c
     ) / (1.0 - q - y)
@@ -111,9 +111,7 @@ def population_fbs_dx(world: MarginalWorld, step: int, x, y):
 
 def population_gbs_dy(world: MarginalWorld, step: int, x, y):
     """d population_gbs / dy; zero at y = c when x = t."""
-    p, q, t, c = _step_context(world, step)
-    if np.any(1.0 - p - x <= 0):
-        raise ValueError("failure survival 1-p-x must stay positive")
+    p, q, t, c = _step_context(world, step, x=x)
     return -2.0 * (1.0 - q - y) * (q + c * (1.0 - p - t) / (1.0 - p - x)) + 2.0 * (
         q + y
     ) * (1.0 - q - c) * (1.0 - p - t) / (1.0 - p - x)
@@ -136,14 +134,14 @@ def spurious_gbs_root_qy(world: MarginalWorld, step: int) -> float:
 
 def _check_model(world: MarginalWorld, pmf: np.ndarray) -> np.ndarray:
     pmf = np.asarray(pmf, dtype=float)
-    if pmf.shape != (world.n_bins,):
+    if pmf.shape[-1:] != (world.n_bins,):
         raise ValueError("model pmf must match the world's bin count")
     return pmf
 
 
 def _ratio_sums(world: MarginalWorld, hat: np.ndarray):
-    """Both players' per-horizon expectations, (2, K-1) each over horizons
-    t = 1..K-1, from the models' padded cdfs ``hat`` (2, K+1):
+    """Both players' per-horizon expectations, (..., 2, K-1) each over
+    horizons t = 1..K-1, from the models' padded cdfs ``hat`` (..., 2, K+1):
 
     w1[r](t) = E[r's own event, U <= t, / other's Sbar_hat(U-1+c)]  event branch
     w2[r](t) = P(U > t) / other's Sbar_hat(t)                       survival branch
@@ -159,23 +157,24 @@ def _ratio_sums(world: MarginalWorld, hat: np.ndarray):
     # zero survival is a genuine +inf, not a warning
     with np.errstate(divide="ignore"):
         num = surv[::-1, :K]
-        ratio = np.divide(num, 1.0 - hat[::-1, :K], out=np.zeros((2, K)), where=num != 0)
-    event_ratio = np.array([ratio[0, : K - 1], ratio[1, 1:K]])  # column U-1+c
-    w1 = (theta[:, : K - 1] * event_ratio).cumsum(axis=1)
-    w2 = surv[:, 1:K] * ratio[:, 1:K]
+        out = np.zeros(hat.shape[:-1] + (K,))
+        ratio = np.divide(num, 1.0 - hat[..., ::-1, :K], out=out, where=num != 0)
+    event_ratio = np.stack((ratio[..., 0, : K - 1], ratio[..., 1, 1:K]), axis=-2)  # column U-1+c
+    w1 = (theta[:, : K - 1] * event_ratio).cumsum(axis=-1)
+    w2 = surv[:, 1:K] * ratio[..., 1:K]
     return w1, w2
 
 
 def _scores(world: MarginalWorld, pmf_t, pmf_c, family: str, values: bool = True):
     """Both players' per-horizon population losses (None unless ``values``)
     and the derivatives of each in the player's own cdf at that horizon, as
-    (2, K-1) arrays with rows (failure, censor) and columns t = 1..K-1.
+    (..., 2, K-1) arrays, rows (failure, censor), columns t = 1..K-1.
 
     With H = own model cdf at t: Brier (1-H)^2 w1 + H^2 w2, log loss
     -log(H) w1 - log(1-H) w2 (no closed form is used for either).
     """
-    hat = _pad(np.array([_check_model(world, pmf_t), _check_model(world, pmf_c)]))
-    own = hat[:, 1 : world.n_bins]
+    hat = _pad(np.stack((_check_model(world, pmf_t), _check_model(world, pmf_c)), axis=-2))
+    own = hat[..., 1 : world.n_bins]
     w1, w2 = _ratio_sums(world, hat)
     if family == "ipcw-bs":
         # zero survival sends both weight sums to +inf; nan is the honest
@@ -209,7 +208,7 @@ def population_loss(
     if not 1 <= t <= world.n_bins - 1:
         raise ValueError(f"t must lie in 1..{world.n_bins - 1}")
     values, _ = _scores(world, pmf_t, pmf_c, family)
-    return values[_PLAYERS.index(player), t - 1]
+    return values[..., _PLAYERS.index(player), t - 1]
 
 
 def population_gradients(
@@ -224,16 +223,17 @@ def population_gradients(
     horizon-t loss with respect to its own mass on bin t (the coordinate the
     per-horizon game descends); second array likewise for the censor player.
     Both vanish identically at the truth, for every horizon, regardless of
-    the other player's parameters entering through the weights.
+    the other player's parameters entering through the weights. Stacks
+    (..., K) of models give stacks (..., K-1).
     """
     _, grads = _scores(world, pmf_t, pmf_c, family, values=False)
-    return grads[0], grads[1]
+    return grads[..., 0, :], grads[..., 1, :]
 
 
 def population_failure_nll(world: MarginalWorld, pmf_t: np.ndarray) -> float:
     """Population value of the failure player's partial likelihood loss:
     E[delta (-log f(U)) + (1-delta)(-log Fbar(U))], exact outcome sum."""
-    pmf_t = _check_model(world, pmf_t)
+    pmf_t = _check_model(world, np.ravel(pmf_t))  # one model, not a stack
     hat = _pad(pmf_t)
     # P(U = u, delta = 1) = theta_t[u] P(C >= u), P(U = u, delta = 0) = theta_c[u] P(T > u)
     w_event, w_cens = world.theta_t * world.survs[1, :-1], world.theta_c * world.survs[0, 1:]
@@ -345,25 +345,25 @@ def joint_objective_scan(world: MarginalWorld, resolution: int = 201) -> JointSc
 
 
 def _pmfs_from_z(z: np.ndarray):
-    """Stick-breaking map of both players at once, coordinates ``z`` =
-    (failure z, censor z) clipped to |z| <= 30 -> pmfs (2, K) in the
-    interior of the simplex: bin i takes the share expit(z_i) of the mass
-    the earlier bins left over. Also returns the shares, (2, K-1)."""
-    fracs = expit(np.clip(z, -30.0, 30.0).reshape(2, -1))
-    rem = (1.0 - fracs).cumprod(axis=1)  # mass left after each bin
-    return np.concatenate((fracs[:, :1], rem[:, :-1] * fracs[:, 1:], rem[:, -1:]), axis=1), fracs
+    """Stick-breaking map of both players at once, coordinates ``z`` (...,
+    2(K-1)) = (failure z, censor z) clipped to |z| <= 30 -> pmfs (..., 2, K)
+    in the interior of the simplex: bin i takes the share expit(z_i) of the
+    mass the earlier bins left over. Also returns the shares, (..., 2, K-1)."""
+    fracs = expit(np.clip(z, -30.0, 30.0).reshape(z.shape[:-1] + (2, z.shape[-1] // 2)))
+    rem = (1.0 - fracs).cumprod(axis=-1)  # mass left after each bin
+    mid = rem[..., :-1] * fracs[..., 1:]
+    return np.concatenate((fracs[..., :1], mid, rem[..., -1:]), axis=-1), fracs
 
 
 def _z_from_theta(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    rem = 1.0 - np.concatenate([[0.0], np.cumsum(theta[:-1])])[:-1]
-    fracs = theta[:-1] / rem
-    fracs = np.clip(fracs, 1e-12, 1.0 - 1e-12)
+    fracs = np.clip(theta[..., :-1] / (1.0 - _pad(theta[..., :-2])), 1e-12, 1.0 - 1e-12)
     return np.log(fracs) - np.log1p(-fracs)
 
 
 _ROOT_TOL = 1e-10  # max |residual| of a converged start
 _DEDUPE_TOL = 1e-6  # max mass difference between two starts' copies of a root
+# Levenberg-Marquardt: first damping, damping past which a start has stalled, iteration cap
+_LM_DAMPING, _LM_DAMPING_MAX, _LM_MAX_ITER = 1e-3, 1e10, 100
 
 
 @dataclass(frozen=True)
@@ -383,19 +383,20 @@ class StationaryScan:
 
 def _scan_residual(zvec: np.ndarray, world: MarginalWorld) -> np.ndarray:
     """Both players' per-horizon Brier gradients at stick-breaking
-    coordinates ``zvec`` = (failure z, censor z)."""
+    coordinates ``zvec`` (..., 2(K-1)) = (failure z, censor z)."""
     # |z| <= 30 keeps every stick-breaking mass strictly positive, but not
     # every survival: once the earlier bins hold all but ~1e-13 of the mass,
     # 1 - cdf can round to 0 and the residual is NaN inside the box
     pmfs, _ = _pmfs_from_z(zvec)
-    return np.concatenate(population_gradients(world, pmfs[0], pmfs[1], "ipcw-bs"))
+    grads = population_gradients(world, pmfs[..., 0, :], pmfs[..., 1, :], "ipcw-bs")
+    return np.concatenate(grads, axis=-1)
 
 
 def _cdf_jacobian(world: MarginalWorld, hat: np.ndarray) -> np.ndarray:
     """Exact derivative of the Brier gradients (xi_t, xi_c) of
     :func:`population_gradients` with respect to the model cdfs, at the
-    models' padded cdfs ``hat`` (2, K+1); shape (2, K-1, 2, K-1), indexed
-    [player, horizon, player, cdf horizon].
+    models' padded cdfs ``hat`` (..., 2, K+1); shape (..., 2, K-1, 2, K-1),
+    indexed [..., player, horizon, player, cdf horizon].
 
     With H = own cdf at t and the sums of :func:`_ratio_sums`, player r's
     gradient is xi = 2(H w2 - (1-H) w1). Both sums depend only on the other
@@ -403,35 +404,68 @@ def _cdf_jacobian(world: MarginalWorld, hat: np.ndarray) -> np.ndarray:
     divide by its survival at u-1+c for u <= t (c = 0 failure, 1 censor).
     """
     m = world.n_bins - 1
-    own = hat[:, 1 : m + 1]
+    own = hat[..., 1 : m + 1]
     surv = 1.0 - own
     w1, w2 = _ratio_sums(world, hat)
     # d w1[r](t) / d (other's cdf at j), j = 1..K-1, nonzero for j <= t-1+c:
     # r's event at bin u = j+1-c over the other's survival at j, squared
     event = np.array([world.theta_t[1:], world.theta_c[:m]])
-    d_w1 = event * world.survs[::-1, 1 : m + 1] / surv[::-1] ** 2
-    jac = np.zeros((2, m, 2, m))
+    d_w1 = event * world.survs[::-1, 1 : m + 1] / surv[..., ::-1, :] ** 2
+    jac = np.zeros(hat.shape[:-2] + (2, m, 2, m))
+    blocks = jac.swapaxes(-3, -2)  # view indexed [..., player, player, horizon, cdf horizon]
     r, o, diag = np.array([[0], [1]]), np.array([[1], [0]]), np.arange(m)
     below = diag[:, None] + r[:, :, None] > diag  # j <= t-1+c, rows (t, j)
-    jac[r[:, 0], :, o[:, 0]] = np.where(below, -2.0 * surv[:, :, None] * d_w1[:, None], 0.0)
-    jac[r, diag, o, diag] += 2.0 * own * w2 / surv[::-1]
-    jac[r, diag, r, diag] = 2.0 * (w1 + w2)
+    off = -2.0 * surv[..., :, :, None] * d_w1[..., :, None, :]
+    blocks[..., r[:, 0], o[:, 0], :, :] = np.where(below, off, 0.0)
+    jac[..., r, diag, o, diag] += 2.0 * own * w2 / surv[..., ::-1, :]
+    jac[..., r, diag, r, diag] = 2.0 * (w1 + w2)
     return jac
 
 
 def _scan_jacobian(zvec: np.ndarray, world: MarginalWorld) -> np.ndarray:
-    """Exact Jacobian of :func:`_scan_residual`. The cdf derivative is
-    chained through stick-breaking, d cdf_j / d z_i = (1 - cdf_j) expit(z_i)
+    """Exact Jacobian of :func:`_scan_residual`, (..., n, n). The cdf derivative
+    is chained through stick-breaking, d cdf_j / d z_i = (1 - cdf_j) expit(z_i)
     for i <= j; coordinates the residual clips at |z| = 30 get zero columns."""
     m = world.n_bins - 1
     pmfs, fracs = _pmfs_from_z(zvec)
     hat = _pad(pmfs)
-    d_cdf = _cdf_jacobian(world, hat).reshape(2 * m, 2, m)
+    d_cdf = _cdf_jacobian(world, hat).reshape(zvec.shape[:-1] + (2 * m, 2, m))
     # d r / d z_i = expit(z_i) * sum over j >= i of (d r / d cdf_j)(1 - cdf_j)
-    chain = (d_cdf * (1.0 - hat[:, 1 : m + 1]))[..., ::-1].cumsum(axis=-1)[..., ::-1] * fracs
-    jac = chain.reshape(2 * m, 2 * m)
-    jac[:, np.abs(zvec) > 30.0] = 0.0
-    return jac
+    chain = (d_cdf * (1.0 - hat[..., None, :, 1 : m + 1]))[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    jac = (chain * fracs[..., None, :, :]).reshape(zvec.shape[:-1] + (2 * m, 2 * m))
+    return np.where(np.abs(zvec[..., None, :]) > 30.0, 0.0, jac)
+
+
+def _solve_starts(world: MarginalWorld, z: np.ndarray):
+    """Levenberg-Marquardt from all rows of ``z`` (S, n) at once; returns the end
+    points and which converged. Each start keeps its own damping lam and steps by
+    (J^T J + lam I) step = -J^T F, solved through the SVD of J as J^T J may be
+    singular; a step stands only if |F|^2 falls to a finite value (lam / 10, else
+    lam * 10). A start stops at max|F| < _ROOT_TOL (never on NaN) or lam past
+    _LM_DAMPING_MAX. No row reads another: a start ends on the same bits in any batch."""
+    z = np.array(z, dtype=float)
+    sigma, uf, vt = np.empty_like(z), np.empty_like(z), np.empty(z.shape + z.shape[-1:])
+    lam = np.full(len(z), _LM_DAMPING)
+    with np.errstate(all="ignore"):  # a trial's NaN residual fails `better` below
+        f = _scan_residual(z, world)
+        cost, moved = (f * f).sum(axis=-1), np.arange(len(z))
+        for _ in range(_LM_MAX_ITER):
+            if moved.size:  # J = U diag(sigma) V^T where a start moved; J := 0 where not finite
+                jac = _scan_jacobian(z[moved], world)
+                u, sigma[moved], vt[moved] = np.linalg.svd(np.where(np.isfinite(jac), jac, 0.0))
+                uf[moved] = (f[moved, None, :] @ u)[:, 0]
+            live = np.flatnonzero((np.abs(f).max(axis=-1) >= _ROOT_TOL) & (lam <= _LM_DAMPING_MAX))
+            if not live.size:
+                break
+            coef = sigma[live] * uf[live] / (sigma[live] ** 2 + lam[live, None])
+            trial = z[live] - (coef[:, None, :] @ vt[live])[:, 0]
+            f_new = _scan_residual(trial, world)
+            cost_new = (f_new * f_new).sum(axis=-1)
+            better = cost_new < cost[live]
+            lam[live] = np.where(better, lam[live] / 10.0, lam[live] * 10.0)
+            moved = live[better]
+            z[moved], f[moved], cost[moved] = trial[better], f_new[better], cost_new[better]
+    return z, np.abs(f).max(axis=-1) < _ROOT_TOL
 
 
 def _gap(a, b) -> float:
@@ -440,8 +474,8 @@ def _gap(a, b) -> float:
 
 
 def stationary_scan(world: MarginalWorld, n_starts: int = 100, seed: int = 0) -> StationaryScan:
-    """Multi-start root finding on the full simultaneous gradient system,
-    cross-checked against the closed-form per-step induction solve.
+    """Multi-start root finding on the full simultaneous gradient system, all
+    starts in one batched solve, cross-checked against the closed-form induction.
 
     The search runs in stick-breaking coordinates, so every candidate stays
     strictly inside the simplices; the infeasible algebraic root (censoring
@@ -452,21 +486,12 @@ def stationary_scan(world: MarginalWorld, n_starts: int = 100, seed: int = 0) ->
         raise ValueError("n_starts must be >= 1")
     K = world.n_bins
     induction = _induction_root(world)  # fails before any start without a feasible root
-    rng = np.random.default_rng(seed)
+    # start i is the failure draw 2i and the censor draw 2i+1 of one stream
+    draws = np.random.default_rng(seed).dirichlet(np.ones(K), size=2 * n_starts)
+    z, converged = _solve_starts(world, _z_from_theta(draws).reshape(n_starts, -1))
+    n_converged = int(converged.sum())
     roots = []
-    n_converged = 0
-    for _ in range(n_starts):
-        start = np.concatenate(
-            [_z_from_theta(rng.dirichlet(np.ones(K))), _z_from_theta(rng.dirichlet(np.ones(K)))]
-        )
-        sol = _scipy_root(
-            _scan_residual, start, args=(world,), method="hybr", jac=_scan_jacobian, tol=1e-12
-        )
-        # hybr returns the residual evaluated at its final point
-        if not np.all(np.abs(sol.fun) < _ROOT_TOL):
-            continue
-        n_converged += 1
-        theta = tuple(_pmfs_from_z(sol.x)[0])
+    for theta in map(tuple, _pmfs_from_z(z[converged])[0]):
         if not any(_gap(theta, r) < _DEDUPE_TOL for r in roots):
             roots.append(theta)
 
