@@ -26,7 +26,6 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -113,15 +112,6 @@ def _json_dump(payload, path: Path) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ": "))
         fh.write("\n")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Numeric rows, each value written as the repr of its float."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([repr(float(v)) for v in row] for row in rows)
 
 
 # -- generators and worlds ---------------------------------------------------
@@ -332,7 +322,7 @@ def cmd_evaluate(cfg: dict, out: Path) -> None:
     report = _score_test_split(test_raw, edges, model_f, model_g, weighting, world)
     _json_dump(report.to_dict(), out / "report.json")
     if report.calibration_levels is not None:
-        _write_csv(
+        simgen.write_csv(
             out / "calibration.csv", ["alpha", "observed"],
             zip(report.calibration_levels, report.calibration_observed),
         )
@@ -414,7 +404,7 @@ def cmd_gradient_field(cfg: dict, out: Path) -> None:
     _keys(cfg, "config", _COMMON + ("world", "resolution"))
     world = _planar_world(cfg)
     field = oracle.gradient_field(world, _int_key(cfg, "resolution", 2, 200))
-    _write_csv(out / "field.csv", ["x", "y", "u", "v"], field.rows())
+    simgen.write_csv(out / "field.csv", ["x", "y", "u", "v"], field.rows())
     norms = np.hypot(field.u, field.v)
     i, j = np.unravel_index(np.argmin(norms), norms.shape)
     _json_dump(
@@ -434,7 +424,7 @@ def cmd_joint_scan(cfg: dict, out: Path) -> None:
     _keys(cfg, "config", _COMMON + ("world", "resolution"))
     world = _planar_world(cfg)
     scan = oracle.joint_objective_scan(world, _int_key(cfg, "resolution", 1, 201))
-    _write_csv(
+    simgen.write_csv(
         out / "joint_scan.csv", ["x", "y", "value"],
         ((xv, yv, scan.values[i, j]) for i, yv in enumerate(scan.y) for j, xv in enumerate(scan.x)),
     )

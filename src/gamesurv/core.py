@@ -56,7 +56,7 @@ class Batch:
         if self.time_bin.size == 0:
             raise ValueError("time_bin is empty: a batch needs at least one record")
         if np.any(self.time_bin < 1):
-            raise ValueError("time bins are 1-indexed; found bin < 1")
+            raise ValueError("time_bin is 1-indexed; found a bin < 1")
         if self.weight is not None:
             w = _frozen_copy(self.weight, float)
             if np.any(w < 0):

@@ -37,11 +37,11 @@ from .losses import (
     ClampStats,
     LossSpec,
     _nll_values_dpmf,
-    _own_cdf,
-    _own_terms,
     _role_flags,
+    _terms,
     batch_loss,
     ipcw_weight_arrays,
+    label_plan,
     per_horizon_loss,
     resolve_times,
 )
@@ -364,12 +364,13 @@ def _selection_tables(
             )
             w = np.full(val.n, 1.0 / val.n)
             return np.tile([float(v @ w) for v in vals], (E, 1))
-        # Bulk route: each entry is a sum over (sample, horizon) of own-term *
-        # frozen-weight, so the whole E x E table is two matrix products
-        # between flattened (E, n*T) stacks.
-        evt, srv = _own_terms(family, _own_cdf(own_pmfs, slice(0, times.size)), weight_floor)
-        a, b = ipcw_weight_arrays(role, frozen_pmfs, val.time_bin, val.event, times, weight_floor)
-        return (flat(a) @ flat(evt).T + flat(b) @ flat(srv).T) / val.n
+        # Bulk route: each entry is a sum over (sample, horizon) of the loss
+        # kernel's own term times frozen weight, so the whole E x E table is
+        # one matrix product between flattened (E, n*T) stacks.
+        plan = label_plan(val.time_bin, val.event, times, _role_flags((role,)))
+        _, terms, _ = _terms(family, plan, own_pmfs, weight_floor, None)
+        w = ipcw_weight_arrays(role, frozen_pmfs, val.time_bin, val.event, times, weight_floor)
+        return flat(w) @ flat(terms).T / val.n
 
     return epochs, table("censor", pmfs_g, pmfs_f), table("failure", pmfs_f, pmfs_g)
 

@@ -115,6 +115,16 @@ def resolve_times(times: tuple[int, ...] | str, n_bins: int) -> np.ndarray:
     return arr
 
 
+def _labels(time_bin, event, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels as int64 bins and bool events. A bin outside 1..K would
+    index another column of the survival and pmf tables, so it fails here."""
+    time_bin = np.asarray(time_bin, dtype=np.int64)
+    if time_bin.size and (time_bin.min() < 1 or time_bin.max() > n_bins):
+        raise ValueError(f"time_bin must lie in 1..K = 1..{n_bins}, "
+                         f"got labels from {time_bin.min()} to {time_bin.max()}")
+    return time_bin, np.asarray(event, dtype=bool)
+
+
 def _as_matrix(pmf: np.ndarray, n: int, lead: int = 0) -> np.ndarray:
     """Broadcast (*lead, K) marginal pmfs to (*lead, n, K) or pass (*lead,
     n, K) matrices through; ``lead`` counts the leading (role) axes."""
@@ -143,14 +153,6 @@ def _padded_surv(pmf: np.ndarray) -> np.ndarray:
     out = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
     pmf.cumsum(axis=-1, out=out[..., 1:])
     return np.subtract(1.0, out, out=out)
-
-
-def _own_cdf(own: np.ndarray, cols) -> np.ndarray:
-    """cdf values F(t) at the columns ``cols`` = t - 1 of ``own``, in C
-    order for either kind of ``cols``: the scores inherit the layout, and
-    the sums over them add in an order that follows it."""
-    # rounding in the cumsum may poke a hair above 1; keep 1 - cdf >= 0
-    return np.minimum(own.cumsum(axis=-1)[..., cols], 1.0, order="C")
 
 
 def _clamp(values: np.ndarray, floor: float, active, stats: ClampStats | None):
@@ -229,70 +231,69 @@ def _batch_plan(spec: LossSpec, batch: Batch, n_bins: int) -> LabelPlan:
     plan = batch._plans.get(key)
     if plan is None:
         times = resolve_times(spec.times, n_bins)
-        plan = label_plan(batch.time_bin, batch.event, times, spec._flags, batch.norm_weight())
+        time_bin, event = _labels(batch.time_bin, batch.event, n_bins)
+        plan = label_plan(time_bin, event, times, spec._flags, batch.norm_weight())
         batch._plans[key] = plan
     return plan
 
 
-def _ipcw_factors(plan: LabelPlan, surv: np.ndarray, floor: float, stats: ClampStats | None):
-    """The inverse weights as factors, from the other player's survival
-    tables ``surv`` (..., R, m, K+1): entry j is P(X > j) for j = 0..K, with
-    m = n rows or one row shared by all samples, and any leading axes
-    stacking tables.
+def _ipcw_weights(plan: LabelPlan, surv: np.ndarray, floor: float, stats: ClampStats | None):
+    """The inverse weight each (role, sample, horizon) cell takes, shape
+    (..., R, n, T), from the other player's survival tables ``surv``
+    (..., R, m, K+1): entry j is P(X > j) for j = 0..K, with m = n rows or
+    one row shared by all samples, and any leading axes stacking tables.
 
-    Returns (r, s): the event factor r = (event ^ c) / Xbar(U-1+c) per row,
-    shape (..., R, n), and the survival factor s = 1 / Xbar(t) per
-    horizon, shape (..., R, m, T). The failure role's event branch divides
-    by Gbar(U-) = surv[U-1], the censor role's by Fbar(U) = surv[U]."""
+    A cell where U <= t takes the event factor r = (event ^ c) / Xbar(U-1+c)
+    of its row, any other the survival factor s = 1 / Xbar(t) of its
+    horizon. The failure role's event branch divides by Gbar(U-) =
+    surv[U-1], the censor role's by Fbar(U) = surv[U]."""
     rows = plan.rows if surv.shape[-2] > 1 else 0
     den_evt = surv[..., plan.roles, rows, plan.evt_col]
     den_evt, _ = _clamp(den_evt, floor, lambda: plan.evt_used, stats)
     den_surv, _ = _clamp(surv[..., plan.surv_cols], floor, lambda: ~plan.le, stats)  # Xbar(t)
-    return plan.ind / den_evt, 1.0 / den_surv
+    return np.where(plan.le, (plan.ind / den_evt)[..., None], 1.0 / den_surv)
 
 
-def _own_terms(family: str, cdf: np.ndarray, floor: float):
-    """A player's own score at its cdf values F(t): the event-branch and
-    survival-branch terms, (1 - F)^2 and F^2 for the Brier score, -log F
-    and -log(1 - F) for the Bernoulli log loss with the log arguments
-    clamped at ``floor``. Its IPCW score is event * a + survival * b."""
+def _terms(family: str, plan: LabelPlan, own: np.ndarray, floor: float, stats: ClampStats | None):
+    """A player's own unweighted score per (role, sample, horizon) cell, for
+    (R, n, K) pmfs ``own`` (any stack of them on the R axis): the branch
+    argument x, the term and the mask of clamped x (``np.False_`` when none
+    is). At the cdf F(t), x is 1 - F or F and the term x^2 for the Brier
+    score; for the log loss x is F or 1 - F, clamped at ``floor``, and the
+    term -log x."""
+    le = plan.le
+    # F(t) in C order for either kind of cdf_cols: the scores inherit the
+    # layout, and the sums over them add in an order that follows it. Rounding
+    # in the cumsum may poke a hair above 1; keep 1 - F >= 0.
+    x = np.minimum(own.cumsum(axis=-1)[..., plan.cdf_cols], 1.0, order="C")
     if family == "ipcw-bs":
-        q = 1.0 - cdf
-        return q * q, cdf * cdf
-    return -np.log(np.maximum(cdf, floor)), -np.log(np.maximum(1.0 - cdf, floor))
+        np.subtract(1.0, x, out=x, where=le)
+        return x, x * x, np.False_
+    np.subtract(1.0, x, out=x, where=~le)
+    # counted on the survival branch and the event rows (where U <= t, a
+    # row's event branch is used exactly when its indicator is set)
+    x, clamped = _clamp(x, floor, lambda: ~le | plan.evt_used[..., None], stats)
+    terms = np.log(x)
+    return x, np.subtract(0.0, terms, out=terms), clamped
 
 
 def _scores(family, plan: LabelPlan, own, surv, floor, stats: ClampStats | None, grad=True):
-    """Per-(role, sample, horizon) IPCW values and, with ``grad``, their
-    derivatives in the own cdf F(t), for (R, n, K) pmfs ``own`` against the
-    other player's survival tables ``surv`` (see `_ipcw_factors`). A cell's
-    branch picks its weight w (r or s) and its argument x: 1 - F or F in the
-    Brier value x^2 w, F or 1 - F (clamped) in the log-loss value -log(x) w."""
-    le = plan.le
-    r, s = _ipcw_factors(plan, surv, floor, stats)
-    w = np.where(le, r[..., None], s)
-    x = _own_cdf(own, plan.cdf_cols)
+    """Per-(role, sample, horizon) IPCW values, weights times terms, and,
+    with ``grad``, their derivatives in the own cdf F(t), for (R, n, K) pmfs
+    ``own`` against the other player's survival tables ``surv`` (see
+    `_ipcw_weights` and `_terms`)."""
+    w = _ipcw_weights(plan, surv, floor, stats)
+    x, vals, clamped = _terms(family, plan, own, floor, stats)
+    vals *= w
+    if not grad:
+        return vals, None
     if family == "ipcw-bs":
-        np.subtract(1.0, x, out=x, where=le)
-        vals = x * x
-        vals *= w
-        if not grad:
-            return vals, None
         w *= x
         w += w  # doubles exactly
     else:
-        np.subtract(1.0, x, out=x, where=~le)
-        # counted on the survival branch and the event rows (where U <= t,
-        # a row's event branch is used exactly when its indicator is set)
-        x, clamped = _clamp(x, floor, lambda: ~le | plan.evt_used[..., None], stats)
-        vals = np.log(x)
-        np.subtract(0.0, vals, out=vals)
-        vals *= w
-        if not grad:
-            return vals, None
         w /= x
         w[clamped] = 0.0  # clamped terms are flat in the cdf
-    np.subtract(0.0, w, out=w, where=le)
+    np.subtract(0.0, w, out=w, where=plan.le)
     return vals, w
 
 
@@ -312,6 +313,7 @@ def _nll_values_dpmf(
     parameters, which is what lets the joint likelihood split into
     independent problems."""
     R, n, K = own_pmf.shape
+    time_bin, event = _labels(time_bin, event, K)
     roles, rows = np.arange(R)[:, None], np.arange(n)
 
     # failure: -log f(U) on events, -log Fbar(U) = -log sum_{k > U} otherwise;
@@ -427,16 +429,16 @@ def ipcw_weight_arrays(
     weight_floor: float = 1e-6,
     stats: ClampStats | None = None,
 ):
-    """(a, b) inverse-weight arrays, shape (..., n, T): the event-branch and
-    survival-branch multipliers a player's own terms contract against, for
-    a frozen pmf of shape (K,) or (n, K), or a (..., n, K) stack of them.
-    Exposed for bulk evaluation over checkpoint grids."""
-    time_bin = np.asarray(time_bin, dtype=np.int64)
-    event = np.asarray(event, dtype=bool)
-    frozen = _as_matrix(frozen_pmf, time_bin.size, max(np.ndim(frozen_pmf) - 2, 0))
+    """The inverse weight of each (sample, horizon) cell, shape (..., n, T):
+    the multiplier a player's own terms contract against (see
+    `_ipcw_weights`), for a frozen pmf of shape (K,) or (n, K), or a
+    (..., n, K) stack of them. Exposed for bulk evaluation over checkpoint
+    grids."""
+    frozen = _as_matrix(frozen_pmf, np.size(time_bin), max(np.ndim(frozen_pmf) - 2, 0))
+    time_bin, event = _labels(time_bin, event, frozen.shape[-1])
     plan = label_plan(time_bin, event, times, _role_flags((role,)))
-    r, s = _ipcw_factors(plan, _padded_surv(frozen)[..., None, :, :], weight_floor, stats)
-    return plan.le * r[..., 0, :, None], ~plan.le * s[..., 0, :, :]
+    surv = _padded_surv(frozen)[..., None, :, :]  # a one-role axis
+    return _ipcw_weights(plan, surv, weight_floor, stats)[..., 0, :, :]
 
 
 def ipcw_per_sample(
@@ -454,10 +456,9 @@ def ipcw_per_sample(
     event branch divides by Fbar(U) with no left limit (T > U strictly on
     censored samples).
     """
-    time_bin = np.asarray(time_bin, dtype=np.int64)
-    event = np.asarray(event, dtype=bool)
     spec = LossSpec(family, role, (t,), weight_floor)
-    own, frozen = (_role_stack(spec, pmf, time_bin.size) for pmf in (own_pmf, frozen_pmf))
+    own, frozen = (_role_stack(spec, pmf, np.size(time_bin)) for pmf in (own_pmf, frozen_pmf))
+    time_bin, event = _labels(time_bin, event, own.shape[-1])
     plan = label_plan(time_bin, event, resolve_times(spec.times, own.shape[-1]), spec._flags)
     vals, _ = _scores(family, plan, own, _padded_surv(frozen), weight_floor, stats, False)
     return vals[0, :, 0]
@@ -476,9 +477,7 @@ def nll(pmf, time_bin, event, role="failure", weight_floor=1e-6, stats=None):
     A sample censored in the last bin has Fbar(K) = 0 for every categorical
     model; its term clamps to -log(weight_floor) and contributes no gradient.
     """
-    time_bin = np.asarray(time_bin, dtype=np.int64)
-    event = np.asarray(event, dtype=bool)
-    own = _as_matrix(pmf, time_bin.size)[None]
+    own = _as_matrix(pmf, np.size(time_bin))[None]
     flags = _role_flags((role,))
     return _nll_values_dpmf(flags, own, time_bin, event, weight_floor, stats)[0][0]
 
@@ -491,15 +490,11 @@ def ipcw_mean(time_bin, event, censor_pmf, values=None, weight=None, weight_floo
     ``values`` substitutes a different per-sample quantity for U (e.g. raw
     times when bins stand in for continuous values).
     """
-    time_bin = np.asarray(time_bin, dtype=np.int64)
-    event = np.asarray(event, dtype=bool)
-    # horizon K covers every row, so the event-branch weight is delta / Gbar(U-)
+    # horizon K covers every row, so every weight is the event branch's delta / Gbar(U-)
     horizon_k = np.array([np.shape(censor_pmf)[-1]])
-    a, _ = ipcw_weight_arrays(
-        "failure", censor_pmf, time_bin, event, horizon_k, weight_floor, stats
-    )
+    inv = ipcw_weight_arrays("failure", censor_pmf, time_bin, event, horizon_k, weight_floor, stats)
     vals = np.asarray(time_bin if values is None else values, dtype=float)
-    contrib = np.where(event, vals * a[:, 0], 0.0)  # censored values may be NaN
+    contrib = np.where(event, vals * inv[:, 0], 0.0)  # censored values may be NaN
     if weight is None:
         return float(contrib.mean())
     w = np.asarray(weight, dtype=float)

@@ -25,6 +25,7 @@ import csv
 import json
 import numbers
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -44,6 +45,7 @@ __all__ = [
     "load_csv",
     "save_latent_csv",
     "load_latent_csv",
+    "write_csv",
     "write_bin_edges",
     "read_bin_edges",
 ]
@@ -319,14 +321,20 @@ def load_csv(path) -> RawSurvivalData:
     )
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """A header, then numeric rows, each value written as the repr of its
+    float; missing parent folders are made."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in rows)
+
+
 def save_latent_csv(path, data: RawSurvivalData) -> None:
     if data.latent_time is None or data.latent_censor is None:
         raise ValueError("no latent times to save")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_latent", "c_latent"])
-        for t, c in zip(data.latent_time, data.latent_censor):
-            writer.writerow([repr(float(t)), repr(float(c))])
+    write_csv(path, ["t_latent", "c_latent"], zip(data.latent_time, data.latent_censor))
 
 
 def load_latent_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamesurv import games, losses
-from gamesurv.core import Batch
+from gamesurv.core import Batch, Dataset
 from gamesurv.games import (
     TrainConfig,
     _Adam,
@@ -22,7 +22,7 @@ from gamesurv.games import (
     train,
 )
 from gamesurv.losses import LossSpec, batch_loss
-from gamesurv.models import loss_and_grad
+from gamesurv.models import ArchSpec, Model, loss_and_grad
 from gamesurv.oracle import population_fbs, population_gbs
 from gamesurv.simgen import MarginalWorld, gen_marginal, population_batch
 
@@ -408,3 +408,58 @@ def test_select_models_game_is_best_response_pair(objective):
             failure = batch_loss(LossSpec(family, "failure"), pf[i], pg[j], val.batch())[0]
             assert lgf[i, j] == pytest.approx(censor, rel=1e-12)
             assert lfg[j, i] == pytest.approx(failure, rel=1e-12)
+
+
+def _two_gemm_tables(arch, checkpoints, val, family, floor):
+    """The selection tables the materialized way: full event-branch and
+    survival-branch weight arrays, each zero where the other branch applies,
+    contracted against both branches' terms in two matrix products."""
+    epochs = sorted(checkpoints)
+    pmfs = np.stack([Model(arch, checkpoints[e]).predict_pmf(val.features, n=val.n)
+                     for e in epochs])
+    E, n, times = len(epochs), val.n, np.arange(1, val.n_bins)
+    le = val.time_bin[:, None] <= times
+    flat = lambda arr: arr.reshape(E, n * times.size)
+
+    def table(censor, own, frozen):  # [j, i]: own i against frozen j
+        surv = 1.0 - np.concatenate([np.zeros((E, n, 1)), frozen.cumsum(axis=-1)], axis=-1)
+        den_evt = np.maximum(surv[:, np.arange(n), val.time_bin - 1 + censor], floor)
+        a = ((val.event ^ censor)[:, None] & le) / den_evt[..., None]
+        b = ~le / np.maximum(surv[..., times], floor)
+        cdf = np.minimum(own.cumsum(axis=-1)[..., times - 1], 1.0)
+        if family == "ipcw-bs":
+            evt, srv = (1.0 - cdf) ** 2, cdf**2
+        else:
+            evt, srv = -np.log(np.maximum(cdf, floor)), -np.log(np.maximum(1.0 - cdf, floor))
+        return (flat(a) @ flat(evt).T + flat(b) @ flat(srv).T) / n
+
+    return table(True, pmfs[:, 1], pmfs[:, 0]), table(False, pmfs[:, 0], pmfs[:, 1])
+
+
+@settings(max_examples=60)
+@given(
+    family=st.sampled_from(["ipcw-bs", "ipcw-bll"]),
+    n_ckpt=st.integers(2, 6),
+    n_bins=st.integers(2, 8),
+    n=st.integers(5, 30),
+    floor=st.sampled_from([1e-6, 0.02, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_gemm_tables_equal_the_two_gemm_route(family, n_ckpt, n_bins, n, floor, seed):
+    # the selected weights against the selected terms sum the same products
+    # as the materialized pair, in another order: equal to rounding, and the
+    # same best responses from every start. Per-row pmfs from wide logits put
+    # masses under the larger floors, so the clamps fire.
+    rng = np.random.default_rng(seed)
+    arch = ArchSpec("mlp", n_bins, 3, (4,))
+    checkpoints = {2 * e + 1: rng.normal(0.0, 2.0, (2, arch.n_params)) for e in range(n_ckpt)}
+    val = Dataset(rng.normal(size=(n, 3)), rng.integers(1, n_bins + 1, size=n),
+                  rng.random(n) < 0.6, np.arange(n_bins + 1.0))
+    epochs, lgf, lfg = _selection_tables(arch, checkpoints, val, family, floor)
+    want_lgf, want_lfg = _two_gemm_tables(arch, checkpoints, val, family, floor)
+    assert epochs == sorted(checkpoints)
+    np.testing.assert_allclose(lgf, want_lgf, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(lfg, want_lfg, rtol=1e-13, atol=0)
+    for start in range(n_ckpt):
+        assert (_alternating_argmin(lgf, lfg, start, 50)
+                == _alternating_argmin(want_lgf, want_lfg, start, 50))

@@ -50,16 +50,17 @@ def test_weight_arrays_left_limit_asymmetry():
     # one subject with U=2 on K=3 bins. The failure player's event branch
     # divides by Gbar(U-) = P(C >= U); the censor player's event branch
     # divides by Fbar(U) = P(T > U), no left limit. That off-by-one in the
-    # survival index is the entire difference between the two roles.
+    # survival index is the entire difference between the two roles. Each
+    # cell takes one branch: survival at t = 1 < U, event at t = 2 = U.
     g = np.array([0.2, 0.3, 0.5])
     f = np.array([0.1, 0.6, 0.3])
     ts = np.array([1, 2])
-    a_f, b_f = ipcw_weight_arrays("failure", g, np.array([2]), np.array([True]), ts)
-    np.testing.assert_allclose(a_f, [[0.0, 1.0 / 0.8]])   # Gbar(2-) = 1 - 0.2
-    np.testing.assert_allclose(b_f, [[1.0 / 0.8, 0.0]])   # Gbar(1) = 0.8
-    a_c, b_c = ipcw_weight_arrays("censor", f, np.array([2]), np.array([False]), ts)
-    np.testing.assert_allclose(a_c, [[0.0, 1.0 / 0.3]])   # Fbar(2) = 1 - 0.7
-    np.testing.assert_allclose(b_c, [[1.0 / 0.9, 0.0]])   # Fbar(1) = 0.9
+    w_f = ipcw_weight_arrays("failure", g, np.array([2]), np.array([True]), ts)
+    # survival branch Gbar(1) = 0.8, event branch Gbar(2-) = 1 - 0.2
+    np.testing.assert_allclose(w_f, [[1.0 / 0.8, 1.0 / 0.8]])
+    w_c = ipcw_weight_arrays("censor", f, np.array([2]), np.array([False]), ts)
+    # survival branch Fbar(1) = 0.9, event branch Fbar(2) = 1 - 0.7
+    np.testing.assert_allclose(w_c, [[1.0 / 0.9, 1.0 / 0.3]])
 
 
 def test_population_hand_values():
@@ -199,13 +200,47 @@ def test_weight_floor_clamps_and_counts():
     u = np.array([2, 1])
     ev = np.array([True, True])
     stats = ClampStats()
-    a, b = ipcw_weight_arrays("failure", g_early, u, ev, np.array([1]),
-                              weight_floor=1e-6, stats=stats)
+    w = ipcw_weight_arrays("failure", g_early, u, ev, np.array([1]),
+                           weight_floor=1e-6, stats=stats)
     # row 0 survives past t=1 and divides by Gbar(1); row 1 is an event at
     # t=1 and divides by Gbar(1-) = 1, untouched
-    assert b[0, 0] == pytest.approx(1e6)
-    assert a[1, 0] == 1.0
+    assert w[0, 0] == pytest.approx(1e6)
+    assert w[1, 0] == 1.0
     assert stats.count == 1
+
+
+def test_labels_outside_the_bins_fail_naming_time_bin():
+    # bin 0 would read the last column of the tables and bin K + 1 past it;
+    # every entry point refuses both instead of scoring another column
+    f, g = np.array([0.1, 0.6, 0.3]), np.array([0.2, 0.3, 0.5])
+    for bad in (0, 4):
+        u, ev = np.array([bad, 1]), np.array([True, False])
+        calls = [
+            lambda: ipcw_bs_failure(1, f, g, u, ev),
+            lambda: ipcw_bll_failure(1, f, g, u, ev),
+            lambda: ipcw_mean(u, ev, g),
+        ]
+        for role in ROLES:
+            calls += [
+                lambda role=role: nll(f, u, ev, role=role),
+                lambda role=role: ipcw_weight_arrays(role, g, u, ev, np.array([1, 2])),
+                lambda role=role: ipcw_per_sample("ipcw-bs", role, 2, f, g, u, ev),
+            ]
+        for call in calls:
+            with pytest.raises(ValueError, match="time_bin"):
+                call()
+    # a batch refuses bin 0 itself; bin K + 1 fails at the first loss call
+    with pytest.raises(ValueError, match="time_bin"):
+        Batch(np.array([0, 1]), np.array([True, False]))
+    batch = Batch(np.array([4, 1]), np.array([True, False]))
+    for family in ("nll", "ipcw-bs", "ipcw-bll"):
+        for role in (*ROLES, ROLES):
+            own = np.tile(f, (len(role), 1)) if isinstance(role, tuple) else f
+            with pytest.raises(ValueError, match="time_bin"):
+                batch_loss(LossSpec(family, role), own, own, batch)
+            if family != "nll":
+                with pytest.raises(ValueError, match="time_bin"):
+                    per_horizon_loss(LossSpec(family, role), own, own, batch)
 
 
 def test_nll_hand_values_and_decoupling():
@@ -492,13 +527,14 @@ def test_factored_weights_equal_the_materialized_route(family, roles, per_row, w
     assert _same_bits(got_coefs, [w @ c for c in coefs])
     assert stats.count == clamps
 
-    # one role's weight arrays and their clamps
+    # one role's weight array, the branch each cell takes, and its clamps
     a, b, weight_clamps = _materialized_weights(flags[:1], _surv_table(frozen_n[:1]),
                                                 batch.time_bin, batch.event, times, floor)
     stats = ClampStats()
     got = ipcw_weight_arrays(roles[0], frozen[0], batch.time_bin, batch.event, times, floor,
                              stats)
-    assert _same_bits(got[0], a[0]) and _same_bits(got[1], b[0])
+    le = batch.time_bin[:, None] <= times
+    assert _same_bits(got, np.where(le, a[0], b[0]))
     assert stats.count == weight_clamps
 
 
