@@ -1,5 +1,7 @@
-"""Golden ``cli train`` artefacts: the model pair, the log and the
-selection summary of two tiny runs, byte for byte (see tests/golden/make.py)."""
+"""Golden ``cli train`` and ``cli evaluate`` artefacts: the model pair, the
+log and the selection summary of two tiny runs, and the report and
+calibration table of one run's models under every weighting, byte for byte
+(see tests/golden/make.py)."""
 
 import importlib.util
 import json
@@ -13,11 +15,25 @@ make = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make)
 
 
-@pytest.mark.parametrize("objective", make.OBJECTIVES)
-def test_train_reproduces_the_golden_bytes(tmp_path, objective):
+def _skip_other_builds():
     recorded = json.loads((GOLDEN / "environment.json").read_text())
     if make.environment() != recorded:
         pytest.skip(f"golden bytes were made under {recorded}, not {make.environment()}")
+
+
+@pytest.mark.parametrize("objective", make.OBJECTIVES)
+def test_train_reproduces_the_golden_bytes(tmp_path, objective):
+    _skip_other_builds()
     run = make.train(objective, tmp_path)
     for name in make.FILES:
         assert (run / name).read_bytes() == (GOLDEN / objective / name).read_bytes(), name
+
+
+def test_evaluate_reproduces_the_golden_bytes(tmp_path):
+    _skip_other_builds()
+    run = make.train("bs-game", tmp_path)
+    for weighting in make.WEIGHTINGS:
+        out = make.evaluate(weighting, run, tmp_path)
+        for name in make.EVAL_FILES:
+            expected = (GOLDEN / "evaluate" / weighting / name).read_bytes()
+            assert (out / name).read_bytes() == expected, (weighting, name)
