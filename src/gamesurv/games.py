@@ -359,16 +359,15 @@ def _selection_tables(
     def table(role, own_pmfs, frozen_pmfs):  # [j, i]: own i against frozen j
         if family == "nll":
             # one values-only pass over the (E, n, K) stack, reduced per checkpoint
-            vals, _ = _nll_values_dpmf(
-                _role_flags((role,)), own_pmfs, val.time_bin, val.event, weight_floor, None
-            )
+            vals, _ = _nll_values_dpmf(_role_flags((role,)), own_pmfs, own_pmfs.cumsum(axis=-1),
+                                       val.time_bin, val.event, weight_floor, None)
             w = np.full(val.n, 1.0 / val.n)
             return np.tile([float(v @ w) for v in vals], (E, 1))
         # Bulk route: each entry is a sum over (sample, horizon) of the loss
         # kernel's own term times frozen weight, so the whole E x E table is
         # one matrix product between flattened (E, n*T) stacks.
         plan = label_plan(val.time_bin, val.event, times, _role_flags((role,)))
-        _, terms, _ = _terms(family, plan, own_pmfs, weight_floor, None)
+        _, terms, _ = _terms(family, plan, own_pmfs.cumsum(axis=-1), weight_floor, None)
         w = ipcw_weight_arrays(role, frozen_pmfs, val.time_bin, val.event, times, weight_floor)
         return flat(w) @ flat(terms).T / val.n
 

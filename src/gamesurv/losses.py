@@ -254,18 +254,18 @@ def _ipcw_weights(plan: LabelPlan, surv: np.ndarray, floor: float, stats: ClampS
     return np.where(plan.le, (plan.ind / den_evt)[..., None], 1.0 / den_surv)
 
 
-def _terms(family: str, plan: LabelPlan, own: np.ndarray, floor: float, stats: ClampStats | None):
+def _terms(family: str, plan: LabelPlan, cdf: np.ndarray, floor: float, stats: ClampStats | None):
     """A player's own unweighted score per (role, sample, horizon) cell, for
-    (R, n, K) pmfs ``own`` (any stack of them on the R axis): the branch
-    argument x, the term and the mask of clamped x (``np.False_`` when none
-    is). At the cdf F(t), x is 1 - F or F and the term x^2 for the Brier
-    score; for the log loss x is F or 1 - F, clamped at ``floor``, and the
-    term -log x."""
+    (R, n, K) cdfs ``cdf``, the cumulative sums of the own pmfs (any stack
+    of them on the R axis): the branch argument x, the term and the mask of
+    clamped x (``np.False_`` when none is). At the cdf F(t), x is 1 - F or F
+    and the term x^2 for the Brier score; for the log loss x is F or 1 - F,
+    clamped at ``floor``, and the term -log x."""
     le = plan.le
     # F(t) in C order for either kind of cdf_cols: the scores inherit the
     # layout, and the sums over them add in an order that follows it. Rounding
     # in the cumsum may poke a hair above 1; keep 1 - F >= 0.
-    x = np.minimum(own.cumsum(axis=-1)[..., plan.cdf_cols], 1.0, order="C")
+    x = np.minimum(cdf[..., plan.cdf_cols], 1.0, order="C")
     if family == "ipcw-bs":
         np.subtract(1.0, x, out=x, where=le)
         return x, x * x, np.False_
@@ -277,13 +277,11 @@ def _terms(family: str, plan: LabelPlan, own: np.ndarray, floor: float, stats: C
     return x, np.subtract(0.0, terms, out=terms), clamped
 
 
-def _scores(family, plan: LabelPlan, own, surv, floor, stats: ClampStats | None, grad=True):
+def _scores(family, plan: LabelPlan, cdf, w, floor, stats: ClampStats | None, grad=True):
     """Per-(role, sample, horizon) IPCW values, weights times terms, and,
-    with ``grad``, their derivatives in the own cdf F(t), for (R, n, K) pmfs
-    ``own`` against the other player's survival tables ``surv`` (see
-    `_ipcw_weights` and `_terms`)."""
-    w = _ipcw_weights(plan, surv, floor, stats)
-    x, vals, clamped = _terms(family, plan, own, floor, stats)
+    with ``grad``, their derivatives in the own cdf F(t), written over the
+    weights ``w`` of `_ipcw_weights`, for (R, n, K) own cdfs (see `_terms`)."""
+    x, vals, clamped = _terms(family, plan, cdf, floor, stats)
     vals *= w
     if not grad:
         return vals, None
@@ -300,6 +298,7 @@ def _scores(family, plan: LabelPlan, own, surv, floor, stats: ClampStats | None,
 def _nll_values_dpmf(
     flags: np.ndarray,
     own_pmf: np.ndarray,
+    own_cdf: np.ndarray,
     time_bin: np.ndarray,
     event: np.ndarray,
     floor: float,
@@ -308,10 +307,10 @@ def _nll_values_dpmf(
 ):
     """Per-(role, sample) partial log-likelihood terms (R, n) and, given
     row ``weights``, the pmf gradient (R, n, K) of each role's weighted
-    total (None without). One role's (1, 1) ``flags`` broadcast over any
-    (E, n, K) stack of its pmfs. The two players' likelihoods share no
-    parameters, which is what lets the joint likelihood split into
-    independent problems."""
+    total (None without), for (R, n, K) pmfs and their cdfs. One role's
+    (1, 1) ``flags`` broadcast over any (E, n, K) stack of its pmfs. The two
+    players' likelihoods share no parameters, which is what lets the joint
+    likelihood split into independent problems."""
     R, n, K = own_pmf.shape
     time_bin, event = _labels(time_bin, event, K)
     roles, rows = np.arange(R)[:, None], np.arange(n)
@@ -322,7 +321,7 @@ def _nll_values_dpmf(
     tail_start = time_bin - flags
 
     point_mass = own_pmf[roles, rows, time_bin - 1]
-    tail_mass = _padded_surv(own_pmf)[roles, rows, tail_start]
+    tail_mass = np.where(tail_start > 0, 1.0 - own_cdf[roles, rows, tail_start - 1], 1.0)
 
     pm, pm_clamped = _clamp(point_mass, floor, lambda: point_rows, stats)
     tm, tm_clamped = _clamp(tail_mass, floor, lambda: ~point_rows, stats)
@@ -368,7 +367,8 @@ def batch_loss(
     if spec.family == "nll":
         w = batch.norm_weight()
         vals, dpmf = _nll_values_dpmf(
-            spec._flags, own, batch.time_bin, batch.event, spec.weight_floor, stats, w
+            spec._flags, own, own.cumsum(axis=-1), batch.time_bin, batch.event,
+            spec.weight_floor, stats, w
         )
         values = [float(v @ w) for v in vals]
     else:
@@ -377,7 +377,8 @@ def batch_loss(
         plan = _batch_plan(spec, batch, own.shape[-1])
         w = plan.weight
         surv = _padded_surv(_role_stack(spec, frozen_pmf, n))
-        vals, coefs = _scores(spec.family, plan, own, surv, spec.weight_floor, stats)
+        inv = _ipcw_weights(plan, surv, spec.weight_floor, stats)
+        vals, coefs = _scores(spec.family, plan, own.cumsum(axis=-1), inv, spec.weight_floor, stats)
         values = [float(w @ v) for v in vals.sum(axis=-1)]
         # d cdf(t) / d pmf_k = 1{k <= t}: scatter per-horizon coefs, then suffix-sum
         coefs *= w[:, None]
@@ -411,7 +412,8 @@ def per_horizon_loss(
         raise ValueError("per-horizon form is defined for the game losses only")
     own, frozen = (_role_stack(spec, pmf, batch.n) for pmf in (own_pmf, frozen_pmf))
     plan = _batch_plan(spec, batch, own.shape[-1])
-    vals, coefs = _scores(spec.family, plan, own, _padded_surv(frozen), spec.weight_floor, stats)
+    inv = _ipcw_weights(plan, _padded_surv(frozen), spec.weight_floor, stats)
+    vals, coefs = _scores(spec.family, plan, own.cumsum(axis=-1), inv, spec.weight_floor, stats)
     w = plan.weight
     values = np.array([w @ v for v in vals])
     coefs = np.array([w @ c for c in coefs])
@@ -460,7 +462,8 @@ def ipcw_per_sample(
     own, frozen = (_role_stack(spec, pmf, np.size(time_bin)) for pmf in (own_pmf, frozen_pmf))
     time_bin, event = _labels(time_bin, event, own.shape[-1])
     plan = label_plan(time_bin, event, resolve_times(spec.times, own.shape[-1]), spec._flags)
-    vals, _ = _scores(family, plan, own, _padded_surv(frozen), weight_floor, stats, False)
+    inv = _ipcw_weights(plan, _padded_surv(frozen), weight_floor, stats)
+    vals, _ = _scores(family, plan, own.cumsum(axis=-1), inv, weight_floor, stats, False)
     return vals[0, :, 0]
 
 
@@ -478,8 +481,8 @@ def nll(pmf, time_bin, event, role="failure", weight_floor=1e-6, stats=None):
     model; its term clamps to -log(weight_floor) and contributes no gradient.
     """
     own = _as_matrix(pmf, np.size(time_bin))[None]
-    flags = _role_flags((role,))
-    return _nll_values_dpmf(flags, own, time_bin, event, weight_floor, stats)[0][0]
+    return _nll_values_dpmf(_role_flags((role,)), own, own.cumsum(axis=-1), time_bin, event,
+                            weight_floor, stats)[0][0]
 
 
 def ipcw_mean(time_bin, event, censor_pmf, values=None, weight=None, weight_floor=1e-6, stats=None):

@@ -8,21 +8,26 @@ censoring estimate at the bins (the deployable choice), one minus the padded
 cdf of the jointly trained censoring model or of the true censoring
 distribution (simulation only, for bias checks), or Gbar = 1 with the latent
 failure times as events (simulation only). The table goes through the loss
-kernel's factored weights and scoring function (``losses._scores``), so
-this module keeps no weight code of its own. The scores reject pmfs whose
-rows are not distributions with a ValueError naming the argument.
+kernel's weights and scoring function (``losses._ipcw_weights``,
+``losses._scores``), so this module keeps no weight or term code of its own.
+Every score rejects pmfs whose rows are not distributions with a ValueError
+naming the argument. `evaluate` scores a cohort in one pass: one pmf check,
+cdf, censoring table, label plan, weight table and latent-bin lookup serve
+all its scores. Concordance makes one pass per bit of the 2 * n_times (time,
+event) classes and takes ties from runs of equal risk (`concordance_index`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import Dataset, assign_bins
-from .losses import _as_matrix, _padded_surv, _role_flags, _scores, label_plan
-from .losses import nll as _nll_per_sample
+from .losses import _as_matrix, _ipcw_weights, _nll_values_dpmf, _padded_surv, _role_flags
+from .losses import _scores, label_plan
 from .simgen import MarginalWorld
 
 __all__ = [
@@ -97,61 +102,81 @@ def km_censoring(dataset: Dataset) -> KaplanMeier:
     return km_fit(dataset.time_bin.astype(float), ~dataset.event)
 
 
-def _latent_bins(dataset: Dataset) -> np.ndarray:
-    if dataset.latent_time is None:
-        raise ValueError("this weighting needs the latent failure times")
-    return assign_bins(dataset.latent_time, dataset.bin_edges)
-
-
-def _pmf_matrix(name: str, pmf, n: int) -> np.ndarray:
-    """``pmf`` as (n, K) rows, which must be distributions: finite,
-    nonnegative and summing to 1 within 1e-9 (the MarginalWorld
-    tolerance). A NaN or infinite entry fails its row-sum comparison, so
-    two passes check everything."""
+def _pmf_matrix(name: str, pmf, dataset: Dataset) -> np.ndarray:
+    """``pmf`` as (n, K) rows aligned with ``dataset``, which must be
+    distributions: finite, nonnegative and summing to 1 within 1e-9 (the
+    MarginalWorld tolerance). A NaN or infinite entry fails its row-sum
+    comparison, so two passes check everything."""
     pmf = np.asarray(pmf, dtype=float)
-    matrix = _as_matrix(pmf, n)
+    matrix = _as_matrix(pmf, dataset.n)
+    if matrix.shape[1] != dataset.n_bins:
+        raise ValueError(f"{name} must be (n, K) aligned with the dataset's {dataset.n_bins} bins")
     if not np.all(np.abs(pmf.sum(axis=-1) - 1.0) <= 1e-9) or pmf.min(initial=0.0) < 0:
         raise ValueError(f"{name} rows must be finite, nonnegative and sum to 1 within 1e-9")
     return matrix
 
 
-def _censoring_survival(dataset: Dataset, weighting: str, g_pmf, world):
-    """Censoring survival table Gbar[..., j] = P(C > j), j = 0..K, under one
-    weighting, with the (time_bin, event) it weights. The latent weighting
-    scores the latent failure bins, every row an event, against Gbar = 1."""
-    K = dataset.n_bins
-    if weighting == "uncensored-latent":
-        return np.ones(K + 1), _latent_bins(dataset), np.ones(dataset.n, dtype=bool)
-    if weighting == "km":
-        # binned times: KM jumps only at integer bins, so the table holds its
-        # values at 0..K and its left limit at U is the entry at U - 1
-        gbar = km_censoring(dataset).surv_at(np.arange(K + 1.0))
-    elif weighting == "model-G":
-        if g_pmf is None:
-            raise ValueError("model-G weighting needs the censoring model's pmfs")
-        gbar = _padded_surv(_pmf_matrix("g_pmf", g_pmf, dataset.n))
-    elif weighting == "true-G":
-        if world is None:
-            raise ValueError("true-G weighting needs the generating world")
-        if world.n_bins != K:
-            raise ValueError(f"world has {world.n_bins} bins but the dataset has {K}")
-        gbar = _padded_surv(world.theta_c)
-    else:
-        raise ValueError(f"weighting must be one of {WEIGHTINGS}")
-    return gbar, dataset.time_bin, dataset.event
+class _Cohort:
+    """A checked failure pmf matrix on one dataset under one weighting and
+    floor, with its latent bins, and its cdf and weights built on first use.
+    A scorer takes a cohort in place of ``f_pmf`` and reads the rest from it."""
+
+    def __init__(self, f_pmf, dataset: Dataset, weighting="km", g_pmf=None, world=None, floor=1e-6):
+        self.pmf = _pmf_matrix("f_pmf", f_pmf, dataset)
+        self.dataset, self.weighting, self.g_pmf, self.world, self.floor = (
+            dataset, weighting, g_pmf, world, floor)
+        lat = dataset.latent_time
+        self.latent_bins = None if lat is None else assign_bins(lat, dataset.bin_edges)
+
+    @cached_property
+    def cdf(self) -> np.ndarray:  # F(t) in the terms, 1 - F in the tail, F at the latent bin
+        return self.pmf.cumsum(axis=-1)
+
+    def censoring_survival(self):
+        """Censoring survival table Gbar[..., j] = P(C > j), j = 0..K, under
+        the weighting, with the (time_bin, event) it weights. The latent
+        weighting scores the latent failure bins, every row an event, against
+        Gbar = 1."""
+        dataset, world, K = self.dataset, self.world, self.dataset.n_bins
+        if self.weighting == "uncensored-latent":
+            if self.latent_bins is None:
+                raise ValueError("this weighting needs the latent failure times")
+            return np.ones(K + 1), self.latent_bins, np.ones(dataset.n, dtype=bool)
+        if self.weighting == "km":
+            # binned times: KM jumps only at integer bins, so the table holds its
+            # values at 0..K and its left limit at U is the entry at U - 1
+            gbar = km_censoring(dataset).surv_at(np.arange(K + 1.0))
+        elif self.weighting == "model-G":
+            if self.g_pmf is None:
+                raise ValueError("model-G weighting needs the censoring model's pmfs")
+            gbar = _padded_surv(_pmf_matrix("g_pmf", self.g_pmf, dataset))
+        elif self.weighting == "true-G":
+            if world is None:
+                raise ValueError("true-G weighting needs the generating world")
+            if world.n_bins != K:
+                raise ValueError(f"world has {world.n_bins} bins but the dataset has {K}")
+            gbar = _padded_surv(world.theta_c)
+        else:
+            raise ValueError(f"weighting must be one of {WEIGHTINGS}")
+        return gbar, dataset.time_bin, dataset.event
+
+    @cached_property
+    def weights(self):
+        """The failure player's label plan and inverse weights (1, n, T)."""
+        gbar, time_bin, event = self.censoring_survival()
+        plan = label_plan(time_bin, event, np.arange(1, self.dataset.n_bins),
+                          _role_flags(("failure",)))
+        # one table row shared by every sample, or one per sample
+        return plan, _ipcw_weights(plan, gbar.reshape(1, -1, gbar.shape[-1]), self.floor, None)
+
+    def score(self, family: str) -> np.ndarray:  # the failure player's, per horizon
+        plan, w = self.weights
+        vals, _ = _scores(family, plan, self.cdf[None], w, self.floor, None, grad=False)
+        return vals[0].mean(axis=0)
 
 
-def _eval_weighted(f_pmf, dataset, weighting, g_pmf, world, floor, family):
-    """Shared core of eval_bs / eval_bll: the failure player's training
-    score, averaged per horizon over the dataset."""
-    f_pmf = _pmf_matrix("f_pmf", f_pmf, dataset.n)
-    if f_pmf.shape[1] != dataset.n_bins:
-        raise ValueError("pmfs must be (n, K) aligned with the dataset")
-    gbar, time_bin, event = _censoring_survival(dataset, weighting, g_pmf, world)
-    plan = label_plan(time_bin, event, np.arange(1, dataset.n_bins), _role_flags(("failure",)))
-    surv = gbar.reshape(1, -1, gbar.shape[-1])  # one shared row or one per sample
-    vals, _ = _scores(family, plan, f_pmf[None], surv, floor, None, grad=False)
-    return vals[0].mean(axis=0)
+def _cohort(f_pmf, *args, **kwargs) -> _Cohort:
+    return f_pmf if isinstance(f_pmf, _Cohort) else _Cohort(f_pmf, *args, **kwargs)
 
 
 def eval_bs(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
@@ -161,37 +186,37 @@ def eval_bs(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
     On censoring-free data the 'km' weights are identically 1 and the score
     equals the plain uncensored Brier score exactly.
     """
-    return _eval_weighted(f_pmf, dataset, weighting, g_pmf, world, floor, "ipcw-bs")
+    return _cohort(f_pmf, dataset, weighting, g_pmf, world, floor).score("ipcw-bs")
 
 
 def eval_bll(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
              world: MarginalWorld | None = None, floor: float = 1e-6) -> np.ndarray:
     """Per-horizon negative Bernoulli log-likelihood, same weighting scheme."""
-    return _eval_weighted(f_pmf, dataset, weighting, g_pmf, world, floor, "ipcw-bll")
+    return _cohort(f_pmf, dataset, weighting, g_pmf, world, floor).score("ipcw-bll")
 
 
 def nll_metric(f_pmf, dataset: Dataset, floor: float = 1e-6) -> float:
     """Mean partial likelihood loss of the failure model on observed data."""
-    f_pmf = _pmf_matrix("f_pmf", f_pmf, dataset.n)
-    vals = _nll_per_sample(f_pmf, dataset.time_bin, dataset.event, "failure", floor)
-    return float(vals.mean())
+    c = _cohort(f_pmf, dataset, floor=floor)
+    vals, _ = _nll_values_dpmf(_role_flags(("failure",)), c.pmf[None], c.cdf[None],
+                               dataset.time_bin, dataset.event, c.floor, None)
+    return float(vals[0].mean())
 
 
 # -- concordance ------------------------------------------------------------
 
 
-def _count_earlier(rank: np.ndarray, weight: np.ndarray) -> tuple[int, int]:
-    """Weighted counts of earlier rows with a smaller and with an equal rank,
-    ``sum_k w_k #{j < k: r_j < r_k}`` and ``sum_k w_k #{j < k: r_j == r_k}``,
-    for dense ranks r (at least one row) and 0/1 weights w.
+def _count_earlier(rank: np.ndarray, weight: np.ndarray) -> int:
+    """Weighted count of earlier rows with a smaller rank,
+    ``sum_k w_k #{j < k: r_j < r_k}``, for nonnegative integer ranks r (at
+    least one row) and 0/1 weights w.
 
     One linear pass per bit of the largest rank, most significant first
     (a wavelet-tree construction). Entering the pass for bit b, the rows are
     ordered by (r >> (b + 1), position). Within one such group a row whose
     bit b is 1 outranks exactly the earlier rows whose bit b is 0, and a
     stable partition of every group by that bit gives the order for the next
-    bit. At the end the rows are ordered by (rank, position), so a row's
-    offset within its rank counts its earlier equals.
+    bit.
     """
     n = rank.size
     n_ranks = int(rank.max()) + 1
@@ -216,8 +241,7 @@ def _count_earlier(rank: np.ndarray, weight: np.ndarray) -> tuple[int, int]:
         moved = np.empty_like(rw)
         moved[dest] = rw
         rw = moved
-    equal = int(np.dot(rw & 1, pos - start[rw >> 1]))
-    return less, equal
+    return less
 
 
 def concordance_index(risk: np.ndarray, time: np.ndarray, event: np.ndarray) -> float:
@@ -229,14 +253,14 @@ def concordance_index(risk: np.ndarray, time: np.ndarray, event: np.ndarray) -> 
     (concordant + ties / 2) / admissible from exact integer pair counts, so
     it equals the quadratic definition bit for bit.
 
-    Order the rows by time descending; within one time put censored rows
-    first, then events by descending risk. An event's admissible partners
-    are then exactly the rows before it, except the same-time events of
-    equal risk (earlier same-time events never have lower risk), whose
-    m(m - 1)/2 ties per cluster of m are subtracted. Counting the earlier
-    rows with lower and equal risk is `_count_earlier`. Times may be binned
-    or continuous; one code path serves both. Runs in O(n log n): three
-    sorts plus one O(n) pass per bit of the number of distinct risks.
+    Rows fall in 2 * n_times position classes, time descending and censored
+    before events within a time, so an event's admissible partners are the
+    rows of a smaller class. In the order risk ascending, class descending,
+    `_count_earlier` counts each event's earlier rows of a smaller class
+    (lower risk), and its equal-risk partners are the rest of its risk run
+    after its class. Times may be binned or continuous; one code path serves
+    both. Runs in O(n log n): three sorts plus one O(n) pass per bit of the
+    class count, 6 for 20 bins and at most one more than log2(n) otherwise.
 
     ``risk``, ``time`` and ``event`` must be 1-D of equal length, with
     finite risks and times; otherwise ValueError names the field.
@@ -253,37 +277,32 @@ def concordance_index(risk: np.ndarray, time: np.ndarray, event: np.ndarray) -> 
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} must be finite")
     n = risk.size
-    distinct_risks, rank = np.unique(risk, return_inverse=True)
+    _, rank = np.unique(risk, return_inverse=True)
     distinct_times, t_idx = np.unique(time, return_inverse=True)
-    n_ranks, n_times = distinct_risks.size, distinct_times.size
-
-    at_time = np.bincount(t_idx, minlength=n_times)
-    events_at = np.bincount(t_idx[event], minlength=n_times)
-    later = n - np.cumsum(at_time)
-    # an event's partners: every later row and the censored rows at its time
-    admissible = int(np.dot(events_at, later + at_time - events_at))
+    n_classes = 2 * distinct_times.size
+    cls = n_classes - 2 * (t_idx + 1) + event
+    per_class = np.bincount(cls, minlength=n_classes)
+    admissible = int(np.sum((np.cumsum(per_class) - per_class)[cls[event]]))
     if admissible == 0:
         raise ValueError("no admissible pairs: cannot compute concordance")
 
-    # one sort key: time descending, censored before events, risk descending
-    key = ((n_times - 1 - t_idx) * 2 + event) * n_ranks + (n_ranks - 1 - rank)
+    # one sort key: risk ascending, class descending
+    key = rank * n_classes + (n_classes - 1 - cls)
     order = np.argsort(key)
     sorted_key = key[order]
     weight = event[order].astype(np.int64)
-    # runs of one key among events: same-time clusters of equal risk
-    run_starts = np.flatnonzero(np.diff(sorted_key, prepend=-1))
-    run_sizes = np.diff(run_starts, append=n)[weight[run_starts] == 1]
-    same_time_ties = int(np.dot(run_sizes, run_sizes - 1)) // 2
-
-    less, equal = _count_earlier(rank[order], weight)
-    return (less + 0.5 * (equal - same_time_ties)) / admissible
+    less = _count_earlier(cls[order], weight)
+    # each (risk, class) group's events tie with the rest of its risk run
+    starts = np.flatnonzero(np.diff(sorted_key, prepend=-1))
+    run_ends = np.searchsorted(sorted_key, (sorted_key[starts] // n_classes + 1) * n_classes)
+    ties = int(np.dot(np.add.reduceat(weight, starts), run_ends - np.append(starts[1:], n)))
+    return (less + 0.5 * ties) / admissible
 
 
 def concordance(f_pmf, dataset: Dataset) -> float:
     """Concordance of the model's risk ordering; risk is the negative
     expected bin index, so earlier predicted failure = higher risk."""
-    bins = np.arange(1, dataset.n_bins + 1)
-    risk = -(_as_matrix(f_pmf, dataset.n) @ bins)
+    risk = -(_cohort(f_pmf, dataset).pmf @ np.arange(1, dataset.n_bins + 1))
     return concordance_index(risk, dataset.time_bin, dataset.event)
 
 
@@ -292,10 +311,11 @@ def calibration_curve(f_pmf, dataset: Dataset):
     fraction of subjects with F(T_i | x_i) <= alpha per level alpha = 0.1,
     0.2, ..., 0.9. A calibrated model tracks the diagonal up to bin
     coarseness."""
+    c = _cohort(f_pmf, dataset)
+    if c.latent_bins is None:
+        raise ValueError("calibration needs the latent failure times: dataset.latent_time is None")
     levels = np.arange(1, 10) / 10.0
-    lat = _latent_bins(dataset)
-    cdf = np.cumsum(_as_matrix(f_pmf, dataset.n), axis=1)
-    cdf_at_latent = np.minimum(cdf[np.arange(dataset.n), lat - 1], 1.0)
+    cdf_at_latent = np.minimum(c.cdf[np.arange(dataset.n), c.latent_bins - 1], 1.0)
     observed = (cdf_at_latent[:, None] <= levels[None, :]).mean(axis=0)
     return levels, observed
 
@@ -348,14 +368,16 @@ def evaluate(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
              world: MarginalWorld | None = None, floor: float = 1e-6,
              calibration: bool | None = None) -> EvalReport:
     """Full evaluation under one weighting; calibration is included when
-    latent times are available (or on request)."""
-    bs = eval_bs(f_pmf, dataset, weighting, g_pmf, world, floor)
-    bll = eval_bll(f_pmf, dataset, weighting, g_pmf, world, floor)
+    latent times are available (or on request). The scores share one pmf
+    check, cdf, censoring table, label plan and weight table (`_Cohort`)."""
+    cohort = _cohort(f_pmf, dataset, weighting, g_pmf, world, floor)
+    bs = eval_bs(cohort, dataset)
+    bll = eval_bll(cohort, dataset)
     if calibration is None:
         calibration = dataset.latent_time is not None
     levels = observed = None
     if calibration:
-        levels, observed = calibration_curve(f_pmf, dataset)
+        levels, observed = calibration_curve(cohort, dataset)
     return EvalReport(
         weighting=weighting,
         n=dataset.n,
@@ -366,8 +388,8 @@ def evaluate(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
         bll_mean=float(bll.mean()),
         bs_sum=float(bs.sum()),
         bll_sum=float(bll.sum()),
-        nll=nll_metric(f_pmf, dataset, floor),
-        concordance=concordance(f_pmf, dataset),
+        nll=nll_metric(cohort, dataset),
+        concordance=concordance(cohort, dataset),
         calibration_levels=levels,
         calibration_observed=observed,
     )

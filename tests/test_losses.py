@@ -554,7 +554,8 @@ def test_factored_evaluation_equals_the_materialized_route(n_bins, n, seed):
     f, g = (_floored_pmfs(rng, (n, n_bins), floor) for _ in range(2))
     times = np.arange(1, n_bins)
     for weighting in metrics.WEIGHTINGS:
-        gbar, time_bin, event = metrics._censoring_survival(ds, weighting, g, world)
+        cohort = metrics._Cohort(f, ds, weighting, g, world, floor)
+        gbar, time_bin, event = cohort.censoring_survival()
         surv = gbar.reshape(1, -1, n_bins + 1)
         for family, score in (("ipcw-bs", metrics.eval_bs), ("ipcw-bll", metrics.eval_bll)):
             vals, _, _ = _materialized(family, np.array([[False]]), f[None], surv, time_bin,

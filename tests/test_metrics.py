@@ -173,6 +173,38 @@ def test_concordance_equals_brute_force_on_tie_heavy_data(rows):
     assert concordance_index(risk, time, event) == brute
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    case=st.sampled_from(["continuous", "one time", "tied risks", "no censoring"]),
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_concordance_equals_brute_force_on_edge_cohorts(case, n, seed):
+    # the scan runs over the 2 * n_times position classes: as many classes as
+    # rows on continuous times, a single pair of them on one time; tied risks
+    # leave every partner in one risk run, and no censoring empties the
+    # censored classes
+    rng = np.random.default_rng(seed)
+    risk = rng.normal(size=n) if rng.random() < 0.5 else np.round(rng.normal(size=n), 1)
+    time = rng.integers(1, 5, size=n).astype(float)
+    event = rng.random(n) < 0.6
+    if case == "continuous":
+        time = rng.exponential(size=n)
+    elif case == "one time":
+        time = np.full(n, 2.5)
+    elif case == "tied risks":
+        risk = np.full(n, -1.5)
+    else:
+        event = np.ones(n, bool)
+    try:
+        brute = _brute_concordance(risk, time, event)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="no admissible pairs"):
+            concordance_index(risk, time, event)
+        return
+    assert concordance_index(risk, time, event) == brute
+
+
 def test_concordance_uses_expected_bin_risk():
     w = MarginalWorld([0.3, 0.4, 0.3], [0.2, 0.5, 0.3])
     ds = gen_marginal(w, 300, seed=3)
@@ -277,6 +309,8 @@ def test_scores_reject_pmfs_that_are_not_distributions():
             lambda: eval_bs(bad, ds),
             lambda: eval_bll(bad, ds, weighting="true-G", world=w),
             lambda: nll_metric(bad, ds),
+            lambda: calibration_curve(bad, ds),
+            lambda: concordance(bad, ds),
             lambda: evaluate(bad, ds),
         ):
             with pytest.raises(ValueError, match="f_pmf rows must be finite, nonnegative"):
@@ -290,6 +324,54 @@ def test_scores_reject_pmfs_that_are_not_distributions():
     ok[0] = [0.0, 1.0, 0.0]
     assert np.all(np.isfinite(eval_bs(ok, ds, weighting="model-G", g_pmf=ok)))
     assert np.isfinite(nll_metric(np.array([0.2, 0.3, 0.5]), ds))
+
+
+def test_missing_latent_times_name_calibration_or_the_weighting():
+    full = gen_marginal(MarginalWorld([0.3, 0.4, 0.3], [0.2, 0.5, 0.3]), 40, seed=3)
+    ds = Dataset(full.features, full.time_bin, full.event, full.bin_edges)
+    pmf = np.array([0.3, 0.4, 0.3])
+    for call in (lambda: calibration_curve(pmf, ds), lambda: evaluate(pmf, ds, calibration=True)):
+        with pytest.raises(ValueError, match="calibration needs .*dataset.latent_time is None"):
+            call()
+    for score in (eval_bs, eval_bll, evaluate):
+        with pytest.raises(ValueError, match="this weighting needs the latent failure times"):
+            score(pmf, ds, weighting="uncensored-latent")
+    assert evaluate(pmf, ds).calibration_levels is None  # off by default without latent times
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_bins=st.integers(2, 6),
+    n=st.integers(2, 40),
+    marginal=st.booleans(),
+    floor=st.sampled_from([1e-6, 0.05, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_equals_the_standalone_scores(n_bins, n, marginal, floor, seed):
+    # one report shares its pmf check, cdf and weights across the scores; each
+    # field must keep the bits of the score computed on its own. Sparse
+    # Dirichlet pmfs and floors up to 0.3 make the weight and log clamps fire.
+    rng = np.random.default_rng(seed)
+    world = MarginalWorld(rng.dirichlet(np.ones(n_bins)), rng.dirichlet(np.ones(n_bins)))
+    ds = gen_marginal(world, n, seed=int(rng.integers(1000)))
+    rows = () if marginal else (n,)
+    f, g = (rng.dirichlet(np.full(n_bins, 0.3), size=rows) for _ in range(2))
+    try:
+        c_index = concordance(f, ds)
+    except ValueError as exc:  # no admissible pairs: the report cannot exist either
+        with pytest.raises(ValueError, match=str(exc)):
+            evaluate(f, ds, "km", g, world, floor)
+        return
+    levels, observed = calibration_curve(f, ds)
+    nll_value = nll_metric(f, ds, floor)
+    for weighting in ("uncensored-latent", "km", "model-G", "true-G"):
+        report = evaluate(f, ds, weighting, g, world, floor)
+        args = (weighting, g, world, floor)
+        np.testing.assert_array_equal(report.bs, eval_bs(f, ds, *args))
+        np.testing.assert_array_equal(report.bll, eval_bll(f, ds, *args))
+        assert report.nll == nll_value and report.concordance == c_index
+        np.testing.assert_array_equal(report.calibration_levels, levels)
+        np.testing.assert_array_equal(report.calibration_observed, observed)
 
 
 def test_evaluation_scores_are_the_training_scores():
