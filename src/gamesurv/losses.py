@@ -266,6 +266,7 @@ def _terms(family: str, plan: LabelPlan, cdf: np.ndarray, floor: float, stats: C
     # layout, and the sums over them add in an order that follows it. Rounding
     # in the cumsum may poke a hair above 1; keep 1 - F >= 0.
     x = np.minimum(cdf[..., plan.cdf_cols], 1.0, order="C")
+    del cdf  # a caller's temporary cdf is freed here, and its memory reused for the terms
     if family == "ipcw-bs":
         np.subtract(1.0, x, out=x, where=le)
         return x, x * x, np.False_
@@ -322,6 +323,7 @@ def _nll_values_dpmf(
 
     point_mass = own_pmf[roles, rows, time_bin - 1]
     tail_mass = np.where(tail_start > 0, 1.0 - own_cdf[roles, rows, tail_start - 1], 1.0)
+    del own_cdf  # a caller's temporary cdf is freed before the gradient is built
 
     pm, pm_clamped = _clamp(point_mass, floor, lambda: point_rows, stats)
     tm, tm_clamped = _clamp(tail_mass, floor, lambda: ~point_rows, stats)

@@ -166,10 +166,10 @@ class _Cohort:
         gbar, time_bin, event = self.censoring_survival()
         plan = label_plan(time_bin, event, np.arange(1, self.dataset.n_bins),
                           _role_flags(("failure",)))
-        # one table row shared by every sample, or one per sample
         return plan, _ipcw_weights(plan, gbar.reshape(1, -1, gbar.shape[-1]), self.floor, None)
 
-    def score(self, family: str) -> np.ndarray:  # the failure player's, per horizon
+    def score(self, family: str) -> np.ndarray:
+        """The failure player's training score per horizon, averaged over rows."""
         plan, w = self.weights
         vals, _ = _scores(family, plan, self.cdf[None], w, self.floor, None, grad=False)
         return vals[0].mean(axis=0)
@@ -260,7 +260,7 @@ def concordance_index(risk: np.ndarray, time: np.ndarray, event: np.ndarray) -> 
     (lower risk), and its equal-risk partners are the rest of its risk run
     after its class. Times may be binned or continuous; one code path serves
     both. Runs in O(n log n): three sorts plus one O(n) pass per bit of the
-    class count, 6 for 20 bins and at most one more than log2(n) otherwise.
+    class count, 6 for 20 bins and at most ceil(log2 n) + 1 on any times.
 
     ``risk``, ``time`` and ``event`` must be 1-D of equal length, with
     finite risks and times; otherwise ValueError names the field.
@@ -276,7 +276,6 @@ def concordance_index(risk: np.ndarray, time: np.ndarray, event: np.ndarray) -> 
     for name, arr in (("risk", risk), ("time", time)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} must be finite")
-    n = risk.size
     _, rank = np.unique(risk, return_inverse=True)
     distinct_times, t_idx = np.unique(time, return_inverse=True)
     n_classes = 2 * distinct_times.size
@@ -295,7 +294,7 @@ def concordance_index(risk: np.ndarray, time: np.ndarray, event: np.ndarray) -> 
     # each (risk, class) group's events tie with the rest of its risk run
     starts = np.flatnonzero(np.diff(sorted_key, prepend=-1))
     run_ends = np.searchsorted(sorted_key, (sorted_key[starts] // n_classes + 1) * n_classes)
-    ties = int(np.dot(np.add.reduceat(weight, starts), run_ends - np.append(starts[1:], n)))
+    ties = int(np.dot(np.add.reduceat(weight, starts), run_ends - np.append(starts[1:], key.size)))
     return (less + 0.5 * ties) / admissible
 
 

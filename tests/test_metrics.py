@@ -326,6 +326,24 @@ def test_scores_reject_pmfs_that_are_not_distributions():
     assert np.isfinite(nll_metric(np.array([0.2, 0.3, 0.5]), ds))
 
 
+def test_scores_reject_pmfs_on_another_bin_grid():
+    w = MarginalWorld([0.3, 0.4, 0.3], [0.2, 0.5, 0.3])
+    ds = gen_marginal(w, 40, seed=2)
+    good = np.random.default_rng(1).dirichlet(np.ones(3), size=40)
+    wide = np.random.default_rng(2).dirichlet(np.ones(5), size=40)
+    for call in (
+        lambda: eval_bs(wide, ds),
+        lambda: nll_metric(wide, ds),
+        lambda: calibration_curve(wide, ds),
+        lambda: concordance(wide[0], ds),
+        lambda: evaluate(wide, ds),
+    ):
+        with pytest.raises(ValueError, match="f_pmf must be .* aligned with the dataset's 3 bins"):
+            call()
+    with pytest.raises(ValueError, match="g_pmf must be .* aligned with the dataset's 3 bins"):
+        eval_bll(good, ds, weighting="model-G", g_pmf=wide)
+
+
 def test_missing_latent_times_name_calibration_or_the_weighting():
     full = gen_marginal(MarginalWorld([0.3, 0.4, 0.3], [0.2, 0.5, 0.3]), 40, seed=3)
     ds = Dataset(full.features, full.time_bin, full.event, full.bin_edges)
