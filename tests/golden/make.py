@@ -25,11 +25,11 @@ import numpy as np
 import scipy
 
 from gamesurv.cli import main
+from gamesurv.metrics import WEIGHTINGS
 
 HERE = Path(__file__).resolve().parent
 OBJECTIVES = ("bs-game", "bll-game")
 FILES = ("model_F.json", "model_G.json", "train_log.jsonl", "selection.json")
-WEIGHTINGS = ("uncensored-latent", "km", "model-G", "true-G")
 EVAL_FILES = ("report.json", "calibration.csv")
 INPUTS = {"model_f": "model_F.json", "model_g": "model_G.json",
           "bin_edges": "bin_edges.json", "standardizer": "standardizer.json"}
