@@ -1,7 +1,8 @@
-"""Golden ``cli train`` and ``cli evaluate`` artefacts: the model pair, the
-log and the selection summary of two tiny runs, and the report and
-calibration table of one run's models under every weighting, byte for byte
-(see tests/golden/make.py)."""
+"""Golden artefacts, byte for byte (see tests/golden/make.py): the model
+pair, the log and the selection summary of two tiny ``cli train`` runs; the
+report and calibration table of one run's models under every weighting;
+every file of the other command cases; and the population games' end
+states."""
 
 import importlib.util
 import json
@@ -37,3 +38,18 @@ def test_evaluate_reproduces_the_golden_bytes(tmp_path):
         for name in make.EVAL_FILES:
             expected = (GOLDEN / "evaluate" / weighting / name).read_bytes()
             assert (out / name).read_bytes() == expected, (weighting, name)
+
+
+@pytest.mark.parametrize("case", make.COMMANDS)
+def test_command_reproduces_the_golden_bytes(tmp_path, case):
+    _skip_other_builds()
+    run = make.run_command(case, tmp_path)
+    assert make.files(run) == make.files(GOLDEN / case)
+    for name in make.files(run):
+        assert (run / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("seed", make.POPULATION_SEEDS)
+def test_population_games_reproduce_the_golden_end_states(seed):
+    _skip_other_builds()
+    assert make.population(seed) == (GOLDEN / "population" / f"world-{seed}.json").read_text()
