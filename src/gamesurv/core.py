@@ -18,6 +18,7 @@ __all__ = [
     "quantile_discretize",
     "assign_bins",
     "discretize",
+    "padded_cdf",
 ]
 
 
@@ -252,3 +253,13 @@ def discretize(
         latent_time=raw.latent_time,
         latent_censor=raw.latent_censor,
     )
+
+
+def padded_cdf(pmf: np.ndarray) -> np.ndarray:
+    """Cumulative sum along the last axis with a leading zero: entry j is
+    P(X <= j) for j = 0..K. The one place a pmf's cdf tables are built, so
+    the world's tables, the losses' survival tables and the oracle's model
+    tables round alike."""
+    out = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
+    pmf.cumsum(axis=-1, out=out[..., 1:])
+    return out

@@ -366,7 +366,7 @@ def _selection_tables(
         # Bulk route: each entry is a sum over (sample, horizon) of the loss
         # kernel's own term times frozen weight, so the whole E x E table is
         # one matrix product between flattened (E, n*T) stacks.
-        plan = label_plan(val.time_bin, val.event, times, _role_flags((role,)))
+        plan = label_plan(val.time_bin, val.event, val.n_bins, times, _role_flags((role,)))
         _, terms, _ = _terms(family, plan, own_pmfs.cumsum(axis=-1), weight_floor, None)
         w = ipcw_weight_arrays(role, frozen_pmfs, val.time_bin, val.event, times, weight_floor)
         return flat(w) @ flat(terms).T / val.n

@@ -31,6 +31,9 @@ Conventions, fixed across the package:
   flag c (0 failure, 1 censor): the event indicator is ``event ^ c``, the
   event-branch survival column is U - 1 + c (Gbar(U-) or Fbar(U)), and the
   likelihood's tail starts at U - c. A single role is R = 1.
+- Labels are checked in one place: every label plan is built by
+  `label_plan`, which rejects a bin outside 1..K naming ``time_bin``, and
+  the likelihood path runs the same `_labels` check.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch
+from .core import Batch, padded_cdf
 
 __all__ = [
     "ClampStats",
@@ -148,10 +151,9 @@ def _role_stack(spec: LossSpec, pmf: np.ndarray, n: int) -> np.ndarray:
 
 
 def _padded_surv(pmf: np.ndarray) -> np.ndarray:
-    """Survival along the last axis, one minus the cumulative sum with a
-    leading zero: entry j is P(X > j) for j = 0..K."""
-    out = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
-    pmf.cumsum(axis=-1, out=out[..., 1:])
+    """Survival along the last axis, one minus the padded cdf: entry j is
+    P(X > j) for j = 0..K."""
+    out = padded_cdf(pmf)
     return np.subtract(1.0, out, out=out)
 
 
@@ -194,15 +196,18 @@ class LabelPlan:
 
 
 def label_plan(
-    time_bin: np.ndarray,
-    event: np.ndarray,
+    time_bin,
+    event,
+    n_bins: int,
     times: np.ndarray,
     flags: np.ndarray,
     weight: np.ndarray | None = None,
 ) -> LabelPlan:
-    """The label plan of (``time_bin``, ``event``) at horizons ``times`` for
-    the roles with (R, 1) censor ``flags``; ``weight`` holds normalized row
-    weights, uniform when None."""
+    """The label plan of (``time_bin``, ``event``) on ``n_bins`` bins, which
+    checks the labels, at horizons ``times`` for the roles with (R, 1)
+    censor ``flags``; ``weight`` holds normalized row weights, uniform when
+    None."""
+    time_bin, event = _labels(time_bin, event, n_bins)
     n = time_bin.size
     ind = event ^ flags  # event or ~event
     if np.all(np.diff(times) == 1):
@@ -231,8 +236,8 @@ def _batch_plan(spec: LossSpec, batch: Batch, n_bins: int) -> LabelPlan:
     plan = batch._plans.get(key)
     if plan is None:
         times = resolve_times(spec.times, n_bins)
-        time_bin, event = _labels(batch.time_bin, batch.event, n_bins)
-        plan = label_plan(time_bin, event, times, spec._flags, batch.norm_weight())
+        plan = label_plan(batch.time_bin, batch.event, n_bins, times, spec._flags,
+                          batch.norm_weight())
         batch._plans[key] = plan
     return plan
 
@@ -439,8 +444,7 @@ def ipcw_weight_arrays(
     (..., n, K) stack of them. Exposed for bulk evaluation over checkpoint
     grids."""
     frozen = _as_matrix(frozen_pmf, np.size(time_bin), max(np.ndim(frozen_pmf) - 2, 0))
-    time_bin, event = _labels(time_bin, event, frozen.shape[-1])
-    plan = label_plan(time_bin, event, times, _role_flags((role,)))
+    plan = label_plan(time_bin, event, frozen.shape[-1], times, _role_flags((role,)))
     surv = _padded_surv(frozen)[..., None, :, :]  # a one-role axis
     return _ipcw_weights(plan, surv, weight_floor, stats)[..., 0, :, :]
 
@@ -462,8 +466,8 @@ def ipcw_per_sample(
     """
     spec = LossSpec(family, role, (t,), weight_floor)
     own, frozen = (_role_stack(spec, pmf, np.size(time_bin)) for pmf in (own_pmf, frozen_pmf))
-    time_bin, event = _labels(time_bin, event, own.shape[-1])
-    plan = label_plan(time_bin, event, resolve_times(spec.times, own.shape[-1]), spec._flags)
+    K = own.shape[-1]
+    plan = label_plan(time_bin, event, K, resolve_times(spec.times, K), spec._flags)
     inv = _ipcw_weights(plan, _padded_surv(frozen), weight_floor, stats)
     vals, _ = _scores(family, plan, own.cumsum(axis=-1), inv, weight_floor, stats, False)
     return vals[0, :, 0]
@@ -482,8 +486,9 @@ def nll(pmf, time_bin, event, role="failure", weight_floor=1e-6, stats=None):
     A sample censored in the last bin has Fbar(K) = 0 for every categorical
     model; its term clamps to -log(weight_floor) and contributes no gradient.
     """
-    own = _as_matrix(pmf, np.size(time_bin))[None]
-    return _nll_values_dpmf(_role_flags((role,)), own, own.cumsum(axis=-1), time_bin, event,
+    spec = LossSpec("nll", role, weight_floor=weight_floor)
+    own = _role_stack(spec, pmf, np.size(time_bin))
+    return _nll_values_dpmf(spec._flags, own, own.cumsum(axis=-1), time_bin, event,
                             weight_floor, stats)[0][0]
 
 

@@ -20,7 +20,7 @@ event) classes and takes ties from runs of equal risk (`concordance_index`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -155,7 +155,7 @@ class _Cohort:
                 raise ValueError("true-G weighting needs the generating world")
             if world.n_bins != K:
                 raise ValueError(f"world has {world.n_bins} bins but the dataset has {K}")
-            gbar = _padded_surv(world.theta_c)
+            gbar = world.survs[1]
         else:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}")
         return gbar, dataset.time_bin, dataset.event
@@ -164,8 +164,8 @@ class _Cohort:
     def weights(self):
         """The failure player's label plan and inverse weights (1, n, T)."""
         gbar, time_bin, event = self.censoring_survival()
-        plan = label_plan(time_bin, event, np.arange(1, self.dataset.n_bins),
-                          _role_flags(("failure",)))
+        K = self.dataset.n_bins
+        plan = label_plan(time_bin, event, K, np.arange(1, K), _role_flags(("failure",)))
         return plan, _ipcw_weights(plan, gbar.reshape(1, -1, gbar.shape[-1]), self.floor, None)
 
     def score(self, family: str) -> np.ndarray:
@@ -339,24 +339,13 @@ class EvalReport:
     calibration_observed: np.ndarray | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "weighting": self.weighting,
-            "n": self.n,
-            "n_bins": self.n_bins,
-            "bs": self.bs.tolist(),
-            "bll": self.bll.tolist(),
-            "bs_mean": self.bs_mean,
-            "bll_mean": self.bll_mean,
-            "bs_sum": self.bs_sum,
-            "bll_sum": self.bll_sum,
-            "nll": self.nll,
-            "concordance": self.concordance,
-        }
-        if self.calibration_levels is not None:
-            out["calibration"] = {
-                "levels": self.calibration_levels.tolist(),
-                "observed": self.calibration_observed.tolist(),
-            }
+        """The fields as JSON values, arrays as lists; the calibration pair,
+        when present, nests under ``calibration``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        levels, observed = out.pop("calibration_levels"), out.pop("calibration_observed")
+        out["bs"], out["bll"] = self.bs.tolist(), self.bll.tolist()
+        if levels is not None:
+            out["calibration"] = {"levels": levels.tolist(), "observed": observed.tolist()}
         return out
 
     def to_json(self) -> str:

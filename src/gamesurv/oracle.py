@@ -3,7 +3,9 @@
 Everything here is closed-form or finite-enumeration arithmetic in the
 world's parameters; nothing samples and nothing reuses the estimator code
 in :mod:`gamesurv.losses`, so these values can sit on the other side of a
-cross-check from the training path.
+cross-check from the training path. The two sides share only data: the
+world's tables and `core.padded_cdf`, which builds every padded cdf, so
+both round a model's cdf alike.
 
 Notation for the per-step closed forms (prefix bins pinned at the truth):
 
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .core import padded_cdf
 from .simgen import MarginalWorld
 
 __all__ = [
@@ -55,13 +58,6 @@ __all__ = [
 
 
 _PLAYERS = ("failure", "censor")  # the row order of every stacked table
-
-
-def _pad(theta: np.ndarray) -> np.ndarray:
-    """padded cdf along the last axis: entry j = P(X <= j) for j = 0..K."""
-    out = np.zeros(theta.shape[:-1] + (theta.shape[-1] + 1,))
-    theta.cumsum(axis=-1, out=out[..., 1:])
-    return out
 
 
 def _step_context(world: MarginalWorld, step: int, x=None, y=None):
@@ -173,7 +169,7 @@ def _scores(world: MarginalWorld, pmf_t, pmf_c, family: str, values: bool = True
     With H = own model cdf at t: Brier (1-H)^2 w1 + H^2 w2, log loss
     -log(H) w1 - log(1-H) w2 (no closed form is used for either).
     """
-    hat = _pad(np.stack((_check_model(world, pmf_t), _check_model(world, pmf_c)), axis=-2))
+    hat = padded_cdf(np.stack((_check_model(world, pmf_t), _check_model(world, pmf_c)), axis=-2))
     own = hat[..., 1 : world.n_bins]
     w1, w2 = _ratio_sums(world, hat)
     if family == "ipcw-bs":
@@ -234,24 +230,14 @@ def population_failure_nll(world: MarginalWorld, pmf_t: np.ndarray) -> float:
     """Population value of the failure player's partial likelihood loss:
     E[delta (-log f(U)) + (1-delta)(-log Fbar(U))], exact outcome sum."""
     pmf_t = _check_model(world, np.ravel(pmf_t))  # one model, not a stack
-    hat = _pad(pmf_t)
-    # P(U = u, delta = 1) = theta_t[u] P(C >= u), P(U = u, delta = 0) = theta_c[u] P(T > u)
-    w_event, w_cens = world.theta_t * world.survs[1, :-1], world.theta_c * world.survs[0, 1:]
-    # censored-at-K has probability Fbar(K) = 0 structurally; cumsum dust
-    # must not resurrect it
-    w_cens[-1] = 0.0
-    total = 0.0
-    for u in range(1, world.n_bins + 1):
-        if w_event[u - 1] > 0:
-            if pmf_t[u - 1] <= 0:
-                raise ValueError("model puts zero mass on a support bin")
-            total += w_event[u - 1] * -np.log(pmf_t[u - 1])
-        if w_cens[u - 1] > 0:
-            fbar = 1.0 - hat[u]
-            if fbar <= 0:
-                raise ValueError("model survival vanishes on a censored bin")
-            total += w_cens[u - 1] * -np.log(fbar)
-    return float(total)
+    # the model's probability of each outcome: f(u), or Fbar(u) if censored
+    own = np.array([pmf_t, 1.0 - padded_cdf(pmf_t)[1:]])
+    occurs = world.outcomes > 0
+    if np.any(own[0][occurs[0]] <= 0):
+        raise ValueError("model puts zero mass on a support bin")
+    if np.any(own[1][occurs[1]] <= 0):
+        raise ValueError("model survival vanishes on a censored bin")
+    return float(world.outcomes[occurs] @ -np.log(own[occurs]))
 
 
 def nll_censoring_dependence(rho: float) -> float:
@@ -356,7 +342,7 @@ def _pmfs_from_z(z: np.ndarray):
 
 
 def _z_from_theta(theta: np.ndarray) -> np.ndarray:
-    fracs = np.clip(theta[..., :-1] / (1.0 - _pad(theta[..., :-2])), 1e-12, 1.0 - 1e-12)
+    fracs = np.clip(theta[..., :-1] / (1.0 - padded_cdf(theta[..., :-2])), 1e-12, 1.0 - 1e-12)
     return np.log(fracs) - np.log1p(-fracs)
 
 
@@ -428,7 +414,7 @@ def _scan_jacobian(zvec: np.ndarray, world: MarginalWorld) -> np.ndarray:
     for i <= j; coordinates the residual clips at |z| = 30 get zero columns."""
     m = world.n_bins - 1
     pmfs, fracs = _pmfs_from_z(zvec)
-    hat = _pad(pmfs)
+    hat = padded_cdf(pmfs)
     d_cdf = _cdf_jacobian(world, hat).reshape(zvec.shape[:-1] + (2 * m, 2, m))
     # d r / d z_i = expit(z_i) * sum over j >= i of (d r / d cdf_j)(1 - cdf_j)
     chain = (d_cdf * (1.0 - hat[..., None, :, 1 : m + 1]))[..., ::-1].cumsum(axis=-1)[..., ::-1]

@@ -10,6 +10,10 @@ Two generators:
 - ``gen_marginal``: exact categorical draws from a known marginal world,
   used by the population oracle's Monte-Carlo cross checks.
 
+``MarginalWorld.outcomes`` is the one table of outcome probabilities
+P(U, delta): ``population_batch`` and the oracle's population likelihood
+both read it.
+
 Sampling uses one uniform per variate (inverse CDF), so for a fixed seed the
 first n rows of a larger draw equal a smaller draw: sweeps over the training
 size grow a dataset instead of reshuffling it.
@@ -30,7 +34,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaincinv
 
-from .core import Dataset, RawSurvivalData
+from .core import Batch, Dataset, RawSurvivalData, padded_cdf
 
 __all__ = [
     "GammaSimConfig",
@@ -131,7 +135,11 @@ class MarginalWorld:
     The world's tables are built once and kept read-only, rows (failure,
     censor): ``pmfs`` (2, K), of which ``theta_t`` and ``theta_c`` are
     views, the padded cdfs ``cdfs`` (2, K+1), entry j = P(X <= j) for
-    j = 0..K, and the survivals ``survs`` = 1 - ``cdfs``.
+    j = 0..K, the survivals ``survs`` = 1 - ``cdfs``, and the outcome
+    probabilities ``outcomes`` (2, K): P(U = u, delta = 1) = theta_t[u] *
+    P(C >= u) in row 0, P(U = u, delta = 0) = theta_c[u] * P(T > u) in row
+    1, whose (K, censored) cell is exactly 0 even where the cdf's rounding
+    leaves P(T > K) a hair above 0.
     """
 
     theta_t: np.ndarray
@@ -139,6 +147,7 @@ class MarginalWorld:
     pmfs: np.ndarray = field(init=False, repr=False, compare=False)
     cdfs: np.ndarray = field(init=False, repr=False, compare=False)
     survs: np.ndarray = field(init=False, repr=False, compare=False)
+    outcomes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tt = np.asarray(self.theta_t, dtype=float)
@@ -151,9 +160,12 @@ class MarginalWorld:
         if tt.size != tc.size:
             raise ValueError("theta_t and theta_c must share the bin count")
         pmfs = np.array([tt, tc])
-        cdfs = np.zeros((2, tt.size + 1))
-        pmfs.cumsum(axis=1, out=cdfs[:, 1:])
-        tables = dict(theta_t=pmfs[0], theta_c=pmfs[1], pmfs=pmfs, cdfs=cdfs, survs=1.0 - cdfs)
+        cdfs = padded_cdf(pmfs)
+        survs = 1.0 - cdfs
+        outcomes = pmfs * np.array([survs[1, :-1], survs[0, 1:]])  # C >= u, T > u
+        outcomes[1, -1] = 0.0
+        tables = dict(theta_t=pmfs[0], theta_c=pmfs[1], pmfs=pmfs, cdfs=cdfs, survs=survs,
+                      outcomes=outcomes)
         for name, table in tables.items():
             table.flags.writeable = False
             object.__setattr__(self, name, table)
@@ -216,26 +228,17 @@ def gen_marginal(world: MarginalWorld, n: int, seed: int = 0) -> Dataset:
     )
 
 
-def population_batch(world: MarginalWorld):
-    """Every possible (U, delta) outcome with its exact probability.
-
-    P(U = u, delta = 1) = theta_t[u] * P(C >= u)
-    P(U = u, delta = 0) = theta_c[u] * P(T > u)
+def population_batch(world: MarginalWorld) -> Batch:
+    """Every possible (U, delta) outcome with its exact probability, the
+    world's ``outcomes`` table: events at u = 1..K, then censorings.
 
     Zero-probability outcomes are dropped; the weights sum to 1. Feeding
     this batch to a loss computes the population expectation exactly.
     """
-    from .core import Batch
-
-    K = world.n_bins
-    u_all = np.arange(1, K + 1)
-    w_event = world.theta_t * world.survs[1, :-1]  # C >= u
-    w_cens = world.theta_c * world.survs[0, 1:]  # T > u
-    u = np.concatenate([u_all, u_all])
-    delta = np.concatenate([np.ones(K, dtype=bool), np.zeros(K, dtype=bool)])
-    w = np.concatenate([w_event, w_cens])
-    keep = w > 0
-    return Batch(u[keep], delta[keep], features=None, weight=w[keep])
+    keep = world.outcomes > 0
+    u = np.broadcast_to(np.arange(1, world.n_bins + 1), keep.shape)
+    delta = np.broadcast_to(np.array([[True], [False]]), keep.shape)
+    return Batch(u[keep], delta[keep], features=None, weight=world.outcomes[keep])
 
 
 @dataclass(frozen=True)

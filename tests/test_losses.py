@@ -429,7 +429,7 @@ def test_label_plan_indexes_contiguous_horizons_by_slices():
     u, ev, flags = np.array([1, 3, 2]), np.array([True, False, True]), np.array([[False]])
     surv = np.arange(3 * 5.0).reshape(3, 5)
     for times in (np.array([1, 2, 3]), np.array([2, 3]), np.array([1, 3])):
-        plan = label_plan(u, ev, times, flags)
+        plan = label_plan(u, ev, 4, times, flags)
         np.testing.assert_array_equal(surv[:, plan.surv_cols], surv[:, times])
         np.testing.assert_array_equal(surv[:, plan.cdf_cols], surv[:, times - 1])
         assert isinstance(plan.surv_cols, slice) == (times.size == times[-1] - times[0] + 1)

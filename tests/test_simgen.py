@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gamesurv.core import RawSurvivalData, assign_bins
+from gamesurv.losses import ClampStats, LossSpec, batch_loss
 from gamesurv.simgen import (
     GammaSimConfig,
     MarginalWorld,
@@ -99,7 +100,7 @@ def test_marginal_world_tables_are_read_only_copies():
         assert w.cdfs[row].tobytes() == cdf.tobytes()
         assert w.survs[row].tobytes() == (1.0 - cdf).tobytes()
     assert w.theta_t[0] == 0.2
-    for table in (w.theta_t, w.pmfs, w.cdfs, w.survs):
+    for table in (w.theta_t, w.pmfs, w.cdfs, w.survs, w.outcomes):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.5
 
@@ -180,6 +181,32 @@ def test_population_batch_enumerates_outcomes():
         else:
             expect = w.theta_c[u - 1] * (1.0 - pad_t[u])
         assert wt == pytest.approx(expect, abs=1e-15)
+
+
+def test_population_batches_of_random_worlds_read_the_outcome_table():
+    # the cdf's last entry rounds above 1 in some worlds and below 1 in
+    # others, where P(T > K) is a hair above 0 but censoring at K stays
+    # impossible
+    rng = np.random.default_rng(2024)
+    last_cdf = []
+    for _ in range(2000):
+        w = random_interior_world(int(rng.integers(2, 9)), rng)
+        K = w.n_bins
+        last_cdf.append(w.cdfs[0, -1])
+        pb = population_batch(w)
+        assert np.all(pb.weight > 0)
+        assert not np.any((pb.time_bin == K) & ~pb.event)
+        assert w.outcomes[1, -1] == 0.0
+        occurs = w.outcomes > 0
+        np.testing.assert_array_equal(pb.weight, w.outcomes[occurs])
+        np.testing.assert_array_equal(pb.time_bin, np.nonzero(occurs)[1] + 1)
+        np.testing.assert_array_equal(pb.event, np.nonzero(occurs)[0] == 0)
+        assert abs(pb.weight.sum() - 1.0) <= 1e-12
+        stats = ClampStats()
+        batch_loss(LossSpec("nll", "failure"), w.theta_t, None, pb, stats)
+        assert stats.count == 0
+    last_cdf = np.array(last_cdf)
+    assert np.any(last_cdf > 1.0) and np.any(last_cdf < 1.0)
 
 
 def test_standardizer():
