@@ -28,6 +28,17 @@ def _frozen_copy(values, dtype) -> np.ndarray:
     return out
 
 
+def _row_weights(weight, n: int) -> np.ndarray:
+    """``weight`` as floats, which must be one finite, nonnegative weight
+    per record with a positive sum; otherwise ValueError naming ``weight``."""
+    w = np.asarray(weight, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"weight must hold one entry per record, shape ({n},), got {w.shape}")
+    if not (np.all(w >= 0) and 0 < w.sum() < np.inf):  # a NaN fails both
+        raise ValueError("weight must be finite and nonnegative with a positive sum")
+    return w
+
+
 @dataclass(frozen=True)
 class Batch:
     """Array-of-records view used by losses and training steps.
@@ -59,9 +70,7 @@ class Batch:
         if np.any(self.time_bin < 1):
             raise ValueError("time_bin is 1-indexed; found a bin < 1")
         if self.weight is not None:
-            w = _frozen_copy(self.weight, float)
-            if np.any(w < 0):
-                raise ValueError("weights must be nonnegative")
+            w = _frozen_copy(_row_weights(self.weight, self.n), float)
             object.__setattr__(self, "weight", w)
 
     @property
@@ -72,10 +81,7 @@ class Batch:
         """Per-record weights normalized to sum 1."""
         if self.weight is None:
             return np.full(self.n, 1.0 / self.n)
-        total = self.weight.sum()
-        if total <= 0:
-            raise ValueError("batch weights sum to zero")
-        return self.weight / total
+        return self.weight / self.weight.sum()
 
 
 @dataclass(frozen=True)

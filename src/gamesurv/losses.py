@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, padded_cdf
+from .core import Batch, _row_weights, padded_cdf
 
 __all__ = [
     "ClampStats",
@@ -79,6 +79,13 @@ def _role_flags(roles: tuple[str, ...]) -> np.ndarray:
     return np.array([[role == "censor"] for role in roles])
 
 
+def _check_floor(floor, name: str = "weight_floor") -> float:
+    """``floor``, which must lie in (0, 1); otherwise ValueError naming it."""
+    if not 0 < floor < 1:  # a NaN fails too
+        raise ValueError(f"{name} must lie in (0, 1), got {floor!r}")
+    return floor
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """Which loss to compute, for whom, at which horizons. ``role`` is one
@@ -96,8 +103,7 @@ class LossSpec:
         object.__setattr__(self, "_flags", _role_flags(roles))
         times = self.times if isinstance(self.times, str) else tuple(np.ravel(self.times).tolist())
         object.__setattr__(self, "_plan_key", (times, roles))
-        if not 0 < self.weight_floor < 1:
-            raise ValueError("weight_floor must lie in (0, 1)")
+        _check_floor(self.weight_floor)
 
 
 def resolve_times(times: tuple[int, ...] | str, n_bins: int) -> np.ndarray:
@@ -443,6 +449,7 @@ def ipcw_weight_arrays(
     `_ipcw_weights`), for a frozen pmf of shape (K,) or (n, K), or a
     (..., n, K) stack of them. Exposed for bulk evaluation over checkpoint
     grids."""
+    _check_floor(weight_floor)
     frozen = _as_matrix(frozen_pmf, np.size(time_bin), max(np.ndim(frozen_pmf) - 2, 0))
     plan = label_plan(time_bin, event, frozen.shape[-1], times, _role_flags((role,)))
     surv = _padded_surv(frozen)[..., None, :, :]  # a one-role axis
@@ -507,5 +514,5 @@ def ipcw_mean(time_bin, event, censor_pmf, values=None, weight=None, weight_floo
     contrib = np.where(event, vals * inv[:, 0], 0.0)  # censored values may be NaN
     if weight is None:
         return float(contrib.mean())
-    w = np.asarray(weight, dtype=float)
+    w = _row_weights(weight, contrib.size)
     return float(contrib @ (w / w.sum()))

@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import Dataset, assign_bins
-from .losses import _as_matrix, _ipcw_weights, _nll_values_dpmf, _padded_surv, _role_flags
-from .losses import _scores, label_plan
+from .losses import _as_matrix, _check_floor, _ipcw_weights, _nll_values_dpmf, _padded_surv
+from .losses import _role_flags, _scores, label_plan
 from .simgen import MarginalWorld
 
 __all__ = [
@@ -123,8 +123,8 @@ class _Cohort:
 
     def __init__(self, f_pmf, dataset: Dataset, weighting="km", g_pmf=None, world=None, floor=1e-6):
         self.pmf = _pmf_matrix("f_pmf", f_pmf, dataset)
-        self.dataset, self.weighting, self.g_pmf, self.world, self.floor = (
-            dataset, weighting, g_pmf, world, floor)
+        self.dataset, self.weighting, self.g_pmf, self.world = dataset, weighting, g_pmf, world
+        self.floor = _check_floor(floor, "floor")
         lat = dataset.latent_time
         self.latent_bins = None if lat is None else assign_bins(lat, dataset.bin_edges)
 

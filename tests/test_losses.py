@@ -576,3 +576,46 @@ def test_a_nan_in_the_frozen_pmf_reaches_the_value():
             assert not np.isfinite(value)
             values, coefs = per_horizon_loss(LossSpec(family, role), own, frozen, batch)
             assert not np.isfinite(values[0]) and not np.isfinite(coefs[0])
+
+
+BAD_FLOORS = (0.0, -1.0, 1.0, 2.0, float("nan"))
+
+
+@pytest.mark.parametrize("floor", BAD_FLOORS)
+def test_every_loss_entry_point_rejects_a_floor_outside_0_1(floor):
+    # before, nll(weight_floor=2.0) returned -0.693 and 0 divided by zero
+    u, ev, f, g = np.array([1, 2, 3]), np.array([True, False, True]), [0.2, 0.3, 0.5], [0.4, 0.4, 0.2]
+    calls = [
+        lambda: nll(f, u, ev, weight_floor=floor),
+        lambda: nll(f, u, ev, "censor", weight_floor=floor),
+        lambda: ipcw_per_sample("ipcw-bll", "failure", 1, f, g, u, ev, floor),
+        lambda: ipcw_weight_arrays("failure", g, u, ev, np.array([1, 2]), floor),
+        lambda: ipcw_mean(u, ev, g, weight_floor=floor),
+        lambda: batch_loss(LossSpec("nll", "failure", weight_floor=floor), f, None, Batch(u, ev)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="weight_floor must lie in"):
+            call()
+
+
+@pytest.mark.parametrize("value", (0.0, -1.0, 1.0, 2.0, float("nan")))
+def test_row_weights_follow_one_rule(value):
+    # nonnegative, finite and with a positive sum, for a Batch and ipcw_mean
+    # alike; before, ipcw_mean(weight=zeros) returned NaN
+    u, ev, g = np.array([1, 1, 2]), np.array([True, False, True]), np.array([0.5, 0.5])
+    weight = np.full(3, value)
+    if value > 0:
+        assert ipcw_mean(u, ev, g, weight=weight) == pytest.approx(ipcw_mean(u, ev, g), rel=1e-15)
+        assert np.array_equal(Batch(u, ev, weight=weight).norm_weight(), np.full(3, 1 / 3))
+        return
+    for call in (lambda: ipcw_mean(u, ev, g, weight=weight), lambda: Batch(u, ev, weight=weight)):
+        with pytest.raises(ValueError, match="weight must be finite and nonnegative"):
+            call()
+
+
+def test_row_weights_need_one_entry_per_record():
+    u, ev, g = np.array([1, 1, 2]), np.array([True, False, True]), np.array([0.5, 0.5])
+    for call in (lambda: ipcw_mean(u, ev, g, weight=[1.0, 1.0]),
+                 lambda: Batch(u, ev, weight=[1.0, 1.0])):
+        with pytest.raises(ValueError, match=r"weight must hold one entry per record, shape \(3,\)"):
+            call()

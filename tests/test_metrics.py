@@ -453,3 +453,19 @@ def test_evaluate_report_shape_and_json():
     # calibration needs latent times and can be forced off
     rep2 = evaluate(pmf, ds, weighting="km", calibration=False)
     assert "calibration" not in json.loads(rep2.to_json())
+
+
+@pytest.mark.parametrize("floor", (0.0, -1.0, 1.0, 2.0, float("nan")))
+def test_scores_reject_a_floor_outside_0_1(floor):
+    # before, eval_bs(..., floor=2.0) returned clamped scores
+    world = MarginalWorld([0.2, 0.3, 0.5], [0.3, 0.3, 0.4])
+    data = gen_marginal(world, 40, seed=3)
+    calls = [
+        lambda: eval_bs(world.theta_t, data, floor=floor),
+        lambda: eval_bll(world.theta_t, data, floor=floor),
+        lambda: nll_metric(world.theta_t, data, floor=floor),
+        lambda: evaluate(world.theta_t, data, "true-G", world=world, floor=floor),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="floor must lie in"):
+            call()
