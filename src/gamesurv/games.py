@@ -182,7 +182,12 @@ class GameState:
         self.checkpoints[self.epoch] = self.pair.params.copy()
 
     def model_at(self, epoch: int, which: str) -> Model:
-        return Model(self.pair.arch, self.checkpoints[epoch][0 if which == "F" else 1])
+        """The failure (``which`` "F") or censoring ("G") model of a kept epoch."""
+        if which not in ("F", "G"):
+            raise ValueError(f"which must be 'F' or 'G', got {which!r}")
+        if epoch not in self.checkpoints:
+            raise ValueError(f"epoch {epoch} was not kept; kept epochs: {sorted(self.checkpoints)}")
+        return Model(self.pair.arch, self.checkpoints[epoch]["FG".index(which)])
 
 
 def init_state(n_bins: int, feature_dim: int, config: TrainConfig) -> GameState:
@@ -387,6 +392,9 @@ def select_models(
     interact and this reduces to the two independent validation argmins.
     """
     cfg = state.config
+    if val.n_bins != state.pair.arch.n_bins:
+        raise ValueError(f"val is binned on {val.n_bins} bins but the models predict "
+                         f"{state.pair.arch.n_bins}")
     family = family_of(cfg.objective)
     epochs, loss_g_given_f, loss_f_given_g = _selection_tables(
         state.pair.arch, state.checkpoints, val, family, cfg.weight_floor

@@ -410,6 +410,34 @@ def test_select_models_game_is_best_response_pair(objective):
             assert lfg[j, i] == pytest.approx(failure, rel=1e-12)
 
 
+@pytest.mark.parametrize("objective", ["nll", "bs-game", "bll-game"])
+def test_select_models_rejects_val_on_another_bin_count(monkeypatch, objective):
+    # before, fewer bins scored on the wrong horizons and more bins failed
+    # naming time_bin; now both fail before any pmf is predicted
+    three_bins = MarginalWorld([0.2, 0.3, 0.5], [0.3, 0.3, 0.4])
+    state = train(gen_marginal(three_bins, 40, seed=1),
+                  TrainConfig(objective=objective, epochs=2, batch_size=20))
+    monkeypatch.setattr(Model, "predict_pmf", lambda *a, **k: pytest.fail("predicted a pmf"))
+    for world in (TRUTH, MarginalWorld([0.2, 0.3, 0.1, 0.4], [0.3, 0.3, 0.2, 0.2])):
+        val = gen_marginal(world, 30, seed=2)
+        with pytest.raises(ValueError, match=f"val is binned on {world.n_bins} bins but the "
+                                             "models predict 3"):
+            select_models(state, val)
+
+
+@pytest.mark.parametrize("objective", ["nll", "bs-game", "bll-game"])
+def test_model_at_takes_only_kept_epochs_and_f_or_g(objective):
+    state = train(gen_marginal(TRUTH, 40, seed=1), TrainConfig(objective=objective, epochs=4,
+                                                               batch_size=20, checkpoint_every=2))
+    for which, row in (("F", 0), ("G", 1)):
+        np.testing.assert_array_equal(state.model_at(4, which).params, state.checkpoints[4][row])
+    for which in ("failure", "g", None):
+        with pytest.raises(ValueError, match="which must be 'F' or 'G'"):
+            state.model_at(4, which)
+    with pytest.raises(ValueError, match=r"epoch 3 was not kept; kept epochs: \[2, 4\]"):
+        state.model_at(3, "F")
+
+
 def _two_gemm_tables(arch, checkpoints, val, family, floor):
     """The selection tables the materialized way: full event-branch and
     survival-branch weight arrays, each zero where the other branch applies,
