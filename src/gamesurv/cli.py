@@ -283,9 +283,8 @@ def cmd_train(cfg: dict, out: Path) -> None:
 
 
 def _load_standardizer(path) -> simgen.Standardizer:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return simgen.Standardizer(np.asarray(payload["mean"]), np.asarray(payload["std"]))
+    return simgen._load_json(path, lambda payload: simgen.Standardizer(
+        simgen._json_floats(payload, "mean"), simgen._json_floats(payload, "std")))
 
 
 def _score_test_split(test_raw, edges, model_f, model_g, weighting, world=None):

@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import Batch
 from .losses import ClampStats, LossSpec, batch_loss
+from .simgen import _json_floats, _load_json
 
 __all__ = ["ArchSpec", "Model", "loss_and_grad"]
 
@@ -242,7 +243,7 @@ class Model:
     def from_dict(cls, payload: dict) -> "Model":
         a = payload["arch"]
         arch = ArchSpec(a["kind"], a["n_bins"], a["feature_dim"], tuple(a["hidden"]))
-        return cls(arch, np.asarray(payload["params"], dtype=float))
+        return cls(arch, _json_floats(payload, "params"))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -250,8 +251,8 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """A saved model; a malformed file fails with a ValueError naming it."""
+        return _load_json(path, cls.from_dict)
 
 
 @dataclass(frozen=True)

@@ -283,39 +283,45 @@ def save_csv(path, data: RawSurvivalData) -> None:
             writer.writerow(row)
 
 
-def load_csv(path) -> RawSurvivalData:
-    """Read the CSV contract back; malformed rows fail with line numbers."""
+def _read_csv(path) -> tuple[list[str], list]:
+    """The header of a CSV file and its nonempty rows with their line
+    numbers; an empty file fails naming it."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        d = len(header) - 2
-        expected = [f"f{j}" for j in range(d)] + ["time", "event"]
-        if d < 0 or header != expected:
-            raise ValueError(
-                f"{path}: line 1: header must be f0..f{{d-1}},time,event; got {header}"
-            )
-        feats, times, events = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 2:
-                raise ValueError(f"{path}: line {lineno}: expected {d + 2} fields, got {len(row)}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{path}: line {lineno}: non-finite value")
-            if values[-1] not in (0.0, 1.0):
-                raise ValueError(
-                    f"{path}: line {lineno}: event must be 0 or 1, got {row[-1]!r}"
-                )
-            feats.append(values[:d])
-            times.append(values[d])
-            events.append(bool(values[d + 1]))
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        return header, [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
+
+
+def _floats(path, lineno: int, row: list[str], width: int) -> list[float]:
+    """A CSV row of ``width`` numbers as floats; any other row fails naming
+    the file and the line."""
+    if len(row) != width:
+        raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+    try:
+        return [float(v) for v in row]
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+
+def load_csv(path) -> RawSurvivalData:
+    """Read the CSV contract back; malformed rows fail with line numbers."""
+    header, rows = _read_csv(path)
+    d = len(header) - 2
+    expected = [f"f{j}" for j in range(d)] + ["time", "event"]
+    if d < 0 or header != expected:
+        raise ValueError(f"{path}: line 1: header must be f0..f{{d-1}},time,event; got {header}")
+    feats, times, events = [], [], []
+    for lineno, row in rows:
+        values = _floats(path, lineno, row, d + 2)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}: line {lineno}: non-finite value")
+        if values[-1] not in (0.0, 1.0):
+            raise ValueError(f"{path}: line {lineno}: event must be 0 or 1, got {row[-1]!r}")
+        feats.append(values[:d])
+        times.append(values[d])
+        events.append(bool(values[d + 1]))
     n = len(times)
     return RawSurvivalData(
         np.asarray(feats, dtype=float).reshape(n, d),
@@ -341,13 +347,11 @@ def save_latent_csv(path, data: RawSurvivalData) -> None:
 
 
 def load_latent_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t_latent", "c_latent"]:
-            raise ValueError(f"{path}: line 1: expected header t_latent,c_latent")
-        pairs = [(float(r[0]), float(r[1])) for r in reader if r]
-    arr = np.asarray(pairs, dtype=float).reshape(len(pairs), 2)
+    """Read a latent sidecar back; malformed rows fail with line numbers."""
+    header, rows = _read_csv(path)
+    if header != ["t_latent", "c_latent"]:
+        raise ValueError(f"{path}: line 1: expected header t_latent,c_latent")
+    arr = np.asarray([_floats(path, lineno, row, 2) for lineno, row in rows]).reshape(-1, 2)
     return arr[:, 0], arr[:, 1]
 
 
@@ -357,10 +361,33 @@ def write_bin_edges(path, edges: np.ndarray) -> None:
         json.dump({"K": edges.size - 1, "edges": edges.tolist()}, fh)
 
 
+def _load_json(path, build):
+    """``build`` of the JSON value in the file ``path``. A file that is not
+    JSON, lacks a key ``build`` reads or holds a value of the wrong kind
+    fails with a ValueError naming the file, and the key when one is missing."""
+    try:
+        with open(path) as fh:
+            return build(json.load(fh))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _json_floats(payload: dict, key: str) -> np.ndarray:
+    """``payload[key]`` as a float array; a value that is not numbers fails naming the key."""
+    value = payload[key]
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"key {key!r} must hold numbers: {exc}") from None
+
+
 def read_bin_edges(path) -> np.ndarray:
-    with open(path) as fh:
-        payload = json.load(fh)
-    edges = np.asarray(payload["edges"], dtype=float)
-    if edges.size - 1 != payload["K"]:
-        raise ValueError(f"{path}: K = {payload['K']} but {edges.size} edges")
-    return edges
+    def build(payload):
+        edges = _json_floats(payload, "edges")
+        if edges.size - 1 != payload["K"]:
+            raise ValueError(f"K = {payload['K']!r} but {edges.size} edges")
+        return edges
+
+    return _load_json(path, build)

@@ -642,6 +642,49 @@ def test_commands_reject_config_holes_before_work(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+# Path files that exist but are malformed fail once read, before anything is
+# written, with a ValueError naming the file and the key (before, a bare
+# KeyError printed only "'K'", "'std'" or "'arch'").
+MLP_ARCH = {"kind": "mlp", "n_bins": 5, "feature_dim": 4, "hidden": [6]}
+GOOD_FILES = {
+    "model_f": {"arch": MLP_ARCH, "params": [0.0] * 65},
+    "model_g": {"arch": MLP_ARCH, "params": [0.0] * 65},
+    "bin_edges": {"K": 5, "edges": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]},
+    "standardizer": {"mean": [0.0] * 4, "std": [1.0] * 4},
+}
+
+
+@pytest.mark.parametrize(
+    "key, content, message",
+    [
+        ("bin_edges", {"edges": [0.0, 1.0, 2.0]}, "missing key 'K'"),
+        ("bin_edges", {"K": 2}, "missing key 'edges'"),
+        ("bin_edges", {"K": 2, "edges": [0.0, "x", 2.0]}, "key 'edges' must hold numbers"),
+        ("bin_edges", {"K": 3, "edges": [0.0, 1.0, 2.0]}, "K = 3 but 3 edges"),
+        ("bin_edges", "[0.0, 1.0", "line 1"),
+        ("standardizer", {"mean": [0.0] * 4}, "missing key 'std'"),
+        ("standardizer", {"mean": "zero", "std": [1.0] * 4}, "key 'mean' must hold numbers"),
+        ("model_f", {"params": [0.0] * 65}, "missing key 'arch'"),
+        ("model_f", {"arch": {**MLP_ARCH, "hidden": None}, "params": []}, "not iterable"),
+        ("model_g", {"arch": {"kind": "mlp", "n_bins": 5}, "params": []}, "missing key 'feature_dim'"),
+        ("model_g", {"arch": MLP_ARCH, "params": ["w"] * 65}, "key 'params' must hold numbers"),
+        ("model_g", [MLP_ARCH], "list indices"),
+    ],
+)
+def test_evaluate_names_a_malformed_path_file(tmp_path, capsys, key, content, message):
+    paths = {}
+    for name, good in GOOD_FILES.items():
+        value = content if name == key else good
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(value if isinstance(value, str) else json.dumps(value))
+    cfg = {**EVAL_CFG, **{name: str(path) for name, path in paths.items()}, "experiment": "bad"}
+    assert _run(tmp_path, "evaluate", cfg) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{paths[key]}: ") and message in err["message"], err
+    assert not (tmp_path / "out").exists()
+
+
 def _readme_cli_examples():
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]

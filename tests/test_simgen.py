@@ -1,5 +1,7 @@
 """Simulation generators, marginal worlds, and file round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -284,6 +286,23 @@ def test_load_csv_reports_bad_line(tmp_path):
     p.write_text("f0,time,event\n0.1,1.5,1\n0.2,oops,0\n")
     with pytest.raises(ValueError, match="line 3"):
         load_csv(p)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty file"),
+        ("t,c\n1.0,2.0\n", "line 1: expected header t_latent,c_latent"),
+        ("t_latent,c_latent\n1.0,2.0\n3.0\n", "line 3: expected 2 fields, got 1"),
+        ("t_latent,c_latent\n1.0,2.0\n\n1.5,x\n", "line 4: could not convert"),
+    ],
+)
+def test_load_latent_csv_names_the_file_and_line(tmp_path, text, message):
+    # before: StopIteration, IndexError and a ValueError without the path
+    p = tmp_path / "latent.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {message}"):
+        load_latent_csv(p)
 
 
 def test_bin_edges_roundtrip(tmp_path):
