@@ -79,6 +79,13 @@ def _role_flags(roles: tuple[str, ...]) -> np.ndarray:
     return np.array([[role == "censor"] for role in roles])
 
 
+def _one_role(role) -> str:
+    """The ``role`` of a single-role entry point, one of ``ROLES``."""
+    if role not in ROLES:
+        raise ValueError(f"role must be one of {ROLES}, got {role!r}")
+    return role
+
+
 def _check_floor(floor, name: str = "weight_floor") -> float:
     """``floor``, which must lie in (0, 1); otherwise ValueError naming it."""
     if not 0 < floor < 1:  # a NaN fails too
@@ -471,7 +478,7 @@ def ipcw_per_sample(
     event branch divides by Fbar(U) with no left limit (T > U strictly on
     censored samples).
     """
-    spec = LossSpec(family, role, (t,), weight_floor)
+    spec = LossSpec(family, _one_role(role), (t,), weight_floor)
     own, frozen = (_role_stack(spec, pmf, np.size(time_bin)) for pmf in (own_pmf, frozen_pmf))
     K = own.shape[-1]
     plan = label_plan(time_bin, event, K, resolve_times(spec.times, K), spec._flags)
@@ -493,7 +500,7 @@ def nll(pmf, time_bin, event, role="failure", weight_floor=1e-6, stats=None):
     A sample censored in the last bin has Fbar(K) = 0 for every categorical
     model; its term clamps to -log(weight_floor) and contributes no gradient.
     """
-    spec = LossSpec("nll", role, weight_floor=weight_floor)
+    spec = LossSpec("nll", _one_role(role), weight_floor=weight_floor)
     own = _role_stack(spec, pmf, np.size(time_bin))
     return _nll_values_dpmf(spec._flags, own, own.cumsum(axis=-1), time_bin, event,
                             weight_floor, stats)[0][0]

@@ -371,6 +371,13 @@ def test_role_spec_validation():
         nll(pmf, u, ev, role="censr")
     with pytest.raises(ValueError, match="role"):
         ipcw_weight_arrays("Failure", pmf, u, ev, np.array([1]))
+    # a role tuple belongs to batch_loss; a single-role helper would score
+    # only its first role
+    pair = np.array([pmf, pmf[::-1]])
+    for call in (lambda: nll(pair, u, ev, role=ROLES),
+                 lambda: ipcw_per_sample("ipcw-bs", ROLES, 1, pair, pair, u, ev)):
+        with pytest.raises(ValueError, match="role must be one of"):
+            call()
     with pytest.raises(ValueError, match="roles"):
         batch_loss(LossSpec("ipcw-bs", ROLES), np.full((3, 2), 0.5), np.full((3, 2), 0.5),
                    Batch(np.array([1]), np.array([True])))
