@@ -643,8 +643,7 @@ def test_commands_reject_config_holes_before_work(tmp_path, capsys, monkeypatch,
 
 
 # Path files that exist but are malformed fail once read, before anything is
-# written, with a ValueError naming the file and the key (before, a bare
-# KeyError printed only "'K'", "'std'" or "'arch'").
+# written, with a ValueError naming the file and the key or line.
 MLP_ARCH = {"kind": "mlp", "n_bins": 5, "feature_dim": 4, "hidden": [6]}
 GOOD_FILES = {
     "model_f": {"arch": MLP_ARCH, "params": [0.0] * 65},

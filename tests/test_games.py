@@ -412,8 +412,8 @@ def test_select_models_game_is_best_response_pair(objective):
 
 @pytest.mark.parametrize("objective", ["nll", "bs-game", "bll-game"])
 def test_select_models_rejects_val_on_another_bin_count(monkeypatch, objective):
-    # before, fewer bins scored on the wrong horizons and more bins failed
-    # naming time_bin; now both fail before any pmf is predicted
+    # unchecked, fewer bins score on the wrong horizons; a mismatch either
+    # way fails before any pmf is predicted
     three_bins = MarginalWorld([0.2, 0.3, 0.5], [0.3, 0.3, 0.4])
     state = train(gen_marginal(three_bins, 40, seed=1),
                   TrainConfig(objective=objective, epochs=2, batch_size=20))

@@ -590,7 +590,7 @@ BAD_FLOORS = (0.0, -1.0, 1.0, 2.0, float("nan"))
 
 @pytest.mark.parametrize("floor", BAD_FLOORS)
 def test_every_loss_entry_point_rejects_a_floor_outside_0_1(floor):
-    # before, nll(weight_floor=2.0) returned -0.693 and 0 divided by zero
+    # unchecked, a floor of 2 makes nll negative and a floor of 0 divides by zero
     u, ev, f, g = np.array([1, 2, 3]), np.array([True, False, True]), [0.2, 0.3, 0.5], [0.4, 0.4, 0.2]
     calls = [
         lambda: nll(f, u, ev, weight_floor=floor),
@@ -608,7 +608,7 @@ def test_every_loss_entry_point_rejects_a_floor_outside_0_1(floor):
 @pytest.mark.parametrize("value", (0.0, -1.0, 1.0, 2.0, float("nan")))
 def test_row_weights_follow_one_rule(value):
     # nonnegative, finite and with a positive sum, for a Batch and ipcw_mean
-    # alike; before, ipcw_mean(weight=zeros) returned NaN
+    # alike; unchecked, zero weights make ipcw_mean NaN
     u, ev, g = np.array([1, 1, 2]), np.array([True, False, True]), np.array([0.5, 0.5])
     weight = np.full(3, value)
     if value > 0:

@@ -457,7 +457,7 @@ def test_evaluate_report_shape_and_json():
 
 @pytest.mark.parametrize("floor", (0.0, -1.0, 1.0, 2.0, float("nan")))
 def test_scores_reject_a_floor_outside_0_1(floor):
-    # before, eval_bs(..., floor=2.0) returned clamped scores
+    # unchecked, a floor of 2 clamps every score
     world = MarginalWorld([0.2, 0.3, 0.5], [0.3, 0.3, 0.4])
     data = gen_marginal(world, 40, seed=3)
     calls = [

@@ -298,7 +298,6 @@ def test_load_csv_reports_bad_line(tmp_path):
     ],
 )
 def test_load_latent_csv_names_the_file_and_line(tmp_path, text, message):
-    # before: StopIteration, IndexError and a ValueError without the path
     p = tmp_path / "latent.csv"
     p.write_text(text)
     with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {message}"):
