@@ -64,11 +64,10 @@ def _int_key(cfg: dict, key: str, minimum: int, default=None, context: str = "co
     """An integer config value of at least ``minimum``; required when no
     default is given. Floats and strings are rejected, not truncated."""
     value = _require(cfg, key, context) if default is None else cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context} key {key!r} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{context} key {key!r} must be >= {minimum}, got {value}")
-    return value
+    try:
+        return core._check_int(key, value, minimum)
+    except ValueError as exc:
+        raise ConfigError(f"{context} key {exc}") from None
 
 
 def _int_list(cfg: dict, key: str, minimum: int, context: str = "config") -> list[int]:

@@ -7,6 +7,7 @@ Continuous times are mapped onto the grid with empirical-quantile bin edges.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,57 @@ def _frozen_copy(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _check_int(name: str, value, low: int):
+    """``value``, which must be an integer (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name!r} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _check_real(name: str, value, low: float = -np.inf):
+    """``value``, which must be a finite real number (not a bool) of at least ``low``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and np.isfinite(value) and value >= low):
+        bound = "" if low == -np.inf else f" >= {low}"
+        raise ValueError(f"{name!r} must be a finite number{bound}, got {value!r}")
+    return value
+
+
+def _labels(time_bin, event, n_bins: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Labels as int64 bins and bool events of one shape. A bin outside 1..K
+    (below 1 when ``n_bins`` is None) would index another column of the
+    survival and pmf tables, so it fails here."""
+    bins, event = np.asarray(time_bin, dtype=np.int64), np.asarray(event, dtype=bool)
+    if event.shape != bins.shape:
+        raise ValueError(f"event must have time_bin's shape {bins.shape}, got {event.shape}")
+    if bins.size and (bins.min() < 1 or (n_bins is not None and bins.max() > n_bins)):
+        raise ValueError(f"time_bin must lie in 1..{'K' if n_bins is None else n_bins}, "
+                         f"got labels from {bins.min()} to {bins.max()}")
+    return bins, event
+
+
+def _check_pmf(name: str, pmf, n_bins: int) -> np.ndarray:
+    """``pmf`` as floats, which must hold ``n_bins`` bins on its last axis in
+    rows that are distributions: finite, nonnegative and summing to 1 within
+    1e-9. A NaN or infinite entry fails its row-sum comparison."""
+    pmf = np.asarray(pmf, dtype=float)
+    if pmf.shape[-1:] != (n_bins,):
+        raise ValueError(f"{name} must hold {n_bins} bins on its last axis, got shape {pmf.shape}")
+    if not np.all(np.abs(pmf.sum(axis=-1) - 1.0) <= 1e-9) or pmf.min(initial=0.0) < 0:
+        raise ValueError(f"{name} rows must be finite, nonnegative and sum to 1 within 1e-9")
+    return pmf
+
+
+def _check_edges(edges) -> np.ndarray:
+    """``edges`` as floats, which must be at least two strictly increasing
+    bin edges."""
+    edges = np.asarray(edges, dtype=float)
+    if not (edges.ndim == 1 and edges.size >= 2 and np.all(np.diff(edges) > 0)):
+        raise ValueError(f"bin_edges must be at least two strictly increasing edges, "
+                         f"got {edges.tolist()}")
+    return edges
 
 
 def _row_weights(weight, n: int) -> np.ndarray:
@@ -61,14 +113,11 @@ class Batch:
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "time_bin", _frozen_copy(self.time_bin, np.int64))
-        object.__setattr__(self, "event", _frozen_copy(self.event, bool))
-        if self.time_bin.shape != self.event.shape:
-            raise ValueError("time_bin and event must have the same shape")
-        if self.time_bin.size == 0:
+        time_bin, event = _labels(self.time_bin, self.event)
+        if time_bin.size == 0:
             raise ValueError("time_bin is empty: a batch needs at least one record")
-        if np.any(self.time_bin < 1):
-            raise ValueError("time_bin is 1-indexed; found a bin < 1")
+        object.__setattr__(self, "time_bin", _frozen_copy(time_bin, np.int64))
+        object.__setattr__(self, "event", _frozen_copy(event, bool))
         if self.weight is not None:
             w = _frozen_copy(_row_weights(self.weight, self.n), float)
             object.__setattr__(self, "weight", w)
@@ -136,20 +185,11 @@ class Dataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
-        bins = np.asarray(self.time_bin, dtype=np.int64)
-        event = np.asarray(self.event, dtype=bool)
-        edges = np.asarray(self.bin_edges, dtype=float)
-        if feats.ndim != 2:
-            raise ValueError("features must be 2-d (n, d)")
-        if not (feats.shape[0] == bins.size == event.size):
-            raise ValueError("features, time_bin, event must agree on n")
-        if edges.ndim != 1 or edges.size < 2:
-            raise ValueError("bin_edges must hold at least two edges")
-        if np.any(np.diff(edges) <= 0):
-            raise ValueError("bin_edges must be strictly increasing")
-        K = edges.size - 1
-        if bins.size and (bins.min() < 1 or bins.max() > K):
-            raise ValueError(f"time_bin outside 1..{K}")
+        edges = _check_edges(self.bin_edges)
+        bins, event = _labels(self.time_bin, self.event, edges.size - 1)
+        if feats.ndim != 2 or feats.shape[0] != bins.size:
+            raise ValueError(f"features must be 2-d (n, d) with n = {bins.size} rows, "
+                             f"got shape {feats.shape}")
         if self.raw_time is not None:
             raw = np.asarray(self.raw_time, dtype=float)
             if raw.size != bins.size:
@@ -215,8 +255,7 @@ def quantile_discretize(raw_times: np.ndarray, n_bins: int) -> tuple[np.ndarray,
     times = np.asarray(raw_times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("raw_times must be a nonempty 1-d array")
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+    _check_int("n_bins", n_bins, 1)
     edges = np.quantile(times, np.linspace(0.0, 1.0, n_bins + 1))
     flat = np.nonzero(np.diff(edges) <= 0)[0]
     if flat.size:

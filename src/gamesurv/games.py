@@ -26,12 +26,11 @@ comparison.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Batch, Dataset
+from .core import Batch, Dataset, _check_int, _check_real
 from .losses import (
     ROLES,
     ClampStats,
@@ -98,19 +97,13 @@ class TrainConfig:
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         for name in ("learning_rate", "init_scale"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name!r} must be a finite nonnegative number, got {value!r}")
+            _check_real(name, getattr(self, name), 0)
         if not isinstance(self.hidden, (tuple, list)):
             raise ValueError(f"'hidden' must be a list of layer widths, got {self.hidden!r}")
-        integers = [("epochs", self.epochs, 0), ("seed", self.seed, 0),
-                    ("batch_size", self.batch_size, 1),
-                    ("checkpoint_every", self.checkpoint_every, 1)]
-        for name, value, low in integers + [("hidden", width, 1) for width in self.hidden]:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                kind = "positive" if low else "nonnegative"
-                raise ValueError(f"{name!r} must be a {kind} integer, got {value!r}")
+        for name, low in (("epochs", 0), ("seed", 0), ("batch_size", 1), ("checkpoint_every", 1)):
+            _check_int(name, getattr(self, name), low)
+        for width in self.hidden:
+            _check_int("hidden", width, 1)
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 

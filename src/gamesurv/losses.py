@@ -31,9 +31,10 @@ Conventions, fixed across the package:
   flag c (0 failure, 1 censor): the event indicator is ``event ^ c``, the
   event-branch survival column is U - 1 + c (Gbar(U-) or Fbar(U)), and the
   likelihood's tail starts at U - c. A single role is R = 1.
-- Labels are checked in one place: every label plan is built by
-  `label_plan`, which rejects a bin outside 1..K naming ``time_bin``, and
-  the likelihood path runs the same `_labels` check.
+- Labels are checked in one place, `core._labels`: every label plan is
+  built by `label_plan`, which runs it, and so does the likelihood path. A
+  bin outside 1..K or between bins, 2-d labels or an ``event`` of another
+  shape fail naming ``time_bin`` or ``event``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, _row_weights, padded_cdf
+from .core import Batch, _labels, _row_weights, padded_cdf
 
 __all__ = [
     "ClampStats",
@@ -129,16 +130,6 @@ def resolve_times(times: tuple[int, ...] | str, n_bins: int) -> np.ndarray:
             "survival beyond the last bin and is not a valid horizon"
         )
     return arr
-
-
-def _labels(time_bin, event, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Labels as int64 bins and bool events. A bin outside 1..K would
-    index another column of the survival and pmf tables, so it fails here."""
-    time_bin = np.asarray(time_bin, dtype=np.int64)
-    if time_bin.size and (time_bin.min() < 1 or time_bin.max() > n_bins):
-        raise ValueError(f"time_bin must lie in 1..K = 1..{n_bins}, "
-                         f"got labels from {time_bin.min()} to {time_bin.max()}")
-    return time_bin, np.asarray(event, dtype=bool)
 
 
 def _as_matrix(pmf: np.ndarray, n: int, lead: int = 0) -> np.ndarray:

@@ -10,10 +10,10 @@ distribution (simulation only, for bias checks), or Gbar = 1 with the latent
 failure times as events (simulation only). The table goes through the loss
 kernel's weights and scoring function (``losses._ipcw_weights``,
 ``losses._scores``), so this module keeps no weight or term code of its own.
-Every score rejects pmfs whose rows are not distributions with a ValueError
-naming the argument. `evaluate` scores a cohort in one pass: one pmf check,
-cdf, censoring table, label plan, weight table and latent-bin lookup serve
-all its scores. Concordance makes one pass per bit of the 2 * n_times (time,
+Every score runs core's pmf rule (`core._check_pmf`), so pmfs on another
+bin grid or whose rows are not distributions fail naming the argument.
+`evaluate` scores a cohort in one pass: one pmf check, cdf, censoring
+table, label plan, weight table and latent-bin lookup serve all its scores. Concordance makes one pass per bit of the 2 * n_times (time,
 event) classes and takes ties from runs of equal risk (`concordance_index`).
 """
 
@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Dataset, assign_bins
+from .core import Dataset, _check_pmf, assign_bins
 from .losses import _as_matrix, _check_floor, _ipcw_weights, _nll_values_dpmf, _padded_surv
 from .losses import _role_flags, _scores, label_plan
 from .simgen import MarginalWorld
@@ -103,17 +103,8 @@ def km_censoring(dataset: Dataset) -> KaplanMeier:
 
 
 def _pmf_matrix(name: str, pmf, dataset: Dataset) -> np.ndarray:
-    """``pmf`` as (n, K) rows aligned with ``dataset``, which must be
-    distributions: finite, nonnegative and summing to 1 within 1e-9 (the
-    MarginalWorld tolerance). A NaN or infinite entry fails its row-sum
-    comparison, so two passes check everything."""
-    pmf = np.asarray(pmf, dtype=float)
-    matrix = _as_matrix(pmf, dataset.n)
-    if matrix.shape[1] != dataset.n_bins:
-        raise ValueError(f"{name} must be (n, K) aligned with the dataset's {dataset.n_bins} bins")
-    if not np.all(np.abs(pmf.sum(axis=-1) - 1.0) <= 1e-9) or pmf.min(initial=0.0) < 0:
-        raise ValueError(f"{name} rows must be finite, nonnegative and sum to 1 within 1e-9")
-    return matrix
+    """``pmf`` as (n, K) rows aligned with ``dataset``, after core's pmf rule."""
+    return _as_matrix(_check_pmf(name, pmf, dataset.n_bins), dataset.n)
 
 
 class _Cohort:

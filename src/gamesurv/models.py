@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch
+from .core import Batch, _check_int
 from .losses import ClampStats, LossSpec, batch_loss
 from .simgen import _json_floats, _load_json
 
@@ -53,11 +53,11 @@ class ArchSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.n_bins < 2:
-            raise ValueError("need at least two bins")
+        _check_int("n_bins", self.n_bins, 2)
         if self.kind == "mlp":
-            if self.feature_dim < 1:
-                raise ValueError("mlp needs feature_dim >= 1")
+            _check_int("feature_dim", self.feature_dim, 1)
+            for width in self.hidden:
+                _check_int("hidden", width, 1)
         elif self.feature_dim != 0 or self.hidden:
             raise ValueError(f"{self.kind} takes no features or hidden layers")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))

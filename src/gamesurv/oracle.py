@@ -3,9 +3,11 @@
 Everything here is closed-form or finite-enumeration arithmetic in the
 world's parameters; nothing samples and nothing reuses the estimator code
 in :mod:`gamesurv.losses`, so these values can sit on the other side of a
-cross-check from the training path. The two sides share only data: the
-world's tables and `core.padded_cdf`, which builds every padded cdf, so
-both round a model's cdf alike.
+cross-check from the training path. The two sides share only data and
+core's rules: the world's tables, `core.padded_cdf`, which builds every
+padded cdf, so both round a model's cdf alike, and core's pmf and size
+rules, so a model that is not a distribution fails naming ``pmf_t`` or
+``pmf_c``. The oracle never imports `losses`.
 
 Notation for the per-step closed forms (prefix bins pinned at the truth):
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import padded_cdf
+from .core import _check_int, _check_pmf, padded_cdf
 from .simgen import MarginalWorld
 
 __all__ = [
@@ -128,13 +130,6 @@ def spurious_gbs_root_qy(world: MarginalWorld, step: int) -> float:
 # -- exact population losses and gradients at arbitrary model parameters ---
 
 
-def _check_model(world: MarginalWorld, pmf: np.ndarray) -> np.ndarray:
-    pmf = np.asarray(pmf, dtype=float)
-    if pmf.shape[-1:] != (world.n_bins,):
-        raise ValueError("model pmf must match the world's bin count")
-    return pmf
-
-
 def _ratio_sums(world: MarginalWorld, hat: np.ndarray):
     """Both players' per-horizon expectations, (..., 2, K-1) each over
     horizons t = 1..K-1, from the models' padded cdfs ``hat`` (..., 2, K+1):
@@ -169,8 +164,9 @@ def _scores(world: MarginalWorld, pmf_t, pmf_c, family: str, values: bool = True
     With H = own model cdf at t: Brier (1-H)^2 w1 + H^2 w2, log loss
     -log(H) w1 - log(1-H) w2 (no closed form is used for either).
     """
-    hat = padded_cdf(np.stack((_check_model(world, pmf_t), _check_model(world, pmf_c)), axis=-2))
-    own = hat[..., 1 : world.n_bins]
+    K = world.n_bins
+    hat = padded_cdf(np.stack((_check_pmf("pmf_t", pmf_t, K), _check_pmf("pmf_c", pmf_c, K)), -2))
+    own = hat[..., 1:K]
     w1, w2 = _ratio_sums(world, hat)
     if family == "ipcw-bs":
         # zero survival sends both weight sums to +inf; nan is the honest
@@ -229,7 +225,7 @@ def population_gradients(
 def population_failure_nll(world: MarginalWorld, pmf_t: np.ndarray) -> float:
     """Population value of the failure player's partial likelihood loss:
     E[delta (-log f(U)) + (1-delta)(-log Fbar(U))], exact outcome sum."""
-    pmf_t = _check_model(world, np.ravel(pmf_t))  # one model, not a stack
+    pmf_t = _check_pmf("pmf_t", np.ravel(pmf_t), world.n_bins)  # one model, not a stack
     # the model's probability of each outcome: f(u), or Fbar(u) if censored
     own = np.array([pmf_t, 1.0 - padded_cdf(pmf_t)[1:]])
     occurs = world.outcomes > 0
@@ -279,8 +275,7 @@ class GradientField:
 def gradient_field(world: MarginalWorld, resolution: int = 200) -> GradientField:
     if world.n_bins != 2:
         raise ValueError("the planar field is defined for two-bin worlds")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    _check_int("resolution", resolution, 2)
     grid = (np.arange(resolution) + 0.5) / resolution  # interior, no boundary
     x, y = grid[None, :], grid[:, None]  # row i holds y = grid[i]
     u = -population_fbs_dx(world, 1, x, y)
@@ -312,8 +307,7 @@ class JointScan:
 def joint_objective_scan(world: MarginalWorld, resolution: int = 201) -> JointScan:
     if world.n_bins != 2:
         raise ValueError("the planar scan is defined for two-bin worlds")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    _check_int("resolution", resolution, 1)
     grid = (np.arange(resolution) + 0.5) / resolution
     x, y = grid[None, :], grid[:, None]
     values = population_fbs(world, 1, x, y) + population_gbs(world, 1, x, y)
@@ -468,8 +462,7 @@ def stationary_scan(world: MarginalWorld, n_starts: int = 100, seed: int = 0) ->
     cdf beyond 1) is unreachable by construction and reported separately via
     :func:`spurious_gbs_root_qy`.
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
+    _check_int("n_starts", n_starts, 1)
     K = world.n_bins
     induction = _induction_root(world)  # fails before any start without a feasible root
     # start i is the failure draw 2i and the censor draw 2i+1 of one stream

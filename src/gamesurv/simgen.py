@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaincinv
 
-from .core import Batch, Dataset, RawSurvivalData, padded_cdf
+from .core import Batch, Dataset, RawSurvivalData, _check_int, _check_pmf, _check_real, padded_cdf
 
 __all__ = [
     "GammaSimConfig",
@@ -73,14 +72,9 @@ class GammaSimConfig:
 
     def __post_init__(self):
         for name in ("n", "feature_dim"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name!r} must be a positive integer, got {value!r}")
+            _check_int(name, getattr(self, name), 1)
         for name in _REAL_KNOBS:
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and np.isfinite(value)):
-                raise ValueError(f"{name!r} must be a finite number, got {value!r}")
+            _check_real(name, getattr(self, name))
         if self.time_variance <= 0 or self.feature_variance <= 0:
             raise ValueError("variances must be positive")
         if not 0 < self.censor_mean_factor:
@@ -150,16 +144,11 @@ class MarginalWorld:
     outcomes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tt = np.asarray(self.theta_t, dtype=float)
-        tc = np.asarray(self.theta_c, dtype=float)
-        for name, arr in (("theta_t", tt), ("theta_c", tc)):
-            if arr.ndim != 1 or arr.size < 2:
+        for name in ("theta_t", "theta_c"):
+            if np.ndim(getattr(self, name)) != 1 or np.size(getattr(self, name)) < 2:
                 raise ValueError(f"{name} must be 1-d with at least two bins")
-            if not (np.all(arr >= 0) and abs(arr.sum() - 1.0) <= 1e-9):  # NaN fails too
-                raise ValueError(f"{name} must be a probability vector")
-        if tt.size != tc.size:
-            raise ValueError("theta_t and theta_c must share the bin count")
-        pmfs = np.array([tt, tc])
+        K = np.size(self.theta_t)
+        pmfs = np.array([_check_pmf(n, getattr(self, n), K) for n in ("theta_t", "theta_c")])
         cdfs = padded_cdf(pmfs)
         survs = 1.0 - cdfs
         outcomes = pmfs * np.array([survs[1, :-1], survs[0, 1:]])  # C >= u, T > u

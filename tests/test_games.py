@@ -44,9 +44,9 @@ def test_train_config_validation():
         TrainConfig(optimizer="rmsprop")
     with pytest.raises(ValueError, match="'nll' has no per-horizon game"):
         TrainConfig(objective="nll", game_form="multiplayer")
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="'learning_rate' must be a finite number >= 0"):
         TrainConfig(learning_rate=-0.1)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="'batch_size' must be an integer >= 1"):
         TrainConfig(batch_size=0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="learning_rate"):

@@ -24,7 +24,7 @@ def test_arch_layout_and_param_count():
 def test_arch_validation():
     with pytest.raises(ValueError, match="kind"):
         ArchSpec("linear", n_bins=3)
-    with pytest.raises(ValueError, match="two bins"):
+    with pytest.raises(ValueError, match="'n_bins' must be an integer >= 2"):
         ArchSpec("marginal", n_bins=1)
     with pytest.raises(ValueError, match="feature_dim"):
         ArchSpec("mlp", n_bins=3)
