@@ -281,9 +281,24 @@ def cmd_train(cfg: dict, out: Path) -> None:
         _json_dump(selection, out / "selection.json")
 
 
-def _load_standardizer(path) -> simgen.Standardizer:
-    return simgen._load_json(path, lambda payload: simgen.Standardizer(
-        simgen._json_floats(payload, "mean"), simgen._json_floats(payload, "std")))
+def _load_standardizer(path, model_f: models.Model) -> simgen.Standardizer:
+    """The standardizer in the file ``path``: 1-d ``mean`` and ``std`` of one
+    length, finite, ``std`` positive and, for an MLP ``model_f``, one entry
+    per feature it takes; otherwise a ValueError naming the file."""
+
+    def build(payload):
+        mean, std = simgen._json_floats(payload, "mean"), simgen._json_floats(payload, "std")
+        if mean.ndim != 1 or std.shape != mean.shape:
+            raise ValueError(f"'mean' and 'std' must be lists of one length, "
+                             f"got shapes {mean.shape} and {std.shape}")
+        if not (np.all(np.isfinite(mean)) and np.all((0 < std) & (std < np.inf))):
+            raise ValueError("'mean' must be finite and 'std' finite and positive")
+        if model_f.arch.kind == "mlp" and mean.size != model_f.arch.feature_dim:
+            raise ValueError(f"'mean' and 'std' hold {mean.size} entries but model_f takes "
+                             f"{model_f.arch.feature_dim} features")
+        return simgen.Standardizer(mean, std)
+
+    return simgen._load_json(path, build)
 
 
 def _score_test_split(test_raw, edges, model_f, model_g, weighting, world=None):
@@ -314,9 +329,10 @@ def cmd_evaluate(cfg: dict, out: Path) -> None:
     model_f = models.Model.load(paths["model_f"])
     model_g = models.Model.load(paths["model_g"]) if paths["model_g"] else None
     edges = simgen.read_bin_edges(paths["bin_edges"])
+    std = _load_standardizer(paths["standardizer"], model_f) if paths["standardizer"] else None
     (test_raw,) = make_test()
-    if paths["standardizer"]:
-        test_raw = _load_standardizer(paths["standardizer"]).apply(test_raw)
+    if std is not None:
+        test_raw = std.apply(test_raw)
     report = _score_test_split(test_raw, edges, model_f, model_g, weighting, world)
     _json_dump(report.to_dict(), out / "report.json")
     if report.calibration_levels is not None:

@@ -3,6 +3,20 @@
 Times live on a grid of K bins indexed 1..K. A categorical distribution over
 bins plays the role of both the failure-time and the censoring-time model.
 Continuous times are mapped onto the grid with empirical-quantile bin edges.
+
+Each kind of input the package reads from outside has one rule here, and
+every entry point that takes that kind runs it, failing with a ValueError
+that names the field:
+
+- labels (`_labels`): int64 bins and bool events of one 1-d shape, the bins
+  whole numbers in 1..K (>= 1 where K is not known);
+- pmfs (`_check_pmf`): K bins on the last axis, rows finite, nonnegative
+  and summing to 1 within 1e-9;
+- bin edges (`_check_edges`): at least two, finite and strictly increasing;
+- row weights (`_row_weights`): one finite, nonnegative weight per record,
+  with a positive sum;
+- sizes and knobs (`_check_int`, `_check_real`): an integer that is not a
+  bool, or a finite real, at least a lower bound.
 """
 
 from __future__ import annotations
@@ -46,12 +60,20 @@ def _check_real(name: str, value, low: float = -np.inf):
 
 
 def _labels(time_bin, event, n_bins: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Labels as int64 bins and bool events of one shape. A bin outside 1..K
-    (below 1 when ``n_bins`` is None) would index another column of the
-    survival and pmf tables, so it fails here."""
-    bins, event = np.asarray(time_bin, dtype=np.int64), np.asarray(event, dtype=bool)
+    """Labels as int64 bins and bool events of one 1-d shape. A bin that is
+    not a whole number in 1..K (>= 1 when ``n_bins`` is None) would index
+    another column of the survival and pmf tables, so it fails here."""
+    bins, event = np.asarray(time_bin), np.asarray(event, dtype=bool)
+    if bins.ndim != 1:
+        raise ValueError(f"time_bin must be 1-d, got shape {bins.shape}")
     if event.shape != bins.shape:
         raise ValueError(f"event must have time_bin's shape {bins.shape}, got {event.shape}")
+    whole = bins.dtype.kind in "iu" or (
+        bins.dtype.kind == "f" and np.all(np.isfinite(bins)) and np.array_equal(bins, np.floor(bins))
+    )
+    if not whole:
+        raise ValueError(f"time_bin must hold whole bin numbers, got {bins.dtype} values")
+    bins = bins.astype(np.int64, copy=False)
     if bins.size and (bins.min() < 1 or (n_bins is not None and bins.max() > n_bins)):
         raise ValueError(f"time_bin must lie in 1..{'K' if n_bins is None else n_bins}, "
                          f"got labels from {bins.min()} to {bins.max()}")
@@ -71,11 +93,12 @@ def _check_pmf(name: str, pmf, n_bins: int) -> np.ndarray:
 
 
 def _check_edges(edges) -> np.ndarray:
-    """``edges`` as floats, which must be at least two strictly increasing
-    bin edges."""
+    """``edges`` as floats, which must be at least two finite, strictly
+    increasing bin edges."""
     edges = np.asarray(edges, dtype=float)
-    if not (edges.ndim == 1 and edges.size >= 2 and np.all(np.diff(edges) > 0)):
-        raise ValueError(f"bin_edges must be at least two strictly increasing edges, "
+    if not (edges.ndim == 1 and edges.size >= 2 and np.all(np.isfinite(edges))
+            and np.all(np.diff(edges) > 0)):
+        raise ValueError(f"bin_edges must be at least two finite, strictly increasing edges, "
                          f"got {edges.tolist()}")
     return edges
 
@@ -219,18 +242,6 @@ class Dataset:
         if idx is None:
             return Batch(self.time_bin, self.event, self.features)
         return Batch(self.time_bin[idx], self.event[idx], self.features[idx])
-
-    def subset(self, idx: np.ndarray) -> "Dataset":
-        pick = lambda a: None if a is None else a[idx]
-        return Dataset(
-            self.features[idx],
-            self.time_bin[idx],
-            self.event[idx],
-            self.bin_edges,
-            raw_time=pick(self.raw_time),
-            latent_time=pick(self.latent_time),
-            latent_censor=pick(self.latent_censor),
-        )
 
 
 def quantile_discretize(raw_times: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:

@@ -67,11 +67,6 @@ class KaplanMeier:
         idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="right")
         return np.concatenate([[1.0], self.surv])[idx]
 
-    def surv_left_at(self, t) -> np.ndarray:
-        """Left limit S(t-): only strictly earlier times contribute."""
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="left")
-        return np.concatenate([[1.0], self.surv])[idx]
-
 
 def km_fit(time: np.ndarray, event: np.ndarray) -> KaplanMeier:
     """Kaplan-Meier over observed times; ties share a time point, and a

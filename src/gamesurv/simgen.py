@@ -33,7 +33,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaincinv
 
-from .core import Batch, Dataset, RawSurvivalData, _check_int, _check_pmf, _check_real, padded_cdf
+from .core import Batch, Dataset, RawSurvivalData, _check_edges, _check_int, _check_pmf, _check_real
+from .core import padded_cdf
 
 __all__ = [
     "GammaSimConfig",
@@ -167,9 +168,6 @@ class MarginalWorld:
     def bin_edges(self) -> np.ndarray:
         """The grid whose bins are the integer times 1..K."""
         return np.arange(self.n_bins + 1) + 0.5
-
-    def interior(self, floor: float = 0.0) -> bool:
-        return bool(min(self.theta_t.min(), self.theta_c.min()) > floor)
 
 
 def random_interior_world(n_bins: int, rng, min_mass: float = 0.02) -> MarginalWorld:
@@ -374,7 +372,7 @@ def _json_floats(payload: dict, key: str) -> np.ndarray:
 
 def read_bin_edges(path) -> np.ndarray:
     def build(payload):
-        edges = _json_floats(payload, "edges")
+        edges = _check_edges(_json_floats(payload, "edges"))
         if edges.size - 1 != payload["K"]:
             raise ValueError(f"K = {payload['K']!r} but {edges.size} edges")
         return edges

@@ -642,8 +642,9 @@ def test_commands_reject_config_holes_before_work(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
-# Path files that exist but are malformed fail once read, before anything is
-# written, with a ValueError naming the file and the key or line.
+# Path files that exist but are malformed, or do not fit the run, fail once
+# read, before the test split is drawn or anything is written, with a
+# ValueError naming the file and the key or line.
 MLP_ARCH = {"kind": "mlp", "n_bins": 5, "feature_dim": 4, "hidden": [6]}
 GOOD_FILES = {
     "model_f": {"arch": MLP_ARCH, "params": [0.0] * 65},
@@ -661,6 +662,17 @@ GOOD_FILES = {
         ("bin_edges", {"K": 2, "edges": [0.0, "x", 2.0]}, "key 'edges' must hold numbers"),
         ("bin_edges", {"K": 3, "edges": [0.0, 1.0, 2.0]}, "K = 3 but 3 edges"),
         ("bin_edges", "[0.0, 1.0", "line 1"),
+        ("bin_edges", {"K": 5, "edges": [0.0, 2.0, 1.0, 3.0, 4.0, 5.0]}, "strictly increasing"),
+        ("bin_edges", {"K": 5, "edges": [0.0, 1.0, 2.0, float("nan"), 4.0, 5.0]}, "finite"),
+        ("standardizer", {"mean": [0.0] * 3, "std": [1.0] * 3},
+         "'mean' and 'std' hold 3 entries but model_f takes 4 features"),
+        ("standardizer", {"mean": [0.0] * 4, "std": [1.0] * 3}, "lists of one length"),
+        ("standardizer", {"mean": [[0.0] * 4], "std": [[1.0] * 4]}, "lists of one length"),
+        ("standardizer", {"mean": [0.0] * 4, "std": [1.0, 0.0, 1.0, 1.0]}, "finite and positive"),
+        ("standardizer", {"mean": [0.0] * 4, "std": [1.0, float("inf"), 1.0, 1.0]},
+         "finite and positive"),
+        ("standardizer", {"mean": [0.0, float("nan"), 0.0, 0.0], "std": [1.0] * 4},
+         "'mean' must be finite"),
         ("standardizer", {"mean": [0.0] * 4}, "missing key 'std'"),
         ("standardizer", {"mean": "zero", "std": [1.0] * 4}, "key 'mean' must hold numbers"),
         ("model_f", {"params": [0.0] * 65}, "missing key 'arch'"),
@@ -670,7 +682,12 @@ GOOD_FILES = {
         ("model_g", [MLP_ARCH], "list indices"),
     ],
 )
-def test_evaluate_names_a_malformed_path_file(tmp_path, capsys, key, content, message):
+def test_evaluate_names_a_malformed_path_file(tmp_path, capsys, monkeypatch, key, content,
+                                              message):
+    def boom(*args, **kwargs):
+        raise AssertionError("the test split was drawn before the path files were checked")
+
+    monkeypatch.setattr(gamesurv.simgen, "gen_gamma", boom)
     paths = {}
     for name, good in GOOD_FILES.items():
         value = content if name == key else good

@@ -1,8 +1,12 @@
-"""Data containers and discretization."""
+"""Data containers, discretization and the input rules."""
+
+import json
+import re
 
 import numpy as np
 import pytest
 
+from gamesurv import cli
 from gamesurv.core import (
     Batch,
     Dataset,
@@ -11,6 +15,29 @@ from gamesurv.core import (
     discretize,
     quantile_discretize,
 )
+from gamesurv.games import TrainConfig
+from gamesurv.losses import (
+    ROLES,
+    LossSpec,
+    batch_loss,
+    ipcw_bs_failure,
+    ipcw_mean,
+    ipcw_per_sample,
+    ipcw_weight_arrays,
+    nll,
+    per_horizon_loss,
+)
+from gamesurv.metrics import eval_bll, eval_bs, evaluate
+from gamesurv.models import ArchSpec
+from gamesurv.oracle import (
+    gradient_field,
+    joint_objective_scan,
+    population_failure_nll,
+    population_gradients,
+    population_loss,
+    stationary_scan,
+)
+from gamesurv.simgen import GammaSimConfig, MarginalWorld, gen_marginal, read_bin_edges
 
 
 def test_assign_bins_hand_case():
@@ -120,7 +147,159 @@ def test_dataset_batch_subset_records():
     b = ds.batch(idx)
     np.testing.assert_array_equal(b.time_bin, ds.time_bin[idx])
     np.testing.assert_array_equal(b.features, ds.features[idx])
-    sub = ds.subset(np.arange(10))
-    assert sub.n == 10
-    np.testing.assert_array_equal(sub.bin_edges, ds.bin_edges)
-    assert sub.latent_time is not None and sub.latent_time.size == 10
+
+
+# -- one table per input rule ------------------------------------------------
+# Every boundary that takes a kind of input fails on the same bad values with
+# a ValueError naming the field (a ConfigError, its subclass, in the CLI).
+
+F3, G3 = np.array([0.2, 0.3, 0.5]), np.array([0.3, 0.3, 0.4])
+WORLD3 = MarginalWorld(F3, G3)
+DATA3 = gen_marginal(WORLD3, 30, seed=0)
+PAIR3 = np.stack([F3, G3])
+
+BAD_LABELS = {
+    "mismatched": ([1, 2, 3], [True], r"event must have time_bin's shape \(3,\), got \(1,\)"),
+    "2-d": ([[1, 2], [2, 3]], [[True, False], [True, True]], r"time_bin must be 1-d"),
+    "bin 0": ([0, 1, 2], [True, False, True], r"time_bin must lie in 1\.\.(K|3), got labels from 0"),
+    "bin K+1": ([1, 2, 4], [True, False, True], r"time_bin must lie in 1\.\.3, got labels from 1 to 4"),
+    "bin 1.5": ([1.5, 2.0, 3.0], [True, False, True], "time_bin must hold whole bin numbers"),
+}
+LABEL_BOUNDARIES = {
+    "Batch": lambda u, e: Batch(u, e),
+    "Dataset": lambda u, e: Dataset(np.zeros((len(u), 0)), u, e, WORLD3.bin_edges),
+    "batch_loss": lambda u, e: batch_loss(LossSpec("ipcw-bs", ROLES), PAIR3, PAIR3[::-1],
+                                          Batch(u, e)),
+    "batch_loss nll": lambda u, e: batch_loss(LossSpec("nll", "censor"), G3, None, Batch(u, e)),
+    "per_horizon_loss": lambda u, e: per_horizon_loss(LossSpec("ipcw-bll", "failure"), F3, G3,
+                                                      Batch(u, e)),
+    "ipcw_per_sample": lambda u, e: ipcw_per_sample("ipcw-bll", "censor", 1, G3, F3, u, e),
+    "ipcw_bs_failure": lambda u, e: ipcw_bs_failure(2, F3, G3, u, e),
+    "nll": lambda u, e: nll(F3, u, e),
+    "ipcw_mean": lambda u, e: ipcw_mean(u, e, G3),
+    "ipcw_weight_arrays": lambda u, e: ipcw_weight_arrays("censor", F3, u, e, np.array([1, 2])),
+}
+
+
+@pytest.mark.parametrize(
+    "boundary, bad",
+    # a batch alone does not know K; bin K + 1 fails at its first loss call
+    [(b, v) for b in LABEL_BOUNDARIES for v in BAD_LABELS if (b, v) != ("Batch", "bin K+1")],
+)
+def test_labels_follow_one_rule(boundary, bad):
+    time_bin, event, message = BAD_LABELS[bad]
+    with pytest.raises(ValueError, match=message):
+        LABEL_BOUNDARIES[boundary](time_bin, event)
+
+
+ROWS = "rows must be finite, nonnegative and sum to 1 within 1e-9"
+BAD_PMFS = {
+    "wrong K": ([0.5, 0.5], "must hold 3 bins on its last axis"),
+    "sum 1+1e-8": ([0.2, 0.3, 0.5 + 1e-8], ROWS),
+    "sum 1-1e-8": ([0.2, 0.3, 0.5 - 1e-8], ROWS),
+    "sum 0.3": ([0.1, 0.1, 0.1], ROWS),
+    "negative": ([-0.5, 1.0, 0.5], ROWS),
+    "nan": ([np.nan, 0.5, 0.5], ROWS),
+    "inf": ([np.inf, 0.5, 0.5], ROWS),
+}
+PMF_BOUNDARIES = {  # name -> (call, field)
+    "MarginalWorld": (lambda p: MarginalWorld(F3, p), "theta_c"),
+    "cli world": (lambda p: cli._world({"theta_t": F3.tolist(), "theta_c": p}, "world"),
+                  "theta_c"),
+    "eval_bs": (lambda p: eval_bs(p, DATA3), "f_pmf"),
+    "eval_bll model-G": (lambda p: eval_bll(F3, DATA3, weighting="model-G", g_pmf=p), "g_pmf"),
+    "evaluate": (lambda p: evaluate(p, DATA3), "f_pmf"),
+    "population_loss pmf_t": (lambda p: population_loss(WORLD3, p, G3, 1), "pmf_t"),
+    "population_loss pmf_c": (lambda p: population_loss(WORLD3, F3, p, 2, "ipcw-bll"), "pmf_c"),
+    "population_gradients pmf_t": (lambda p: population_gradients(WORLD3, p, G3), "pmf_t"),
+    "population_gradients pmf_c": (lambda p: population_gradients(WORLD3, F3, p), "pmf_c"),
+    "population_failure_nll": (lambda p: population_failure_nll(WORLD3, p), "pmf_t"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_PMFS)
+@pytest.mark.parametrize("boundary", PMF_BOUNDARIES)
+def test_pmfs_follow_one_rule(boundary, bad):
+    pmf, message = BAD_PMFS[bad]
+    call, field = PMF_BOUNDARIES[boundary]
+    with pytest.raises(ValueError, match=re.escape(f"{field} {message}")):
+        call(pmf)
+
+
+def _read_edges(tmp_path, edges):
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps({"K": len(edges) - 1, "edges": edges}))
+    return read_bin_edges(path)
+
+
+BAD_EDGES = {
+    "one edge": [0.0],
+    "unsorted": [0.0, 2.0, 1.0, 3.0],
+    "repeated": [0.0, 1.0, 1.0, 3.0],
+    "nan": [0.0, float("nan"), 2.0, 3.0],
+}
+EDGE_BOUNDARIES = {
+    "Dataset": lambda tmp_path, e: Dataset(np.zeros((0, 0)), [], [], e),
+    "discretize": lambda tmp_path, e: discretize(
+        RawSurvivalData(np.zeros((2, 0)), [0.5, 1.5], [True, False]), edges=e),
+    "read_bin_edges": _read_edges,
+}
+
+
+@pytest.mark.parametrize("bad", BAD_EDGES)
+@pytest.mark.parametrize("boundary", EDGE_BOUNDARIES)
+def test_bin_edges_follow_one_rule(tmp_path, boundary, bad):
+    with pytest.raises(ValueError, match="bin_edges must be at least two finite, strictly "
+                                         "increasing edges"):
+        EDGE_BOUNDARIES[boundary](tmp_path, BAD_EDGES[bad])
+
+
+TWO_BINS = MarginalWorld([0.3, 0.7], [0.4, 0.6])
+INT_BOUNDARIES = {  # name -> (call, field, minimum)
+    "TrainConfig epochs": (lambda v: TrainConfig(epochs=v), "epochs", 0),
+    "TrainConfig seed": (lambda v: TrainConfig(seed=v), "seed", 0),
+    "TrainConfig batch_size": (lambda v: TrainConfig(batch_size=v), "batch_size", 1),
+    "TrainConfig checkpoint_every": (lambda v: TrainConfig(checkpoint_every=v),
+                                     "checkpoint_every", 1),
+    "TrainConfig hidden": (lambda v: TrainConfig(hidden=(8, v)), "hidden", 1),
+    "GammaSimConfig n": (lambda v: GammaSimConfig(n=v), "n", 1),
+    "GammaSimConfig feature_dim": (lambda v: GammaSimConfig(n=5, feature_dim=v),
+                                   "feature_dim", 1),
+    "ArchSpec n_bins": (lambda v: ArchSpec("marginal", v), "n_bins", 2),
+    "ArchSpec feature_dim": (lambda v: ArchSpec("mlp", 3, v, (4,)), "feature_dim", 1),
+    "ArchSpec hidden": (lambda v: ArchSpec("mlp", 3, 2, (4, v)), "hidden", 1),
+    "quantile_discretize": (lambda v: quantile_discretize([1.0, 2.0, 3.0], v), "n_bins", 1),
+    "gradient_field": (lambda v: gradient_field(TWO_BINS, v), "resolution", 2),
+    "joint_objective_scan": (lambda v: joint_objective_scan(TWO_BINS, v), "resolution", 1),
+    "stationary_scan": (lambda v: stationary_scan(TWO_BINS, v), "n_starts", 1),
+    "cli int key": (lambda v: cli._int_key({"workers": v}, "workers", 1), "workers", 1),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "3", "minimum - 1"])
+@pytest.mark.parametrize("boundary", INT_BOUNDARIES)
+def test_sizes_follow_one_rule(boundary, bad):
+    call, field, low = INT_BOUNDARIES[boundary]
+    value = low - 1 if bad == "minimum - 1" else bad
+    error = cli.ConfigError if boundary.startswith("cli") else ValueError
+    with pytest.raises(error, match=re.escape(f"'{field}' must be an integer >= {low}, "
+                                              f"got {value!r}")):
+        call(value)
+
+
+REAL_BOUNDARIES = {  # name -> (call, field, minimum or None)
+    "TrainConfig learning_rate": (lambda v: TrainConfig(learning_rate=v), "learning_rate", 0),
+    "TrainConfig init_scale": (lambda v: TrainConfig(init_scale=v), "init_scale", 0),
+    "GammaSimConfig coef_low": (lambda v: GammaSimConfig(n=5, coef_low=v), "coef_low", None),
+}
+
+
+@pytest.mark.parametrize(
+    "boundary, bad",
+    [(b, v) for b, (_, _, low) in REAL_BOUNDARIES.items()
+     for v in (True, "3", np.nan, np.inf, -np.inf) + (() if low is None else (low - 1,))],
+)
+def test_real_knobs_follow_one_rule(boundary, bad):
+    call, field, _ = REAL_BOUNDARIES[boundary]
+    with pytest.raises(ValueError, match=f"'{field}' must be a finite number"):
+        call(bad)

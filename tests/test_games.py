@@ -74,7 +74,7 @@ def test_train_config_rejects_bad_fields(field, value):
 
 
 def test_train_rejects_empty_dataset():
-    empty = gen_marginal(TRUTH, 10, seed=0).subset(np.array([], int))
+    empty = Dataset(np.zeros((0, 0)), [], [], TRUTH.bin_edges)
     with pytest.raises(ValueError, match="time_bin"):
         train(empty, TrainConfig(objective="bs-game", epochs=1))
 

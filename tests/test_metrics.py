@@ -41,8 +41,6 @@ def test_km_censored_tie_stays_at_risk():
 def test_km_step_function_accessors():
     km = km_fit(np.array([1.0, 2.0, 2.0, 3.0, 4.0]), np.array([1, 1, 1, 0, 1], bool))
     np.testing.assert_allclose(km.surv_at([0.5, 1.0, 1.5, 2.0, 4.0]), [1.0, 0.8, 0.8, 0.4, 0.0])
-    # the left limit excludes the jump at the query point
-    np.testing.assert_allclose(km.surv_left_at([1.0, 2.0, 4.0]), [1.0, 0.8, 0.4])
 
 
 def test_km_matches_empirical_survival_without_censoring():
