@@ -332,6 +332,10 @@ def cmd_evaluate(cfg: dict, out: Path) -> None:
     std = _load_standardizer(paths["standardizer"], model_f) if paths["standardizer"] else None
     (test_raw,) = make_test()
     if std is not None:
+        # a marginal model_f takes no features, so only the split can show this misfit
+        if std.mean.size != test_raw.feature_dim:
+            raise ValueError(f"{paths['standardizer']}: 'mean' and 'std' hold {std.mean.size} "
+                             f"entries but the test split has {test_raw.feature_dim} features")
         test_raw = std.apply(test_raw)
     report = _score_test_split(test_raw, edges, model_f, model_g, weighting, world)
     _json_dump(report.to_dict(), out / "report.json")

@@ -701,6 +701,24 @@ def test_evaluate_names_a_malformed_path_file(tmp_path, capsys, monkeypatch, key
     assert not (tmp_path / "out").exists()
 
 
+def test_evaluate_names_a_standardizer_that_does_not_fit_the_test_split(tmp_path, capsys):
+    # a marginal model takes no features, so only the drawn split can show the misfit
+    cfg = _with(TRAIN_CFG, train={**TRAIN_CFG["train"], "game_form": "multiplayer"})
+    assert _run(tmp_path, "train", cfg) == 0
+    model_dir = tmp_path / "out" / "exp" / "0"
+    std = tmp_path / "std.json"
+    std.write_text(json.dumps({"mean": [0.0] * 3, "std": [1.0] * 3}))
+    eval_cfg = {**EVAL_CFG, "experiment": "bad", "standardizer": str(std),
+                "model_f": str(model_dir / "model_F.json"),
+                "bin_edges": str(model_dir / "bin_edges.json")}
+    assert _run(tmp_path, "evaluate", eval_cfg) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"] == (f"{std}: 'mean' and 'std' hold 3 entries but the test split "
+                              "has 4 features")
+    assert not (tmp_path / "out" / "bad").exists()
+
+
 def _readme_cli_examples():
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
