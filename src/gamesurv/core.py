@@ -68,11 +68,10 @@ def _labels(time_bin, event, n_bins: int | None = None) -> tuple[np.ndarray, np.
         raise ValueError(f"time_bin must be 1-d, got shape {bins.shape}")
     if event.shape != bins.shape:
         raise ValueError(f"event must have time_bin's shape {bins.shape}, got {event.shape}")
-    whole = bins.dtype.kind in "iu" or (
-        bins.dtype.kind == "f" and np.all(np.isfinite(bins)) and np.array_equal(bins, np.floor(bins))
-    )
-    if not whole:
-        raise ValueError(f"time_bin must hold whole bin numbers, got {bins.dtype} values")
+    if bins.dtype.kind not in "iu":
+        finite = bins.dtype.kind == "f" and np.all(np.isfinite(bins))
+        if not (finite and np.array_equal(bins, np.floor(bins))):
+            raise ValueError(f"time_bin must hold whole bin numbers, got {bins.dtype} values")
     bins = bins.astype(np.int64, copy=False)
     if bins.size and (bins.min() < 1 or (n_bins is not None and bins.max() > n_bins)):
         raise ValueError(f"time_bin must lie in 1..{'K' if n_bins is None else n_bins}, "

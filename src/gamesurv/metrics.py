@@ -13,8 +13,9 @@ kernel's weights and scoring function (``losses._ipcw_weights``,
 Every score runs core's pmf rule (`core._check_pmf`), so pmfs on another
 bin grid or whose rows are not distributions fail naming the argument.
 `evaluate` scores a cohort in one pass: one pmf check, cdf, censoring
-table, label plan, weight table and latent-bin lookup serve all its scores. Concordance makes one pass per bit of the 2 * n_times (time,
-event) classes and takes ties from runs of equal risk (`concordance_index`).
+table, label plan, weight table and latent-bin lookup serve all its scores.
+Concordance makes one pass per bit of the 2 * n_times (time, event) classes
+and takes ties from runs of equal risk (`concordance_index`).
 """
 
 from __future__ import annotations

@@ -178,6 +178,7 @@ def random_interior_world(n_bins: int, rng, min_mass: float = 0.02) -> MarginalW
     A draw passes with probability (1 - K * min_mass)^(K-1); below 1e-6 the
     loop would all but never end, so such (n_bins, min_mass) are rejected.
     """
+    _check_int("n_bins", n_bins, 2)
     if max(0.0, 1.0 - n_bins * min_mass) ** (n_bins - 1) < 1e-6:
         raise ValueError(
             f"n_bins={n_bins} with min_mass={min_mass}: a Dirichlet(1) draw "
@@ -195,6 +196,7 @@ def random_interior_world(n_bins: int, rng, min_mass: float = 0.02) -> MarginalW
 
 def gen_marginal(world: MarginalWorld, n: int, seed: int = 0) -> Dataset:
     """n iid draws of (U, delta) from the world, already on the bin grid."""
+    _check_int("n", n, 0)
     streams = np.random.SeedSequence(seed).spawn(2)
     rng_t, rng_c = (np.random.default_rng(s) for s in streams)
     K = world.n_bins

@@ -37,7 +37,13 @@ from gamesurv.oracle import (
     population_loss,
     stationary_scan,
 )
-from gamesurv.simgen import GammaSimConfig, MarginalWorld, gen_marginal, read_bin_edges
+from gamesurv.simgen import (
+    GammaSimConfig,
+    MarginalWorld,
+    gen_marginal,
+    random_interior_world,
+    read_bin_edges,
+)
 
 
 def test_assign_bins_hand_case():
@@ -158,12 +164,13 @@ WORLD3 = MarginalWorld(F3, G3)
 DATA3 = gen_marginal(WORLD3, 30, seed=0)
 PAIR3 = np.stack([F3, G3])
 
-BAD_LABELS = {
+EVENTS3 = [True, False, True]
+BAD_LABELS = {  # name -> (time_bin, event, message)
     "mismatched": ([1, 2, 3], [True], r"event must have time_bin's shape \(3,\), got \(1,\)"),
     "2-d": ([[1, 2], [2, 3]], [[True, False], [True, True]], r"time_bin must be 1-d"),
-    "bin 0": ([0, 1, 2], [True, False, True], r"time_bin must lie in 1\.\.(K|3), got labels from 0"),
-    "bin K+1": ([1, 2, 4], [True, False, True], r"time_bin must lie in 1\.\.3, got labels from 1 to 4"),
-    "bin 1.5": ([1.5, 2.0, 3.0], [True, False, True], "time_bin must hold whole bin numbers"),
+    "bin 0": ([0, 1, 2], EVENTS3, r"time_bin must lie in 1\.\.(K|3), got labels from 0"),
+    "bin K+1": ([1, 2, 4], EVENTS3, r"time_bin must lie in 1\.\.3, got labels from 1 to 4"),
+    "bin 1.5": ([1.5, 2.0, 3.0], EVENTS3, "time_bin must hold whole bin numbers"),
 }
 LABEL_BOUNDARIES = {
     "Batch": lambda u, e: Batch(u, e),
@@ -265,6 +272,9 @@ INT_BOUNDARIES = {  # name -> (call, field, minimum)
     "GammaSimConfig n": (lambda v: GammaSimConfig(n=v), "n", 1),
     "GammaSimConfig feature_dim": (lambda v: GammaSimConfig(n=5, feature_dim=v),
                                    "feature_dim", 1),
+    "random_interior_world": (lambda v: random_interior_world(v, np.random.default_rng(0)),
+                              "n_bins", 2),
+    "gen_marginal": (lambda v: gen_marginal(WORLD3, v), "n", 0),
     "ArchSpec n_bins": (lambda v: ArchSpec("marginal", v), "n_bins", 2),
     "ArchSpec feature_dim": (lambda v: ArchSpec("mlp", 3, v, (4,)), "feature_dim", 1),
     "ArchSpec hidden": (lambda v: ArchSpec("mlp", 3, 2, (4, v)), "hidden", 1),
