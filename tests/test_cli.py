@@ -662,6 +662,14 @@ GOOD_FILES = {
         ("bin_edges", {"K": 2, "edges": [0.0, "x", 2.0]}, "key 'edges' must hold numbers"),
         ("bin_edges", {"K": 3, "edges": [0.0, 1.0, 2.0]}, "K = 3 but 3 edges"),
         ("bin_edges", "[0.0, 1.0", "line 1"),
+        ("standardizer", {"mean": [0.0] * 4}, "missing key 'std'"),
+        ("standardizer", {"mean": "zero", "std": [1.0] * 4}, "key 'mean' must hold numbers"),
+        ("model_f", {"params": [0.0] * 65}, "missing key 'arch'"),
+        ("model_f", {"arch": {**MLP_ARCH, "hidden": None}, "params": []}, "not iterable"),
+        ("model_g", {"arch": {"kind": "mlp", "n_bins": 5}, "params": []}, "missing key 'feature_dim'"),
+        ("model_g", {"arch": MLP_ARCH, "params": ["w"] * 65}, "key 'params' must hold numbers"),
+        ("model_g", [MLP_ARCH], "list indices"),
+        # files that parse but do not fit the run
         ("bin_edges", {"K": 5, "edges": [0.0, 2.0, 1.0, 3.0, 4.0, 5.0]}, "strictly increasing"),
         ("bin_edges", {"K": 5, "edges": [0.0, 1.0, 2.0, float("nan"), 4.0, 5.0]}, "finite"),
         ("standardizer", {"mean": [0.0] * 3, "std": [1.0] * 3},
@@ -673,13 +681,6 @@ GOOD_FILES = {
          "finite and positive"),
         ("standardizer", {"mean": [0.0, float("nan"), 0.0, 0.0], "std": [1.0] * 4},
          "'mean' must be finite"),
-        ("standardizer", {"mean": [0.0] * 4}, "missing key 'std'"),
-        ("standardizer", {"mean": "zero", "std": [1.0] * 4}, "key 'mean' must hold numbers"),
-        ("model_f", {"params": [0.0] * 65}, "missing key 'arch'"),
-        ("model_f", {"arch": {**MLP_ARCH, "hidden": None}, "params": []}, "not iterable"),
-        ("model_g", {"arch": {"kind": "mlp", "n_bins": 5}, "params": []}, "missing key 'feature_dim'"),
-        ("model_g", {"arch": MLP_ARCH, "params": ["w"] * 65}, "key 'params' must hold numbers"),
-        ("model_g", [MLP_ARCH], "list indices"),
     ],
 )
 def test_evaluate_names_a_malformed_path_file(tmp_path, capsys, monkeypatch, key, content,
