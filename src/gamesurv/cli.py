@@ -282,21 +282,17 @@ def cmd_train(cfg: dict, out: Path) -> None:
 
 
 def _load_standardizer(path, model_f: models.Model) -> simgen.Standardizer:
-    """The standardizer in the file ``path``: 1-d ``mean`` and ``std`` of one
-    length, finite, ``std`` positive and, for an MLP ``model_f``, one entry
+    """The standardizer in the file ``path``, which must pass the
+    `simgen.Standardizer` rule and, for an MLP ``model_f``, hold one entry
     per feature it takes; otherwise a ValueError naming the file."""
 
     def build(payload):
-        mean, std = simgen._json_floats(payload, "mean"), simgen._json_floats(payload, "std")
-        if mean.ndim != 1 or std.shape != mean.shape:
-            raise ValueError(f"'mean' and 'std' must be lists of one length, "
-                             f"got shapes {mean.shape} and {std.shape}")
-        if not (np.all(np.isfinite(mean)) and np.all((0 < std) & (std < np.inf))):
-            raise ValueError("'mean' must be finite and 'std' finite and positive")
-        if model_f.arch.kind == "mlp" and mean.size != model_f.arch.feature_dim:
-            raise ValueError(f"'mean' and 'std' hold {mean.size} entries but model_f takes "
+        std = simgen.Standardizer(simgen._json_floats(payload, "mean"),
+                                  simgen._json_floats(payload, "std"))
+        if model_f.arch.kind == "mlp" and std.mean.size != model_f.arch.feature_dim:
+            raise ValueError(f"'mean' and 'std' hold {std.mean.size} entries but model_f takes "
                              f"{model_f.arch.feature_dim} features")
-        return simgen.Standardizer(mean, std)
+        return std
 
     return simgen._load_json(path, build)
 
@@ -332,11 +328,10 @@ def cmd_evaluate(cfg: dict, out: Path) -> None:
     std = _load_standardizer(paths["standardizer"], model_f) if paths["standardizer"] else None
     (test_raw,) = make_test()
     if std is not None:
-        # a marginal model_f takes no features, so only the split can show this misfit
-        if std.mean.size != test_raw.feature_dim:
-            raise ValueError(f"{paths['standardizer']}: 'mean' and 'std' hold {std.mean.size} "
-                             f"entries but the test split has {test_raw.feature_dim} features")
-        test_raw = std.apply(test_raw)
+        try:  # a marginal model_f takes no features, so only the split can show a misfit
+            test_raw = std.apply(test_raw)
+        except ValueError as exc:
+            raise ValueError(f"{paths['standardizer']}: {exc}") from None
     report = _score_test_split(test_raw, edges, model_f, model_g, weighting, world)
     _json_dump(report.to_dict(), out / "report.json")
     if report.calibration_levels is not None:

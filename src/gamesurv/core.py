@@ -59,15 +59,33 @@ def _check_real(name: str, value, low: float = -np.inf):
     return value
 
 
+def _events(event, shape: tuple, of: str) -> np.ndarray:
+    """``event`` as bools, which must have ``shape``, the shape of field ``of``."""
+    event = np.asarray(event, dtype=bool)
+    if event.shape != shape:
+        raise ValueError(f"event must have {of}'s shape {shape}, got {event.shape}")
+    return event
+
+
+def _finite(name: str, values, ndim: int = 1, n: int | None = None) -> np.ndarray:
+    """``values`` as finite floats with ``ndim`` axes, and ``n`` rows when given."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != ndim or (n is not None and values.shape[0] != n):
+        rows = "" if n is None else f" with {n} rows"
+        raise ValueError(f"{name} must be {ndim}-d{rows}, got shape {values.shape}")
+    if not (np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0))):
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
 def _labels(time_bin, event, n_bins: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Labels as int64 bins and bool events of one 1-d shape. A bin that is
     not a whole number in 1..K (>= 1 when ``n_bins`` is None) would index
     another column of the survival and pmf tables, so it fails here."""
-    bins, event = np.asarray(time_bin), np.asarray(event, dtype=bool)
+    bins = np.asarray(time_bin)
     if bins.ndim != 1:
         raise ValueError(f"time_bin must be 1-d, got shape {bins.shape}")
-    if event.shape != bins.shape:
-        raise ValueError(f"event must have time_bin's shape {bins.shape}, got {event.shape}")
+    event = _events(event, bins.shape, "time_bin")
     if bins.dtype.kind not in "iu":
         finite = bins.dtype.kind == "f" and np.all(np.isfinite(bins))
         if not (finite and np.array_equal(bins, np.floor(bins))):
@@ -171,14 +189,10 @@ class RawSurvivalData:
     latent_censor: np.ndarray | None = None
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 2:
-            raise ValueError("features must be 2-d (n, d); use shape (n, 0) for none")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "time", np.asarray(self.time, dtype=float))
-        object.__setattr__(self, "event", np.asarray(self.event, dtype=bool))
-        if not (feats.shape[0] == self.time.size == self.event.size):
-            raise ValueError("features, time, event must agree on n")
+        time = _finite("time", self.time)
+        object.__setattr__(self, "features", _finite("features", self.features, 2, time.size))
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "event", _events(self.event, time.shape, "time"))
 
     @property
     def n(self) -> int:
@@ -207,20 +221,14 @@ class Dataset:
     latent_censor: np.ndarray | None = None
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
         edges = _check_edges(self.bin_edges)
         bins, event = _labels(self.time_bin, self.event, edges.size - 1)
-        if feats.ndim != 2 or feats.shape[0] != bins.size:
-            raise ValueError(f"features must be 2-d (n, d) with n = {bins.size} rows, "
-                             f"got shape {feats.shape}")
+        object.__setattr__(self, "features", _finite("features", self.features, 2, bins.size))
         if self.raw_time is not None:
-            raw = np.asarray(self.raw_time, dtype=float)
-            if raw.size != bins.size:
-                raise ValueError("raw_time must agree on n")
+            raw = _finite("raw_time", self.raw_time, n=bins.size)
             if not np.array_equal(assign_bins(raw, edges), bins):
                 raise ValueError("raw_time inconsistent with bin_edges/time_bin")
             object.__setattr__(self, "raw_time", raw)
-        object.__setattr__(self, "features", feats)
         object.__setattr__(self, "time_bin", bins)
         object.__setattr__(self, "event", event)
         object.__setattr__(self, "bin_edges", edges)
@@ -263,9 +271,9 @@ def quantile_discretize(raw_times: np.ndarray, n_bins: int) -> tuple[np.ndarray,
         If any edge pair coincides (too few distinct times for K bins); the
         message lists the degenerate bins.
     """
-    times = np.asarray(raw_times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("raw_times must be a nonempty 1-d array")
+    times = _finite("raw_times", raw_times)
+    if times.size == 0:
+        raise ValueError("raw_times must hold at least one time")
     _check_int("n_bins", n_bins, 1)
     edges = np.quantile(times, np.linspace(0.0, 1.0, n_bins + 1))
     flat = np.nonzero(np.diff(edges) <= 0)[0]
@@ -281,8 +289,7 @@ def quantile_discretize(raw_times: np.ndarray, n_bins: int) -> tuple[np.ndarray,
 def assign_bins(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Map times onto an existing grid; values beyond the outer edges clip
     into the first/last bin so held-out data always lands on the grid."""
-    times = np.asarray(times, dtype=float)
-    edges = np.asarray(edges, dtype=float)
+    times, edges = _finite("times", times), _check_edges(edges)
     return np.searchsorted(edges[1:-1], times, side="right").astype(np.int64) + 1
 
 
@@ -298,7 +305,6 @@ def discretize(
     if edges is None:
         edges, bins = quantile_discretize(raw.time, n_bins)
     else:
-        edges = np.asarray(edges, dtype=float)
         bins = assign_bins(raw.time, edges)
     return Dataset(
         raw.features,

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Dataset, _check_pmf, assign_bins
+from .core import Dataset, _check_pmf, _events, _finite, assign_bins
 from .losses import _as_matrix, _check_floor, _ipcw_weights, _nll_values_dpmf, _padded_surv
 from .losses import _role_flags, _scores, label_plan
 from .simgen import MarginalWorld
@@ -73,16 +73,11 @@ def km_fit(time: np.ndarray, event: np.ndarray) -> KaplanMeier:
     """Kaplan-Meier over observed times; ties share a time point, and a
     subject censored at t is still at risk for the deaths at t.
 
-    ``time`` and ``event`` must be 1-D of equal length with finite times;
-    otherwise ValueError names the field."""
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=bool)
-    if time.ndim != 1 or time.size == 0:
-        raise ValueError(f"time must be 1-D with at least one entry, got shape {time.shape}")
-    if event.shape != time.shape:
-        raise ValueError(f"event must match time's shape {time.shape}, got {event.shape}")
-    if not np.all(np.isfinite(time)):
-        raise ValueError("time must be finite")
+    ``time`` must be nonempty; ``time`` and ``event`` follow core's rules."""
+    time = _finite("time", time)
+    if time.size == 0:
+        raise ValueError("time must hold at least one entry")
+    event = _events(event, time.shape, "time")
     uniq, inv = np.unique(time, return_inverse=True)
     d = np.bincount(inv[event], minlength=uniq.size)
     c = np.bincount(inv[~event], minlength=uniq.size)
@@ -128,7 +123,7 @@ class _Cohort:
         if self.weighting == "uncensored-latent":
             if self.latent_bins is None:
                 raise ValueError("this weighting needs the latent failure times")
-            return np.ones(K + 1), self.latent_bins, np.ones(dataset.n, dtype=bool)
+            return np.ones(K + 1), self.latent_bins, np.full(dataset.n, True)
         if self.weighting == "km":
             # binned times: KM jumps only at integer bins, so the table holds its
             # values at 0..K and its left limit at U is the entry at U - 1
@@ -249,20 +244,11 @@ def concordance_index(risk: np.ndarray, time: np.ndarray, event: np.ndarray) -> 
     both. Runs in O(n log n): three sorts plus one O(n) pass per bit of the
     class count, 6 for 20 bins and at most ceil(log2 n) + 1 on any times.
 
-    ``risk``, ``time`` and ``event`` must be 1-D of equal length, with
-    finite risks and times; otherwise ValueError names the field.
+    ``risk``, ``time`` and ``event`` follow core's rules, one entry per row.
     """
-    risk = np.asarray(risk, dtype=float)
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=bool)
-    for name, arr in (("risk", risk), ("time", time), ("event", event)):
-        if arr.ndim != 1 or arr.size != risk.size:
-            raise ValueError(
-                f"{name} must be 1-D with one entry per row, got shape {arr.shape}"
-            )
-    for name, arr in (("risk", risk), ("time", time)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} must be finite")
+    risk = _finite("risk", risk)
+    time = _finite("time", time, n=risk.size)
+    event = _events(event, time.shape, "time")
     _, rank = np.unique(risk, return_inverse=True)
     distinct_times, t_idx = np.unique(time, return_inverse=True)
     n_classes = 2 * distinct_times.size

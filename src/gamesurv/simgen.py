@@ -238,6 +238,15 @@ class Standardizer:
     mean: np.ndarray
     std: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
+        object.__setattr__(self, "std", np.asarray(self.std, dtype=float))
+        if self.mean.ndim != 1 or self.std.shape != self.mean.shape:
+            raise ValueError(f"'mean' and 'std' must be lists of one length, "
+                             f"got shapes {self.mean.shape} and {self.std.shape}")
+        if not (np.all(np.isfinite(self.mean)) and np.all((0 < self.std) & (self.std < np.inf))):
+            raise ValueError("'mean' must be finite and 'std' finite and positive")
+
     @classmethod
     def fit(cls, features: np.ndarray) -> "Standardizer":
         features = np.asarray(features, dtype=float)
@@ -247,6 +256,9 @@ class Standardizer:
         return cls(mean, std)
 
     def apply(self, data: RawSurvivalData) -> RawSurvivalData:
+        if self.mean.size != data.feature_dim:
+            raise ValueError(f"'mean' and 'std' hold {self.mean.size} entries but the data has "
+                             f"{data.feature_dim} features")
         return RawSurvivalData(
             (data.features - self.mean) / self.std,
             data.time,

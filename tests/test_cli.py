@@ -715,8 +715,7 @@ def test_evaluate_names_a_standardizer_that_does_not_fit_the_test_split(tmp_path
     assert _run(tmp_path, "evaluate", eval_cfg) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
-    assert err["message"] == (f"{std}: 'mean' and 'std' hold 3 entries but the test split "
-                              "has 4 features")
+    assert err["message"] == f"{std}: 'mean' and 'std' hold 3 entries but the data has 4 features"
     assert not (tmp_path / "out" / "bad").exists()
 
 

@@ -56,11 +56,11 @@ def test_km_fit_input_contract():
         km_fit([1.0, np.nan, 2.0], [True, True, False])
     with pytest.raises(ValueError, match="time must be finite"):
         km_fit([1.0, np.inf], [True, False])
-    with pytest.raises(ValueError, match="event must match"):
+    with pytest.raises(ValueError, match=r"event must have time's shape \(3,\)"):
         km_fit([1.0, 2.0, 3.0], [True, False])
-    with pytest.raises(ValueError, match="time must be 1-D"):
+    with pytest.raises(ValueError, match="time must be 1-d"):
         km_fit(np.ones((2, 2)), np.ones((2, 2), bool))
-    with pytest.raises(ValueError, match="time must be 1-D"):
+    with pytest.raises(ValueError, match="time must hold at least one entry"):
         km_fit([], [])
 
 
