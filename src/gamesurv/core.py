@@ -10,6 +10,10 @@ that names the field:
 
 - labels (`_labels`): int64 bins and bool events of one 1-d shape, the bins
   whole numbers in 1..K (>= 1 where K is not known);
+- event flags (`_events`): bools, or 0s and 1s, of the shape of the field
+  they flag (``time_bin`` or ``time``);
+- observed and latent times and feature matrices (`_finite`): finite floats
+  with one axis (times) or two (features), one row per record;
 - pmfs (`_check_pmf`): K bins on the last axis, rows finite, nonnegative
   and summing to 1 within 1e-9;
 - bin edges (`_check_edges`): at least two, finite and strictly increasing;
@@ -17,6 +21,8 @@ that names the field:
   with a positive sum;
 - sizes and knobs (`_check_int`, `_check_real`): an integer that is not a
   bool, or a finite real, at least a lower bound.
+
+A standardizer checks its own ``mean`` and ``std`` (`simgen.Standardizer`).
 """
 
 from __future__ import annotations
@@ -59,11 +65,25 @@ def _check_real(name: str, value, low: float = -np.inf):
     return value
 
 
+def _whole(values: np.ndarray) -> bool:
+    """Whether ``values`` are whole numbers: integers, or finite floats
+    without a fraction."""
+    if values.dtype.kind in "iu":
+        return True
+    finite = values.dtype.kind == "f" and np.all(np.isfinite(values))
+    return bool(finite and np.array_equal(values, np.floor(values)))
+
+
 def _events(event, shape: tuple, of: str) -> np.ndarray:
-    """``event`` as bools, which must have ``shape``, the shape of field ``of``."""
-    event = np.asarray(event, dtype=bool)
+    """``event`` as bools, which must have ``shape``, the shape of field
+    ``of``, and hold only 0 and 1. A bool array passes unscanned."""
+    event = np.asarray(event)
     if event.shape != shape:
         raise ValueError(f"event must have {of}'s shape {shape}, got {event.shape}")
+    if event.dtype != bool:
+        if not np.all((event == 0) | (event == 1)):  # a NaN fails both
+            raise ValueError(f"event must hold only 0 and 1, got {event.dtype} values")
+        event = event.astype(bool)
     return event
 
 
@@ -74,7 +94,8 @@ def _finite(name: str, values, ndim: int = 1, n: int | None = None) -> np.ndarra
         rows = "" if n is None else f" with {n} rows"
         raise ValueError(f"{name} must be {ndim}-d{rows}, got shape {values.shape}")
     if not (np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0))):
-        raise ValueError(f"{name} must be finite")
+        bad = values.size - np.count_nonzero(np.isfinite(values))
+        raise ValueError(f"{name} must be finite, got {bad} NaN or infinite entries")
     return values
 
 
@@ -86,10 +107,8 @@ def _labels(time_bin, event, n_bins: int | None = None) -> tuple[np.ndarray, np.
     if bins.ndim != 1:
         raise ValueError(f"time_bin must be 1-d, got shape {bins.shape}")
     event = _events(event, bins.shape, "time_bin")
-    if bins.dtype.kind not in "iu":
-        finite = bins.dtype.kind == "f" and np.all(np.isfinite(bins))
-        if not (finite and np.array_equal(bins, np.floor(bins))):
-            raise ValueError(f"time_bin must hold whole bin numbers, got {bins.dtype} values")
+    if not _whole(bins):
+        raise ValueError(f"time_bin must hold whole bin numbers, got {bins.dtype} values")
     bins = bins.astype(np.int64, copy=False)
     if bins.size and (bins.min() < 1 or (n_bins is not None and bins.max() > n_bins)):
         raise ValueError(f"time_bin must lie in 1..{'K' if n_bins is None else n_bins}, "
@@ -174,6 +193,13 @@ class Batch:
         return self.weight / self.weight.sum()
 
 
+def _set_latent(data, n: int) -> None:
+    """Check the latent times of ``data``, when given, as ``n`` finite floats."""
+    for name in ("latent_time", "latent_censor"):
+        if getattr(data, name) is not None:
+            object.__setattr__(data, name, _finite(name, getattr(data, name), n=n))
+
+
 @dataclass(frozen=True)
 class RawSurvivalData:
     """Continuous-time observations before binning.
@@ -193,6 +219,7 @@ class RawSurvivalData:
         object.__setattr__(self, "features", _finite("features", self.features, 2, time.size))
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "event", _events(self.event, time.shape, "time"))
+        _set_latent(self, time.size)
 
     @property
     def n(self) -> int:
@@ -229,6 +256,7 @@ class Dataset:
             if not np.array_equal(assign_bins(raw, edges), bins):
                 raise ValueError("raw_time inconsistent with bin_edges/time_bin")
             object.__setattr__(self, "raw_time", raw)
+        _set_latent(self, bins.size)
         object.__setattr__(self, "time_bin", bins)
         object.__setattr__(self, "event", event)
         object.__setattr__(self, "bin_edges", edges)

@@ -34,7 +34,10 @@ Conventions, fixed across the package:
 - Labels are checked in one place, `core._labels`: every label plan is
   built by `label_plan`, which runs it, and so does the likelihood path. A
   bin outside 1..K or between bins, 2-d labels or an ``event`` of another
-  shape fail naming ``time_bin`` or ``event``.
+  shape fail naming ``time_bin`` or ``event``. Horizons are checked by
+  `resolve_times`, run by every entry point that takes them, and a pmf
+  argument by `_as_matrix`, which names it and holds a frozen pmf to the
+  own pmf's K.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, _labels, _row_weights, padded_cdf
+from .core import Batch, _labels, _whole, padded_cdf
 
 __all__ = [
     "ClampStats",
@@ -109,48 +112,57 @@ class LossSpec:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         roles = self.role if isinstance(self.role, tuple) else (self.role,)
         object.__setattr__(self, "_flags", _role_flags(roles))
-        times = self.times if isinstance(self.times, str) else tuple(np.ravel(self.times).tolist())
-        object.__setattr__(self, "_plan_key", (times, roles))
+        object.__setattr__(self, "_plan_key", (_horizons(self.times), roles))
         _check_floor(self.weight_floor)
 
 
-def resolve_times(times: tuple[int, ...] | str, n_bins: int) -> np.ndarray:
-    """Normalize a horizon spec to a sorted int array within 1..K-1."""
+def _horizons(times) -> tuple[int, ...] | str:
+    """A horizon spec, which must be 'all' or a 1-d sequence of whole
+    numbers, as 'all' or a tuple of ints."""
     if isinstance(times, str):
-        if times != "all":
-            raise ValueError("times must be 'all' or an iterable of horizons")
-        arr = np.arange(1, n_bins)
+        if times == "all":
+            return times
     else:
-        arr = np.unique(np.asarray(times, dtype=np.int64))
+        arr = np.asarray(times)
+        if arr.ndim == 1 and _whole(arr):
+            return tuple(arr.astype(np.int64).tolist())
+    raise ValueError(f"times must be 'all' or a 1-d sequence of whole horizons, got {times!r}")
+
+
+def resolve_times(times: tuple[int, ...] | str, n_bins: int) -> np.ndarray:
+    """Normalize a horizon spec (see `_horizons`) to a sorted int array within 1..K-1."""
+    times = _horizons(times)
+    arr = np.arange(1, n_bins) if times == "all" else np.unique(np.array(times, dtype=np.int64))
     if arr.size == 0:
         raise ValueError(f"times {times!r} gives no horizon in 1..K-1 for K = {n_bins} bins")
     if arr[0] < 1 or arr[-1] > n_bins - 1:
-        raise ValueError(
-            f"horizons must lie in 1..{n_bins - 1}; t = {n_bins} has zero "
-            "survival beyond the last bin and is not a valid horizon"
-        )
+        raise ValueError(f"times must lie in 1..{n_bins - 1} (horizon {n_bins} has zero survival "
+                         f"past the last bin), got {arr.tolist()}")
     return arr
 
 
-def _as_matrix(pmf: np.ndarray, n: int, lead: int = 0) -> np.ndarray:
+def _as_matrix(name: str, pmf, n: int, lead: int = 0, n_bins: int | None = None) -> np.ndarray:
     """Broadcast (*lead, K) marginal pmfs to (*lead, n, K) or pass (*lead,
-    n, K) matrices through; ``lead`` counts the leading (role) axes."""
+    n, K) matrices through; ``lead`` counts the leading (role) axes, and K
+    is ``n_bins`` when given, else the last axis of ``pmf``."""
     pmf = np.asarray(pmf, dtype=float)
-    if pmf.ndim == lead + 1:
-        return np.broadcast_to(pmf[..., None, :], (*pmf.shape[:-1], n, pmf.shape[-1]))
-    if pmf.ndim == lead + 2 and pmf.shape[-2] == n:
+    K = pmf.shape[-1] if n_bins is None and pmf.ndim else n_bins
+    if pmf.ndim == lead + 1 and pmf.shape[-1] == K:
+        return np.broadcast_to(pmf[..., None, :], (*pmf.shape[:-1], n, K))
+    if pmf.ndim == lead + 2 and pmf.shape[-2:] == (n, K):
         return pmf
-    raise ValueError(f"pmf must be (K,) or (n, K) after {lead} leading axes; got {pmf.shape}")
+    raise ValueError(f"{name} must be (K,) or (n, K) with n = {n} and K = {K} after {lead} "
+                     f"leading axes, got shape {pmf.shape}")
 
 
-def _role_stack(spec: LossSpec, pmf: np.ndarray, n: int) -> np.ndarray:
-    """A spec's pmf argument as an (R, n, K) stack: a tuple role's pmfs
-    carry the role axis already, a single role's gain it."""
+def _role_stack(spec: LossSpec, name: str, pmf, n: int, n_bins: int | None = None) -> np.ndarray:
+    """A spec's pmf argument ``name`` as an (R, n, K) stack: a tuple role's
+    pmfs carry the role axis already, a single role's gain it."""
     if not isinstance(spec.role, tuple):
-        return _as_matrix(pmf, n)[None]
-    stack = _as_matrix(pmf, n, 1)
+        return _as_matrix(name, pmf, n, 0, n_bins)[None]
+    stack = _as_matrix(name, pmf, n, 1, n_bins)
     if stack.shape[0] != len(spec.role):
-        raise ValueError(f"pmf stack has {stack.shape[0]} rows for roles {spec.role}")
+        raise ValueError(f"{name} stack has {stack.shape[0]} rows for roles {spec.role}")
     return stack
 
 
@@ -373,7 +385,7 @@ def batch_loss(
     dpmf : ndarray, shape (n, K), or (R, n, K) for a tuple role
     """
     n = batch.n
-    own = _role_stack(spec, own_pmf, n)
+    own = _role_stack(spec, "own_pmf", own_pmf, n)
 
     if spec.family == "nll":
         w = batch.norm_weight()
@@ -387,7 +399,7 @@ def batch_loss(
             raise ValueError("game losses need the other player's pmf")
         plan = _batch_plan(spec, batch, own.shape[-1])
         w = plan.weight
-        surv = _padded_surv(_role_stack(spec, frozen_pmf, n))
+        surv = _padded_surv(_role_stack(spec, "frozen_pmf", frozen_pmf, n, own.shape[-1]))
         inv = _ipcw_weights(plan, surv, spec.weight_floor, stats)
         vals, coefs = _scores(spec.family, plan, own.cumsum(axis=-1), inv, spec.weight_floor, stats)
         values = [float(w @ v) for v in vals.sum(axis=-1)]
@@ -421,7 +433,8 @@ def per_horizon_loss(
     """
     if spec.family == "nll":
         raise ValueError("per-horizon form is defined for the game losses only")
-    own, frozen = (_role_stack(spec, pmf, batch.n) for pmf in (own_pmf, frozen_pmf))
+    own = _role_stack(spec, "own_pmf", own_pmf, batch.n)
+    frozen = _role_stack(spec, "frozen_pmf", frozen_pmf, batch.n, own.shape[-1])
     plan = _batch_plan(spec, batch, own.shape[-1])
     inv = _ipcw_weights(plan, _padded_surv(frozen), spec.weight_floor, stats)
     vals, coefs = _scores(spec.family, plan, own.cumsum(axis=-1), inv, spec.weight_floor, stats)
@@ -448,8 +461,10 @@ def ipcw_weight_arrays(
     (..., n, K) stack of them. Exposed for bulk evaluation over checkpoint
     grids."""
     _check_floor(weight_floor)
-    frozen = _as_matrix(frozen_pmf, np.size(time_bin), max(np.ndim(frozen_pmf) - 2, 0))
-    plan = label_plan(time_bin, event, frozen.shape[-1], times, _role_flags((role,)))
+    lead = max(np.ndim(frozen_pmf) - 2, 0)
+    frozen = _as_matrix("frozen_pmf", frozen_pmf, np.size(time_bin), lead)
+    K = frozen.shape[-1]
+    plan = label_plan(time_bin, event, K, resolve_times(times, K), _role_flags((role,)))
     surv = _padded_surv(frozen)[..., None, :, :]  # a one-role axis
     return _ipcw_weights(plan, surv, weight_floor, stats)[..., 0, :, :]
 
@@ -470,8 +485,10 @@ def ipcw_per_sample(
     censored samples).
     """
     spec = LossSpec(family, _one_role(role), (t,), weight_floor)
-    own, frozen = (_role_stack(spec, pmf, np.size(time_bin)) for pmf in (own_pmf, frozen_pmf))
+    n = np.size(time_bin)
+    own = _role_stack(spec, "own_pmf", own_pmf, n)
     K = own.shape[-1]
+    frozen = _role_stack(spec, "frozen_pmf", frozen_pmf, n, K)
     plan = label_plan(time_bin, event, K, resolve_times(spec.times, K), spec._flags)
     inv = _ipcw_weights(plan, _padded_surv(frozen), weight_floor, stats)
     vals, _ = _scores(family, plan, own.cumsum(axis=-1), inv, weight_floor, stats, False)
@@ -492,25 +509,23 @@ def nll(pmf, time_bin, event, role="failure", weight_floor=1e-6, stats=None):
     model; its term clamps to -log(weight_floor) and contributes no gradient.
     """
     spec = LossSpec("nll", _one_role(role), weight_floor=weight_floor)
-    own = _role_stack(spec, pmf, np.size(time_bin))
+    own = _role_stack(spec, "pmf", pmf, np.size(time_bin))
     return _nll_values_dpmf(spec._flags, own, own.cumsum(axis=-1), time_bin, event,
                             weight_floor, stats)[0][0]
 
 
-def ipcw_mean(time_bin, event, censor_pmf, values=None, weight=None, weight_floor=1e-6, stats=None):
+def ipcw_mean(time_bin, event, censor_pmf, weight_floor=1e-6, stats=None):
     """Inverse-weighted mean of T: mean(delta * U / Gbar(U-)).
 
     Under positivity this is unbiased for E[T] even though censored samples
     contribute zero: the weights exactly undo the thinning of events.
-    ``values`` substitutes a different per-sample quantity for U (e.g. raw
-    times when bins stand in for continuous values).
     """
-    # horizon K covers every row, so every weight is the event branch's delta / Gbar(U-)
-    horizon_k = np.array([np.shape(censor_pmf)[-1]])
-    inv = ipcw_weight_arrays("failure", censor_pmf, time_bin, event, horizon_k, weight_floor, stats)
-    vals = np.asarray(time_bin if values is None else values, dtype=float)
-    contrib = np.where(event, vals * inv[:, 0], 0.0)  # censored values may be NaN
-    if weight is None:
-        return float(contrib.mean())
-    w = _row_weights(weight, contrib.size)
-    return float(contrib @ (w / w.sum()))
+    _check_floor(weight_floor)
+    frozen = _as_matrix("censor_pmf", censor_pmf, np.size(time_bin))
+    K = frozen.shape[-1]
+    bins, event = _labels(time_bin, event, K)
+    # horizon K, past the scored 1..K-1, puts every row on the event branch,
+    # whose weight is delta / Gbar(U-)
+    plan = label_plan(bins, event, K, np.array([K]), _role_flags(("failure",)))
+    inv = _ipcw_weights(plan, _padded_surv(frozen)[None], weight_floor, stats)[0, :, 0]
+    return float(np.where(event, bins * inv, 0.0).mean())

@@ -95,7 +95,7 @@ def km_censoring(dataset: Dataset) -> KaplanMeier:
 
 def _pmf_matrix(name: str, pmf, dataset: Dataset) -> np.ndarray:
     """``pmf`` as (n, K) rows aligned with ``dataset``, after core's pmf rule."""
-    return _as_matrix(_check_pmf(name, pmf, dataset.n_bins), dataset.n)
+    return _as_matrix(name, _check_pmf(name, pmf, dataset.n_bins), dataset.n)
 
 
 class _Cohort:

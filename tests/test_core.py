@@ -26,8 +26,9 @@ from gamesurv.losses import (
     ipcw_weight_arrays,
     nll,
     per_horizon_loss,
+    resolve_times,
 )
-from gamesurv.metrics import eval_bll, eval_bs, evaluate
+from gamesurv.metrics import concordance_index, eval_bll, eval_bs, evaluate, km_fit
 from gamesurv.models import ArchSpec
 from gamesurv.oracle import (
     gradient_field,
@@ -40,6 +41,7 @@ from gamesurv.oracle import (
 from gamesurv.simgen import (
     GammaSimConfig,
     MarginalWorld,
+    Standardizer,
     gen_marginal,
     random_interior_world,
     read_bin_edges,
@@ -313,3 +315,178 @@ def test_real_knobs_follow_one_rule(boundary, bad):
     call, field, _ = REAL_BOUNDARIES[boundary]
     with pytest.raises(ValueError, match=f"'{field}' must be a finite number"):
         call(bad)
+
+
+T3 = [0.5, 1.5, 2.5]
+BATCH3 = Batch([1, 2, 3], EVENTS3)
+BAD_EVENTS = {  # name -> (event for 3 records, message)
+    "mismatched": ([True], r"event must have time's shape \(3,\), got \(1,\)"),
+    "2": ([1, 2, 0], "event must hold only 0 and 1, got int64 values"),
+    "0.5": ([1, 0.5, 0], "event must hold only 0 and 1, got float64 values"),
+    "nan": ([1, np.nan, 0], "event must hold only 0 and 1, got float64 values"),
+}
+EVENT_BOUNDARIES = {
+    "Batch": lambda e: Batch([1, 2, 3], e),
+    "Dataset": lambda e: Dataset(np.zeros((3, 0)), [1, 2, 3], e, WORLD3.bin_edges),
+    "nll": lambda e: nll(F3, [1, 2, 3], e),
+    "ipcw_per_sample": lambda e: ipcw_per_sample("ipcw-bs", "censor", 1, G3, F3, [1, 2, 3], e),
+    "ipcw_weight_arrays": lambda e: ipcw_weight_arrays("failure", G3, [1, 2, 3], e, [1, 2]),
+    "ipcw_mean": lambda e: ipcw_mean([1, 2, 3], e, G3),
+    "RawSurvivalData": lambda e: RawSurvivalData(np.zeros((3, 0)), T3, e),
+    "km_fit": lambda e: km_fit(T3, e),
+    "concordance_index": lambda e: concordance_index([0.1, 0.2, 0.3], T3, e),
+}
+TIME_SHAPED_EVENTS = ("RawSurvivalData", "km_fit", "concordance_index")
+
+
+@pytest.mark.parametrize(
+    "boundary, bad",
+    # an event of another shape than time_bin is in the label table
+    [(b, v) for b in EVENT_BOUNDARIES for v in BAD_EVENTS
+     if v != "mismatched" or b in TIME_SHAPED_EVENTS],
+)
+def test_events_follow_one_rule(boundary, bad):
+    event, message = BAD_EVENTS[bad]
+    with pytest.raises(ValueError, match=message):
+        EVENT_BOUNDARIES[boundary](event)
+
+
+NOT_FINITE = "{} must be finite, got 1 NaN or infinite entries"
+BAD_TIMES = {  # name -> (times of 3 records, the message for a field)
+    "nan": ([0.5, np.nan, 2.5], lambda field: re.escape(NOT_FINITE.format(field))),
+    "inf": ([0.5, np.inf, 2.5], lambda field: re.escape(NOT_FINITE.format(field))),
+    "2-d": ([T3], lambda field: rf"{field} must be 1-d( with 3 rows)?, got shape \(1, 3\)"),
+}
+RAW_NO_FEATURES = (np.zeros((3, 0)), T3, EVENTS3)
+TIME_BOUNDARIES = {  # name -> (call, field)
+    "RawSurvivalData": (lambda t: RawSurvivalData(np.zeros((3, 0)), t, EVENTS3), "time"),
+    "RawSurvivalData latent_time": (
+        lambda t: RawSurvivalData(*RAW_NO_FEATURES, latent_time=t), "latent_time"),
+    "RawSurvivalData latent_censor": (
+        lambda t: RawSurvivalData(*RAW_NO_FEATURES, latent_censor=t), "latent_censor"),
+    "Dataset raw_time": (
+        lambda t: Dataset(np.zeros((3, 0)), [1, 2, 3], EVENTS3, WORLD3.bin_edges, raw_time=t),
+        "raw_time"),
+    "Dataset latent_time": (
+        lambda t: Dataset(np.zeros((3, 0)), [1, 2, 3], EVENTS3, WORLD3.bin_edges, latent_time=t),
+        "latent_time"),
+    "Dataset latent_censor": (
+        lambda t: Dataset(np.zeros((3, 0)), [1, 2, 3], EVENTS3, WORLD3.bin_edges,
+                          latent_censor=t), "latent_censor"),
+    "quantile_discretize": (lambda t: quantile_discretize(t, 2), "raw_times"),
+    "assign_bins": (lambda t: assign_bins(t, [0.0, 1.0, 2.0, 3.0]), "times"),
+    "discretize edges": (
+        lambda t: discretize(RawSurvivalData(np.zeros((3, 0)), t, EVENTS3), edges=[0, 1, 2, 3]),
+        "time"),
+    "km_fit": (lambda t: km_fit(t, EVENTS3), "time"),
+    "concordance_index time": (lambda t: concordance_index([0.1, 0.2, 0.3], t, EVENTS3), "time"),
+    "concordance_index risk": (lambda t: concordance_index(t, T3, EVENTS3), "risk"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_TIMES)
+@pytest.mark.parametrize("boundary", TIME_BOUNDARIES)
+def test_times_follow_one_rule(boundary, bad):
+    times, message = BAD_TIMES[bad]
+    call, field = TIME_BOUNDARIES[boundary]
+    with pytest.raises(ValueError, match=message(field)):
+        call(times)
+
+
+BAD_FEATURES = {  # name -> (features of 3 records, message)
+    "nan": ([[0.0], [np.nan], [0.0]], NOT_FINITE.format("features")),
+    "1-d": (np.zeros(3), "features must be 2-d with 3 rows, got shape (3,)"),
+    "wrong rows": (np.zeros((2, 1)), "features must be 2-d with 3 rows, got shape (2, 1)"),
+}
+FEATURE_BOUNDARIES = {
+    "RawSurvivalData": lambda x: RawSurvivalData(x, T3, EVENTS3),
+    "Dataset": lambda x: Dataset(x, [1, 2, 3], EVENTS3, WORLD3.bin_edges),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_FEATURES)
+@pytest.mark.parametrize("boundary", FEATURE_BOUNDARIES)
+def test_feature_matrices_follow_one_rule(boundary, bad):
+    features, message = BAD_FEATURES[bad]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FEATURE_BOUNDARIES[boundary](features)
+
+
+RAW3 = RawSurvivalData(np.zeros((3, 2)), T3, EVENTS3)
+ONE_LENGTH = "'mean' and 'std' must be lists of one length"
+POSITIVE = "'mean' must be finite and 'std' finite and positive"
+BAD_STANDARDIZERS = {  # name -> (mean, std, message) for data with 2 features
+    "mismatched lengths": ([0.0, 0.0], [1.0] * 3, f"{ONE_LENGTH}, got shapes (2,) and (3,)"),
+    "2-d": ([[0.0, 0.0]], [[1.0, 1.0]], f"{ONE_LENGTH}, got shapes (1, 2) and (1, 2)"),
+    "zero std": ([0.0, 0.0], [1.0, 0.0], POSITIVE),
+    "inf std": ([0.0, 0.0], [1.0, np.inf], POSITIVE),
+    "nan mean": ([0.0, np.nan], [1.0, 1.0], POSITIVE),
+    "3 features": ([0.0] * 3, [1.0] * 3,
+                   "'mean' and 'std' hold 3 entries but the data has 2 features"),
+}
+
+
+# the CLI's standardizer file gets the same values in test_cli's path-file table
+@pytest.mark.parametrize("bad", BAD_STANDARDIZERS)
+def test_standardizers_follow_one_rule(bad):
+    mean, std, message = BAD_STANDARDIZERS[bad]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Standardizer(np.array(mean), np.array(std)).apply(RAW3)
+
+
+NOT_WHOLE = "times must be 'all' or a 1-d sequence of whole horizons"
+OUTSIDE = "times must lie in 1..2 (horizon 3 has zero survival past the last bin)"
+BAD_HORIZONS = {  # name -> (horizon on K = 3 bins, message)
+    "1.5": (1.5, NOT_WHOLE),
+    "0": (0, OUTSIDE),
+    "K": (3, OUTSIDE),
+    "2-d": ([[1, 2]], NOT_WHOLE),
+}
+HORIZON_BOUNDARIES = {  # a horizon set is the horizon as a 1-d array, unless it is 2-d
+    "resolve_times": lambda t: resolve_times(np.atleast_1d(t), 3),
+    "batch_loss": lambda t: batch_loss(LossSpec("ipcw-bs", "failure", np.atleast_1d(t)), F3, G3,
+                                       BATCH3),
+    "per_horizon_loss": lambda t: per_horizon_loss(LossSpec("ipcw-bll", ROLES, np.atleast_1d(t)),
+                                                   PAIR3, PAIR3[::-1], BATCH3),
+    "ipcw_weight_arrays": lambda t: ipcw_weight_arrays("censor", F3, [1, 2, 3], EVENTS3,
+                                                       np.atleast_1d(t)),
+    "ipcw_per_sample": lambda t: ipcw_per_sample("ipcw-bs", "failure", t, F3, G3, [1, 2, 3],
+                                                 EVENTS3),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_HORIZONS)
+@pytest.mark.parametrize("boundary", HORIZON_BOUNDARIES)
+def test_horizons_follow_one_rule(boundary, bad):
+    horizon, message = BAD_HORIZONS[bad]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HORIZON_BOUNDARIES[boundary](horizon)
+
+
+FOUR = np.full(4, 0.25)
+BAD_LOSS_PMFS = {  # name -> (own pmf, frozen pmf, message) on a 3-row batch
+    "frozen K + 1": (F3, FOUR, "frozen_pmf must be (K,) or (n, K) with n = 3 and K = 3"),
+    "frozen K - 1": (FOUR, G3, "frozen_pmf must be (K,) or (n, K) with n = 3 and K = 4"),
+    "own 5 rows": (np.full((5, 3), 1 / 3), G3, "own_pmf must be (K,) or (n, K) with n = 3 and K = 3"),
+    "frozen 5 rows": (F3, np.full((5, 3), 1 / 3),
+                      "frozen_pmf must be (K,) or (n, K) with n = 3 and K = 3"),
+}
+LOSS_PMF_BOUNDARIES = {
+    "batch_loss": lambda own, frozen: batch_loss(LossSpec("ipcw-bs", "failure"), own, frozen,
+                                                 BATCH3),
+    "batch_loss roles": lambda own, frozen: batch_loss(LossSpec("ipcw-bll", ROLES),
+                                                       np.stack([own, own]),
+                                                       np.stack([frozen, frozen]), BATCH3),
+    "per_horizon_loss": lambda own, frozen: per_horizon_loss(LossSpec("ipcw-bll", "censor"), own,
+                                                             frozen, BATCH3),
+    "ipcw_per_sample": lambda own, frozen: ipcw_per_sample("ipcw-bs", "failure", 1, own, frozen,
+                                                           [1, 2, 3], EVENTS3),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_LOSS_PMFS)
+@pytest.mark.parametrize("boundary", LOSS_PMF_BOUNDARIES)
+def test_loss_pmfs_follow_one_rule(boundary, bad):
+    own, frozen, message = BAD_LOSS_PMFS[bad]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LOSS_PMF_BOUNDARIES[boundary](own, frozen)

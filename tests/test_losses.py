@@ -165,18 +165,6 @@ def test_ipcw_mean_population_example():
     assert ipcw_mean(time_bin, event, g) == 1.5
 
 
-def test_ipcw_mean_values_and_weights():
-    time_bin = np.array([1, 1, 1, 2])
-    event = np.array([True, True, False, True])
-    g = np.array([0.5, 0.5])
-    # substituting per-sample values reweights the same inverse weights
-    vals = np.array([2.0, 9.0, 3.0, 9.0])
-    assert ipcw_mean(time_bin, event, g, values=vals) == pytest.approx((2 + 9 + 0 + 9 / 0.5) / 4)
-    # explicit weights replace the uniform average
-    w = np.array([1.0, 1.0, 1.0, 0.0])
-    assert ipcw_mean(time_bin, event, g, weight=w) == pytest.approx(2.0 / 3.0)
-
-
 def test_ipcw_mean_monte_carlo_unbiased():
     w = MarginalWorld([0.25, 0.45, 0.3], [0.5, 0.25, 0.25])
     e_t = np.dot(np.arange(1, 4), w.theta_t)
@@ -607,22 +595,18 @@ def test_every_loss_entry_point_rejects_a_floor_outside_0_1(floor):
 
 @pytest.mark.parametrize("value", (0.0, -1.0, 1.0, 2.0, float("nan")))
 def test_row_weights_follow_one_rule(value):
-    # nonnegative, finite and with a positive sum, for a Batch and ipcw_mean
-    # alike; unchecked, zero weights make ipcw_mean NaN
-    u, ev, g = np.array([1, 1, 2]), np.array([True, False, True]), np.array([0.5, 0.5])
+    # nonnegative, finite and with a positive sum; unchecked, zero weights
+    # make every normalized weight NaN
+    u, ev = np.array([1, 1, 2]), np.array([True, False, True])
     weight = np.full(3, value)
     if value > 0:
-        assert ipcw_mean(u, ev, g, weight=weight) == pytest.approx(ipcw_mean(u, ev, g), rel=1e-15)
         assert np.array_equal(Batch(u, ev, weight=weight).norm_weight(), np.full(3, 1 / 3))
         return
-    for call in (lambda: ipcw_mean(u, ev, g, weight=weight), lambda: Batch(u, ev, weight=weight)):
-        with pytest.raises(ValueError, match="weight must be finite and nonnegative"):
-            call()
+    with pytest.raises(ValueError, match="weight must be finite and nonnegative"):
+        Batch(u, ev, weight=weight)
 
 
 def test_row_weights_need_one_entry_per_record():
-    u, ev, g = np.array([1, 1, 2]), np.array([True, False, True]), np.array([0.5, 0.5])
-    for call in (lambda: ipcw_mean(u, ev, g, weight=[1.0, 1.0]),
-                 lambda: Batch(u, ev, weight=[1.0, 1.0])):
-        with pytest.raises(ValueError, match=r"weight must hold one entry per record, shape \(3,\)"):
-            call()
+    u, ev = np.array([1, 1, 2]), np.array([True, False, True])
+    with pytest.raises(ValueError, match=r"weight must hold one entry per record, shape \(3,\)"):
+        Batch(u, ev, weight=[1.0, 1.0])
