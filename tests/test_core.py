@@ -321,7 +321,7 @@ T3 = [0.5, 1.5, 2.5]
 BATCH3 = Batch([1, 2, 3], EVENTS3)
 BAD_EVENTS = {  # name -> (event for 3 records, message)
     "mismatched": ([True], r"event must have time's shape \(3,\), got \(1,\)"),
-    "2": ([1, 2, 0], "event must hold only 0 and 1, got int64 values"),
+    "2": ([1, 2, 0], "event must hold only 0 and 1, got int"),
     "0.5": ([1, 0.5, 0], "event must hold only 0 and 1, got float64 values"),
     "nan": ([1, np.nan, 0], "event must hold only 0 and 1, got float64 values"),
 }
