@@ -29,7 +29,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +393,8 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
     points = [{"cfg": cfg, "objective": obj, "size": n, "seed": s}
               for obj in objectives for n in sizes for s in seeds]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, points))
     else:

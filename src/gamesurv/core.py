@@ -23,6 +23,9 @@ that names the field:
   bool, or a finite real, at least a lower bound.
 
 A standardizer checks its own ``mean`` and ``std`` (`simgen.Standardizer`).
+
+Row-local passes over many rows (the MLP's cache-free forward, the loss and
+metric kernels) run in row blocks of `ROW_BLOCK` rows cut by `_row_blocks`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,25 @@ __all__ = [
     "discretize",
     "padded_cdf",
 ]
+
+
+# Rows per block of a row-local pass, so that a block's temporaries stay in a
+# core's 2 MB L2 cache where 1e5-row arrays spill to L3. On 1e5 rows, 1024
+# beat 2048 and 4096 by a tenth on the MLP forward and tied on the losses.
+# A block never has fewer rows: with OpenBLAS a matmul over a few dozen rows
+# (60 or fewer with 0.3.31) can round differently from the same rows inside
+# a large matmul, and a large block gives the same bits as the whole batch.
+ROW_BLOCK = 1024
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """The row blocks of ``n`` rows: ``ROW_BLOCK`` rows each, the remainder
+    joined to the last, so no block is shorter; fewer than 2 * ROW_BLOCK
+    rows are one block, ``slice(None)``."""
+    if n < 2 * ROW_BLOCK:
+        return [slice(None)]
+    cuts = [0, *range(ROW_BLOCK, n - ROW_BLOCK + 1, ROW_BLOCK), n]
+    return [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
 
 
 def _frozen_copy(values, dtype) -> np.ndarray:

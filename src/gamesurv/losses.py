@@ -37,7 +37,18 @@ Conventions, fixed across the package:
   shape fail naming ``time_bin`` or ``event``. Horizons are checked by
   `resolve_times`, run by every entry point that takes them, and a pmf
   argument by `_as_matrix`, which names it and holds a frozen pmf to the
-  own pmf's K.
+  own pmf's K. The per-sample functions (`nll`, `ipcw_per_sample`,
+  `ipcw_weight_arrays`, `ipcw_mean`) also run core's pmf rule
+  (`core._check_pmf`) on their pmfs; the training kernels (`batch_loss`,
+  `per_horizon_loss`) take model outputs on the hot path and do not.
+- The batch kernels (`batch_loss`, `per_horizon_loss` and the metrics'
+  Brier and BLL scores) run their row-local work in the row blocks of
+  `core._row_blocks`, `core.ROW_BLOCK` rows each with the remainder joined
+  to the last, so that a block's temporaries stay in cache. Each block
+  takes its slice of the label plan (`LabelPlan.block`) and of the pmfs and
+  writes into full-length outputs (`_joined`); every sum over rows runs
+  once on those outputs, so values, gradients and clamp counts are the
+  unblocked ones bit for bit. A batch of one block is one plain call.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, _labels, _whole, padded_cdf
+from .core import Batch, _check_pmf, _labels, _row_blocks, _whole, padded_cdf
 
 __all__ = [
     "ClampStats",
@@ -210,6 +221,35 @@ class LabelPlan:
     le: np.ndarray
     weight: np.ndarray
 
+    def block(self, rows: slice) -> "LabelPlan":
+        """The plan of the rows ``rows`` (a block of `core._row_blocks`),
+        sharing the horizons, roles and columns; ``slice(None)`` is the plan
+        itself."""
+        if rows == slice(None):
+            return self
+        return LabelPlan(
+            self.times, self.roles, self.rows[: rows.stop - rows.start], self.evt_col[:, rows],
+            self.surv_cols, self.cdf_cols, self.ind[:, rows], self.evt_used[:, rows],
+            self.le[rows], self.weight[rows],
+        )
+
+
+def _joined(n: int, kernel) -> tuple[np.ndarray, ...]:
+    """The outputs of ``kernel(rows)`` on the row blocks of ``n`` rows
+    (`core._row_blocks`), arrays with the rows on axis 1, each joined into
+    one full-length array; a single block is one plain call."""
+    blocks = _row_blocks(n)
+    if len(blocks) == 1:
+        return kernel(blocks[0])
+    full = None
+    for rows in blocks:
+        parts = kernel(rows)
+        if full is None:
+            full = tuple(np.empty(p.shape[:1] + (n,) + p.shape[2:]) for p in parts)
+        for out, part in zip(full, parts):
+            out[:, rows] = part
+    return full
+
 
 def label_plan(
     time_bin,
@@ -279,9 +319,10 @@ def _terms(family: str, plan: LabelPlan, cdf: np.ndarray, floor: float, stats: C
     """A player's own unweighted score per (role, sample, horizon) cell, for
     (R, n, K) cdfs ``cdf``, the cumulative sums of the own pmfs (any stack
     of them on the R axis): the branch argument x, the term and the mask of
-    clamped x (``np.False_`` when none is). At the cdf F(t), x is 1 - F or F
-    and the term x^2 for the Brier score; for the log loss x is F or 1 - F,
-    clamped at ``floor``, and the term -log x."""
+    clamped x (``np.False_`` when none is). At the cdf F(t), x is the signed
+    residual F - 1{U <= t} and the term x^2 for the Brier score; for the log
+    loss x is F where U <= t and 1 - F elsewhere, clamped at ``floor``, and
+    the term -log x."""
     le = plan.le
     # F(t) in C order for either kind of cdf_cols: the scores inherit the
     # layout, and the sums over them add in an order that follows it. Rounding
@@ -289,7 +330,9 @@ def _terms(family: str, plan: LabelPlan, cdf: np.ndarray, floor: float, stats: C
     x = np.minimum(cdf[..., plan.cdf_cols], 1.0, order="C")
     del cdf  # a caller's temporary cdf is freed here, and its memory reused for the terms
     if family == "ipcw-bs":
-        np.subtract(1.0, x, out=x, where=le)
+        # F - 1 = -(1 - F) exactly; a plain subtract runs several times
+        # faster than one masked by ``where``
+        np.subtract(x, le, out=x)
         return x, x * x, np.False_
     np.subtract(1.0, x, out=x, where=~le)
     # counted on the survival branch and the event rows (where U <= t, a
@@ -307,14 +350,23 @@ def _scores(family, plan: LabelPlan, cdf, w, floor, stats: ClampStats | None, gr
     vals *= w
     if not grad:
         return vals, None
+    # negative where U <= t: the Brier residual carries the sign, and the log
+    # loss divides by -x there (exact, and faster than a masked negation). A
+    # zero there may come out as -0.0; the gradient's suffix sums start from
+    # +0.0 and the per-horizon row sums are dot products, so both read +0.0.
     if family == "ipcw-bs":
         w *= x
         w += w  # doubles exactly
     else:
-        w /= x
+        w /= x * (plan.le * -2.0 + 1.0)
         w[clamped] = 0.0  # clamped terms are flat in the cdf
-    np.subtract(0.0, w, out=w, where=plan.le)
     return vals, w
+
+
+def _game_cells(spec: LossSpec, plan: LabelPlan, own, frozen, stats: ClampStats | None):
+    """`_scores` of a game family for (R, n, K) own and frozen pmf stacks."""
+    inv = _ipcw_weights(plan, _padded_surv(frozen), spec.weight_floor, stats)
+    return _scores(spec.family, plan, own.cumsum(axis=-1), inv, spec.weight_floor, stats)
 
 
 def _nll_values_dpmf(
@@ -386,28 +438,32 @@ def batch_loss(
     """
     n = batch.n
     own = _role_stack(spec, "own_pmf", own_pmf, n)
+    K = own.shape[-1]
 
     if spec.family == "nll":
         w = batch.norm_weight()
-        vals, dpmf = _nll_values_dpmf(
-            spec._flags, own, own.cumsum(axis=-1), batch.time_bin, batch.event,
-            spec.weight_floor, stats, w
-        )
+        vals, dpmf = _joined(n, lambda rows: _nll_values_dpmf(
+            spec._flags, own[:, rows], own[:, rows].cumsum(axis=-1), batch.time_bin[rows],
+            batch.event[rows], spec.weight_floor, stats, w[rows]
+        ))
         values = [float(v @ w) for v in vals]
     else:
         if frozen_pmf is None:
             raise ValueError("game losses need the other player's pmf")
-        plan = _batch_plan(spec, batch, own.shape[-1])
-        w = plan.weight
-        surv = _padded_surv(_role_stack(spec, "frozen_pmf", frozen_pmf, n, own.shape[-1]))
-        inv = _ipcw_weights(plan, surv, spec.weight_floor, stats)
-        vals, coefs = _scores(spec.family, plan, own.cumsum(axis=-1), inv, spec.weight_floor, stats)
-        values = [float(w @ v) for v in vals.sum(axis=-1)]
-        # d cdf(t) / d pmf_k = 1{k <= t}: scatter per-horizon coefs, then suffix-sum
-        coefs *= w[:, None]
-        tmp = np.zeros(own.shape)
-        tmp[..., plan.cdf_cols] = coefs
-        dpmf = tmp[..., ::-1].cumsum(axis=-1)[..., ::-1]
+        plan = _batch_plan(spec, batch, K)
+        frozen = _role_stack(spec, "frozen_pmf", frozen_pmf, n, K)
+
+        def block(rows):
+            part = plan.block(rows)
+            vals, coefs = _game_cells(spec, part, own[:, rows], frozen[:, rows], stats)
+            # d cdf(t) / d pmf_k = 1{k <= t}: scatter per-horizon coefs, then suffix-sum
+            coefs *= part.weight[:, None]
+            tmp = np.zeros(coefs.shape[:-1] + (K,))
+            tmp[..., part.cdf_cols] = coefs
+            return vals.sum(axis=-1), tmp[..., ::-1].cumsum(axis=-1)[..., ::-1]
+
+        vals, dpmf = _joined(n, block)
+        values = [float(plan.weight @ v) for v in vals]
     if isinstance(spec.role, tuple):
         return np.array(values), dpmf
     return values[0], dpmf[0]
@@ -436,8 +492,9 @@ def per_horizon_loss(
     own = _role_stack(spec, "own_pmf", own_pmf, batch.n)
     frozen = _role_stack(spec, "frozen_pmf", frozen_pmf, batch.n, own.shape[-1])
     plan = _batch_plan(spec, batch, own.shape[-1])
-    inv = _ipcw_weights(plan, _padded_surv(frozen), spec.weight_floor, stats)
-    vals, coefs = _scores(spec.family, plan, own.cumsum(axis=-1), inv, spec.weight_floor, stats)
+    vals, coefs = _joined(batch.n, lambda rows: _game_cells(
+        spec, plan.block(rows), own[:, rows], frozen[:, rows], stats
+    ))
     w = plan.weight
     values = np.array([w @ v for v in vals])
     coefs = np.array([w @ c for c in coefs])
@@ -464,6 +521,7 @@ def ipcw_weight_arrays(
     lead = max(np.ndim(frozen_pmf) - 2, 0)
     frozen = _as_matrix("frozen_pmf", frozen_pmf, np.size(time_bin), lead)
     K = frozen.shape[-1]
+    _check_pmf("frozen_pmf", frozen_pmf, K)
     plan = label_plan(time_bin, event, K, resolve_times(times, K), _role_flags((role,)))
     surv = _padded_surv(frozen)[..., None, :, :]  # a one-role axis
     return _ipcw_weights(plan, surv, weight_floor, stats)[..., 0, :, :]
@@ -489,6 +547,8 @@ def ipcw_per_sample(
     own = _role_stack(spec, "own_pmf", own_pmf, n)
     K = own.shape[-1]
     frozen = _role_stack(spec, "frozen_pmf", frozen_pmf, n, K)
+    _check_pmf("own_pmf", own_pmf, K)
+    _check_pmf("frozen_pmf", frozen_pmf, K)
     plan = label_plan(time_bin, event, K, resolve_times(spec.times, K), spec._flags)
     inv = _ipcw_weights(plan, _padded_surv(frozen), weight_floor, stats)
     vals, _ = _scores(family, plan, own.cumsum(axis=-1), inv, weight_floor, stats, False)
@@ -510,6 +570,7 @@ def nll(pmf, time_bin, event, role="failure", weight_floor=1e-6, stats=None):
     """
     spec = LossSpec("nll", _one_role(role), weight_floor=weight_floor)
     own = _role_stack(spec, "pmf", pmf, np.size(time_bin))
+    _check_pmf("pmf", pmf, own.shape[-1])
     return _nll_values_dpmf(spec._flags, own, own.cumsum(axis=-1), time_bin, event,
                             weight_floor, stats)[0][0]
 
@@ -523,6 +584,7 @@ def ipcw_mean(time_bin, event, censor_pmf, weight_floor=1e-6, stats=None):
     _check_floor(weight_floor)
     frozen = _as_matrix("censor_pmf", censor_pmf, np.size(time_bin))
     K = frozen.shape[-1]
+    _check_pmf("censor_pmf", censor_pmf, K)
     bins, event = _labels(time_bin, event, K)
     # horizon K, past the scored 1..K-1, puts every row on the event branch,
     # whose weight is delta / Gbar(U-)

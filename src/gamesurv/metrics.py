@@ -13,7 +13,11 @@ kernel's weights and scoring function (``losses._ipcw_weights``,
 Every score runs core's pmf rule (`core._check_pmf`), so pmfs on another
 bin grid or whose rows are not distributions fail naming the argument.
 `evaluate` scores a cohort in one pass: one pmf check, cdf, censoring
-table, label plan, weight table and latent-bin lookup serve all its scores.
+table, label plan and latent-bin lookup serve all its scores. The Brier and
+BLL scores are made together in the row blocks of `core._row_blocks`, as the
+loss kernels run: each block builds its inverse weights once for both, and
+the means over rows run once on the full-length (n, T) values, so a score is
+the unblocked one bit for bit.
 Concordance makes one pass per bit of the 2 * n_times (time, event) classes
 and takes ties from runs of equal risk (`concordance_index`).
 """
@@ -27,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import Dataset, _check_pmf, _events, _finite, assign_bins
-from .losses import _as_matrix, _check_floor, _ipcw_weights, _nll_values_dpmf, _padded_surv
-from .losses import _role_flags, _scores, label_plan
+from .losses import _as_matrix, _check_floor, _ipcw_weights, _joined, _nll_values_dpmf
+from .losses import _padded_surv, _role_flags, _scores, label_plan
 from .simgen import MarginalWorld
 
 __all__ = [
@@ -46,6 +50,7 @@ __all__ = [
 ]
 
 WEIGHTINGS = ("uncensored-latent", "km", "model-G", "true-G")
+SCORES = ("ipcw-bs", "ipcw-bll")
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ def _pmf_matrix(name: str, pmf, dataset: Dataset) -> np.ndarray:
 
 class _Cohort:
     """A checked failure pmf matrix on one dataset under one weighting and
-    floor, with its latent bins, and its cdf and weights built on first use.
+    floor, with its latent bins, and its cdf and scores built on first use.
     A scorer takes a cohort in place of ``f_pmf`` and reads the rest from it."""
 
     def __init__(self, f_pmf, dataset: Dataset, weighting="km", g_pmf=None, world=None, floor=1e-6):
@@ -143,18 +148,24 @@ class _Cohort:
         return gbar, dataset.time_bin, dataset.event
 
     @cached_property
-    def weights(self):
-        """The failure player's label plan and inverse weights (1, n, T)."""
+    def scores(self) -> dict:
+        """The failure player's Brier and BLL training scores per horizon,
+        averaged over rows, by family, from one pass over the row blocks; a
+        block's inverse weights serve both families."""
         gbar, time_bin, event = self.censoring_survival()
         K = self.dataset.n_bins
         plan = label_plan(time_bin, event, K, np.arange(1, K), _role_flags(("failure",)))
-        return plan, _ipcw_weights(plan, gbar.reshape(1, -1, gbar.shape[-1]), self.floor, None)
+        gbar = gbar.reshape(1, -1, K + 1)  # one table for every row, or one per row
 
-    def score(self, family: str) -> np.ndarray:
-        """The failure player's training score per horizon, averaged over rows."""
-        plan, w = self.weights
-        vals, _ = _scores(family, plan, self.cdf[None], w, self.floor, None, grad=False)
-        return vals[0].mean(axis=0)
+        def block(rows):
+            part = plan.block(rows)
+            w = _ipcw_weights(part, gbar if gbar.shape[1] == 1 else gbar[:, rows], self.floor, None)
+            cdf = self.cdf[None, rows]
+            return [_scores(family, part, cdf, w, self.floor, None, grad=False)[0]
+                    for family in SCORES]
+
+        return {family: vals[0].mean(axis=0)
+                for family, vals in zip(SCORES, _joined(self.dataset.n, block))}
 
 
 def _cohort(f_pmf, *args, **kwargs) -> _Cohort:
@@ -168,13 +179,13 @@ def eval_bs(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
     On censoring-free data the 'km' weights are identically 1 and the score
     equals the plain uncensored Brier score exactly.
     """
-    return _cohort(f_pmf, dataset, weighting, g_pmf, world, floor).score("ipcw-bs")
+    return _cohort(f_pmf, dataset, weighting, g_pmf, world, floor).scores["ipcw-bs"]
 
 
 def eval_bll(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
              world: MarginalWorld | None = None, floor: float = 1e-6) -> np.ndarray:
     """Per-horizon negative Bernoulli log-likelihood, same weighting scheme."""
-    return _cohort(f_pmf, dataset, weighting, g_pmf, world, floor).score("ipcw-bll")
+    return _cohort(f_pmf, dataset, weighting, g_pmf, world, floor).scores["ipcw-bll"]
 
 
 def nll_metric(f_pmf, dataset: Dataset, floor: float = 1e-6) -> float:
@@ -330,7 +341,7 @@ def evaluate(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
              calibration: bool | None = None) -> EvalReport:
     """Full evaluation under one weighting; calibration is included when
     latent times are available (or on request). The scores share one pmf
-    check, cdf, censoring table, label plan and weight table (`_Cohort`)."""
+    check, cdf, censoring table, label plan and weights (`_Cohort`)."""
     cohort = _cohort(f_pmf, dataset, weighting, g_pmf, world, floor)
     bs = eval_bs(cohort, dataset)
     bll = eval_bll(cohort, dataset)

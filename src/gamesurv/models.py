@@ -15,8 +15,9 @@ enters losses only through plain numbers, never through a gradient path.
 A (2, P) array holds the failure/censoring pair as one stacked model.
 
 Training and inference share one MLP layer loop. ``predict_pmf`` keeps no
-activations and, from 2 * BLOCK rows on, works in row blocks of at least
-BLOCK rows; its pmfs equal the training forward's bit for bit (see BLOCK).
+activations and works in the row blocks of `core._row_blocks` (at least
+`core.ROW_BLOCK` rows each, one block below twice that); its pmfs equal the
+training forward's bit for bit (see `core.ROW_BLOCK`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, _check_int
+from .core import Batch, _check_int, _row_blocks
 from .losses import ClampStats, LossSpec, batch_loss
 from .simgen import _json_floats, _load_json
 
@@ -34,16 +35,11 @@ __all__ = ["ArchSpec", "Model", "loss_and_grad"]
 
 KINDS = ("mlp", "marginal", "marginal-prob")
 
-# Rows per block of a cache-free MLP forward. A block never has fewer rows:
-# with OpenBLAS a matmul over a few dozen rows (60 or fewer with 0.3.31) can
-# round differently from the same rows inside a large matmul, and a large
-# block gives the same bits as the whole batch.
-BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """Shape of a model: kind, bin count, and (for MLPs) layer widths."""
+    """Shape of a model: kind, bin count, and (for MLPs) layer widths;
+    ``n_params`` is the length of the flat parameter vector."""
 
     kind: str
     n_bins: int
@@ -67,6 +63,7 @@ class ArchSpec:
             slices[name] = (slice(start, start + size), shape)
             start += size
         object.__setattr__(self, "_slices", slices)
+        object.__setattr__(self, "n_params", start)
 
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         if self.kind == "marginal":
@@ -79,10 +76,6 @@ class ArchSpec:
             out.append((f"W{i}", (sizes[i + 1], sizes[i])))
             out.append((f"b{i}", (sizes[i + 1],)))
         return out
-
-    @property
-    def n_params(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape in self.layout())
 
     def view(self, params: np.ndarray, name: str) -> np.ndarray:
         """The named block of ``params`` (..., P), shaped (..., *block)."""
@@ -168,10 +161,8 @@ class Model:
             pmf = self._mlp(x, acts)
             return pmf, ("mlp", acts, pmf)
         pmf = np.empty(shape)
-        # every block holds at least BLOCK rows: the remainder joins the last
-        cuts = [0, *range(BLOCK, n - BLOCK + 1, BLOCK), n]
-        for start, stop in zip(cuts, cuts[1:]):
-            self._mlp(x[start:stop], out=pmf[..., start:stop, :])
+        for rows in _row_blocks(n):
+            self._mlp(x[rows], out=pmf[..., rows, :])
         return pmf, None
 
     def _mlp(self, x: np.ndarray, acts: list | None = None, out: np.ndarray | None = None):

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import _check_int, _check_pmf, padded_cdf
 from .simgen import MarginalWorld
@@ -329,6 +328,8 @@ def _pmfs_from_z(z: np.ndarray):
     2(K-1)) = (failure z, censor z) clipped to |z| <= 30 -> pmfs (..., 2, K)
     in the interior of the simplex: bin i takes the share expit(z_i) of the
     mass the earlier bins left over. Also returns the shares, (..., 2, K-1)."""
+    from scipy.special import expit  # imported here: `import gamesurv` stays fast
+
     fracs = expit(np.clip(z, -30.0, 30.0).reshape(z.shape[:-1] + (2, z.shape[-1] // 2)))
     rem = (1.0 - fracs).cumprod(axis=-1)  # mass left after each bin
     mid = rem[..., :-1] * fracs[..., 1:]

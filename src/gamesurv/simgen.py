@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .core import Batch, Dataset, RawSurvivalData, _check_edges, _check_int, _check_pmf, _check_real
 from .core import padded_cdf
@@ -89,6 +88,8 @@ class GammaSimConfig:
 def gamma_from_uniform(mean: np.ndarray, variance: float, u: np.ndarray) -> np.ndarray:
     """Gamma variates with the given mean and variance from uniforms via the
     inverse CDF. shape = mean^2/var, scale = var/mean; one uniform per draw."""
+    from scipy.special import gammaincinv  # imported here: `import gamesurv` stays fast
+
     mean = np.asarray(mean, dtype=float)
     if np.any(mean <= 0):
         raise ValueError("gamma mean must be positive")

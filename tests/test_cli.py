@@ -116,6 +116,16 @@ def test_train_output_independent_of_blas_threads(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_importing_the_package_leaves_scipy_special_unloaded():
+    # scipy.special is most of the package's import time, and only the gamma
+    # generator and the oracle's scan use it: they import it when called
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, gamesurv, gamesurv.cli; sys.exit('scipy.special' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_train_without_validation_fails_under_selection(tmp_path, capsys):
     cfg = dict(TRAIN_CFG)
     cfg["data"] = {"generator": GAMMA_GEN, "n_train": 48}

@@ -223,11 +223,25 @@ PMF_BOUNDARIES = {  # name -> (call, field)
     "population_gradients pmf_t": (lambda p: population_gradients(WORLD3, p, G3), "pmf_t"),
     "population_gradients pmf_c": (lambda p: population_gradients(WORLD3, F3, p), "pmf_c"),
     "population_failure_nll": (lambda p: population_failure_nll(WORLD3, p), "pmf_t"),
+    "nll": (lambda p: nll(p, [1, 2], [True, False]), "pmf"),
+    "ipcw_per_sample own_pmf": (
+        lambda p: ipcw_per_sample("ipcw-bs", "failure", 1, p, G3, [1, 2, 3], EVENTS3), "own_pmf"),
+    "ipcw_per_sample frozen_pmf": (
+        lambda p: ipcw_per_sample("ipcw-bll", "censor", 2, F3, p, [1, 2, 3], EVENTS3),
+        "frozen_pmf"),
+    "ipcw_weight_arrays": (lambda p: ipcw_weight_arrays("failure", p, [1, 2, 3], EVENTS3, "all"),
+                           "frozen_pmf"),
+    "ipcw_mean": (lambda p: ipcw_mean([1, 2, 3], EVENTS3, p), "censor_pmf"),
 }
+# the per-sample losses take K from the (own) pmf, so "wrong K" is no pmf error there
+PER_SAMPLE = ("nll", "ipcw_per_sample own_pmf", "ipcw_per_sample frozen_pmf",
+              "ipcw_weight_arrays", "ipcw_mean")
 
 
-@pytest.mark.parametrize("bad", BAD_PMFS)
-@pytest.mark.parametrize("boundary", PMF_BOUNDARIES)
+@pytest.mark.parametrize(
+    "boundary, bad",
+    [(b, v) for b in PMF_BOUNDARIES for v in BAD_PMFS if not (b in PER_SAMPLE and v == "wrong K")],
+)
 def test_pmfs_follow_one_rule(boundary, bad):
     pmf, message = BAD_PMFS[bad]
     call, field = PMF_BOUNDARIES[boundary]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamesurv import metrics
+from gamesurv import core, metrics
 from gamesurv.core import Batch
 from gamesurv.losses import (
     ROLES,
@@ -571,6 +571,46 @@ def test_a_nan_in_the_frozen_pmf_reaches_the_value():
             assert not np.isfinite(value)
             values, coefs = per_horizon_loss(LossSpec(family, role), own, frozen, batch)
             assert not np.isfinite(values[0]) and not np.isfinite(coefs[0])
+
+
+@pytest.mark.parametrize("frozen_form", ["per-row", "marginal", "nan"])
+@pytest.mark.parametrize("roles", ["failure", ROLES])
+@pytest.mark.parametrize("family", ["nll", "ipcw-bs", "ipcw-bll"])
+def test_row_blocks_give_the_unblocked_bits(monkeypatch, family, roles, frozen_form):
+    # the kernels on 7-row blocks against one block of all rows: values,
+    # gradients, per-horizon values and coefficients and clamp counts, with
+    # weighted rows, masses at the floor so that clamps fire, and a NaN in
+    # the frozen pmf that must reach exactly the same cells
+    rng = np.random.default_rng(11)
+    n, n_bins = 38, 5
+    lead = (len(roles),) if isinstance(roles, tuple) else ()
+    own = _floored_pmfs(rng, (*lead, n, n_bins), 0.02)
+    frozen = _floored_pmfs(rng, (*lead, *(() if frozen_form == "marginal" else (n,)), n_bins),
+                           0.02)
+    frozen[..., 0] += 2.0  # survival past bin 1 below a third: weight clamps fire
+    frozen /= frozen.sum(axis=-1, keepdims=True)
+    if frozen_form == "nan":
+        frozen[..., 4, 0] = np.nan
+    batch = Batch(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5,
+                  weight=rng.random(n) + 0.1)
+    spec = LossSpec(family, roles, weight_floor=0.25)  # high, so that clamps fire
+
+    def run():
+        stats = ClampStats()
+        out = [*batch_loss(spec, own, frozen, batch, stats)]
+        if family != "nll":
+            out += per_horizon_loss(spec, own, frozen, batch, stats)
+        return out, stats.count
+
+    want, want_clamps = run()
+    monkeypatch.setattr(core, "ROW_BLOCK", 7)  # 38 rows: 5 blocks, the last of 10 rows
+    assert len(core._row_blocks(n)) == 5
+    got, clamps = run()
+    assert clamps == want_clamps > 0
+    for g, w in zip(got, want):
+        assert _same_bits(g, w)
+    if frozen_form == "nan" and family != "nll":
+        assert np.isnan(got[0]).all()
 
 
 BAD_FLOORS = (0.0, -1.0, 1.0, 2.0, float("nan"))

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gamesurv import core
 from gamesurv.core import Batch, Dataset, RawSurvivalData, assign_bins, discretize
 from gamesurv.metrics import (
+    WEIGHTINGS,
     calibration_curve,
     concordance,
     concordance_index,
@@ -286,6 +288,22 @@ def test_true_g_world_must_match_the_bin_count():
     for score in (eval_bs, eval_bll):
         with pytest.raises(ValueError, match="world has 5 bins but the dataset has 3"):
             score(pmf, ds, weighting="true-G", world=five)
+
+
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_row_blocks_give_the_unblocked_report(monkeypatch, weighting):
+    # the Brier and BLL scores on 7-row blocks (38 rows are 5 blocks, the
+    # last of 10 rows) against one block of all rows
+    rng = np.random.default_rng(4)
+    world = MarginalWorld(rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5)))
+    ds = gen_marginal(world, 38, seed=3)
+    f, g = rng.dirichlet(np.ones(5), size=(2, 38))
+    f[:5, :2] = 0.0  # F(1) = 0 and F(2) = 0: log clamps on the event branch
+    f /= f.sum(axis=-1, keepdims=True)
+    want = evaluate(f, ds, weighting, g, world).to_json()
+    monkeypatch.setattr(core, "ROW_BLOCK", 7)
+    assert len(core._row_blocks(ds.n)) == 5
+    assert evaluate(f, ds, weighting, g, world).to_json() == want
 
 
 def test_scores_reject_pmfs_that_are_not_distributions():

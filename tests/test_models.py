@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamesurv.core import Batch
+from gamesurv.core import ROW_BLOCK, Batch
 from gamesurv.losses import LossSpec
-from gamesurv.models import BLOCK, KINDS, ArchSpec, Model, loss_and_grad
+from gamesurv.models import KINDS, ArchSpec, Model, loss_and_grad
 
 
 def test_arch_layout_and_param_count():
@@ -136,12 +136,13 @@ def test_pair_equals_two_singles(kind, n_bins, n, seed):
 
 @pytest.mark.parametrize("pair", [False, True])
 def test_predict_pmf_equals_cached_forward(pair):
-    # the cache-free forward runs in row blocks of at least BLOCK rows and
+    # the cache-free forward runs in row blocks of at least ROW_BLOCK rows and
     # must give the training forward's bits at every block boundary case
     rng = np.random.default_rng(5)
     arch = ArchSpec("mlp", 6, 3, (9, 5))
     model = Model(arch, rng.normal(0.0, 0.8, size=(2, arch.n_params) if pair else arch.n_params))
-    for n in (1, 60, 61, BLOCK, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 17):
+    B = ROW_BLOCK
+    for n in (1, 60, 61, B, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 17):
         x = rng.normal(size=(n, 3))
         pmf = model.predict_pmf(x)
         assert pmf.shape == (*model.params.shape[:-1], n, 6)
@@ -153,7 +154,7 @@ def test_predict_pmf_keeps_no_activations():
     # layer is kept for the whole batch
     arch = ArchSpec("mlp", 20, 4, (128, 64, 64))
     model = Model.init(arch, seed=0)
-    n = 4 * BLOCK
+    n = 4 * ROW_BLOCK
     x = np.random.default_rng(0).normal(size=(n, 4))
     tracemalloc.start()
     try:
@@ -161,7 +162,7 @@ def test_predict_pmf_keeps_no_activations():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    block_acts = BLOCK * (sum(arch.hidden) + arch.n_bins) * 8
+    block_acts = ROW_BLOCK * (sum(arch.hidden) + arch.n_bins) * 8
     assert peak < n * arch.n_bins * 8 + 2 * block_acts
 
 
