@@ -20,12 +20,22 @@ that names the field:
 - row weights (`_row_weights`): one finite, nonnegative weight per record,
   with a positive sum;
 - sizes and knobs (`_check_int`, `_check_real`): an integer that is not a
-  bool, or a finite real, at least a lower bound.
+  bool, or a finite real, at least a lower bound;
+- horizons (`losses.resolve_times`): 'all' or a 1-d sequence of whole
+  numbers in 1..K-1; weight floors (`losses._check_floor`): in (0, 1);
+- loss pmf arguments (`losses._as_matrix`): (K,), shared by every row, or
+  (n, K), after any leading (role or checkpoint) axes, with the other
+  player's K held to the own pmf's. The training losses take model outputs on the hot path and
+  skip the pmf rule; the per-sample losses and the metrics run it.
 
 A standardizer checks its own ``mean`` and ``std`` (`simgen.Standardizer`).
 
-Row-local passes over many rows (the MLP's cache-free forward, the loss and
-metric kernels) run in row blocks of `ROW_BLOCK` rows cut by `_row_blocks`.
+Row-local passes over many rows (the MLP's cache-free forward, the
+likelihood in `losses.batch_loss` and every score of `losses._cells`) run in
+the row blocks of `_row_blocks`: `ROW_BLOCK` rows each, the remainder joined
+to the last, one plain call below 2 * `ROW_BLOCK` rows. A block writes its
+rows of full-length outputs, and every sum over rows runs once on those, so
+results and clamp counts are the unblocked ones bit for bit.
 """
 
 from __future__ import annotations

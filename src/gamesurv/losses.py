@@ -31,24 +31,9 @@ Conventions, fixed across the package:
   flag c (0 failure, 1 censor): the event indicator is ``event ^ c``, the
   event-branch survival column is U - 1 + c (Gbar(U-) or Fbar(U)), and the
   likelihood's tail starts at U - c. A single role is R = 1.
-- Labels are checked in one place, `core._labels`: every label plan is
-  built by `label_plan`, which runs it, and so does the likelihood path. A
-  bin outside 1..K or between bins, 2-d labels or an ``event`` of another
-  shape fail naming ``time_bin`` or ``event``. Horizons are checked by
-  `resolve_times`, run by every entry point that takes them, and a pmf
-  argument by `_as_matrix`, which names it and holds a frozen pmf to the
-  own pmf's K. The per-sample functions (`nll`, `ipcw_per_sample`,
-  `ipcw_weight_arrays`, `ipcw_mean`) also run core's pmf rule
-  (`core._check_pmf`) on their pmfs; the training kernels (`batch_loss`,
-  `per_horizon_loss`) take model outputs on the hot path and do not.
-- The batch kernels (`batch_loss`, `per_horizon_loss` and the metrics'
-  Brier and BLL scores) run their row-local work in the row blocks of
-  `core._row_blocks`, `core.ROW_BLOCK` rows each with the remainder joined
-  to the last, so that a block's temporaries stay in cache. Each block
-  takes its slice of the label plan (`LabelPlan.block`) and of the pmfs and
-  writes into full-length outputs (`_joined`); every sum over rows runs
-  once on those outputs, so values, gradients and clamp counts are the
-  unblocked ones bit for bit. A batch of one block is one plain call.
+- Every IPCW score runs one chain, `_ipcw_weights` then `_scores`, behind
+  one private entry point, `_cells`. The input rules and the row-block rule
+  are stated once, in the `core` module docstring.
 """
 
 from __future__ import annotations
@@ -152,29 +137,28 @@ def resolve_times(times: tuple[int, ...] | str, n_bins: int) -> np.ndarray:
     return arr
 
 
-def _as_matrix(name: str, pmf, n: int, lead: int = 0, n_bins: int | None = None) -> np.ndarray:
+def _as_matrix(name: str, pmf, n: int, lead: int = 0, n_bins: int | None = None,
+               roles=None) -> np.ndarray:
     """Broadcast (*lead, K) marginal pmfs to (*lead, n, K) or pass (*lead,
-    n, K) matrices through; ``lead`` counts the leading (role) axes, and K
-    is ``n_bins`` when given, else the last axis of ``pmf``."""
+    n, K) matrices through; ``lead`` counts the leading axes, and K is
+    ``n_bins`` when given, else the last axis of ``pmf``. Given a spec's
+    ``roles``, the result is an (R, n, K) stack: a tuple of roles takes one
+    more leading axis, which must hold one pmf per role, and a single role's
+    pmfs gain a role axis of one."""
     pmf = np.asarray(pmf, dtype=float)
+    stacked = isinstance(roles, tuple)
+    lead += stacked
     K = pmf.shape[-1] if n_bins is None and pmf.ndim else n_bins
     if pmf.ndim == lead + 1 and pmf.shape[-1] == K:
-        return np.broadcast_to(pmf[..., None, :], (*pmf.shape[:-1], n, K))
-    if pmf.ndim == lead + 2 and pmf.shape[-2:] == (n, K):
-        return pmf
-    raise ValueError(f"{name} must be (K,) or (n, K) with n = {n} and K = {K} after {lead} "
-                     f"leading axes, got shape {pmf.shape}")
-
-
-def _role_stack(spec: LossSpec, name: str, pmf, n: int, n_bins: int | None = None) -> np.ndarray:
-    """A spec's pmf argument ``name`` as an (R, n, K) stack: a tuple role's
-    pmfs carry the role axis already, a single role's gain it."""
-    if not isinstance(spec.role, tuple):
-        return _as_matrix(name, pmf, n, 0, n_bins)[None]
-    stack = _as_matrix(name, pmf, n, 1, n_bins)
-    if stack.shape[0] != len(spec.role):
-        raise ValueError(f"{name} stack has {stack.shape[0]} rows for roles {spec.role}")
-    return stack
+        pmf = np.broadcast_to(pmf[..., None, :], (*pmf.shape[:-1], n, K))
+    elif not (pmf.ndim == lead + 2 and pmf.shape[-2:] == (n, K)):
+        raise ValueError(f"{name} must be (K,) or (n, K) with n = {n} and K = {K} after {lead} "
+                         f"leading axes, got shape {pmf.shape}")
+    if not stacked:
+        return pmf if roles is None else pmf[None]
+    if pmf.shape[0] != len(roles):
+        raise ValueError(f"{name} stack has {pmf.shape[0]} rows for roles {roles}")
+    return pmf
 
 
 def _padded_surv(pmf: np.ndarray) -> np.ndarray:
@@ -234,20 +218,21 @@ class LabelPlan:
         )
 
 
-def _joined(n: int, kernel) -> tuple[np.ndarray, ...]:
+def _joined(n: int, kernel, axis: int = 1) -> tuple[np.ndarray, ...]:
     """The outputs of ``kernel(rows)`` on the row blocks of ``n`` rows
-    (`core._row_blocks`), arrays with the rows on axis 1, each joined into
-    one full-length array; a single block is one plain call."""
+    (`core._row_blocks`), arrays with the rows on axis ``axis``, each joined
+    into one full-length array; a single block is one plain call."""
     blocks = _row_blocks(n)
     if len(blocks) == 1:
         return kernel(blocks[0])
     full = None
+    at = (slice(None),) * axis
     for rows in blocks:
         parts = kernel(rows)
         if full is None:
-            full = tuple(np.empty(p.shape[:1] + (n,) + p.shape[2:]) for p in parts)
+            full = tuple(np.empty(p.shape[:axis] + (n,) + p.shape[axis + 1:]) for p in parts)
         for out, part in zip(full, parts):
-            out[:, rows] = part
+            out[at + (rows,)] = part
     return full
 
 
@@ -283,19 +268,6 @@ def label_plan(
         le=time_bin[:, None] <= times,
         weight=np.full(n, 1.0 / n) if weight is None else weight,
     )
-
-
-def _batch_plan(spec: LossSpec, batch: Batch, n_bins: int) -> LabelPlan:
-    """``batch``'s label plan for the horizons and roles of ``spec``, built
-    on first use and kept on the batch, whose label arrays are read-only."""
-    key = (spec._plan_key, n_bins)
-    plan = batch._plans.get(key)
-    if plan is None:
-        times = resolve_times(spec.times, n_bins)
-        plan = label_plan(batch.time_bin, batch.event, n_bins, times, spec._flags,
-                          batch.norm_weight())
-        batch._plans[key] = plan
-    return plan
 
 
 def _ipcw_weights(plan: LabelPlan, surv: np.ndarray, floor: float, stats: ClampStats | None):
@@ -342,14 +314,15 @@ def _terms(family: str, plan: LabelPlan, cdf: np.ndarray, floor: float, stats: C
     return x, np.subtract(0.0, terms, out=terms), clamped
 
 
-def _scores(family, plan: LabelPlan, cdf, w, floor, stats: ClampStats | None, grad=True):
+def _scores(family, plan: LabelPlan, cdf, w, floor, stats: ClampStats | None, grad):
     """Per-(role, sample, horizon) IPCW values, weights times terms, and,
     with ``grad``, their derivatives in the own cdf F(t), written over the
-    weights ``w`` of `_ipcw_weights`, for (R, n, K) own cdfs (see `_terms`)."""
+    weights ``w`` of `_ipcw_weights`, for (R, n, K) own cdfs (see `_terms`):
+    ``(values,)`` or ``(values, coefs)``."""
     x, vals, clamped = _terms(family, plan, cdf, floor, stats)
     vals *= w
     if not grad:
-        return vals, None
+        return (vals,)
     # negative where U <= t: the Brier residual carries the sign, and the log
     # loss divides by -x there (exact, and faster than a masked negation). A
     # zero there may come out as -0.0; the gradient's suffix sums start from
@@ -363,10 +336,33 @@ def _scores(family, plan: LabelPlan, cdf, w, floor, stats: ClampStats | None, gr
     return vals, w
 
 
-def _game_cells(spec: LossSpec, plan: LabelPlan, own, frozen, stats: ClampStats | None):
-    """`_scores` of a game family for (R, n, K) own and frozen pmf stacks."""
-    inv = _ipcw_weights(plan, _padded_surv(frozen), spec.weight_floor, stats)
-    return _scores(spec.family, plan, own.cumsum(axis=-1), inv, spec.weight_floor, stats)
+def _cells(plan: LabelPlan, families, own, surv, floor: float, stats: ClampStats | None = None,
+           grad: bool = False, reduce=None):
+    """The game chain, `_ipcw_weights` then `_scores` for each of
+    ``families``, on the row blocks of ``plan``; the one place either runs.
+
+    ``own``: own pmfs (*lead, R, n, K), or None for the weights alone.
+    ``surv``: the other player's survival tables (*lead, R, m, K+1), m = n
+    or 1, with lead axes of size 1 when they serve every own stack. The lead
+    axes are free (runs, checkpoints or none), and the rows sit on the axis
+    after them and the role axis, in every input and output. Returns the
+    (*lead, R, n, T) weights, or per family its values and, with ``grad``,
+    its cdf coefficients, written over the weights (so one family), or what
+    ``reduce(part, *outputs)`` makes of a block's outputs and label plan.
+    Values and clamp counts are those of one call per lead index."""
+    if own is not None and own.ndim > 3:  # lead axes: shared tables serve every own stack
+        surv = np.broadcast_to(surv, own.shape[:-2] + surv.shape[-2:])
+
+    def block(rows):
+        part = plan.block(rows)
+        w = _ipcw_weights(part, surv[..., rows, :] if surv.shape[-2] > 1 else surv, floor, stats)
+        if own is None:
+            return (w,)
+        cdf = own[..., rows, :].cumsum(axis=-1)
+        out = [a for family in families for a in _scores(family, part, cdf, w, floor, stats, grad)]
+        return out if reduce is None else reduce(part, *out)
+
+    return _joined(plan.rows.size, block, surv.ndim - 2)
 
 
 def _nll_values_dpmf(
@@ -416,6 +412,34 @@ def _nll_values_dpmf(
     return vals, dpmf
 
 
+def _per_role(spec: LossSpec, values, arrays):
+    """A tuple role's per-role values and arrays as arrays, or a single
+    role's own."""
+    if isinstance(spec.role, tuple):
+        return np.array(values), np.asarray(arrays)
+    return values[0], arrays[0]
+
+
+def _game_pass(spec: LossSpec, own: np.ndarray, frozen_pmf, batch: Batch,
+               stats: ClampStats | None, reduce=None):
+    """``batch``'s label plan for the horizons and roles of ``spec`` and the
+    `_cells`, with coefficients, of its game family for an (R, n, K) own
+    stack against ``frozen_pmf``. The plan is built on first use and kept on
+    the batch, whose label arrays are read-only."""
+    if frozen_pmf is None:
+        raise ValueError("game losses need the other player's pmf")
+    K = own.shape[-1]
+    frozen = _as_matrix("frozen_pmf", frozen_pmf, batch.n, n_bins=K, roles=spec.role)
+    key = (spec._plan_key, K)
+    plan = batch._plans.get(key)
+    if plan is None:
+        plan = batch._plans[key] = label_plan(batch.time_bin, batch.event, K,
+                                              resolve_times(spec.times, K), spec._flags,
+                                              batch.norm_weight())
+    return plan, _cells(plan, (spec.family,), own, _padded_surv(frozen), spec.weight_floor,
+                        stats, True, reduce)
+
+
 def batch_loss(
     spec: LossSpec,
     own_pmf: np.ndarray,
@@ -437,36 +461,24 @@ def batch_loss(
     dpmf : ndarray, shape (n, K), or (R, n, K) for a tuple role
     """
     n = batch.n
-    own = _role_stack(spec, "own_pmf", own_pmf, n)
-    K = own.shape[-1]
-
+    own = _as_matrix("own_pmf", own_pmf, n, roles=spec.role)
     if spec.family == "nll":
         w = batch.norm_weight()
         vals, dpmf = _joined(n, lambda rows: _nll_values_dpmf(
             spec._flags, own[:, rows], own[:, rows].cumsum(axis=-1), batch.time_bin[rows],
             batch.event[rows], spec.weight_floor, stats, w[rows]
         ))
-        values = [float(v @ w) for v in vals]
-    else:
-        if frozen_pmf is None:
-            raise ValueError("game losses need the other player's pmf")
-        plan = _batch_plan(spec, batch, K)
-        frozen = _role_stack(spec, "frozen_pmf", frozen_pmf, n, K)
+        return _per_role(spec, [float(v @ w) for v in vals], dpmf)
 
-        def block(rows):
-            part = plan.block(rows)
-            vals, coefs = _game_cells(spec, part, own[:, rows], frozen[:, rows], stats)
-            # d cdf(t) / d pmf_k = 1{k <= t}: scatter per-horizon coefs, then suffix-sum
-            coefs *= part.weight[:, None]
-            tmp = np.zeros(coefs.shape[:-1] + (K,))
-            tmp[..., part.cdf_cols] = coefs
-            return vals.sum(axis=-1), tmp[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    def reduce(part, vals, coefs):  # row sums and the pmf gradient, no (n, T) array kept
+        # d cdf(t) / d pmf_k = 1{k <= t}: scatter per-horizon coefs, then suffix-sum
+        coefs *= part.weight[:, None]
+        tmp = np.zeros(coefs.shape[:-1] + own.shape[-1:])
+        tmp[..., part.cdf_cols] = coefs
+        return vals.sum(axis=-1), tmp[..., ::-1].cumsum(axis=-1)[..., ::-1]
 
-        vals, dpmf = _joined(n, block)
-        values = [float(plan.weight @ v) for v in vals]
-    if isinstance(spec.role, tuple):
-        return np.array(values), dpmf
-    return values[0], dpmf[0]
+    plan, (vals, dpmf) = _game_pass(spec, own, frozen_pmf, batch, stats, reduce)
+    return _per_role(spec, [float(plan.weight @ v) for v in vals], dpmf)
 
 
 def per_horizon_loss(
@@ -489,18 +501,9 @@ def per_horizon_loss(
     """
     if spec.family == "nll":
         raise ValueError("per-horizon form is defined for the game losses only")
-    own = _role_stack(spec, "own_pmf", own_pmf, batch.n)
-    frozen = _role_stack(spec, "frozen_pmf", frozen_pmf, batch.n, own.shape[-1])
-    plan = _batch_plan(spec, batch, own.shape[-1])
-    vals, coefs = _joined(batch.n, lambda rows: _game_cells(
-        spec, plan.block(rows), own[:, rows], frozen[:, rows], stats
-    ))
-    w = plan.weight
-    values = np.array([w @ v for v in vals])
-    coefs = np.array([w @ c for c in coefs])
-    if isinstance(spec.role, tuple):
-        return values, coefs
-    return values[0], coefs[0]
+    own = _as_matrix("own_pmf", own_pmf, batch.n, roles=spec.role)
+    plan, (vals, coefs) = _game_pass(spec, own, frozen_pmf, batch, stats)
+    return _per_role(spec, [plan.weight @ v for v in vals], [plan.weight @ c for c in coefs])
 
 
 def ipcw_weight_arrays(
@@ -524,7 +527,7 @@ def ipcw_weight_arrays(
     _check_pmf("frozen_pmf", frozen_pmf, K)
     plan = label_plan(time_bin, event, K, resolve_times(times, K), _role_flags((role,)))
     surv = _padded_surv(frozen)[..., None, :, :]  # a one-role axis
-    return _ipcw_weights(plan, surv, weight_floor, stats)[..., 0, :, :]
+    return _cells(plan, (), None, surv, weight_floor, stats)[0][..., 0, :, :]
 
 
 def ipcw_per_sample(
@@ -544,15 +547,13 @@ def ipcw_per_sample(
     """
     spec = LossSpec(family, _one_role(role), (t,), weight_floor)
     n = np.size(time_bin)
-    own = _role_stack(spec, "own_pmf", own_pmf, n)
+    own = _as_matrix("own_pmf", own_pmf, n, roles=spec.role)
     K = own.shape[-1]
-    frozen = _role_stack(spec, "frozen_pmf", frozen_pmf, n, K)
+    frozen = _as_matrix("frozen_pmf", frozen_pmf, n, n_bins=K, roles=spec.role)
     _check_pmf("own_pmf", own_pmf, K)
     _check_pmf("frozen_pmf", frozen_pmf, K)
     plan = label_plan(time_bin, event, K, resolve_times(spec.times, K), spec._flags)
-    inv = _ipcw_weights(plan, _padded_surv(frozen), weight_floor, stats)
-    vals, _ = _scores(family, plan, own.cumsum(axis=-1), inv, weight_floor, stats, False)
-    return vals[0, :, 0]
+    return _cells(plan, (family,), own, _padded_surv(frozen), weight_floor, stats)[0][0, :, 0]
 
 
 ipcw_bs_failure = functools.partial(ipcw_per_sample, "ipcw-bs", "failure")
@@ -569,7 +570,7 @@ def nll(pmf, time_bin, event, role="failure", weight_floor=1e-6, stats=None):
     model; its term clamps to -log(weight_floor) and contributes no gradient.
     """
     spec = LossSpec("nll", _one_role(role), weight_floor=weight_floor)
-    own = _role_stack(spec, "pmf", pmf, np.size(time_bin))
+    own = _as_matrix("pmf", pmf, np.size(time_bin), roles=spec.role)
     _check_pmf("pmf", pmf, own.shape[-1])
     return _nll_values_dpmf(spec._flags, own, own.cumsum(axis=-1), time_bin, event,
                             weight_floor, stats)[0][0]
@@ -589,5 +590,5 @@ def ipcw_mean(time_bin, event, censor_pmf, weight_floor=1e-6, stats=None):
     # horizon K, past the scored 1..K-1, puts every row on the event branch,
     # whose weight is delta / Gbar(U-)
     plan = label_plan(bins, event, K, np.array([K]), _role_flags(("failure",)))
-    inv = _ipcw_weights(plan, _padded_surv(frozen)[None], weight_floor, stats)[0, :, 0]
+    inv = _cells(plan, (), None, _padded_surv(frozen)[None], weight_floor, stats)[0][0, :, 0]
     return float(np.where(event, bins * inv, 0.0).mean())

@@ -8,16 +8,11 @@ censoring estimate at the bins (the deployable choice), one minus the padded
 cdf of the jointly trained censoring model or of the true censoring
 distribution (simulation only, for bias checks), or Gbar = 1 with the latent
 failure times as events (simulation only). The table goes through the loss
-kernel's weights and scoring function (``losses._ipcw_weights``,
-``losses._scores``), so this module keeps no weight or term code of its own.
-Every score runs core's pmf rule (`core._check_pmf`), so pmfs on another
-bin grid or whose rows are not distributions fail naming the argument.
-`evaluate` scores a cohort in one pass: one pmf check, cdf, censoring
-table, label plan and latent-bin lookup serve all its scores. The Brier and
-BLL scores are made together in the row blocks of `core._row_blocks`, as the
-loss kernels run: each block builds its inverse weights once for both, and
-the means over rows run once on the full-length (n, T) values, so a score is
-the unblocked one bit for bit.
+kernel's entry point (``losses._cells``), so this module keeps no weight or
+term code of its own; its input and row-block rules are core's (see the
+`core` module docstring). `evaluate` scores a cohort in one pass: one pmf
+check, censoring table, label plan and latent-bin lookup serve all its
+scores, and each row block's inverse weights serve both Brier and BLL.
 Concordance makes one pass per bit of the 2 * n_times (time, event) classes
 and takes ties from runs of equal risk (`concordance_index`).
 """
@@ -31,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import Dataset, _check_pmf, _events, _finite, assign_bins
-from .losses import _as_matrix, _check_floor, _ipcw_weights, _joined, _nll_values_dpmf
-from .losses import _padded_surv, _role_flags, _scores, label_plan
+from .losses import _as_matrix, _cells, _check_floor, _nll_values_dpmf, _padded_surv
+from .losses import _role_flags, label_plan
 from .simgen import MarginalWorld
 
 __all__ = [
@@ -116,7 +111,7 @@ class _Cohort:
         self.latent_bins = None if lat is None else assign_bins(lat, dataset.bin_edges)
 
     @cached_property
-    def cdf(self) -> np.ndarray:  # F(t) in the terms, 1 - F in the tail, F at the latent bin
+    def cdf(self) -> np.ndarray:  # 1 - F in the likelihood's tail, F at the latent bin
         return self.pmf.cumsum(axis=-1)
 
     def censoring_survival(self):
@@ -150,22 +145,14 @@ class _Cohort:
     @cached_property
     def scores(self) -> dict:
         """The failure player's Brier and BLL training scores per horizon,
-        averaged over rows, by family, from one pass over the row blocks; a
-        block's inverse weights serve both families."""
+        averaged over rows, by family, from one pass of the loss kernel's
+        `_cells`; a block's inverse weights serve both families."""
         gbar, time_bin, event = self.censoring_survival()
         K = self.dataset.n_bins
         plan = label_plan(time_bin, event, K, np.arange(1, K), _role_flags(("failure",)))
         gbar = gbar.reshape(1, -1, K + 1)  # one table for every row, or one per row
-
-        def block(rows):
-            part = plan.block(rows)
-            w = _ipcw_weights(part, gbar if gbar.shape[1] == 1 else gbar[:, rows], self.floor, None)
-            cdf = self.cdf[None, rows]
-            return [_scores(family, part, cdf, w, self.floor, None, grad=False)[0]
-                    for family in SCORES]
-
-        return {family: vals[0].mean(axis=0)
-                for family, vals in zip(SCORES, _joined(self.dataset.n, block))}
+        vals = _cells(plan, SCORES, self.pmf[None], gbar, self.floor)
+        return {family: v[0].mean(axis=0) for family, v in zip(SCORES, vals)}
 
 
 def _cohort(f_pmf, *args, **kwargs) -> _Cohort:

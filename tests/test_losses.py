@@ -1,12 +1,14 @@
 """Inverse-weighted losses: hand values, identities, and clamping."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamesurv import core, metrics
-from gamesurv.core import Batch
+from gamesurv import core, losses, metrics
+from gamesurv.core import Batch, Dataset
 from gamesurv.losses import (
     ROLES,
     ClampStats,
@@ -22,6 +24,7 @@ from gamesurv.losses import (
     per_horizon_loss,
     resolve_times,
 )
+from gamesurv.metrics import eval_bll, eval_bs
 from gamesurv.simgen import MarginalWorld, gen_marginal, population_batch
 
 TRUTH = MarginalWorld([0.3, 0.7], [0.4, 0.6])
@@ -559,6 +562,67 @@ def test_factored_evaluation_equals_the_materialized_route(n_bins, n, seed):
             assert _same_bits(got, vals[0].mean(axis=0))
 
 
+@pytest.mark.parametrize("roles", ["failure", ROLES])
+@pytest.mark.parametrize("family", ["ipcw-bs", "ipcw-bll"])
+def test_game_losses_need_the_frozen_pmf(family, roles):
+    # both game kernels check the missing pmf before reading it
+    own = np.full((len(roles), 3), 1 / 3) if isinstance(roles, tuple) else np.full(3, 1 / 3)
+    batch = Batch(np.array([1, 2, 3]), np.array([True, False, True]))
+    for kernel in (batch_loss, per_horizon_loss):
+        with pytest.raises(ValueError, match="game losses need the other player's pmf"):
+            kernel(LossSpec(family, roles), own, None, batch)
+
+
+@settings(max_examples=60)
+@given(
+    families=st.sampled_from([("ipcw-bs",), ("ipcw-bll",), ("ipcw-bs", "ipcw-bll")]),
+    shared=st.booleans(),
+    blocked=st.booleans(),
+    n_stacks=st.integers(1, 3),
+    roles=st.lists(st.sampled_from(ROLES), min_size=1, max_size=2).map(tuple),
+    n_bins=st.integers(2, 5),
+    n=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cells_take_free_leading_axes(families, shared, blocked, n_stacks, roles, n_bins, n,
+                                      seed):
+    # an (E, R, n, K) own stack against per-stack (E, R, n, K+1) or shared
+    # (1, R, 1, K+1) tables, in one call, equals E separate calls bit for
+    # bit: weights, values, coefficients and clamp counts, with a NaN in one
+    # frozen table reaching the same cells
+    rng = np.random.default_rng(seed)
+    floor = 0.25  # high, so that clamps fire
+    E, R = n_stacks, len(roles)
+    own = _floored_pmfs(rng, (E, R, n, n_bins), 0.02)
+    frozen = _floored_pmfs(rng, (1, R, 1, n_bins) if shared else (E, R, n, n_bins), 0.02)
+    frozen[(0,) * frozen.ndim] = np.nan
+    surv = losses._padded_surv(frozen)
+    u = rng.integers(1, n_bins + 1, size=n)
+    u[0] = n_bins  # row 0 reads Xbar(t) at every horizon, the NaN of the first table
+    plan = label_plan(u, rng.random(n) < 0.5, n_bins, np.arange(1, n_bins),
+                      losses._role_flags(roles))
+    grad = len(families) == 1  # coefficients are written over the weights, so one family
+
+    def cells(own, surv):
+        stats = ClampStats()
+        out = losses._cells(plan, families if own is not None else (), own, surv, floor, stats,
+                            grad)
+        return out, stats.count
+
+    with patch.object(core, "ROW_BLOCK", 3 if blocked else core.ROW_BLOCK):
+        got, clamps = cells(own, surv)
+        want = [cells(own[e], surv[0 if shared else e]) for e in range(E)]
+        weights, weight_clamps = cells(None, surv)
+        want_weights = [cells(None, table) for table in surv]
+    assert len(got) == len(families) * (1 + grad)
+    for i, g in enumerate(got):
+        assert _same_bits(g, [out[i] for out, _ in want])
+    assert clamps == sum(count for _, count in want)
+    assert _same_bits(weights[0], [out[0] for out, _ in want_weights])
+    assert weight_clamps == sum(count for _, count in want_weights)
+    assert np.isnan(got[0][0, 0, 0]).all()
+
+
 def test_a_nan_in_the_frozen_pmf_reaches_the_value():
     # every row with U >= 2 reads Xbar(1) on its survival branch at t = 1,
     # so a NaN in the first bin of the frozen pmf must surface
@@ -580,7 +644,9 @@ def test_row_blocks_give_the_unblocked_bits(monkeypatch, family, roles, frozen_f
     # the kernels on 7-row blocks against one block of all rows: values,
     # gradients, per-horizon values and coefficients and clamp counts, with
     # weighted rows, masses at the floor so that clamps fire, and a NaN in
-    # the frozen pmf that must reach exactly the same cells
+    # the frozen pmf that must reach exactly the same cells; then the
+    # per-sample losses, a checkpoint stack's weight arrays, the IPCW mean
+    # and the model-G metrics, on the last role's pmfs
     rng = np.random.default_rng(11)
     n, n_bins = 38, 5
     lead = (len(roles),) if isinstance(roles, tuple) else ()
@@ -594,12 +660,24 @@ def test_row_blocks_give_the_unblocked_bits(monkeypatch, family, roles, frozen_f
     batch = Batch(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5,
                   weight=rng.random(n) + 0.1)
     spec = LossSpec(family, roles, weight_floor=0.25)  # high, so that clamps fire
+    role, f, g = ("censor", own[-1], frozen[-1]) if lead else (roles, own, frozen)
+    u, ev = batch.time_bin, batch.event
+    ds = Dataset(np.zeros((n, 1)), u, ev, np.arange(n_bins + 1.0))
 
     def run():
         stats = ClampStats()
         out = [*batch_loss(spec, own, frozen, batch, stats)]
         if family != "nll":
             out += per_horizon_loss(spec, own, frozen, batch, stats)
+        if frozen_form == "nan":  # the per-sample paths run core's pmf rule
+            return out, stats.count
+        if family != "nll":
+            out += [ipcw_per_sample(family, role, t, f, g, u, ev, 0.25, stats)
+                    for t in range(1, n_bins)]
+        checkpoints = np.stack([np.broadcast_to(g, f.shape), f])
+        out.append(ipcw_weight_arrays(role, checkpoints, u, ev, "all", 0.25, stats))
+        out.append(ipcw_mean(u, ev, g, 0.25, stats))
+        out += [score(f, ds, "model-G", g, floor=0.25) for score in (eval_bs, eval_bll)]
         return out, stats.count
 
     want, want_clamps = run()

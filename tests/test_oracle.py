@@ -638,3 +638,26 @@ def test_oracle_never_imports_losses():
         else:
             continue
         assert not names & forbidden, f"oracle imports losses at line {node.lineno}"
+
+
+def test_only_losses_reaches_the_scoring_chain():
+    # every IPCW score goes through losses._cells, so the chain's parts stay
+    # private to losses: no other module imports them or reads them by name
+    chain = {"_ipcw_weights", "_scores", "_joined"}
+    for path in Path(gamesurv.oracle.__file__).parent.glob("*.py"):
+        if path.name == "losses.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            assert not names & chain, f"{path.name} reaches {names & chain} at line {node.lineno}"
+    # and inside losses, the weights and the scores each run at one call site, in _cells
+    losses_tree = ast.parse((Path(gamesurv.oracle.__file__).parent / "losses.py").read_text())
+    sites = [(top.name, node.func.id) for top in losses_tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in {"_ipcw_weights", "_scores"}]
+    assert sorted(sites) == [("_cells", "_ipcw_weights"), ("_cells", "_scores")]
