@@ -660,7 +660,7 @@ def test_row_blocks_give_the_unblocked_bits(monkeypatch, family, roles, frozen_f
     batch = Batch(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5,
                   weight=rng.random(n) + 0.1)
     spec = LossSpec(family, roles, weight_floor=0.25)  # high, so that clamps fire
-    role, f, g = ("censor", own[-1], frozen[-1]) if lead else (roles, own, frozen)
+    role, f, g = (roles[-1], own[-1], frozen[-1]) if lead else (roles, own, frozen)
     u, ev = batch.time_bin, batch.event
     ds = Dataset(np.zeros((n, 1)), u, ev, np.arange(n_bins + 1.0))
 
