@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, _check_pmf, _labels, _row_blocks, _whole, padded_cdf
+from .core import Batch, _check_pmf, _each_block, _labels, _row_blocks, _whole, padded_cdf
 
 __all__ = [
     "ClampStats",
@@ -64,7 +64,8 @@ ROLES = ("failure", "censor")
 
 @dataclass
 class ClampStats:
-    """Mutable counter of clamped weight/log evaluations."""
+    """Mutable counter of clamped weight/log evaluations. Not shared
+    between threads: row blocks count in block-local stats (`_joined`)."""
 
     count: int = 0
 
@@ -183,17 +184,19 @@ def _clamp(values: np.ndarray, floor: float, active, stats: ClampStats | None):
 
 @dataclass(frozen=True)
 class LabelPlan:
-    """The label side of the inverse weights, fixed by the labels (U, delta),
-    the row weights, the horizons and the roles; a batch builds it on its
-    first loss call and every later call reuses it. For R roles, n rows and
-    T horizons: ``roles`` (R, 1), ``rows`` (n,) and ``evt_col`` (R, n), the
-    event-branch column U - 1 + c, gather from a survival table;
+    """The label side of the inverse weights, fixed by the labels (U, delta)
+    on ``n_bins`` bins, the row weights, the horizons and the roles; a batch
+    builds it on its first loss call and every later call reuses it. For R
+    roles, n rows and T horizons: ``roles`` (R, 1), ``rows`` (n,) and
+    ``evt_col`` (R, n), the event-branch column U - 1 + c, gather from a
+    survival table;
     ``surv_cols`` and ``cdf_cols`` pick the columns t and t - 1 (slices when
     the horizons are contiguous, which index faster than arrays); ``ind``
     (R, n) is the indicator ``event ^ c`` as 0.0/1.0, ``evt_used`` (R, n)
     marks the rows some horizon's event branch uses, ``le`` (n, T) is the
     branch mask U <= t, and ``weight`` (n,) sums to 1."""
 
+    n_bins: int
     times: np.ndarray
     roles: np.ndarray
     rows: np.ndarray
@@ -212,28 +215,36 @@ class LabelPlan:
         if rows == slice(None):
             return self
         return LabelPlan(
-            self.times, self.roles, self.rows[: rows.stop - rows.start], self.evt_col[:, rows],
-            self.surv_cols, self.cdf_cols, self.ind[:, rows], self.evt_used[:, rows],
-            self.le[rows], self.weight[rows],
+            self.n_bins, self.times, self.roles, self.rows[: rows.stop - rows.start],
+            self.evt_col[:, rows], self.surv_cols, self.cdf_cols, self.ind[:, rows],
+            self.evt_used[:, rows], self.le[rows], self.weight[rows],
         )
 
 
-def _joined(n: int, kernel, axis: int = 1) -> tuple[np.ndarray, ...]:
-    """The outputs of ``kernel(rows)`` on the row blocks of ``n`` rows
-    (`core._row_blocks`), arrays with the rows on axis ``axis``, each joined
-    into one full-length array; a single block is one plain call."""
-    blocks = _row_blocks(n)
-    if len(blocks) == 1:
-        return kernel(blocks[0])
-    full = None
+def _joined(n: int, kernel, stats: ClampStats | None, axis: int = 1) -> tuple[np.ndarray, ...]:
+    """The outputs of ``kernel(rows, stats)`` on the row blocks of ``n``
+    rows (`core._each_block`), arrays with the rows on axis ``axis``, each
+    joined into one full-length array; a single block is one plain call.
+    Blocks, which may run on two threads, count their clamps in block-local
+    stats, added to ``stats`` in block order."""
+    if len(_row_blocks(n)) == 1:
+        return kernel(slice(None), stats)
+    full = []
     at = (slice(None),) * axis
-    for rows in blocks:
-        parts = kernel(rows)
-        if full is None:
-            full = tuple(np.empty(p.shape[:axis] + (n,) + p.shape[axis + 1:]) for p in parts)
+
+    def block(rows):
+        local = None if stats is None else ClampStats()
+        parts = kernel(rows, local)
+        if not full:  # block 0, on the caller before any other block starts
+            full.extend(np.empty(p.shape[:axis] + (n,) + p.shape[axis + 1:]) for p in parts)
         for out, part in zip(full, parts):
             out[at + (rows,)] = part
-    return full
+        return local
+
+    for local in _each_block(n, block):
+        if local is not None:
+            stats.add(local.count)
+    return tuple(full)
 
 
 def label_plan(
@@ -257,6 +268,7 @@ def label_plan(
     else:
         surv_cols, cdf_cols = times, times - 1
     return LabelPlan(
+        n_bins=n_bins,
         times=times,
         roles=np.arange(flags.shape[0])[:, None],
         rows=np.arange(n),
@@ -336,33 +348,37 @@ def _scores(family, plan: LabelPlan, cdf, w, floor, stats: ClampStats | None, gr
     return vals, w
 
 
-def _cells(plan: LabelPlan, families, own, surv, floor: float, stats: ClampStats | None = None,
+def _cells(plan: LabelPlan, families, own, other, floor: float, stats: ClampStats | None = None,
            grad: bool = False, reduce=None):
     """The game chain, `_ipcw_weights` then `_scores` for each of
     ``families``, on the row blocks of ``plan``; the one place either runs.
 
     ``own``: own pmfs (*lead, R, n, K), or None for the weights alone.
-    ``surv``: the other player's survival tables (*lead, R, m, K+1), m = n
-    or 1, with lead axes of size 1 when they serve every own stack. The lead
-    axes are free (runs, checkpoints or none), and the rows sit on the axis
-    after them and the role axis, in every input and output. Returns the
-    (*lead, R, n, T) weights, or per family its values and, with ``grad``,
-    its cdf coefficients, written over the weights (so one family), or what
-    ``reduce(part, *outputs)`` makes of a block's outputs and label plan.
+    ``other``: the other player's side (*lead, R, m, ...), m = n or 1, with
+    lead axes of size 1 when it serves every own stack: its pmfs (K
+    columns), whose survival tables each row block builds, or survival
+    tables (K+1 columns). The lead axes are free (runs, checkpoints or
+    none), and the rows sit on the axis after them and the role axis, in
+    every input and output. Returns the (*lead, R, n, T) weights, or per
+    family its values and, with ``grad``, its cdf coefficients, written over
+    the weights (so one family), or what ``reduce(rows, part, cdf,
+    *outputs)`` makes of a block's rows, label plan, own cdfs and outputs.
     Values and clamp counts are those of one call per lead index."""
-    if own is not None and own.ndim > 3:  # lead axes: shared tables serve every own stack
-        surv = np.broadcast_to(surv, own.shape[:-2] + surv.shape[-2:])
+    if own is not None and own.ndim > 3:  # lead axes: a shared side serves every own stack
+        other = np.broadcast_to(other, own.shape[:-2] + other.shape[-2:])
 
-    def block(rows):
+    def block(rows, stats):
         part = plan.block(rows)
-        w = _ipcw_weights(part, surv[..., rows, :] if surv.shape[-2] > 1 else surv, floor, stats)
+        side = other[..., rows, :] if other.shape[-2] > 1 else other
+        surv = _padded_surv(side) if side.shape[-1] == plan.n_bins else side
+        w = _ipcw_weights(part, surv, floor, stats)
         if own is None:
             return (w,)
         cdf = own[..., rows, :].cumsum(axis=-1)
         out = [a for family in families for a in _scores(family, part, cdf, w, floor, stats, grad)]
-        return out if reduce is None else reduce(part, *out)
+        return out if reduce is None else reduce(rows, part, cdf, *out)
 
-    return _joined(plan.rows.size, block, surv.ndim - 2)
+    return _joined(plan.rows.size, block, stats, other.ndim - 2)
 
 
 def _nll_values_dpmf(
@@ -436,8 +452,7 @@ def _game_pass(spec: LossSpec, own: np.ndarray, frozen_pmf, batch: Batch,
         plan = batch._plans[key] = label_plan(batch.time_bin, batch.event, K,
                                               resolve_times(spec.times, K), spec._flags,
                                               batch.norm_weight())
-    return plan, _cells(plan, (spec.family,), own, _padded_surv(frozen), spec.weight_floor,
-                        stats, True, reduce)
+    return plan, _cells(plan, (spec.family,), own, frozen, spec.weight_floor, stats, True, reduce)
 
 
 def batch_loss(
@@ -464,13 +479,13 @@ def batch_loss(
     own = _as_matrix("own_pmf", own_pmf, n, roles=spec.role)
     if spec.family == "nll":
         w = batch.norm_weight()
-        vals, dpmf = _joined(n, lambda rows: _nll_values_dpmf(
+        vals, dpmf = _joined(n, lambda rows, stats: _nll_values_dpmf(
             spec._flags, own[:, rows], own[:, rows].cumsum(axis=-1), batch.time_bin[rows],
             batch.event[rows], spec.weight_floor, stats, w[rows]
-        ))
+        ), stats)
         return _per_role(spec, [float(v @ w) for v in vals], dpmf)
 
-    def reduce(part, vals, coefs):  # row sums and the pmf gradient, no (n, T) array kept
+    def reduce(rows, part, cdf, vals, coefs):  # row sums and the pmf gradient, no (n, T) kept
         # d cdf(t) / d pmf_k = 1{k <= t}: scatter per-horizon coefs, then suffix-sum
         coefs *= part.weight[:, None]
         tmp = np.zeros(coefs.shape[:-1] + own.shape[-1:])
@@ -526,8 +541,7 @@ def ipcw_weight_arrays(
     K = frozen.shape[-1]
     _check_pmf("frozen_pmf", frozen_pmf, K)
     plan = label_plan(time_bin, event, K, resolve_times(times, K), _role_flags((role,)))
-    surv = _padded_surv(frozen)[..., None, :, :]  # a one-role axis
-    return _cells(plan, (), None, surv, weight_floor, stats)[0][..., 0, :, :]
+    return _cells(plan, (), None, frozen[..., None, :, :], weight_floor, stats)[0][..., 0, :, :]
 
 
 def ipcw_per_sample(
@@ -553,7 +567,7 @@ def ipcw_per_sample(
     _check_pmf("own_pmf", own_pmf, K)
     _check_pmf("frozen_pmf", frozen_pmf, K)
     plan = label_plan(time_bin, event, K, resolve_times(spec.times, K), spec._flags)
-    return _cells(plan, (family,), own, _padded_surv(frozen), weight_floor, stats)[0][0, :, 0]
+    return _cells(plan, (family,), own, frozen, weight_floor, stats)[0][0, :, 0]
 
 
 ipcw_bs_failure = functools.partial(ipcw_per_sample, "ipcw-bs", "failure")
@@ -590,5 +604,5 @@ def ipcw_mean(time_bin, event, censor_pmf, weight_floor=1e-6, stats=None):
     # horizon K, past the scored 1..K-1, puts every row on the event branch,
     # whose weight is delta / Gbar(U-)
     plan = label_plan(bins, event, K, np.array([K]), _role_flags(("failure",)))
-    inv = _cells(plan, (), None, _padded_surv(frozen)[None], weight_floor, stats)[0][0, :, 0]
+    inv = _cells(plan, (), None, frozen[None], weight_floor, stats)[0][0, :, 0]
     return float(np.where(event, bins * inv, 0.0).mean())

@@ -12,7 +12,8 @@ kernel's entry point (``losses._cells``), so this module keeps no weight or
 term code of its own; its input and row-block rules are core's (see the
 `core` module docstring). `evaluate` scores a cohort in one pass: one pmf
 check, censoring table, label plan and latent-bin lookup serve all its
-scores, and each row block's inverse weights serve both Brier and BLL.
+scores, each row block's inverse weights serve both Brier and BLL, and its
+cdf also gives the likelihood and the calibration their entries.
 Concordance makes one pass per bit of the 2 * n_times (time, event) classes
 and takes ties from runs of equal risk (`concordance_index`).
 """
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Dataset, _check_pmf, _events, _finite, assign_bins
-from .losses import _as_matrix, _cells, _check_floor, _nll_values_dpmf, _padded_surv
+from .losses import _as_matrix, _cells, _check_floor, _nll_values_dpmf
 from .losses import _role_flags, label_plan
 from .simgen import MarginalWorld
 
@@ -100,8 +101,8 @@ def _pmf_matrix(name: str, pmf, dataset: Dataset) -> np.ndarray:
 
 class _Cohort:
     """A checked failure pmf matrix on one dataset under one weighting and
-    floor, with its latent bins, and its cdf and scores built on first use.
-    A scorer takes a cohort in place of ``f_pmf`` and reads the rest from it."""
+    floor, with its latent bins, and its scores built on first use. A scorer
+    takes a cohort in place of ``f_pmf`` and reads the rest from it."""
 
     def __init__(self, f_pmf, dataset: Dataset, weighting="km", g_pmf=None, world=None, floor=1e-6):
         self.pmf = _pmf_matrix("f_pmf", f_pmf, dataset)
@@ -110,15 +111,12 @@ class _Cohort:
         lat = dataset.latent_time
         self.latent_bins = None if lat is None else assign_bins(lat, dataset.bin_edges)
 
-    @cached_property
-    def cdf(self) -> np.ndarray:  # 1 - F in the likelihood's tail, F at the latent bin
-        return self.pmf.cumsum(axis=-1)
-
-    def censoring_survival(self):
-        """Censoring survival table Gbar[..., j] = P(C > j), j = 0..K, under
-        the weighting, with the (time_bin, event) it weights. The latent
-        weighting scores the latent failure bins, every row an event, against
-        Gbar = 1."""
+    def censoring(self):
+        """The censoring side under the weighting, with the (time_bin, event)
+        it weights: one survival table Gbar[j] = P(C > j), j = 0..K, for
+        every row, or under model-G the censoring model's (n, K) pmfs, whose
+        tables `losses._cells` builds per row block. The latent weighting
+        scores the latent failure bins, every row an event, against Gbar = 1."""
         dataset, world, K = self.dataset, self.world, self.dataset.n_bins
         if self.weighting == "uncensored-latent":
             if self.latent_bins is None:
@@ -131,7 +129,7 @@ class _Cohort:
         elif self.weighting == "model-G":
             if self.g_pmf is None:
                 raise ValueError("model-G weighting needs the censoring model's pmfs")
-            gbar = _padded_surv(_pmf_matrix("g_pmf", self.g_pmf, dataset))
+            gbar = _pmf_matrix("g_pmf", self.g_pmf, dataset)
         elif self.weighting == "true-G":
             if world is None:
                 raise ValueError("true-G weighting needs the generating world")
@@ -145,14 +143,27 @@ class _Cohort:
     @cached_property
     def scores(self) -> dict:
         """The failure player's Brier and BLL training scores per horizon,
-        averaged over rows, by family, from one pass of the loss kernel's
-        `_cells`; a block's inverse weights serve both families."""
-        gbar, time_bin, event = self.censoring_survival()
-        K = self.dataset.n_bins
-        plan = label_plan(time_bin, event, K, np.arange(1, K), _role_flags(("failure",)))
-        gbar = gbar.reshape(1, -1, K + 1)  # one table for every row, or one per row
-        vals = _cells(plan, SCORES, self.pmf[None], gbar, self.floor)
-        return {family: v[0].mean(axis=0) for family, v in zip(SCORES, vals)}
+        averaged over rows, by family, the mean partial likelihood loss
+        ("nll") and the cdf at each latent bin ("cdf_at_latent", None without
+        latent times), from one pass of the loss kernel's `_cells`: a block's
+        inverse weights serve both families, and its cdf every score."""
+        side, time_bin, event = self.censoring()
+        data, lat, failure = self.dataset, self.latent_bins, _role_flags(("failure",))
+        plan = label_plan(time_bin, event, data.n_bins, np.arange(1, data.n_bins), failure)
+
+        def reduce(rows, part, cdf, bs, bll):
+            nll, _ = _nll_values_dpmf(failure, self.pmf[None, rows], cdf, data.time_bin[rows],
+                                      data.event[rows], self.floor, None)
+            if lat is None:
+                return bs, bll, nll
+            return bs, bll, nll, cdf[:, part.rows, lat[rows] - 1]
+
+        out = _cells(plan, SCORES, self.pmf[None], side.reshape(1, -1, side.shape[-1]),
+                     self.floor, reduce=reduce)
+        scores = {family: v[0].mean(axis=0) for family, v in zip(SCORES, out)}
+        scores["nll"] = float(out[2][0].mean())
+        scores["cdf_at_latent"] = out[3][0] if lat is not None else None
+        return scores
 
 
 def _cohort(f_pmf, *args, **kwargs) -> _Cohort:
@@ -177,10 +188,7 @@ def eval_bll(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
 
 def nll_metric(f_pmf, dataset: Dataset, floor: float = 1e-6) -> float:
     """Mean partial likelihood loss of the failure model on observed data."""
-    c = _cohort(f_pmf, dataset, floor=floor)
-    vals, _ = _nll_values_dpmf(_role_flags(("failure",)), c.pmf[None], c.cdf[None],
-                               dataset.time_bin, dataset.event, c.floor, None)
-    return float(vals[0].mean())
+    return _cohort(f_pmf, dataset, floor=floor).scores["nll"]
 
 
 # -- concordance ------------------------------------------------------------
@@ -285,7 +293,7 @@ def calibration_curve(f_pmf, dataset: Dataset):
     if c.latent_bins is None:
         raise ValueError("calibration needs the latent failure times: dataset.latent_time is None")
     levels = np.arange(1, 10) / 10.0
-    cdf_at_latent = np.minimum(c.cdf[np.arange(dataset.n), c.latent_bins - 1], 1.0)
+    cdf_at_latent = np.minimum(c.scores["cdf_at_latent"], 1.0)
     observed = (cdf_at_latent[:, None] <= levels[None, :]).mean(axis=0)
     return levels, observed
 

@@ -16,8 +16,9 @@ A (2, P) array holds the failure/censoring pair as one stacked model.
 
 Training and inference share one MLP layer loop. ``predict_pmf`` keeps no
 activations and works in the row blocks of `core._row_blocks` (at least
-`core.ROW_BLOCK` rows each, one block below twice that); its pmfs equal the
-training forward's bit for bit (see `core.ROW_BLOCK`).
+`core.ROW_BLOCK` rows each, one block below twice that), on two threads from
+4 blocks up (`core._each_block`); its pmfs equal the training forward's bit
+for bit (see `core.ROW_BLOCK`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, _check_int, _row_blocks
+from .core import Batch, _check_int, _each_block
 from .losses import ClampStats, LossSpec, batch_loss
 from .simgen import _json_floats, _load_json
 
@@ -161,8 +162,7 @@ class Model:
             pmf = self._mlp(x, acts)
             return pmf, ("mlp", acts, pmf)
         pmf = np.empty(shape)
-        for rows in _row_blocks(n):
-            self._mlp(x[rows], out=pmf[..., rows, :])
+        _each_block(n, lambda rows: self._mlp(x[rows], out=pmf[..., rows, :]))
         return pmf, None
 
     def _mlp(self, x: np.ndarray, acts: list | None = None, out: np.ndarray | None = None):

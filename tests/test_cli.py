@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -214,6 +215,50 @@ def test_sweep_workers_do_not_change_results(tmp_path):
     fa = (tmp_path / "serial" / "sw" / "sweep" / "aggregate.json").read_bytes()
     fb = (tmp_path / "parallel" / "sw" / "sweep" / "aggregate.json").read_bytes()
     assert fa == fb
+
+
+FORKED_SWEEP = """
+import os, sys, threading
+from gamesurv import core
+from gamesurv.cli import main
+
+core.ROW_BLOCK = 7  # the 40-row test split runs in 5 blocks, here and in forked workers
+cpus, cfg, out = sys.argv[1:]
+os.sched_getaffinity = lambda pid: set(range(int(cpus)))
+idents = core._each_block(40, lambda rows: threading.get_ident())
+assert len(set(idents)) == int(cpus)  # blocks ran on `cpus` threads before any fork
+sys.exit(main(["sweep", cfg, "--out", out]))
+"""
+
+
+def test_sweep_workers_fork_after_a_threaded_call(tmp_path):
+    # forked sweep workers run threaded blocks after the parent has: no
+    # thread may outlive a call, or a worker waits on one that fork left behind
+    cfg = {
+        "experiment": "sw", "generator": GAMMA_GEN, "sizes": [36], "seeds": [0, 1],
+        "objectives": ["bs-game"], "n_bins": 4, "n_val": 24, "n_test": 40,
+        "train": {"epochs": 1, "batch_size": 18, "learning_rate": 0.01, "hidden": [5]},
+    }
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outs = []
+    for cpus, workers in (("1", 1), ("2", 2)):  # no thread at all, then threads and forks
+        path = tmp_path / f"cfg{workers}.json"
+        path.write_text(json.dumps(dict(cfg, workers=workers)))
+        outs.append(tmp_path / f"out{workers}")
+        args = [sys.executable, "-c", FORKED_SWEEP, cpus, str(path), str(outs[-1])]
+        proc = subprocess.Popen(args, env=env, start_new_session=True)
+        try:
+            assert proc.wait(timeout=120) == 0
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            pytest.fail(f"the sweep with {workers} workers hung")
+    serial, forked = (sorted((out / "sw" / "sweep").iterdir()) for out in outs)
+    assert [f.name for f in serial] == [f.name for f in forked] and len(serial) == 3
+    for a, b in zip(serial, forked):
+        assert a.read_bytes() == b.read_bytes(), a.name
 
 
 def test_gradient_field_outputs(tmp_path):
