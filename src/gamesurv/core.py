@@ -35,18 +35,17 @@ likelihood in `losses.batch_loss` and every score of `losses._cells`) run in
 the row blocks of `_row_blocks`: `ROW_BLOCK` rows each, the remainder joined
 to the last, one plain call below 2 * `ROW_BLOCK` rows. A block writes its
 rows of full-length outputs, and every sum over rows runs once on those, so
-results and clamp counts are the unblocked ones bit for bit.
-
-The blocks of a call run through `_each_block`. From 4 blocks up, when the
-process may run on at least 2 CPUs, one helper thread runs the odd blocks
-while the caller runs the even ones, in a copy of the caller's context (so
-its `np.errstate` holds), and is joined before the call returns, so no
-thread outlives a call or meets a fork; below that the blocks run one after
-another on the caller. Clamp counts are block-local and added on the
-caller in block order, and the caller re-raises the first failure in block
-order. A block reads shared inputs and writes only its own rows, and every
-sum over rows runs after the blocks, so which thread runs a block cannot
-move a bit.
+results and clamp counts are the unblocked ones bit for bit. The blocks of
+a call run through `_each_block`: from 4 blocks up, when
+`os.sched_getaffinity` gives the process at least 2 CPUs, one helper thread
+runs the odd blocks in a copy of the caller's context (so a caller's
+`np.errstate` holds) while the caller runs the even ones, and is joined
+before the call returns, so no thread outlives a call or meets a fork;
+below that the blocks run one after another on the caller. Clamp counts
+are block-local and added on the caller in block order, and the caller
+re-raises the first failure in block order. A block reads shared inputs
+and writes only its own rows, and every sum over rows runs after the
+blocks, so which thread runs a block cannot move a bit.
 """
 
 from __future__ import annotations
@@ -91,11 +90,8 @@ def _row_blocks(n: int) -> list[slice]:
 
 def _each_block(n: int, kernel) -> list:
     """``kernel(rows)`` on each row block of ``n`` rows (`_row_blocks`),
-    the results in block order. Block 0 runs first, on the caller, before
-    any other starts. From 4 blocks up, on at least 2 CPUs, one helper
-    thread then runs the odd blocks in a copy of the caller's context while
-    the caller runs the even ones; the first failure in block order is
-    raised after both are done."""
+    the results in block order, on the threads of the module docstring's
+    rule. Block 0 runs first, on the caller, before any other starts."""
     blocks = _row_blocks(n)
     if len(blocks) < 4 or len(os.sched_getaffinity(0)) < 2:
         return [kernel(rows) for rows in blocks]

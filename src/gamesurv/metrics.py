@@ -47,6 +47,7 @@ __all__ = [
 
 WEIGHTINGS = ("uncensored-latent", "km", "model-G", "true-G")
 SCORES = ("ipcw-bs", "ipcw-bll")
+_FAILURE = _role_flags(("failure",))
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,9 @@ def _pmf_matrix(name: str, pmf, dataset: Dataset) -> np.ndarray:
 
 class _Cohort:
     """A checked failure pmf matrix on one dataset under one weighting and
-    floor, with its latent bins, and its scores built on first use. A scorer
-    takes a cohort in place of ``f_pmf`` and reads the rest from it."""
+    floor, with its latent bins, and its scores and per-row entries built on
+    first use. A scorer takes a cohort in place of ``f_pmf`` and reads the
+    rest from it."""
 
     def __init__(self, f_pmf, dataset: Dataset, weighting="km", g_pmf=None, world=None, floor=1e-6):
         self.pmf = _pmf_matrix("f_pmf", f_pmf, dataset)
@@ -110,6 +112,7 @@ class _Cohort:
         self.floor = _check_floor(floor, "floor")
         lat = dataset.latent_time
         self.latent_bins = None if lat is None else assign_bins(lat, dataset.bin_edges)
+        self._entries = None
 
     def censoring(self):
         """The censoring side under the weighting, with the (time_bin, event)
@@ -143,27 +146,33 @@ class _Cohort:
     @cached_property
     def scores(self) -> dict:
         """The failure player's Brier and BLL training scores per horizon,
-        averaged over rows, by family, the mean partial likelihood loss
-        ("nll") and the cdf at each latent bin ("cdf_at_latent", None without
-        latent times), from one pass of the loss kernel's `_cells`: a block's
-        inverse weights serve both families, and its cdf every score."""
+        averaged over rows, by family, from one pass of the loss kernel's
+        `_cells`: a block's inverse weights serve both families, and its cdf
+        gives the block's `entries`."""
         side, time_bin, event = self.censoring()
-        data, lat, failure = self.dataset, self.latent_bins, _role_flags(("failure",))
-        plan = label_plan(time_bin, event, data.n_bins, np.arange(1, data.n_bins), failure)
+        K = self.dataset.n_bins
+        plan = label_plan(time_bin, event, K, np.arange(1, K), _FAILURE)
+        out = _cells(plan, SCORES, self.pmf[None], side.reshape(1, -1, side.shape[-1]), self.floor,
+                     reduce=lambda rows, part, cdf, *vals: (*vals, *self._entries_of(rows, cdf)))
+        self._entries = out[2:]
+        return {family: v[0].mean(axis=0) for family, v in zip(SCORES, out)}
 
-        def reduce(rows, part, cdf, bs, bll):
-            nll, _ = _nll_values_dpmf(failure, self.pmf[None, rows], cdf, data.time_bin[rows],
-                                      data.event[rows], self.floor, None)
-            if lat is None:
-                return bs, bll, nll
-            return bs, bll, nll, cdf[:, part.rows, lat[rows] - 1]
+    def entries(self) -> tuple:
+        """The per-row likelihood values and, with latent times, the cdf at
+        each latent bin, (1, n) each: from the score pass when it has run,
+        else from one cumsum of the whole pmf."""
+        if self._entries is None:
+            self._entries = self._entries_of(slice(None), self.pmf[None].cumsum(axis=-1))
+        return self._entries
 
-        out = _cells(plan, SCORES, self.pmf[None], side.reshape(1, -1, side.shape[-1]),
-                     self.floor, reduce=reduce)
-        scores = {family: v[0].mean(axis=0) for family, v in zip(SCORES, out)}
-        scores["nll"] = float(out[2][0].mean())
-        scores["cdf_at_latent"] = out[3][0] if lat is not None else None
-        return scores
+    def _entries_of(self, rows, cdf) -> tuple:
+        """The `entries` of rows ``rows``, from their (1, rows, K) cdfs."""
+        data, lat = self.dataset, self.latent_bins
+        nll, _ = _nll_values_dpmf(_FAILURE, self.pmf[None, rows], cdf, data.time_bin[rows],
+                                  data.event[rows], self.floor, None)
+        if lat is None:
+            return (nll,)
+        return nll, cdf[:, np.arange(cdf.shape[1]), lat[rows] - 1]
 
 
 def _cohort(f_pmf, *args, **kwargs) -> _Cohort:
@@ -188,7 +197,7 @@ def eval_bll(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
 
 def nll_metric(f_pmf, dataset: Dataset, floor: float = 1e-6) -> float:
     """Mean partial likelihood loss of the failure model on observed data."""
-    return _cohort(f_pmf, dataset, floor=floor).scores["nll"]
+    return float(_cohort(f_pmf, dataset, floor=floor).entries()[0][0].mean())
 
 
 # -- concordance ------------------------------------------------------------
@@ -293,7 +302,7 @@ def calibration_curve(f_pmf, dataset: Dataset):
     if c.latent_bins is None:
         raise ValueError("calibration needs the latent failure times: dataset.latent_time is None")
     levels = np.arange(1, 10) / 10.0
-    cdf_at_latent = np.minimum(c.scores["cdf_at_latent"], 1.0)
+    cdf_at_latent = np.minimum(c.entries()[1][0], 1.0)
     observed = (cdf_at_latent[:, None] <= levels[None, :]).mean(axis=0)
     return levels, observed
 

@@ -16,9 +16,9 @@ A (2, P) array holds the failure/censoring pair as one stacked model.
 
 Training and inference share one MLP layer loop. ``predict_pmf`` keeps no
 activations and works in the row blocks of `core._row_blocks` (at least
-`core.ROW_BLOCK` rows each, one block below twice that), on two threads from
-4 blocks up (`core._each_block`); its pmfs equal the training forward's bit
-for bit (see `core.ROW_BLOCK`).
+`core.ROW_BLOCK` rows each, one block below twice that) through
+`core._each_block`; its pmfs equal the training forward's bit for bit (see
+`core.ROW_BLOCK`).
 """
 
 from __future__ import annotations
