@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gamesurv import core, metrics
-from gamesurv.core import Batch, Dataset
+from gamesurv.core import Batch
 from gamesurv.losses import ROLES, ClampStats, LossSpec, batch_loss, ipcw_weight_arrays
 from gamesurv.losses import per_horizon_loss
 from gamesurv.models import ArchSpec, Model
@@ -55,8 +55,8 @@ class _CallerStats(ClampStats):
 
 def _outputs(seed=3):
     """Every threaded entry point on 40 rows, as a list of arrays, with the
-    clamp count: a floor of 0.2 clamps most cells, and a NaN
-    in the frozen pmfs of the training losses reaches some of them."""
+    clamp count: a floor of 0.2 clamps most cells, and a NaN in the frozen
+    pmfs of the training losses reaches some of them."""
     rng = np.random.default_rng(seed)
     world = MarginalWorld(rng.dirichlet(np.ones(K)), rng.dirichlet(np.ones(K)))
     ds = gen_marginal(world, N, seed=seed)
