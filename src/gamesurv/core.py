@@ -30,9 +30,9 @@ that names the field:
 
 A standardizer checks its own ``mean`` and ``std`` (`simgen.Standardizer`).
 
-Row-local passes over many rows (the MLP's cache-free forward, the
-likelihood in `losses.batch_loss` and every score of `losses._cells`) run in
-the row blocks of `_row_blocks`: `ROW_BLOCK` rows each, the remainder joined
+Row-local passes over many rows (the MLP's cache-free forward and every
+score of `losses._cells`, the likelihood's included) run in the row blocks
+of `_row_blocks`: `ROW_BLOCK` rows each, the remainder joined
 to the last, one plain call below 2 * `ROW_BLOCK` rows. A block writes its
 rows of full-length outputs, and every sum over rows runs once on those, so
 results and clamp counts are the unblocked ones bit for bit. The blocks of

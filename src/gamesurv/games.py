@@ -35,7 +35,7 @@ from .losses import (
     ROLES,
     ClampStats,
     LossSpec,
-    _nll_values_dpmf,
+    _cells,
     _role_flags,
     _terms,
     batch_loss,
@@ -355,16 +355,14 @@ def _selection_tables(
     flat = lambda arr: arr.reshape(E, val.n * times.size)
 
     def table(role, own_pmfs, frozen_pmfs):  # [j, i]: own i against frozen j
+        plan = label_plan(val.time_bin, val.event, val.n_bins, times, _role_flags((role,)))
         if family == "nll":
-            # one values-only pass over the (E, n, K) stack, reduced per checkpoint
-            vals, _ = _nll_values_dpmf(_role_flags((role,)), own_pmfs, own_pmfs.cumsum(axis=-1),
-                                       val.time_bin, val.event, weight_floor, None)
-            w = np.full(val.n, 1.0 / val.n)
-            return np.tile([float(v @ w) for v in vals], (E, 1))
+            # one values-only pass over the (E, 1, n, K) stack, reduced per checkpoint
+            vals = _cells(plan, (family,), own_pmfs[:, None], None, weight_floor)[0][:, 0]
+            return np.tile([float(v @ plan.weight) for v in vals], (E, 1))
         # Bulk route: each entry is a sum over (sample, horizon) of the loss
         # kernel's own term times frozen weight, so the whole E x E table is
         # one matrix product between flattened (E, n*T) stacks.
-        plan = label_plan(val.time_bin, val.event, val.n_bins, times, _role_flags((role,)))
         _, terms, _ = _terms(family, plan, own_pmfs.cumsum(axis=-1), weight_floor, None)
         w = ipcw_weight_arrays(role, frozen_pmfs, val.time_bin, val.event, times, weight_floor)
         return flat(w) @ flat(terms).T / val.n

@@ -31,9 +31,11 @@ Conventions, fixed across the package:
   flag c (0 failure, 1 censor): the event indicator is ``event ^ c``, the
   event-branch survival column is U - 1 + c (Gbar(U-) or Fbar(U)), and the
   likelihood's tail starts at U - c. A single role is R = 1.
-- Every IPCW score runs one chain, `_ipcw_weights` then `_scores`, behind
-  one private entry point, `_cells`. The input rules and the row-block rule
-  are stated once, in the `core` module docstring.
+- Every score runs behind one private entry point, `_cells`, on the row
+  blocks of one label plan (`label_plan`, which checks the labels once): a
+  game family through `_ipcw_weights` then `_scores`, the likelihood
+  through `_likelihood`, which reads no other player. The input rules and
+  the row-block rule are stated once, in the `core` module docstring.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ class LossSpec:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         roles = self.role if isinstance(self.role, tuple) else (self.role,)
         object.__setattr__(self, "_flags", _role_flags(roles))
-        object.__setattr__(self, "_plan_key", (_horizons(self.times), roles))
+        horizons = _horizons(self.times)  # checked for every family; the likelihood reads none
+        object.__setattr__(self, "_plan_key", (() if self.family == "nll" else horizons, roles))
         _check_floor(self.weight_floor)
 
 
@@ -184,20 +187,21 @@ def _clamp(values: np.ndarray, floor: float, active, stats: ClampStats | None):
 
 @dataclass(frozen=True)
 class LabelPlan:
-    """The label side of the inverse weights, fixed by the labels (U, delta)
-    on ``n_bins`` bins, the row weights, the horizons and the roles; a batch
+    """The label side of every score, fixed by the labels (U, delta) on
+    ``n_bins`` bins, the row weights, the horizons and the roles; a batch
     builds it on its first loss call and every later call reuses it. For R
-    roles, n rows and T horizons: ``roles`` (R, 1), ``rows`` (n,) and
-    ``evt_col`` (R, n), the event-branch column U - 1 + c, gather from a
-    survival table;
+    roles, n rows and T horizons: ``flags`` (R, 1) holds the censor flags c,
+    ``roles`` (R, 1), ``rows`` (n,) and ``evt_col`` (R, n), the event-branch
+    column U - 1 + c, gather from a survival table;
     ``surv_cols`` and ``cdf_cols`` pick the columns t and t - 1 (slices when
     the horizons are contiguous, which index faster than arrays); ``ind``
     (R, n) is the indicator ``event ^ c`` as 0.0/1.0, ``evt_used`` (R, n)
     marks the rows some horizon's event branch uses, ``le`` (n, T) is the
-    branch mask U <= t, and ``weight`` (n,) sums to 1."""
+    branch mask U <= t (T = 0 for the likelihood), ``weight`` (n,) sums to 1."""
 
     n_bins: int
     times: np.ndarray
+    flags: np.ndarray
     roles: np.ndarray
     rows: np.ndarray
     evt_col: np.ndarray
@@ -215,7 +219,7 @@ class LabelPlan:
         if rows == slice(None):
             return self
         return LabelPlan(
-            self.n_bins, self.times, self.roles, self.rows[: rows.stop - rows.start],
+            self.n_bins, self.times, self.flags, self.roles, self.rows[: rows.stop - rows.start],
             self.evt_col[:, rows], self.surv_cols, self.cdf_cols, self.ind[:, rows],
             self.evt_used[:, rows], self.le[rows], self.weight[rows],
         )
@@ -256,13 +260,13 @@ def label_plan(
     weight: np.ndarray | None = None,
 ) -> LabelPlan:
     """The label plan of (``time_bin``, ``event``) on ``n_bins`` bins, which
-    checks the labels, at horizons ``times`` for the roles with (R, 1)
-    censor ``flags``; ``weight`` holds normalized row weights, uniform when
-    None."""
+    checks the labels, at sorted, distinct horizons ``times`` (none for the
+    likelihood) for the roles with (R, 1) censor ``flags``; ``weight`` holds
+    normalized row weights, uniform when None."""
     time_bin, event = _labels(time_bin, event, n_bins)
     n = time_bin.size
     ind = event ^ flags  # event or ~event
-    if np.all(np.diff(times) == 1):
+    if times.size and times[-1] - times[0] == times.size - 1:  # contiguous
         first, last = int(times[0]), int(times[-1])
         surv_cols, cdf_cols = slice(first, last + 1), slice(first - 1, last)
     else:
@@ -270,13 +274,14 @@ def label_plan(
     return LabelPlan(
         n_bins=n_bins,
         times=times,
+        flags=flags,
         roles=np.arange(flags.shape[0])[:, None],
         rows=np.arange(n),
         evt_col=time_bin - 1 + flags,
         surv_cols=surv_cols,
         cdf_cols=cdf_cols,
         ind=ind.astype(float),  # a float numerator divides faster than a bool one
-        evt_used=ind & (time_bin <= times[-1]),
+        evt_used=ind & (time_bin <= times.max(initial=0)),
         le=time_bin[:, None] <= times,
         weight=np.full(n, 1.0 / n) if weight is None else weight,
     )
@@ -348,84 +353,70 @@ def _scores(family, plan: LabelPlan, cdf, w, floor, stats: ClampStats | None, gr
     return vals, w
 
 
+def _likelihood(plan: LabelPlan, own: np.ndarray, cdf: np.ndarray, floor: float,
+                stats: ClampStats | None, grad: bool):
+    """Per-(role, sample) negative log-likelihood terms (..., R, n) of own
+    pmfs (..., R, n, K) with cdfs ``cdf`` and, with ``grad``, the pmf
+    gradient of each role's plan-weighted total: ``(values,)`` or ``(values,
+    dpmf)``. A point mass, -log f(U) or -log g(U), on the indicator's rows,
+    else a tail, -log Fbar(U) or -log Gbar(U-). The players share no
+    parameters, so the joint likelihood splits into independent problems."""
+    at = (..., plan.roles, plan.rows)
+    point = plan.ind == 1.0
+    point_col = plan.evt_col - plan.flags  # U - 1
+    tail_col = point_col - plan.flags  # U - 1 - c, the last cdf column below the tail
+    pm, pm_clamped = _clamp(own[at + (point_col,)], floor, lambda: point, stats)
+    tm = np.where(tail_col >= 0, 1.0 - cdf[at + (tail_col,)], 1.0)
+    tm, tm_clamped = _clamp(tm, floor, lambda: ~point, stats)
+    mass = np.where(point, pm, tm)
+    vals = -np.log(mass)
+    if not grad:
+        return (vals,)
+    # 0 - w, not -w: a zero weight gives +0.0, as zeros summed do; clamped terms are flat
+    g = np.where(np.where(point, pm_clamped, tm_clamped), 0.0, np.subtract(0.0, plan.weight) / mass)
+    # the tail term covers every bin from U - c on, the point term its one bin
+    tail = np.where(point, 0.0, g)[..., None]
+    dpmf = np.where(np.arange(own.shape[-1]) > tail_col[..., None], tail, 0.0)
+    dpmf[at + (point_col,)] += np.where(point, g, 0.0)
+    return vals, dpmf
+
+
 def _cells(plan: LabelPlan, families, own, other, floor: float, stats: ClampStats | None = None,
            grad: bool = False, reduce=None):
-    """The game chain, `_ipcw_weights` then `_scores` for each of
-    ``families``, on the row blocks of ``plan``; the one place either runs.
+    """The score chain for each of ``families`` on the row blocks of
+    ``plan``, the one place it runs: `_ipcw_weights` then `_scores` for a
+    game family, `_likelihood` for "nll".
 
     ``own``: own pmfs (*lead, R, n, K), or None for the weights alone.
     ``other``: the other player's side (*lead, R, m, ...), m = n or 1, with
     lead axes of size 1 when it serves every own stack: its pmfs (K
     columns), whose survival tables each row block builds, or survival
-    tables (K+1 columns). The lead axes are free (runs, checkpoints or
-    none), and the rows sit on the axis after them and the role axis, in
-    every input and output. Returns the (*lead, R, n, T) weights, or per
-    family its values and, with ``grad``, its cdf coefficients, written over
-    the weights (so one family), or what ``reduce(rows, part, cdf,
-    *outputs)`` makes of a block's rows, label plan, own cdfs and outputs.
-    Values and clamp counts are those of one call per lead index."""
-    if own is not None and own.ndim > 3:  # lead axes: a shared side serves every own stack
-        other = np.broadcast_to(other, own.shape[:-2] + other.shape[-2:])
+    tables (K+1 columns); None for the likelihood alone. The lead axes are
+    free (runs, checkpoints or none), and the rows sit on the axis after
+    them and the role axis, in every input and output. Returns the (*lead,
+    R, n, T) weights, or per family its values and, with ``grad``, a game's
+    cdf coefficients, written over the weights (so one family), or the
+    likelihood's pmf gradient; or what ``reduce(rows, part, cdf, *outputs)``
+    makes of a block's rows, label plan, own cdfs and outputs. Values and
+    clamp counts are those of one call per lead index."""
+    if own is not None and other is not None and own.ndim > 3:
+        other = np.broadcast_to(other, own.shape[:-2] + other.shape[-2:])  # serves every own stack
 
     def block(rows, stats):
         part = plan.block(rows)
-        side = other[..., rows, :] if other.shape[-2] > 1 else other
-        surv = _padded_surv(side) if side.shape[-1] == plan.n_bins else side
-        w = _ipcw_weights(part, surv, floor, stats)
-        if own is None:
-            return (w,)
+        if other is not None:
+            side = other[..., rows, :] if other.shape[-2] > 1 else other
+            surv = _padded_surv(side) if side.shape[-1] == plan.n_bins else side
+            w = _ipcw_weights(part, surv, floor, stats)
+            if own is None:
+                return (w,)
         cdf = own[..., rows, :].cumsum(axis=-1)
-        out = [a for family in families for a in _scores(family, part, cdf, w, floor, stats, grad)]
+        out = [a for family in families for a in (
+            _scores(family, part, cdf, w, floor, stats, grad) if family != "nll"
+            else _likelihood(part, own[..., rows, :], cdf, floor, stats, grad))]
         return out if reduce is None else reduce(rows, part, cdf, *out)
 
-    return _joined(plan.rows.size, block, stats, other.ndim - 2)
-
-
-def _nll_values_dpmf(
-    flags: np.ndarray,
-    own_pmf: np.ndarray,
-    own_cdf: np.ndarray,
-    time_bin: np.ndarray,
-    event: np.ndarray,
-    floor: float,
-    stats: ClampStats | None,
-    weights: np.ndarray | None = None,
-):
-    """Per-(role, sample) partial log-likelihood terms (R, n) and, given
-    row ``weights``, the pmf gradient (R, n, K) of each role's weighted
-    total (None without), for (R, n, K) pmfs and their cdfs. One role's
-    (1, 1) ``flags`` broadcast over any (E, n, K) stack of its pmfs. The two
-    players' likelihoods share no parameters, which is what lets the joint
-    likelihood split into independent problems."""
-    R, n, K = own_pmf.shape
-    time_bin, event = _labels(time_bin, event, K)
-    roles, rows = np.arange(R)[:, None], np.arange(n)
-
-    # failure: -log f(U) on events, -log Fbar(U) = -log sum_{k > U} otherwise;
-    # censor: -log g(U) on censorings, -log Gbar(U-) = -log sum_{k >= U}
-    point_rows = event ^ flags
-    tail_start = time_bin - flags
-
-    point_mass = own_pmf[roles, rows, time_bin - 1]
-    tail_mass = np.where(tail_start > 0, 1.0 - own_cdf[roles, rows, tail_start - 1], 1.0)
-    del own_cdf  # a caller's temporary cdf is freed before the gradient is built
-
-    pm, pm_clamped = _clamp(point_mass, floor, lambda: point_rows, stats)
-    tm, tm_clamped = _clamp(tail_mass, floor, lambda: ~point_rows, stats)
-
-    vals = np.where(point_rows, -np.log(pm), -np.log(tm))
-    if weights is None:
-        return vals, None
-
-    dpmf = np.zeros((R, n, K))
-    r, i = np.nonzero(point_rows & ~pm_clamped)
-    dpmf[r, i, time_bin[i] - 1] = -weights[i] / pm[r, i]
-    r, i = np.nonzero(~point_rows & ~tm_clamped)
-    spread = np.zeros((R, n, K + 1))
-    spread[r, i, tail_start[r, i]] = -weights[i] / tm[r, i]
-    # tail term covers all bins from tail_start on
-    dpmf += spread[..., :K].cumsum(axis=-1)
-    return vals, dpmf
+    return _joined(plan.rows.size, block, stats, (other if own is None else own).ndim - 2)
 
 
 def _per_role(spec: LossSpec, values, arrays):
@@ -436,21 +427,23 @@ def _per_role(spec: LossSpec, values, arrays):
     return values[0], arrays[0]
 
 
-def _game_pass(spec: LossSpec, own: np.ndarray, frozen_pmf, batch: Batch,
-               stats: ClampStats | None, reduce=None):
+def _pass(spec: LossSpec, own: np.ndarray, frozen_pmf, batch: Batch, stats: ClampStats | None,
+          reduce=None):
     """``batch``'s label plan for the horizons and roles of ``spec`` and the
-    `_cells`, with coefficients, of its game family for an (R, n, K) own
-    stack against ``frozen_pmf``. The plan is built on first use and kept on
-    the batch, whose label arrays are read-only."""
-    if frozen_pmf is None:
-        raise ValueError("game losses need the other player's pmf")
+    `_cells`, with gradients, of its family for an (R, n, K) own stack, a
+    game's against ``frozen_pmf``. The plan is built on first use and kept
+    on the batch, whose label arrays are read-only."""
     K = own.shape[-1]
-    frozen = _as_matrix("frozen_pmf", frozen_pmf, batch.n, n_bins=K, roles=spec.role)
+    frozen = None
+    if spec.family != "nll":
+        if frozen_pmf is None:
+            raise ValueError("game losses need the other player's pmf")
+        frozen = _as_matrix("frozen_pmf", frozen_pmf, batch.n, n_bins=K, roles=spec.role)
     key = (spec._plan_key, K)
     plan = batch._plans.get(key)
     if plan is None:
-        plan = batch._plans[key] = label_plan(batch.time_bin, batch.event, K,
-                                              resolve_times(spec.times, K), spec._flags,
+        times = np.arange(0) if spec.family == "nll" else resolve_times(spec.times, K)
+        plan = batch._plans[key] = label_plan(batch.time_bin, batch.event, K, times, spec._flags,
                                               batch.norm_weight())
     return plan, _cells(plan, (spec.family,), own, frozen, spec.weight_floor, stats, True, reduce)
 
@@ -464,35 +457,30 @@ def batch_loss(
 ) -> tuple[float, np.ndarray]:
     """Weighted batch loss and its gradient with respect to ``own_pmf``.
 
-    The frozen side enters only through probabilities treated as constants;
-    the returned gradient is exactly d(value)/d(own_pmf), rows scaled by the
-    normalized batch weights. With a tuple ``spec.role`` both pmf arguments
-    carry a leading role axis and every role is scored in one pass. The game
-    families take the batch's label plan, built on the first call.
+    The frozen side enters only through probabilities treated as constants,
+    and the likelihood ignores it; the returned gradient is exactly
+    d(value)/d(own_pmf), rows scaled by the normalized batch weights. With a
+    tuple ``spec.role`` both pmf arguments carry a leading role axis and
+    every role is scored in one pass. Every family takes the batch's label
+    plan, built on the first call.
 
     Returns
     -------
     value : float, or ndarray (R,) for a tuple role
     dpmf : ndarray, shape (n, K), or (R, n, K) for a tuple role
     """
-    n = batch.n
-    own = _as_matrix("own_pmf", own_pmf, n, roles=spec.role)
-    if spec.family == "nll":
-        w = batch.norm_weight()
-        vals, dpmf = _joined(n, lambda rows, stats: _nll_values_dpmf(
-            spec._flags, own[:, rows], own[:, rows].cumsum(axis=-1), batch.time_bin[rows],
-            batch.event[rows], spec.weight_floor, stats, w[rows]
-        ), stats)
-        return _per_role(spec, [float(v @ w) for v in vals], dpmf)
+    own = _as_matrix("own_pmf", own_pmf, batch.n, roles=spec.role)
 
-    def reduce(rows, part, cdf, vals, coefs):  # row sums and the pmf gradient, no (n, T) kept
+    def reduce(rows, part, cdf, vals, coefs):  # a game's row sums and pmf gradient, no (n, T) kept
         # d cdf(t) / d pmf_k = 1{k <= t}: scatter per-horizon coefs, then suffix-sum
         coefs *= part.weight[:, None]
         tmp = np.zeros(coefs.shape[:-1] + own.shape[-1:])
         tmp[..., part.cdf_cols] = coefs
         return vals.sum(axis=-1), tmp[..., ::-1].cumsum(axis=-1)[..., ::-1]
 
-    plan, (vals, dpmf) = _game_pass(spec, own, frozen_pmf, batch, stats, reduce)
+    # the likelihood's values and pmf gradient come per row
+    plan, (vals, dpmf) = _pass(spec, own, frozen_pmf, batch, stats,
+                               None if spec.family == "nll" else reduce)
     return _per_role(spec, [float(plan.weight @ v) for v in vals], dpmf)
 
 
@@ -517,7 +505,7 @@ def per_horizon_loss(
     if spec.family == "nll":
         raise ValueError("per-horizon form is defined for the game losses only")
     own = _as_matrix("own_pmf", own_pmf, batch.n, roles=spec.role)
-    plan, (vals, coefs) = _game_pass(spec, own, frozen_pmf, batch, stats)
+    plan, (vals, coefs) = _pass(spec, own, frozen_pmf, batch, stats)
     return _per_role(spec, [plan.weight @ v for v in vals], [plan.weight @ c for c in coefs])
 
 
@@ -585,9 +573,10 @@ def nll(pmf, time_bin, event, role="failure", weight_floor=1e-6, stats=None):
     """
     spec = LossSpec("nll", _one_role(role), weight_floor=weight_floor)
     own = _as_matrix("pmf", pmf, np.size(time_bin), roles=spec.role)
-    _check_pmf("pmf", pmf, own.shape[-1])
-    return _nll_values_dpmf(spec._flags, own, own.cumsum(axis=-1), time_bin, event,
-                            weight_floor, stats)[0][0]
+    K = own.shape[-1]
+    _check_pmf("pmf", pmf, K)
+    plan = label_plan(time_bin, event, K, np.arange(0), spec._flags)
+    return _cells(plan, ("nll",), own, None, weight_floor, stats)[0][0]
 
 
 def ipcw_mean(time_bin, event, censor_pmf, weight_floor=1e-6, stats=None):
@@ -600,9 +589,8 @@ def ipcw_mean(time_bin, event, censor_pmf, weight_floor=1e-6, stats=None):
     frozen = _as_matrix("censor_pmf", censor_pmf, np.size(time_bin))
     K = frozen.shape[-1]
     _check_pmf("censor_pmf", censor_pmf, K)
-    bins, event = _labels(time_bin, event, K)
     # horizon K, past the scored 1..K-1, puts every row on the event branch,
-    # whose weight is delta / Gbar(U-)
-    plan = label_plan(bins, event, K, np.array([K]), _role_flags(("failure",)))
+    # whose weight is delta / Gbar(U-), zero off the events
+    plan = label_plan(time_bin, event, K, np.array([K]), _role_flags(("failure",)))
     inv = _cells(plan, (), None, frozen[None], weight_floor, stats)[0][0, :, 0]
-    return float(np.where(event, bins * inv, 0.0).mean())
+    return float(((plan.evt_col[0] + 1) * inv).mean())  # the failure event column is U - 1

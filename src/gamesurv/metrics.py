@@ -13,7 +13,8 @@ term code of its own; its input and row-block rules are core's (see the
 `core` module docstring). `evaluate` scores a cohort in one pass: one pmf
 check, censoring table, label plan and latent-bin lookup serve all its
 scores, each row block's inverse weights serve both Brier and BLL, and its
-cdf also gives the likelihood and the calibration their entries.
+cdf gives the calibration and the likelihood (on the observed labels' plan,
+under every weighting) their entries.
 Concordance makes one pass per bit of the 2 * n_times (time, event) classes
 and takes ties from runs of equal risk (`concordance_index`).
 """
@@ -27,8 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Dataset, _check_pmf, _events, _finite, assign_bins
-from .losses import _as_matrix, _cells, _check_floor, _nll_values_dpmf
-from .losses import _role_flags, label_plan
+from .losses import _as_matrix, _cells, _check_floor, _likelihood, _role_flags, label_plan
 from .simgen import MarginalWorld
 
 __all__ = [
@@ -144,6 +144,13 @@ class _Cohort:
         return gbar, dataset.time_bin, dataset.event
 
     @cached_property
+    def observed(self):
+        """The label plan of the observed labels, which the likelihood reads
+        under every weighting and the scores under all but the latent one."""
+        K = self.dataset.n_bins
+        return label_plan(self.dataset.time_bin, self.dataset.event, K, np.arange(1, K), _FAILURE)
+
+    @cached_property
     def scores(self) -> dict:
         """The failure player's Brier and BLL training scores per horizon,
         averaged over rows, by family, from one pass of the loss kernel's
@@ -151,7 +158,8 @@ class _Cohort:
         gives the block's `entries`."""
         side, time_bin, event = self.censoring()
         K = self.dataset.n_bins
-        plan = label_plan(time_bin, event, K, np.arange(1, K), _FAILURE)
+        plan = (label_plan(time_bin, event, K, np.arange(1, K), _FAILURE)
+                if self.weighting == "uncensored-latent" else self.observed)
         out = _cells(plan, SCORES, self.pmf[None], side.reshape(1, -1, side.shape[-1]), self.floor,
                      reduce=lambda rows, part, cdf, *vals: (*vals, *self._entries_of(rows, cdf)))
         self._entries = out[2:]
@@ -160,16 +168,17 @@ class _Cohort:
     def entries(self) -> tuple:
         """The per-row likelihood values and, with latent times, the cdf at
         each latent bin, (1, n) each: from the score pass when it has run,
-        else from one cumsum of the whole pmf."""
+        else from a pass of their own over the same row blocks."""
         if self._entries is None:
-            self._entries = self._entries_of(slice(None), self.pmf[None].cumsum(axis=-1))
+            self._entries = _cells(self.observed, (), self.pmf[None], None, self.floor,
+                                   reduce=lambda rows, part, cdf: self._entries_of(rows, cdf))
         return self._entries
 
     def _entries_of(self, rows, cdf) -> tuple:
         """The `entries` of rows ``rows``, from their (1, rows, K) cdfs."""
-        data, lat = self.dataset, self.latent_bins
-        nll, _ = _nll_values_dpmf(_FAILURE, self.pmf[None, rows], cdf, data.time_bin[rows],
-                                  data.event[rows], self.floor, None)
+        lat = self.latent_bins
+        nll, = _likelihood(self.observed.block(rows), self.pmf[None, rows], cdf, self.floor, None,
+                           False)
         if lat is None:
             return (nll,)
         return nll, cdf[:, np.arange(cdf.shape[1]), lat[rows] - 1]

@@ -181,22 +181,24 @@ def test_step_metrics_check_rows_only_when_a_norm_is_not_finite():
 @pytest.mark.parametrize("game_form, steps", [("summed", 2000), ("multiplayer", 500)])
 def test_repeated_steps_on_one_batch_build_one_label_plan(monkeypatch, game_form, steps):
     # guards the label-plan memo: the population batch's labels are
-    # planned once, however many steps reuse it
-    builds = []
+    # planned (and checked) once, however many steps reuse it, under the
+    # game and, in the summed form, under the likelihood
     original = losses.label_plan
-
-    def counted(*args, **kwargs):
-        builds.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(losses, "label_plan", counted)
-    state = init_state(2, 0, TrainConfig(objective="bs-game", game_form=game_form,
-                                         optimizer="sgd", learning_rate=0.01, epochs=0))
-    batch = population_batch(TRUTH)
     step = step_multiplayer if game_form == "multiplayer" else step_summed
-    for _ in range(steps):
-        step(state, batch)
-    assert len(builds) == 1
+    for objective in ("bs-game", "nll") if game_form == "summed" else ("bs-game",):
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "label_plan", counted)
+        state = init_state(2, 0, TrainConfig(objective=objective, game_form=game_form,
+                                             optimizer="sgd", learning_rate=0.01, epochs=0))
+        batch = population_batch(TRUTH)
+        for _ in range(steps):
+            step(state, batch)
+        assert len(builds) == 1
 
 
 def test_truth_is_stationary_multiplayer():

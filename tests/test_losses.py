@@ -251,6 +251,12 @@ def test_nll_terminal_censored_clamps():
     v = nll(f, np.array([2]), np.array([False]), weight_floor=1e-6, stats=stats)
     assert v[0] == pytest.approx(-np.log(1e-6))
     assert stats.count == 1
+    # clamped terms are flat in the pmf: a point mass (row 0) and a tail
+    # (row 1) below the floor give no gradient, an unclamped point mass does
+    batch = Batch(np.array([1, 2, 2]), np.array([True, False, True]))
+    _, dpmf = batch_loss(LossSpec("nll", "failure", weight_floor=0.5), f, None, batch, stats)
+    assert np.array_equal(dpmf, [[0.0, 0.0], [0.0, 0.0], [0.0, -(1 / 3) / 0.7]])
+    assert stats.count == 3
 
 
 def test_bll_needs_interior_cdf_values():
@@ -577,7 +583,7 @@ def test_game_losses_need_the_frozen_pmf(family, roles):
 
 @settings(max_examples=60)
 @given(
-    families=st.sampled_from([("ipcw-bs",), ("ipcw-bll",), ("ipcw-bs", "ipcw-bll")]),
+    families=st.sampled_from([("ipcw-bs",), ("ipcw-bll",), ("ipcw-bs", "ipcw-bll"), ("nll",)]),
     shared=st.booleans(),
     blocked=st.booleans(),
     n_stacks=st.integers(1, 3),
@@ -589,11 +595,13 @@ def test_game_losses_need_the_frozen_pmf(family, roles):
 def test_cells_take_free_leading_axes(families, shared, blocked, n_stacks, roles, n_bins, n,
                                       seed):
     # an (E, R, n, K) own stack against per-stack (E, R, n, K+1) or shared
-    # (1, R, 1, K+1) tables, in one call, equals E separate calls bit for
-    # bit: weights, values, coefficients and clamp counts, with a NaN in one
+    # (1, R, 1, K+1) tables, or with no other side for the likelihood, in
+    # one call, equals E separate calls bit for bit: weights, values,
+    # coefficients or pmf gradients and clamp counts, with a NaN in one
     # frozen table reaching the same cells
     rng = np.random.default_rng(seed)
     floor = 0.25  # high, so that clamps fire
+    likelihood = families == ("nll",)
     E, R = n_stacks, len(roles)
     own = _floored_pmfs(rng, (E, R, n, n_bins), 0.02)
     frozen = _floored_pmfs(rng, (1, R, 1, n_bins) if shared else (E, R, n, n_bins), 0.02)
@@ -607,6 +615,8 @@ def test_cells_take_free_leading_axes(families, shared, blocked, n_stacks, roles
 
     def cells(own, surv):
         stats = ClampStats()
+        if own is not None and likelihood:
+            surv = None
         out = losses._cells(plan, families if own is not None else (), own, surv, floor, stats,
                             grad)
         return out, stats.count
@@ -622,7 +632,33 @@ def test_cells_take_free_leading_axes(families, shared, blocked, n_stacks, roles
     assert clamps == sum(count for _, count in want)
     assert _same_bits(weights[0], [out[0] for out, _ in want_weights])
     assert weight_clamps == sum(count for _, count in want_weights)
-    assert np.isnan(got[0][0, 0, 0]).all()
+    assert np.isnan(got[0][0, 0, 0]).all() != likelihood  # the likelihood reads no frozen table
+
+
+@pytest.mark.parametrize("roles", ["failure", ROLES])
+def test_the_likelihood_builds_no_inverse_weights(monkeypatch, roles):
+    # the evaluate audit hands the frozen pmf to every family: the
+    # likelihood gives the bits it gives without one, on row blocks, and
+    # never reaches the weights
+    calls = []
+    weights = losses._ipcw_weights
+    monkeypatch.setattr(losses, "_ipcw_weights", lambda *args: calls.append(1) or weights(*args))
+    monkeypatch.setattr(core, "ROW_BLOCK", 7)
+    rng = np.random.default_rng(5)
+    n, n_bins = 40, 5
+    lead = (len(roles),) if isinstance(roles, tuple) else ()
+    own, frozen = (_floored_pmfs(rng, (*lead, n, n_bins), 0.02) for _ in range(2))
+    batch = Batch(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5,
+                  weight=rng.random(n) + 0.1)
+    runs = []
+    for side in (None, frozen):
+        stats = ClampStats()
+        runs.append([*batch_loss(LossSpec("nll", roles, weight_floor=0.25), own, side, batch,
+                                 stats), stats.count])
+    assert _same_bits(runs[0][0], runs[1][0]) and _same_bits(runs[0][1], runs[1][1])
+    assert runs[0][2] == runs[1][2] > 0 and not calls
+    batch_loss(LossSpec("ipcw-bs", roles), own, frozen, batch)  # the counter counts
+    assert calls
 
 
 def test_a_nan_in_the_frozen_pmf_reaches_the_value():

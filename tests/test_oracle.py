@@ -641,23 +641,38 @@ def test_oracle_never_imports_losses():
 
 
 def test_only_losses_reaches_the_scoring_chain():
-    # every IPCW score goes through losses._cells, so the chain's parts stay
-    # private to losses: no other module imports them or reads them by name
-    chain = {"_ipcw_weights", "_scores", "_joined"}
-    for path in Path(gamesurv.oracle.__file__).parent.glob("*.py"):
-        if path.name == "losses.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
+    # every score goes through losses._cells, so the chain's parts stay
+    # private to losses: no other module imports them or reads them by
+    # name, except that metrics reads the likelihood kernel
+    chain = {"_ipcw_weights", "_scores", "_joined", "_likelihood"}
+    package = Path(gamesurv.oracle.__file__).parent
+    sites = []  # (module, top-level name, function, part) of each call to a part
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        allowed = {"losses.py": chain, "metrics.py": {"_likelihood"}}.get(path.name, set())
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
             elif isinstance(node, ast.Attribute):
                 names = {node.attr}
             else:
                 continue
-            assert not names & chain, f"{path.name} reaches {names & chain} at line {node.lineno}"
-    # and inside losses, the weights and the scores each run at one call site, in _cells
-    losses_tree = ast.parse((Path(gamesurv.oracle.__file__).parent / "losses.py").read_text())
-    sites = [(top.name, node.func.id) for top in losses_tree.body for node in ast.walk(top)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-             and node.func.id in {"_ipcw_weights", "_scores"}]
-    assert sorted(sites) == [("_cells", "_ipcw_weights"), ("_cells", "_scores")]
+            reached = names & chain - allowed
+            assert not reached, f"{path.name} reaches {reached} at line {node.lineno}"
+        for top in tree.body:
+            defs = top.body if isinstance(top, ast.ClassDef) else [top]
+            for fn in defs:
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                            and node.func.id in allowed - {"_joined"}:
+                        sites.append((path.stem, getattr(top, "name", ""),
+                                      getattr(fn, "name", ""), node.func.id))
+    # the weights, the scores and the likelihood each run at one call site,
+    # in _cells, and the likelihood at one more: the block reduce that reads
+    # an evaluation cohort's observed labels
+    assert sorted(sites) == [
+        ("losses", "_cells", "_cells", "_ipcw_weights"),
+        ("losses", "_cells", "_cells", "_likelihood"),
+        ("losses", "_cells", "_cells", "_scores"),
+        ("metrics", "_Cohort", "_entries_of", "_likelihood"),
+    ]
