@@ -35,17 +35,25 @@ score of `losses._cells`, the likelihood's included) run in the row blocks
 of `_row_blocks`: `ROW_BLOCK` rows each, the remainder joined
 to the last, one plain call below 2 * `ROW_BLOCK` rows. A block writes its
 rows of full-length outputs, and every sum over rows runs once on those, so
-results and clamp counts are the unblocked ones bit for bit. The blocks of
-a call run through `_each_block`: from 4 blocks up, when
-`os.sched_getaffinity` gives the process at least 2 CPUs, one helper thread
-runs the odd blocks in a copy of the caller's context (so a caller's
+results and clamp counts are the unblocked ones bit for bit. A call's parts
+(its row blocks, or for a stack of models each model pair's row blocks)
+run through `_each_part`, on two threads when the call is wide enough to
+pay for them: from 3 parts up, averaging at least `_THREAD_CELLS` cells
+(rows times the columns each row computes) per part, when
+`os.sched_getaffinity` gives the process at least 2 CPUs. Then one helper
+thread runs the odd parts in a copy of the caller's context (so a caller's
 `np.errstate` holds) while the caller runs the even ones, and is joined
 before the call returns, so no thread outlives a call or meets a fork;
-below that the blocks run one after another on the caller. Clamp counts
-are block-local and added on the caller in block order, and the caller
-re-raises the first failure in block order. A block reads shared inputs
-and writes only its own rows, and every sum over rows runs after the
-blocks, so which thread runs a block cannot move a bit.
+otherwise the parts run one after another on the caller. A narrow call
+(criterion 01's 10k-row chunks at K <= 4) runs serially because its numpy
+calls are too short to release the interpreter lock for long, and a
+second thread only adds hand-offs. The helper runs only private
+arithmetic: every traced entry point (model construction, `forward`,
+`predict_pmf`, the losses) runs on the caller, which starts the split.
+Clamp counts are part-local and added on the caller in part order, and the
+caller re-raises the first failure in part order. A part reads shared
+inputs and writes only its own rows, and every sum over rows runs after
+the parts, so which thread runs a part cannot move a bit.
 """
 
 from __future__ import annotations
@@ -77,6 +85,13 @@ __all__ = [
 # a large matmul, and a large block gives the same bits as the whole batch.
 ROW_BLOCK = 1024
 
+# Cells per part, on average, from which a call's parts run on two threads.
+# Per-part size, not the call's total, decides: on 10k- and 1e5-row
+# `per_horizon_loss` calls a second thread slowed parts of 2048-8192 cells
+# by 1.1-2.9x and sped up parts of 20480 cells and more by up to 1.4x (the
+# 10k-row, K = 20 call read 1.01-1.12x, about even).
+_THREAD_CELLS = 1 << 14
+
 
 def _row_blocks(n: int) -> list[slice]:
     """The row blocks of ``n`` rows: ``ROW_BLOCK`` rows each, the remainder
@@ -88,20 +103,20 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
 
 
-def _each_block(n: int, kernel) -> list:
-    """``kernel(rows)`` on each row block of ``n`` rows (`_row_blocks`),
-    the results in block order, on the threads of the module docstring's
-    rule. Block 0 runs first, on the caller, before any other starts."""
-    blocks = _row_blocks(n)
-    if len(blocks) < 4 or len(os.sched_getaffinity(0)) < 2:
-        return [kernel(rows) for rows in blocks]
-    results = [kernel(blocks[0])] + [None] * (len(blocks) - 1)
-    failures = [None] * len(blocks)
+def _each_part(parts: list, kernel, cells: int) -> list:
+    """``kernel(part)`` on each of ``parts``, the results in part order, on
+    the threads of the module docstring's rule for a call of ``cells``
+    cells. Part 0 runs first, on the caller, before any other starts."""
+    if (len(parts) < 3 or cells < _THREAD_CELLS * len(parts)
+            or len(os.sched_getaffinity(0)) < 2):
+        return [kernel(part) for part in parts]
+    results = [kernel(parts[0])] + [None] * (len(parts) - 1)
+    failures = [None] * len(parts)
 
     def run(first: int) -> None:
-        for i in range(first, len(blocks), 2):
+        for i in range(first, len(parts), 2):
             try:
-                results[i] = kernel(blocks[i])
+                results[i] = kernel(parts[i])
             except BaseException as exc:  # raised on the caller below
                 failures[i] = exc
                 return

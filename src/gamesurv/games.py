@@ -316,7 +316,7 @@ class SelectionResult:
 
 
 def _alternating_argmin(loss_g_given_f, loss_f_given_g, start_f: int, max_rounds: int):
-    """Alternate best responses on precomputed validation-loss tables:
+    """Alternate best responses on validation-loss tables read by rows:
     given the current failure pick, choose the censoring checkpoint that
     minimizes its loss weighted by that pick, then re-pick the failure
     model against it. Stops when a full round leaves the failure pick
@@ -332,6 +332,19 @@ def _alternating_argmin(loss_g_given_f, loss_f_given_g, start_f: int, max_rounds
     return f, g, False, max_rounds
 
 
+class _Rows(dict):
+    """A loss table read by rows: row j is ``row(j)``, built on its first
+    read and kept, so the keys are the rows the best responses visited."""
+
+    def __init__(self, row):
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, j):
+        self[j] = value = self.row(j)
+        return value
+
+
 def _selection_tables(
     arch: ArchSpec,
     checkpoints: dict,
@@ -339,35 +352,37 @@ def _selection_tables(
     family: str,
     weight_floor: float,
 ):
-    """loss tables over the checkpoint grid.
+    """Loss tables over the checkpoint grid, as rows built on first read.
 
-    loss_g_given_f[i, j]: censor loss of G_j with F_i frozen as weights.
-    loss_f_given_g[j, i]: failure loss of F_i with G_j frozen.
-    For 'nll' neither depends on the frozen side, so rows are constant.
+    loss_g_given_f[i][j]: censor loss of G_j with F_i frozen as weights.
+    loss_f_given_g[j][i]: failure loss of F_i with G_j frozen.
+    For 'nll' neither depends on the frozen side, so every row is the same.
     """
     epochs = sorted(checkpoints)
-    pmfs = np.stack(
-        [Model(arch, checkpoints[e]).predict_pmf(val.features, n=val.n) for e in epochs]
-    )
-    pmfs_f, pmfs_g = pmfs[:, 0], pmfs[:, 1]
-    E = len(epochs)
+    E, n = len(epochs), val.n
+    # one forward of the E pairs end to end, whose parts are each pair's row
+    # blocks; the (2E, P) stack is freed before the terms are built
+    stack = Model(arch, np.concatenate([checkpoints[e] for e in epochs]))
+    pmfs = stack.predict_pmf(val.features, n=n).reshape(E, 2, n, val.n_bins)
+    del stack
     times = resolve_times("all", val.n_bins)
-    flat = lambda arr: arr.reshape(E, val.n * times.size)
 
-    def table(role, own_pmfs, frozen_pmfs):  # [j, i]: own i against frozen j
+    def table(role, own_pmfs, frozen_pmfs):  # [j][i]: own i against frozen j
         plan = label_plan(val.time_bin, val.event, val.n_bins, times, _role_flags((role,)))
         if family == "nll":
             # one values-only pass over the (E, 1, n, K) stack, reduced per checkpoint
             vals = _cells(plan, (family,), own_pmfs[:, None], None, weight_floor)[0][:, 0]
-            return np.tile([float(v @ plan.weight) for v in vals], (E, 1))
-        # Bulk route: each entry is a sum over (sample, horizon) of the loss
-        # kernel's own term times frozen weight, so the whole E x E table is
-        # one matrix product between flattened (E, n*T) stacks.
+            row = np.array([float(v @ plan.weight) for v in vals])
+            return _Rows(lambda j: row)
+        # each entry is a sum over (sample, horizon) of the loss kernel's own
+        # term times the frozen weight, so a row is one product of the
+        # flattened (E, n*T) terms with one frozen checkpoint's weights
         _, terms, _ = _terms(family, plan, own_pmfs.cumsum(axis=-1), weight_floor, None)
-        w = ipcw_weight_arrays(role, frozen_pmfs, val.time_bin, val.event, times, weight_floor)
-        return flat(w) @ flat(terms).T / val.n
+        terms = terms.reshape(E, n * times.size)
+        return _Rows(lambda j: terms @ ipcw_weight_arrays(
+            role, frozen_pmfs[j], val.time_bin, val.event, times, weight_floor).ravel() / n)
 
-    return epochs, table("censor", pmfs_g, pmfs_f), table("failure", pmfs_f, pmfs_g)
+    return epochs, table("censor", pmfs[:, 1], pmfs[:, 0]), table("failure", pmfs[:, 0], pmfs[:, 1])
 
 
 def select_models(

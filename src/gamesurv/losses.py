@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, _check_pmf, _each_block, _labels, _row_blocks, _whole, padded_cdf
+from .core import Batch, _check_pmf, _each_part, _labels, _row_blocks, _whole, padded_cdf
 
 __all__ = [
     "ClampStats",
@@ -225,13 +225,16 @@ class LabelPlan:
         )
 
 
-def _joined(n: int, kernel, stats: ClampStats | None, axis: int = 1) -> tuple[np.ndarray, ...]:
+def _joined(n: int, columns: int, kernel, stats: ClampStats | None,
+            axis: int = 1) -> tuple[np.ndarray, ...]:
     """The outputs of ``kernel(rows, stats)`` on the row blocks of ``n``
-    rows (`core._each_block`), arrays with the rows on axis ``axis``, each
-    joined into one full-length array; a single block is one plain call.
-    Blocks, which may run on two threads, count their clamps in block-local
-    stats, added to ``stats`` in block order."""
-    if len(_row_blocks(n)) == 1:
+    rows, each row computing ``columns`` cells (`core._each_part`), arrays
+    with the rows on axis ``axis``, each joined into one full-length array;
+    a single block is one plain call. Blocks, which may run on two threads,
+    count their clamps in block-local stats, added to ``stats`` in block
+    order."""
+    blocks = _row_blocks(n)
+    if len(blocks) == 1:
         return kernel(slice(None), stats)
     full = []
     at = (slice(None),) * axis
@@ -245,7 +248,7 @@ def _joined(n: int, kernel, stats: ClampStats | None, axis: int = 1) -> tuple[np
             out[at + (rows,)] = part
         return local
 
-    for local in _each_block(n, block):
+    for local in _each_part(blocks, block, n * columns):
         if local is not None:
             stats.add(local.count)
     return tuple(full)
@@ -416,7 +419,8 @@ def _cells(plan: LabelPlan, families, own, other, floor: float, stats: ClampStat
             else _likelihood(part, own[..., rows, :], cdf, floor, stats, grad))]
         return out if reduce is None else reduce(rows, part, cdf, *out)
 
-    return _joined(plan.rows.size, block, stats, (other if own is None else own).ndim - 2)
+    rowed = other if own is None else own  # rows on its second-to-last axis, columns the rest
+    return _joined(plan.rows.size, rowed[..., :1, :].size, block, stats, rowed.ndim - 2)
 
 
 def _per_role(spec: LossSpec, values, arrays):

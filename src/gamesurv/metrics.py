@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Dataset, _check_pmf, _events, _finite, assign_bins
+from .core import Dataset, _check_int, _check_pmf, _events, _finite, assign_bins
 from .losses import _as_matrix, _cells, _check_floor, _likelihood, _role_flags, label_plan
 from .simgen import MarginalWorld
 
@@ -155,9 +155,9 @@ class _Cohort:
         """The failure player's Brier and BLL training scores per horizon,
         averaged over rows, by family, from one pass of the loss kernel's
         `_cells`: a block's inverse weights serve both families, and its cdf
-        gives the block's `entries`."""
+        gives the block's `entries`. One bin leaves no horizon to score."""
+        K = _check_int("n_bins", self.dataset.n_bins, 2)
         side, time_bin, event = self.censoring()
-        K = self.dataset.n_bins
         plan = (label_plan(time_bin, event, K, np.arange(1, K), _FAILURE)
                 if self.weighting == "uncensored-latent" else self.observed)
         out = _cells(plan, SCORES, self.pmf[None], side.reshape(1, -1, side.shape[-1]), self.floor,

@@ -17,8 +17,10 @@ A (2, P) array holds the failure/censoring pair as one stacked model.
 Training and inference share one MLP layer loop. ``predict_pmf`` keeps no
 activations and works in the row blocks of `core._row_blocks` (at least
 `core.ROW_BLOCK` rows each, one block below twice that) through
-`core._each_block`; its pmfs equal the training forward's bit for bit (see
-`core.ROW_BLOCK`).
+`core._each_part`; its pmfs equal the training forward's bit for bit (see
+`core.ROW_BLOCK`). A (2E, P) stack of E pairs laid end to end, such as the
+checkpoints selection scores, predicts in one call whose parts are each
+pair's row blocks, so each pair computes what it computes alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, _check_int, _each_block
+from .core import Batch, _check_int, _each_part, _row_blocks
 from .losses import ClampStats, LossSpec, batch_loss
 from .simgen import _json_floats, _load_json
 
@@ -92,7 +94,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 class Model:
     """Flat parameters plus an :class:`ArchSpec` describing their layout:
     ``params`` is (P,) for one model or (2, P) for the failure/censoring
-    pair, and every method broadcasts over the leading axis."""
+    pair, or (2E, P) for E pairs end to end, and every method broadcasts
+    over the leading axis."""
 
     def __init__(self, arch: ArchSpec, params: np.ndarray):
         params = np.asarray(params, dtype=float).copy()
@@ -162,18 +165,29 @@ class Model:
             pmf = self._mlp(x, acts)
             return pmf, ("mlp", acts, pmf)
         pmf = np.empty(shape)
-        _each_block(n, lambda rows: self._mlp(x[rows], out=pmf[..., rows, :]))
+        params = self.params
+        # the parts: each pair of the leading axis (the whole model when there
+        # is none) times each row block; a row computes the widest layer per model
+        pairs = [()] if params.ndim == 1 else [slice(i, i + 2) for i in range(0, len(params), 2)]
+        parts = [(pair, rows) for pair in pairs for rows in _row_blocks(n)]
+        widest = max((*self.arch.hidden, self.arch.n_bins))
+        _each_part(parts, lambda part: self._mlp(x[part[1]], out=pmf[part[0]][..., part[1], :],
+                                                 params=params[part[0]]),
+                   pmf.size // self.arch.n_bins * widest)
         return pmf, None
 
-    def _mlp(self, x: np.ndarray, acts: list | None = None, out: np.ndarray | None = None):
-        """The MLP's pmfs on rows ``x``, written to ``out`` when given. Each
-        layer is a fresh matmul then in-place bias, ReLU and softmax; the
-        hidden activations are appended to ``acts`` when it is a list."""
+    def _mlp(self, x: np.ndarray, acts: list | None = None, out: np.ndarray | None = None,
+             params: np.ndarray | None = None):
+        """The MLP's pmfs on rows ``x`` with ``params`` (the model's own when
+        None), written to ``out`` when given. Each layer is a fresh matmul
+        then in-place bias, ReLU and softmax; the hidden activations are
+        appended to ``acts`` when it is a list."""
+        params = self.params if params is None else params
         depth = len(self.arch.hidden)
         h = x
         for i in range(depth + 1):
-            h = np.matmul(h, self.view(f"W{i}").swapaxes(-1, -2))
-            h += self.view(f"b{i}")[..., None, :]
+            h = np.matmul(h, self.arch.view(params, f"W{i}").swapaxes(-1, -2))
+            h += self.arch.view(params, f"b{i}")[..., None, :]
             if i < depth:
                 np.maximum(h, 0.0, out=h)
                 if acts is not None:

@@ -223,9 +223,10 @@ from gamesurv import core
 from gamesurv.cli import main
 
 core.ROW_BLOCK = 7  # the 40-row test split runs in 5 blocks, here and in forked workers
+core._THREAD_CELLS = 1  # and each call of 3 blocks or more is wide enough to thread
 cpus, cfg, out = sys.argv[1:]
 os.sched_getaffinity = lambda pid: set(range(int(cpus)))
-idents = core._each_block(40, lambda rows: threading.get_ident())
+idents = core._each_part(core._row_blocks(40), lambda rows: threading.get_ident(), 40)
 assert len(set(idents)) == int(cpus)  # blocks ran on `cpus` threads before any fork
 sys.exit(main(["sweep", cfg, "--out", out]))
 """

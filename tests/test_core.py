@@ -15,7 +15,7 @@ from gamesurv.core import (
     discretize,
     quantile_discretize,
 )
-from gamesurv.games import TrainConfig
+from gamesurv.games import TrainConfig, train
 from gamesurv.losses import (
     ROLES,
     LossSpec,
@@ -28,7 +28,15 @@ from gamesurv.losses import (
     per_horizon_loss,
     resolve_times,
 )
-from gamesurv.metrics import concordance_index, eval_bll, eval_bs, evaluate, km_fit
+from gamesurv.metrics import (
+    concordance,
+    concordance_index,
+    eval_bll,
+    eval_bs,
+    evaluate,
+    km_fit,
+    nll_metric,
+)
 from gamesurv.models import ArchSpec
 from gamesurv.oracle import (
     gradient_field,
@@ -300,6 +308,14 @@ INT_BOUNDARIES = {  # name -> (call, field, minimum)
     "stationary_scan": (lambda v: stationary_scan(TWO_BINS, v), "n_starts", 1),
     "cli int key": (lambda v: cli._int_key({"workers": v}, "workers", 1), "workers", 1),
 }
+ONE_BIN = Dataset(np.zeros((3, 2)), [1, 1, 1], [True, False, True], [0.0, 1.0])
+ONE_BIN_BOUNDARIES = {  # a score over horizons 1..K-1 has none on one bin
+    "eval_bs": lambda: eval_bs(np.ones(1), ONE_BIN),
+    "eval_bll": lambda: eval_bll(np.ones(1), ONE_BIN),
+    "evaluate": lambda: evaluate(np.ones(1), ONE_BIN),
+    "train bs-game": lambda: train(ONE_BIN, TrainConfig(objective="bs-game", epochs=1)),
+    "train bll-game": lambda: train(ONE_BIN, TrainConfig(objective="bll-game", epochs=1)),
+}
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, "3", "minimum - 1"])
@@ -311,6 +327,18 @@ def test_sizes_follow_one_rule(boundary, bad):
     with pytest.raises(error, match=re.escape(f"'{field}' must be an integer >= {low}, "
                                               f"got {value!r}")):
         call(value)
+
+
+@pytest.mark.parametrize("boundary", ONE_BIN_BOUNDARIES)
+def test_one_bin_scores_are_rejected_by_name(boundary):
+    with pytest.raises(ValueError, match=re.escape("'n_bins' must be an integer >= 2, got 1")):
+        ONE_BIN_BOUNDARIES[boundary]()
+
+
+def test_one_bin_likelihood_and_concordance_still_score():
+    assert nll(np.ones(1), ONE_BIN.time_bin, ONE_BIN.event).shape == (3,)
+    assert np.isfinite(nll_metric(np.ones(1), ONE_BIN))
+    assert concordance(np.ones(1), ONE_BIN) == 0.5
 
 
 REAL_BOUNDARIES = {  # name -> (call, field, minimum or None)

@@ -401,15 +401,16 @@ def test_select_models_game_is_best_response_pair(objective):
     if sel.converged:
         assert gi == int(np.argmin(lgf[fi]))
         assert fi == int(np.argmin(lfg[gi]))
-    # every entry of both tables matches a direct loss evaluation
+    # every entry of both tables, each row built on first read, matches a
+    # direct loss evaluation
     pf = [state.model_at(e, "F").predict_pmf(n=val.n) for e in epochs]
     pg = [state.model_at(e, "G").predict_pmf(n=val.n) for e in epochs]
     for i in range(len(epochs)):
         for j in range(len(epochs)):
             censor = batch_loss(LossSpec(family, "censor"), pg[j], pf[i], val.batch())[0]
             failure = batch_loss(LossSpec(family, "failure"), pf[i], pg[j], val.batch())[0]
-            assert lgf[i, j] == pytest.approx(censor, rel=1e-12)
-            assert lfg[j, i] == pytest.approx(failure, rel=1e-12)
+            assert lgf[i][j] == pytest.approx(censor, rel=1e-12)
+            assert lfg[j][i] == pytest.approx(failure, rel=1e-12)
 
 
 @pytest.mark.parametrize("objective", ["nll", "bs-game", "bll-game"])
@@ -485,11 +486,26 @@ def test_one_gemm_tables_equal_the_two_gemm_route(family, n_ckpt, n_bins, n, flo
     checkpoints = {2 * e + 1: rng.normal(0.0, 2.0, (2, arch.n_params)) for e in range(n_ckpt)}
     val = Dataset(rng.normal(size=(n, 3)), rng.integers(1, n_bins + 1, size=n),
                   rng.random(n) < 0.6, np.arange(n_bins + 1.0))
-    epochs, lgf, lfg = _selection_tables(arch, checkpoints, val, family, floor)
     want_lgf, want_lfg = _two_gemm_tables(arch, checkpoints, val, family, floor)
-    assert epochs == sorted(checkpoints)
-    np.testing.assert_allclose(lgf, want_lgf, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(lfg, want_lfg, rtol=1e-13, atol=0)
     for start in range(n_ckpt):
+        # fresh tables build exactly the rows the best responses visit
+        epochs, lgf, lfg = _selection_tables(arch, checkpoints, val, family, floor)
+        visited_lgf, visited_lfg = _Visits(want_lgf), _Visits(want_lfg)
         assert (_alternating_argmin(lgf, lfg, start, 50)
-                == _alternating_argmin(want_lgf, want_lfg, start, 50))
+                == _alternating_argmin(visited_lgf, visited_lfg, start, 50))
+        assert set(lgf) == visited_lgf.rows and set(lfg) == visited_lfg.rows
+    assert epochs == sorted(checkpoints)
+    rows = range(n_ckpt)
+    np.testing.assert_allclose([lgf[i] for i in rows], want_lgf, rtol=1e-13, atol=0)
+    np.testing.assert_allclose([lfg[j] for j in rows], want_lfg, rtol=1e-13, atol=0)
+
+
+class _Visits:
+    """A full table that records the rows read from it."""
+
+    def __init__(self, table):
+        self.table, self.rows = table, set()
+
+    def __getitem__(self, j):
+        self.rows.add(j)
+        return self.table[j]
