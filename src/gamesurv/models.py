@@ -167,12 +167,15 @@ class Model:
         pmf = np.empty(shape)
         params = self.params
         # the parts: each pair of the leading axis (the whole model when there
-        # is none) times each row block; a row computes the widest layer per model
+        # is none) times each row block; a row computes each model's widest layer
         pairs = [()] if params.ndim == 1 else [slice(i, i + 2) for i in range(0, len(params), 2)]
-        parts = [(pair, rows) for pair in pairs for rows in _row_blocks(n)]
         widest = max((*self.arch.hidden, self.arch.n_bins))
-        _each_part(parts, lambda part: self._mlp(x[part[1]], out=pmf[part[0]][..., part[1], :],
-                                                 params=params[part[0]]),
+
+        def run(part):
+            pair, rows = part
+            self._mlp(x[rows], out=pmf[pair][..., rows, :], params=params[pair])
+
+        _each_part([(pair, rows) for pair in pairs for rows in _row_blocks(n)], run,
                    pmf.size // self.arch.n_bins * widest)
         return pmf, None
 
