@@ -86,10 +86,10 @@ __all__ = [
 ROW_BLOCK = 1024
 
 # Cells per part, on average, from which a call's parts run on two threads.
-# Per-part size, not the call's total, decides: on 10k- and 1e5-row
-# `per_horizon_loss` calls a second thread slowed parts of 2048-8192 cells
-# by 1.1-2.9x and sped up parts of 20480 cells and more by up to 1.4x (the
-# 10k-row, K = 20 call read 1.01-1.12x, about even).
+# Per-part size, not the call's total, decides: on a 2-core host, on 10k-
+# and 1e5-row `per_horizon_loss` calls, a second thread slowed parts of
+# 2048-8192 cells by 1.1-2.9x and sped up parts of 20480 cells and more by
+# up to 1.4x (the 10k-row, K = 20 call read 1.01-1.12x, about even).
 _THREAD_CELLS = 1 << 14
 
 
