@@ -2,8 +2,8 @@
 tiny training runs, one per game objective, with checkpoint selection on;
 the bs-game run's models scored on one test split under every weighting;
 every file of one small run per case of ``COMMANDS`` (an nll and a
-marginal-world multiplayer training run, a two-point sweep and the three
-oracle commands); and the end states of the summed and multiplayer games
+marginal-world multiplayer training run, a two-point sweep, the three
+oracle commands and two simulations, one per generator); and the end states of the summed and multiplayer games
 on the exact population batches of ``POPULATION_SEEDS``' worlds.
 
 Regenerate from the repository root with
@@ -73,6 +73,13 @@ COMMANDS = {
         "sizes": [32], "seeds": [0], "objectives": ["nll", "bll-game"],
         "n_bins": 5, "n_val": 24, "n_test": 40,
         "train": {"epochs": 4, "batch_size": 16, "learning_rate": 0.1, "hidden": [6]},
+    }),
+    # two seeds of one small size each, with the latent sidecar
+    "simulate-marginal": ("simulate", {
+        "generator": {"kind": "marginal", **MARGINAL}, "sizes": [12], "seeds": [0, 1],
+    }),
+    "simulate-gamma": ("simulate", {
+        "generator": {"kind": "gamma", "feature_dim": 3}, "sizes": [10], "seeds": [0, 1],
     }),
     "gradient-field": ("gradient-field", {"world": PLANAR, "resolution": 6}),
     "joint-scan": ("joint-scan", {"world": PLANAR, "resolution": 7}),
