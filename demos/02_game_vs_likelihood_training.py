@@ -35,7 +35,7 @@ for objective in ("nll", "bs-game", "bll-game"):
     t0 = time.time()
     state = gs.train(train, cfg)
     pmf = state.model_f.predict_pmf(test.features)
-    report = gs.evaluate(pmf, test, weighting="uncensored-latent", calibration=False)
+    report = gs.evaluate(pmf, test, weighting="uncensored-latent")
     nll_val = gs.nll_metric(pmf, test)
     print(f"{objective:10s} {report.bs_sum:14.4f} {report.bll_sum:15.4f} "
           f"{nll_val:9.4f} {report.concordance:12.4f} {time.time() - t0:5.1f}s")

@@ -154,7 +154,7 @@ def _generator(spec, sized: bool = False):
         def draw(n, seed):
             ds = simgen.gen_marginal(world, n, seed)
             return simgen.RawSurvivalData(
-                ds.features, ds.raw_time, ds.event,
+                ds.features, ds.time_bin, ds.event,
                 latent_time=ds.latent_time, latent_censor=ds.latent_censor,
             )
 

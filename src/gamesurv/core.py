@@ -24,9 +24,10 @@ that names the field:
 - horizons (`losses.resolve_times`): 'all' or a 1-d sequence of whole
   numbers in 1..K-1; weight floors (`losses._check_floor`): in (0, 1);
 - loss pmf arguments (`losses._as_matrix`): (K,), shared by every row, or
-  (n, K), after any leading (role or checkpoint) axes, with the other
-  player's K held to the own pmf's. The training losses take model outputs on the hot path and
-  skip the pmf rule; the per-sample losses and the metrics run it.
+  (n, K), after a role axis where a loss scores several roles, with the
+  other player's K held to the own pmf's. The training losses take model
+  outputs on the hot path and skip the pmf rule; the per-sample losses and
+  the metrics run it.
 
 A standardizer checks its own ``mean`` and ``std`` (`simgen.Standardizer`).
 
@@ -325,15 +326,13 @@ class Dataset:
     """Discretized survival data on a fixed bin grid.
 
     ``bin_edges`` has K+1 strictly increasing entries; bin j covers
-    [edges[j-1], edges[j]), with the last bin closed on the right. When raw
-    observed times are retained they must be consistent with the stored bins.
+    [edges[j-1], edges[j]), with the last bin closed on the right.
     """
 
     features: np.ndarray
     time_bin: np.ndarray
     event: np.ndarray
     bin_edges: np.ndarray
-    raw_time: np.ndarray | None = None
     latent_time: np.ndarray | None = None
     latent_censor: np.ndarray | None = None
 
@@ -341,11 +340,6 @@ class Dataset:
         edges = _check_edges(self.bin_edges)
         bins, event = _labels(self.time_bin, self.event, edges.size - 1)
         object.__setattr__(self, "features", _finite("features", self.features, 2, bins.size))
-        if self.raw_time is not None:
-            raw = _finite("raw_time", self.raw_time, n=bins.size)
-            if not np.array_equal(assign_bins(raw, edges), bins):
-                raise ValueError("raw_time inconsistent with bin_edges/time_bin")
-            object.__setattr__(self, "raw_time", raw)
         _set_latent(self, bins.size)
         object.__setattr__(self, "time_bin", bins)
         object.__setattr__(self, "event", event)
@@ -429,7 +423,6 @@ def discretize(
         bins,
         raw.event,
         edges,
-        raw_time=raw.time,
         latent_time=raw.latent_time,
         latent_censor=raw.latent_censor,
     )

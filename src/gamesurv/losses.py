@@ -141,23 +141,21 @@ def resolve_times(times: tuple[int, ...] | str, n_bins: int) -> np.ndarray:
     return arr
 
 
-def _as_matrix(name: str, pmf, n: int, lead: int = 0, n_bins: int | None = None,
-               roles=None) -> np.ndarray:
-    """Broadcast (*lead, K) marginal pmfs to (*lead, n, K) or pass (*lead,
-    n, K) matrices through; ``lead`` counts the leading axes, and K is
-    ``n_bins`` when given, else the last axis of ``pmf``. Given a spec's
-    ``roles``, the result is an (R, n, K) stack: a tuple of roles takes one
-    more leading axis, which must hold one pmf per role, and a single role's
-    pmfs gain a role axis of one."""
+def _as_matrix(name: str, pmf, n: int, n_bins: int | None = None, roles=None) -> np.ndarray:
+    """Broadcast a (K,) marginal pmf to (n, K) or pass an (n, K) matrix
+    through; K is ``n_bins`` when given, else the last axis of ``pmf``.
+    Given a spec's ``roles``, the result is an (R, n, K) stack: a tuple of
+    roles takes a leading role axis, which must hold one pmf per role, and a
+    single role's pmfs gain a role axis of one."""
     pmf = np.asarray(pmf, dtype=float)
     stacked = isinstance(roles, tuple)
-    lead += stacked
     K = pmf.shape[-1] if n_bins is None and pmf.ndim else n_bins
-    if pmf.ndim == lead + 1 and pmf.shape[-1] == K:
+    if pmf.ndim == stacked + 1 and pmf.shape[-1] == K:
         pmf = np.broadcast_to(pmf[..., None, :], (*pmf.shape[:-1], n, K))
-    elif not (pmf.ndim == lead + 2 and pmf.shape[-2:] == (n, K)):
-        raise ValueError(f"{name} must be (K,) or (n, K) with n = {n} and K = {K} after {lead} "
-                         f"leading axes, got shape {pmf.shape}")
+    elif not (pmf.ndim == stacked + 2 and pmf.shape[-2:] == (n, K)):
+        axis = " after the role axis" if stacked else ""
+        raise ValueError(f"{name} must be (K,) or (n, K) with n = {n} and K = {K}{axis}, "
+                         f"got shape {pmf.shape}")
     if not stacked:
         return pmf if roles is None else pmf[None]
     if pmf.shape[0] != len(roles):
@@ -200,7 +198,6 @@ class LabelPlan:
     branch mask U <= t (T = 0 for the likelihood), ``weight`` (n,) sums to 1."""
 
     n_bins: int
-    times: np.ndarray
     flags: np.ndarray
     roles: np.ndarray
     rows: np.ndarray
@@ -214,12 +211,12 @@ class LabelPlan:
 
     def block(self, rows: slice) -> "LabelPlan":
         """The plan of the rows ``rows`` (a block of `core._row_blocks`),
-        sharing the horizons, roles and columns; ``slice(None)`` is the plan
-        itself."""
+        sharing the roles and the horizons' columns; ``slice(None)`` is the
+        plan itself."""
         if rows == slice(None):
             return self
         return LabelPlan(
-            self.n_bins, self.times, self.flags, self.roles, self.rows[: rows.stop - rows.start],
+            self.n_bins, self.flags, self.roles, self.rows[: rows.stop - rows.start],
             self.evt_col[:, rows], self.surv_cols, self.cdf_cols, self.ind[:, rows],
             self.evt_used[:, rows], self.le[rows], self.weight[rows],
         )
@@ -276,7 +273,6 @@ def label_plan(
         surv_cols, cdf_cols = times, times - 1
     return LabelPlan(
         n_bins=n_bins,
-        times=times,
         flags=flags,
         roles=np.arange(flags.shape[0])[:, None],
         rows=np.arange(n),
@@ -522,18 +518,16 @@ def ipcw_weight_arrays(
     weight_floor: float = 1e-6,
     stats: ClampStats | None = None,
 ):
-    """The inverse weight of each (sample, horizon) cell, shape (..., n, T):
-    the multiplier a player's own terms contract against (see
-    `_ipcw_weights`), for a frozen pmf of shape (K,) or (n, K), or a
-    (..., n, K) stack of them. Exposed for bulk evaluation over checkpoint
-    grids."""
+    """The inverse weight of each (sample, horizon) cell, shape (n, T): the
+    multiplier a player's own terms contract against (see `_ipcw_weights`),
+    for a frozen pmf of shape (K,) or (n, K). Model selection builds one
+    table row from one frozen checkpoint's weights."""
     _check_floor(weight_floor)
-    lead = max(np.ndim(frozen_pmf) - 2, 0)
-    frozen = _as_matrix("frozen_pmf", frozen_pmf, np.size(time_bin), lead)
+    frozen = _as_matrix("frozen_pmf", frozen_pmf, np.size(time_bin))
     K = frozen.shape[-1]
     _check_pmf("frozen_pmf", frozen_pmf, K)
     plan = label_plan(time_bin, event, K, resolve_times(times, K), _role_flags((role,)))
-    return _cells(plan, (), None, frozen[..., None, :, :], weight_floor, stats)[0][..., 0, :, :]
+    return _cells(plan, (), None, frozen[None], weight_floor, stats)[0][0]
 
 
 def ipcw_per_sample(

@@ -21,7 +21,6 @@ and takes ties from runs of equal risk (`concordance_index`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -345,23 +344,17 @@ class EvalReport:
             out["calibration"] = {"levels": levels.tolist(), "observed": observed.tolist()}
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def evaluate(f_pmf, dataset: Dataset, weighting: str = "km", g_pmf=None,
-             world: MarginalWorld | None = None, floor: float = 1e-6,
-             calibration: bool | None = None) -> EvalReport:
-    """Full evaluation under one weighting; calibration is included when
-    latent times are available (or on request). The scores share one pmf
-    check, cdf, censoring table, label plan and weights (`_Cohort`)."""
+             world: MarginalWorld | None = None, floor: float = 1e-6) -> EvalReport:
+    """Full evaluation under one weighting; calibration is included exactly
+    when latent times are available. The scores share one pmf check, cdf,
+    censoring table, label plan and weights (`_Cohort`)."""
     cohort = _cohort(f_pmf, dataset, weighting, g_pmf, world, floor)
     bs = eval_bs(cohort, dataset)
     bll = eval_bll(cohort, dataset)
-    if calibration is None:
-        calibration = dataset.latent_time is not None
     levels = observed = None
-    if calibration:
+    if dataset.latent_time is not None:
         levels, observed = calibration_curve(cohort, dataset)
     return EvalReport(
         weighting=weighting,

@@ -171,25 +171,29 @@ class MarginalWorld:
         return np.arange(self.n_bins + 1) + 0.5
 
 
-def random_interior_world(n_bins: int, rng, min_mass: float = 0.02) -> MarginalWorld:
-    """Dirichlet(1) world resampled until every bin holds >= min_mass.
+# the least mass every bin of a `random_interior_world` holds
+_MIN_MASS = 0.02
+
+
+def random_interior_world(n_bins: int, rng) -> MarginalWorld:
+    """Dirichlet(1) world resampled until every bin holds >= `_MIN_MASS`.
 
     Interior worlds keep the positivity assumption comfortably away from the
     boundary, where the inverse weights and the uniqueness argument degrade.
-    A draw passes with probability (1 - K * min_mass)^(K-1); below 1e-6 the
-    loop would all but never end, so such (n_bins, min_mass) are rejected.
+    A draw passes with probability (1 - K * _MIN_MASS)^(K-1); below 1e-6 the
+    loop would all but never end, so such n_bins (24 and up) are rejected.
     """
     _check_int("n_bins", n_bins, 2)
-    if max(0.0, 1.0 - n_bins * min_mass) ** (n_bins - 1) < 1e-6:
+    if max(0.0, 1.0 - n_bins * _MIN_MASS) ** (n_bins - 1) < 1e-6:
         raise ValueError(
-            f"n_bins={n_bins} with min_mass={min_mass}: a Dirichlet(1) draw "
+            f"n_bins={n_bins} with min_mass={_MIN_MASS}: a Dirichlet(1) draw "
             "holds min_mass in every bin with probability below 1e-6"
         )
 
     def draw():
         while True:
             theta = rng.dirichlet(np.ones(n_bins))
-            if theta.min() >= min_mass:
+            if theta.min() >= _MIN_MASS:
                 return theta
 
     return MarginalWorld(draw(), draw())
@@ -212,7 +216,6 @@ def gen_marginal(world: MarginalWorld, n: int, seed: int = 0) -> Dataset:
         time_bin=u,
         event=event,
         bin_edges=world.bin_edges,
-        raw_time=u.astype(float),
         latent_time=t.astype(float),
         latent_censor=c.astype(float),
     )

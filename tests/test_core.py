@@ -144,9 +144,6 @@ def test_dataset_validation():
         Dataset(feats, np.array([1, 1, 2]), np.ones(3, bool), np.array([0.0, 0.0, 2.0]))
     with pytest.raises(ValueError, match=r"time_bin must lie in 1\.\.2"):
         Dataset(feats, np.array([1, 1, 3]), np.ones(3, bool), edges)
-    with pytest.raises(ValueError, match="inconsistent"):
-        Dataset(feats, np.array([1, 1, 2]), np.ones(3, bool), edges,
-                raw_time=np.array([0.5, 1.5, 1.5]))
 
 
 def test_dataset_batch_subset_records():
@@ -406,9 +403,6 @@ TIME_BOUNDARIES = {  # name -> (call, field)
         lambda t: RawSurvivalData(*RAW_NO_FEATURES, latent_time=t), "latent_time"),
     "RawSurvivalData latent_censor": (
         lambda t: RawSurvivalData(*RAW_NO_FEATURES, latent_censor=t), "latent_censor"),
-    "Dataset raw_time": (
-        lambda t: Dataset(np.zeros((3, 0)), [1, 2, 3], EVENTS3, WORLD3.bin_edges, raw_time=t),
-        "raw_time"),
     "Dataset latent_time": (
         lambda t: Dataset(np.zeros((3, 0)), [1, 2, 3], EVENTS3, WORLD3.bin_edges, latent_time=t),
         "latent_time"),

@@ -1,5 +1,6 @@
 """Inverse-weighted losses: hand values, identities, and clamping."""
 
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -425,7 +426,7 @@ def test_reused_label_plan_equals_a_fresh_batch(family, roles, all_times, weight
     assert len({id(p) for p in plans}) == len(plans) >= len(distinct)
     for (spec_key, k), plan in batch._plans.items():
         times, spec_roles = spec_key
-        np.testing.assert_array_equal(plan.times, resolve_times(times, k))
+        np.testing.assert_array_equal(plan.le, batch.time_bin[:, None] <= resolve_times(times, k))
         assert plan.evt_col.shape == (len(spec_roles), n)
 
 
@@ -675,6 +676,18 @@ def test_a_nan_in_the_frozen_pmf_reaches_the_value():
             assert not np.isfinite(values[0]) and not np.isfinite(coefs[0])
 
 
+def test_weight_arrays_take_one_checkpoint_at_a_time():
+    # selection asks for one frozen checkpoint's weights per table row; a
+    # stack of checkpoints fails with the pmf shape rule's message
+    u, ev = np.array([1, 2, 3]), np.array([True, False, True])
+    g = np.full((3, 3), 1 / 3)
+    assert ipcw_weight_arrays("failure", g, u, ev, "all").shape == (3, 2)
+    for stack in (np.stack([g, g]), np.stack([g[0], g[0]])[:, None]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"frozen_pmf must be (K,) or (n, K) with n = 3 and K = 3, got shape {stack.shape}")):
+            ipcw_weight_arrays("failure", stack, u, ev, "all")
+
+
 @pytest.mark.parametrize("frozen_form", ["per-row", "marginal", "nan"])
 @pytest.mark.parametrize("roles", ["failure", ROLES])
 @pytest.mark.parametrize("family", ["nll", "ipcw-bs", "ipcw-bll"])
@@ -683,7 +696,7 @@ def test_row_blocks_give_the_unblocked_bits(monkeypatch, family, roles, frozen_f
     # gradients, per-horizon values and coefficients and clamp counts, with
     # weighted rows, masses at the floor so that clamps fire, and a NaN in
     # the frozen pmf that must reach exactly the same cells; then the
-    # per-sample losses, a checkpoint stack's weight arrays, the IPCW mean
+    # per-sample losses, two checkpoints' weight arrays, the IPCW mean
     # and the model-G metrics, on the last role's pmfs
     rng = np.random.default_rng(11)
     n, n_bins = 38, 5
@@ -712,8 +725,7 @@ def test_row_blocks_give_the_unblocked_bits(monkeypatch, family, roles, frozen_f
         if family != "nll":
             out += [ipcw_per_sample(family, role, t, f, g, u, ev, 0.25, stats)
                     for t in range(1, n_bins)]
-        checkpoints = np.stack([np.broadcast_to(g, f.shape), f])
-        out.append(ipcw_weight_arrays(role, checkpoints, u, ev, "all", 0.25, stats))
+        out += [ipcw_weight_arrays(role, ckpt, u, ev, "all", 0.25, stats) for ckpt in (g, f)]
         out.append(ipcw_mean(u, ev, g, 0.25, stats))
         out += [score(f, ds, "model-G", g, floor=0.25) for score in (eval_bs, eval_bll)]
         return out, stats.count

@@ -300,10 +300,11 @@ def test_row_blocks_give_the_unblocked_report(monkeypatch, weighting):
     f, g = rng.dirichlet(np.ones(5), size=(2, 38))
     f[:5, :2] = 0.0  # F(1) = 0 and F(2) = 0: log clamps on the event branch
     f /= f.sum(axis=-1, keepdims=True)
-    want = evaluate(f, ds, weighting, g, world).to_json()
+    report = lambda: json.dumps(evaluate(f, ds, weighting, g, world).to_dict(), sort_keys=True)
+    want = report()
     monkeypatch.setattr(core, "ROW_BLOCK", 7)
     assert len(core._row_blocks(ds.n)) == 5
-    assert evaluate(f, ds, weighting, g, world).to_json() == want
+    assert report() == want
 
 
 def test_scores_reject_pmfs_that_are_not_distributions():
@@ -364,13 +365,12 @@ def test_missing_latent_times_name_calibration_or_the_weighting():
     full = gen_marginal(MarginalWorld([0.3, 0.4, 0.3], [0.2, 0.5, 0.3]), 40, seed=3)
     ds = Dataset(full.features, full.time_bin, full.event, full.bin_edges)
     pmf = np.array([0.3, 0.4, 0.3])
-    for call in (lambda: calibration_curve(pmf, ds), lambda: evaluate(pmf, ds, calibration=True)):
-        with pytest.raises(ValueError, match="calibration needs .*dataset.latent_time is None"):
-            call()
+    with pytest.raises(ValueError, match="calibration needs .*dataset.latent_time is None"):
+        calibration_curve(pmf, ds)
     for score in (eval_bs, eval_bll, evaluate):
         with pytest.raises(ValueError, match="this weighting needs the latent failure times"):
             score(pmf, ds, weighting="uncensored-latent")
-    assert evaluate(pmf, ds).calibration_levels is None  # off by default without latent times
+    assert evaluate(pmf, ds).calibration_levels is None  # off without latent times
 
 
 @settings(max_examples=40, deadline=None)
@@ -456,19 +456,19 @@ def test_evaluate_report_shape_and_json():
     w = MarginalWorld([0.3, 0.4, 0.3], [0.2, 0.5, 0.3])
     ds = gen_marginal(w, 300, seed=10)
     pmf = np.tile(w.theta_t, (300, 1))
-    rep = evaluate(pmf, ds, weighting="km", calibration=True)
+    rep = evaluate(pmf, ds, weighting="km")
     assert rep.n == 300 and rep.n_bins == 3
     assert rep.bs.shape == (2,) and rep.bll.shape == (2,)
     assert rep.bs_sum == pytest.approx(rep.bs.sum(), rel=1e-14)
     assert rep.bs_mean == pytest.approx(rep.bs.mean(), rel=1e-14)
     assert 0.0 <= rep.concordance <= 1.0
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(rep.to_dict(), sort_keys=True))
     assert payload["weighting"] == "km"
     assert len(payload["bs"]) == 2
     assert "calibration" in payload and len(payload["calibration"]["levels"]) == 9
-    # calibration needs latent times and can be forced off
-    rep2 = evaluate(pmf, ds, weighting="km", calibration=False)
-    assert "calibration" not in json.loads(rep2.to_json())
+    # calibration is reported exactly when the dataset has latent times
+    no_latent = Dataset(ds.features, ds.time_bin, ds.event, ds.bin_edges)
+    assert "calibration" not in evaluate(pmf, no_latent, weighting="km").to_dict()
 
 
 @pytest.mark.parametrize("floor", (0.0, -1.0, 1.0, 2.0, float("nan")))

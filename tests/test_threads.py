@@ -3,6 +3,7 @@ helper thread give the bits, clamp counts and failures of the serial loop,
 and every traced entry point runs on the caller."""
 
 import contextlib
+import json
 import os
 import subprocess
 import sys
@@ -91,15 +92,15 @@ def _outputs(seed=3):
             out += batch_loss(spec, own, frozen, batch, stats)
             if family != "nll":
                 out += per_horizon_loss(spec, own, frozen, batch, stats)
-    out.append(ipcw_weight_arrays("censor", np.stack([f, g, f[::-1]]), ds.time_bin, ds.event,
-                                  "all", 0.2, stats))
+    out += [ipcw_weight_arrays("censor", ckpt, ds.time_bin, ds.event, "all", 0.2, stats)
+            for ckpt in (f, g, f[::-1])]
     val = Dataset(x, ds.time_bin, ds.event, np.arange(K + 1.0))
     for family in ("ipcw-bs", "ipcw-bll"):
         _, lgf, lfg = _selection_tables(arch, ckpts, val, family, 0.2)
         out += [lgf[i] for i in range(3)] + [lfg[j] for j in range(3)]
     for weighting in metrics.WEIGHTINGS:
         report = metrics.evaluate(f, ds, weighting, g, world, floor=0.2)
-        out.append(np.frombuffer(report.to_json().encode(), np.uint8))
+        out.append(np.frombuffer(json.dumps(report.to_dict(), sort_keys=True).encode(), np.uint8))
     return out, stats.count
 
 
@@ -112,8 +113,8 @@ def _same(got, want):
 
 def test_threads_give_the_serial_bits():
     # predict_pmf of one model and of a checkpoint stack, batch_loss (three
-    # families, one role and both), per_horizon_loss, a stack's weight
-    # arrays, the selection tables and the reports under all four
+    # families, one role and both), per_horizon_loss, three checkpoints'
+    # weight arrays, the selection tables and the reports under all four
     # weightings; repeated under a short switch interval so that a lost
     # clamp update or a block written by the wrong thread shows
     with _cpus(1) as started:
@@ -130,9 +131,10 @@ def test_threads_give_the_serial_bits():
                 assert clamps == want_clamps
     finally:
         sys.setswitchinterval(interval)
-    # one helper per call: 2 forwards, 10 training losses, 1 weight stack, 4
-    # reports, and per family of selection tables 1 forward and 6 rows' weights
-    assert len(started) == 50 * 31 and not any(t.is_alive() for t in started)
+    # one helper per call: 2 forwards, 10 training losses, 3 checkpoints'
+    # weights, 4 reports, and per family of selection tables 1 forward and 6
+    # rows' weights
+    assert len(started) == 50 * 33 and not any(t.is_alive() for t in started)
 
 
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
