@@ -298,10 +298,10 @@ def _load_standardizer(path, model_f: models.Model) -> simgen.Standardizer:
 
 def _score_test_split(test_raw, edges, model_f, model_g, weighting, world=None):
     """Bin a standardized test split on the training grid and evaluate the
-    failure model under one weighting (``model_g`` may be None)."""
+    failure model under one weighting; only model-G reads ``model_g``."""
     test_ds = core.discretize(test_raw, edges=edges)
     f_pmf = model_f.predict_pmf(test_ds.features, n=test_ds.n)
-    g_pmf = model_g.predict_pmf(test_ds.features, n=test_ds.n) if model_g else None
+    g_pmf = model_g.predict_pmf(test_ds.features, n=test_ds.n) if weighting == "model-G" else None
     return metrics.evaluate(f_pmf, test_ds, weighting, g_pmf, world)
 
 

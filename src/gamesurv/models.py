@@ -100,9 +100,8 @@ class Model:
     def __init__(self, arch: ArchSpec, params: np.ndarray):
         params = np.asarray(params, dtype=float).copy()
         if params.ndim not in (1, 2) or params.shape[-1] != arch.n_params:
-            raise ValueError(
-                f"expected ({arch.n_params},) or (2, {arch.n_params}) params, got {params.shape}"
-            )
+            raise ValueError(f"expected ({arch.n_params},) params or an (M, {arch.n_params}) "
+                             f"stack of them, got {params.shape}")
         self.arch = arch
         self.params = params
 
@@ -131,6 +130,8 @@ class Model:
         if self.arch.kind == "mlp":
             if features is None:
                 raise ValueError("mlp model needs features")
+            if n is not None and n != features.shape[0]:
+                raise ValueError(f"n = {n} but the features hold {features.shape[0]} rows")
             return features.shape[0]
         if n is not None:
             return n

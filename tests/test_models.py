@@ -1,5 +1,6 @@
 """Model parameterizations and hand-rolled gradients."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -97,6 +98,26 @@ def test_view_maps_into_flat_vector():
     assert not pair.params[0].any()
     with pytest.raises(ValueError, match="params"):
         Model(arch, np.zeros((2, 2, arch.n_params)))
+
+
+def test_params_message_names_any_stack_of_models():
+    arch = ArchSpec("marginal", n_bins=3)
+    assert Model(arch, np.zeros((6, 3))).predict_pmf(n=2).shape == (6, 2, 3)
+    for shape in ((2, 4), (3, 2, 3)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected (3,) params or an (M, 3) stack of them, got {shape}")):
+            Model(arch, np.zeros(shape))
+
+
+def test_mlp_forward_rejects_a_mismatched_n():
+    arch = ArchSpec("mlp", n_bins=3, feature_dim=2, hidden=(4,))
+    model = Model.init(arch, seed=0)
+    x = np.zeros((10, 2))
+    for call in (lambda: model.forward(x, n=5), lambda: model.predict_pmf(x, n=5),
+                 lambda: Model(arch, np.stack([model.params] * 2)).predict_pmf(x, n=11)):
+        with pytest.raises(ValueError, match=r"n = (5|11) but the features hold 10 rows"):
+            call()
+    assert model.predict_pmf(x, n=10).shape == (10, 3)
 
 
 @settings(max_examples=60)
