@@ -170,6 +170,24 @@ def test_evaluate_reads_trained_models(tmp_path):
     assert len(rows) == 10
 
 
+def test_evaluate_predicts_the_censoring_model_only_under_model_g(tmp_path, monkeypatch):
+    # only the model-G weighting reads the censoring model's test-split pmfs
+    assert _run(tmp_path, "train", TRAIN_CFG) == 0
+    model_dir = tmp_path / "out" / "exp" / "0"
+    predict, calls = Model.predict_pmf, []
+    monkeypatch.setattr(Model, "predict_pmf",
+                        lambda self, *a, **k: calls.append(1) or predict(self, *a, **k))
+    for weighting, forwards in (("km", 1), ("uncensored-latent", 1), ("model-G", 2)):
+        calls.clear()
+        cfg = {"experiment": weighting, "weighting": weighting,
+               "data": {"generator": GAMMA_GEN, "n_test": 60},
+               **{key: str(model_dir / name) for key, name in (
+                   ("model_f", "model_F.json"), ("model_g", "model_G.json"),
+                   ("bin_edges", "bin_edges.json"), ("standardizer", "standardizer.json"))}}
+        assert _run(tmp_path, "evaluate", cfg, name="eval.json") == 0
+        assert len(calls) == forwards, weighting
+
+
 def test_sweep_grid_and_aggregate(tmp_path):
     cfg = {
         "experiment": "sw",
