@@ -171,7 +171,6 @@ class MarginalWorld:
         return np.arange(self.n_bins + 1) + 0.5
 
 
-# the least mass every bin of a `random_interior_world` holds
 _MIN_MASS = 0.02
 
 
