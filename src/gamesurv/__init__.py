@@ -11,7 +11,6 @@ while the *joint* objective is generally minimized elsewhere.
 from types import ModuleType as _ModuleType
 
 from .core import (
-    Batch,
     Dataset,
     RawSurvivalData,
     assign_bins,

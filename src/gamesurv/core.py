@@ -9,7 +9,7 @@ every entry point that takes that kind runs it, failing with a ValueError
 that names the field:
 
 - labels (`_labels`): int64 bins and bool events of one 1-d shape, the bins
-  whole numbers in 1..K (>= 1 where K is not known);
+  whole numbers in 1..K;
 - event flags (`_events`): bools, or 0s and 1s, of the shape of the field
   they flag (``time_bin`` or ``time``);
 - observed and latent times and feature matrices (`_finite`): finite floats
@@ -18,7 +18,9 @@ that names the field:
   and summing to 1 within 1e-9;
 - bin edges (`_check_edges`): at least two, finite and strictly increasing;
 - row weights (`_row_weights`): one finite, nonnegative weight per record,
-  with a positive sum;
+  with a positive sum, rejected where every row weighs alike (`_unweighted`);
+- datasets: at least one record (`_nonempty`), each field checked once; a
+  dataset's rows (`Dataset.batch`) and `discretize`'s output run no rule;
 - sizes and knobs (`_check_int`, `_check_real`): an integer that is not a
   bool, or a finite real, at least a lower bound;
 - horizons (`losses.resolve_times`): 'all' or a 1-d sequence of whole
@@ -26,8 +28,8 @@ that names the field:
 - loss pmf arguments (`losses._as_matrix`): (K,), shared by every row, or
   (n, K), after a role axis where a loss scores several roles, with the
   other player's K held to the own pmf's. The training losses take model
-  outputs on the hot path and skip the pmf rule; the per-sample losses and
-  the metrics run it.
+  outputs on the hot path and skip the pmf rule, holding only the own pmf
+  to the dataset's K; the per-sample losses and the metrics run it.
 
 A standardizer checks its own ``mean`` and ``std`` (`simgen.Standardizer`).
 
@@ -70,7 +72,6 @@ import numpy as np
 __all__ = [
     "RawSurvivalData",
     "Dataset",
-    "Batch",
     "quantile_discretize",
     "assign_bins",
     "discretize",
@@ -134,12 +135,6 @@ def _each_part(parts: list, kernel, cells: int) -> list:
     return results
 
 
-def _frozen_copy(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
 def _check_int(name: str, value, low: int):
     """``value``, which must be an integer (not a bool) of at least ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
@@ -190,10 +185,10 @@ def _finite(name: str, values, ndim: int = 1, n: int | None = None) -> np.ndarra
     return values
 
 
-def _labels(time_bin, event, n_bins: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _labels(time_bin, event, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Labels as int64 bins and bool events of one 1-d shape. A bin that is
-    not a whole number in 1..K (>= 1 when ``n_bins`` is None) would index
-    another column of the survival and pmf tables, so it fails here."""
+    not a whole number in 1..K, ``n_bins``, would index another column of
+    the survival and pmf tables, so it fails here."""
     bins = np.asarray(time_bin)
     if bins.ndim != 1:
         raise ValueError(f"time_bin must be 1-d, got shape {bins.shape}")
@@ -201,8 +196,8 @@ def _labels(time_bin, event, n_bins: int | None = None) -> tuple[np.ndarray, np.
     if not _whole(bins):
         raise ValueError(f"time_bin must hold whole bin numbers, got {bins.dtype} values")
     bins = bins.astype(np.int64, copy=False)
-    if bins.size and (bins.min() < 1 or (n_bins is not None and bins.max() > n_bins)):
-        raise ValueError(f"time_bin must lie in 1..{'K' if n_bins is None else n_bins}, "
+    if bins.size and (bins.min() < 1 or bins.max() > n_bins):
+        raise ValueError(f"time_bin must lie in 1..{n_bins}, "
                          f"got labels from {bins.min()} to {bins.max()}")
     return bins, event
 
@@ -242,46 +237,17 @@ def _row_weights(weight, n: int) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Array-of-records view used by losses and training steps.
+def _unweighted(dataset: "Dataset", reader: str) -> None:
+    """Reject, naming ``weight``, a weighted ``dataset``: ``reader`` ignores row weights."""
+    if dataset.weight is not None:
+        raise ValueError(f"{reader} weighs every row alike: weight must be None, got row weights")
 
-    ``event`` is True when the failure was observed (T <= C): ties count as
-    events, fixed when the data is generated and never re-derived from bins.
-    ``weight`` is an optional nonnegative per-record weight (normalized to
-    sum 1 inside batch reductions); enumerated population batches use it to
-    carry exact outcome probabilities.
 
-    The batch keeps read-only copies of ``time_bin``, ``event`` and
-    ``weight``, so the label plans that ``losses`` builds from them on first
-    use and keeps in ``_plans`` can never go stale.
-    """
-
-    time_bin: np.ndarray
-    event: np.ndarray
-    features: np.ndarray | None = None
-    weight: np.ndarray | None = None
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        time_bin, event = _labels(self.time_bin, self.event)
-        if time_bin.size == 0:
-            raise ValueError("time_bin is empty: a batch needs at least one record")
-        object.__setattr__(self, "time_bin", _frozen_copy(time_bin, np.int64))
-        object.__setattr__(self, "event", _frozen_copy(event, bool))
-        if self.weight is not None:
-            w = _frozen_copy(_row_weights(self.weight, self.n), float)
-            object.__setattr__(self, "weight", w)
-
-    @property
-    def n(self) -> int:
-        return self.time_bin.size
-
-    def norm_weight(self) -> np.ndarray:
-        """Per-record weights normalized to sum 1."""
-        if self.weight is None:
-            return np.full(self.n, 1.0 / self.n)
-        return self.weight / self.weight.sum()
+def _nonempty(n: int) -> int:
+    """``n``, a dataset's record count, which must be positive."""
+    if n == 0:
+        raise ValueError("time_bin is empty: a dataset needs at least one record")
+    return n
 
 
 def _set_latent(data, n: int) -> None:
@@ -323,10 +289,16 @@ class RawSurvivalData:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Discretized survival data on a fixed bin grid.
+    """Discretized survival data on a fixed bin grid: the one labelled
+    container, of splits, minibatches and population batches alike.
 
     ``bin_edges`` has K+1 strictly increasing entries; bin j covers
     [edges[j-1], edges[j]), with the last bin closed on the right.
+    ``event`` is True when the failure was observed (T <= C; ties count as
+    events, fixed when the data is generated). ``weight`` optionally weighs
+    the records (normalized to sum 1 in batch reductions), as a population
+    batch's outcome probabilities. The labels and weights are read-only
+    copies, so the label plans ``losses`` keeps in ``_plans`` never go stale.
     """
 
     features: np.ndarray
@@ -335,15 +307,32 @@ class Dataset:
     bin_edges: np.ndarray
     latent_time: np.ndarray | None = None
     latent_censor: np.ndarray | None = None
+    weight: np.ndarray | None = None
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         edges = _check_edges(self.bin_edges)
         bins, event = _labels(self.time_bin, self.event, edges.size - 1)
-        object.__setattr__(self, "features", _finite("features", self.features, 2, bins.size))
-        _set_latent(self, bins.size)
-        object.__setattr__(self, "time_bin", bins)
-        object.__setattr__(self, "event", event)
-        object.__setattr__(self, "bin_edges", edges)
+        n = _nonempty(bins.size)
+        _set_latent(self, n)
+        weight = None if self.weight is None else _row_weights(self.weight, n).copy()
+        self._set(_finite("features", self.features, 2, n), bins.copy(), event.copy(), edges,
+                  self.latent_time, self.latent_censor, weight)
+
+    def _set(self, *values) -> "Dataset":
+        """This dataset with its fields, in order, set through its dict (it is
+        frozen) to checked ``values`` and an empty plan memo, the labels and
+        weights made read-only in place (the caller hands them over)."""
+        vars(self).update(zip(self.__dataclass_fields__, (*values, {})))
+        for label in (self.time_bin, self.event, self.weight):
+            if label is not None:
+                label.flags.writeable = False
+        return self
+
+    @classmethod
+    def _checked(cls, *values) -> "Dataset":
+        """A dataset of its seven checked fields, in order, running no rule."""
+        return object.__new__(cls)._set(*values)
 
     @property
     def n(self) -> int:
@@ -357,11 +346,21 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def batch(self, idx: np.ndarray | None = None) -> Batch:
-        """Batch view of the whole dataset or of rows ``idx``."""
+    def norm_weight(self) -> np.ndarray:
+        """Per-record weights normalized to sum 1."""
+        if self.weight is None:
+            return np.full(self.n, 1.0 / self.n)
+        return self.weight / self.weight.sum()
+
+    def batch(self, idx: np.ndarray | None = None) -> "Dataset":
+        """The whole dataset, or rows ``idx`` as a dataset with plans of its
+        own, running no rule: the rows were checked with this dataset."""
         if idx is None:
-            return Batch(self.time_bin, self.event, self.features)
-        return Batch(self.time_bin[idx], self.event[idx], self.features[idx])
+            return self
+        optional = (None if a is None else a[idx] for a in (self.latent_time, self.latent_censor,
+                                                             self.weight))
+        return Dataset._checked(self.features[idx], self.time_bin[idx], self.event[idx],
+                                self.bin_edges, *optional)
 
 
 def quantile_discretize(raw_times: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -417,15 +416,11 @@ def discretize(
     if edges is None:
         edges, bins = quantile_discretize(raw.time, n_bins)
     else:
-        bins = assign_bins(raw.time, edges)
-    return Dataset(
-        raw.features,
-        bins,
-        raw.event,
-        edges,
-        latent_time=raw.latent_time,
-        latent_censor=raw.latent_censor,
-    )
+        bins, edges = assign_bins(raw.time, edges), np.asarray(edges, dtype=float)
+    # raw's fields passed their rules in RawSurvivalData, the bins and edges above
+    _nonempty(raw.n)
+    return Dataset._checked(raw.features, bins, raw.event.copy(), edges, raw.latent_time,
+                            raw.latent_censor, None)
 
 
 def padded_cdf(pmf: np.ndarray) -> np.ndarray:

@@ -30,19 +30,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Batch, Dataset, _check_int, _check_real
+from .core import Dataset, _check_int, _check_real, _unweighted
 from .losses import (
     ROLES,
     ClampStats,
     LossSpec,
     _cells,
-    _role_flags,
+    _plan_of,
     _terms,
     batch_loss,
     ipcw_weight_arrays,
-    label_plan,
     per_horizon_loss,
-    resolve_times,
 )
 from .models import ArchSpec, Model
 
@@ -217,7 +215,7 @@ def _step_metrics(state: GameState, losses: np.ndarray, grad: np.ndarray) -> dic
     return {"loss_F": loss_f, "loss_G": loss_g, "grad_norm_F": norm_f, "grad_norm_G": norm_g}
 
 
-def step_summed(state: GameState, batch: Batch) -> dict:
+def step_summed(state: GameState, batch: Dataset) -> dict:
     """One simultaneous step of the horizon-summed game (or of the two
     independent likelihood fits when the objective is 'nll').
 
@@ -244,7 +242,7 @@ def _project_simplex_coords(theta: np.ndarray, floor: float) -> np.ndarray:
     return np.where(total > 1.0 - floor, theta * ((1.0 - floor) / total), theta)
 
 
-def step_multiplayer(state: GameState, batch: Batch) -> dict:
+def step_multiplayer(state: GameState, batch: Dataset) -> dict:
     """One simultaneous step of the per-(player, horizon) game.
 
     Coordinate t of each model is a separate player descending only its own
@@ -274,8 +272,6 @@ def train(dataset: Dataset, config: TrainConfig) -> GameState:
     (the final epoch is always kept). Runs with the same config and data are
     bit-for-bit reproducible.
     """
-    if dataset.n == 0:
-        raise ValueError("dataset is empty: time_bin has no rows to train on")
     state = init_state(dataset.n_bins, dataset.feature_dim, config)
     _, _, seed_shuffle = np.random.SeedSequence(config.seed).spawn(3)
     rng = np.random.default_rng(seed_shuffle)
@@ -360,15 +356,15 @@ def _selection_tables(
     """
     epochs = sorted(checkpoints)
     E, n = len(epochs), val.n
-    # one forward of the E pairs end to end, whose parts are each pair's row
-    # blocks; the (2E, P) stack is freed before the terms are built
-    stack = Model(arch, np.concatenate([checkpoints[e] for e in epochs]))
+    # one forward of the E pairs end to end (parts: each pair's row blocks); the
+    # (2E, P) stack, built once (no model copy), is freed before the terms are built
+    stack = Model(arch, checkpoints[epochs[0]])
+    stack.params = np.concatenate([checkpoints[e] for e in epochs])
     pmfs = stack.predict_pmf(val.features, n=n).reshape(E, 2, n, val.n_bins)
     del stack
-    times = resolve_times("all", val.n_bins)
 
     def table(role, own_pmfs, frozen_pmfs):  # [j][i]: own i against frozen j
-        plan = label_plan(val.time_bin, val.event, val.n_bins, times, _role_flags((role,)))
+        plan = _plan_of(LossSpec(family, role), val)
         if family == "nll":
             # one values-only pass over the (E, 1, n, K) stack, reduced per checkpoint
             vals = _cells(plan, (family,), own_pmfs[:, None], None, weight_floor)[0][:, 0]
@@ -378,9 +374,9 @@ def _selection_tables(
         # term times the frozen weight, so a row is one product of the
         # flattened (E, n*T) terms with one frozen checkpoint's weights
         _, terms, _ = _terms(family, plan, own_pmfs.cumsum(axis=-1), weight_floor, None)
-        terms = terms.reshape(E, n * times.size)
+        terms = terms.reshape(E, -1)
         return _Rows(lambda j: terms @ ipcw_weight_arrays(
-            role, frozen_pmfs[j], val.time_bin, val.event, times, weight_floor).ravel() / n)
+            role, frozen_pmfs[j], val.time_bin, val.event, "all", weight_floor).ravel() / n)
 
     return epochs, table("censor", pmfs[:, 1], pmfs[:, 0]), table("failure", pmfs[:, 0], pmfs[:, 1])
 
@@ -398,6 +394,7 @@ def select_models(
     interact and this reduces to the two independent validation argmins.
     """
     cfg = state.config
+    _unweighted(val, "select_models")
     if val.n_bins != state.pair.arch.n_bins:
         raise ValueError(f"val is binned on {val.n_bins} bins but the models predict "
                          f"{state.pair.arch.n_bins}")

@@ -34,8 +34,9 @@ Conventions, fixed across the package:
 - Every score runs behind one private entry point, `_cells`, on the row
   blocks of one label plan (`label_plan`, which checks the labels once): a
   game family through `_ipcw_weights` then `_scores`, the likelihood
-  through `_likelihood`, which reads no other player. The input rules and
-  the row-block rule are stated once, in the `core` module docstring.
+  through `_likelihood`, which reads no other player. A dataset keeps the
+  plan of each (horizons, roles) from its first loss call. The input rules
+  and the row-block rule are stated once, in the `core` module docstring.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, _check_pmf, _each_part, _labels, _row_blocks, _whole, padded_cdf
+from .core import Dataset, _check_pmf, _each_part, _labels, _row_blocks, _whole, padded_cdf
 
 __all__ = [
     "ClampStats",
@@ -427,24 +428,31 @@ def _per_role(spec: LossSpec, values, arrays):
     return values[0], arrays[0]
 
 
-def _pass(spec: LossSpec, own: np.ndarray, frozen_pmf, batch: Batch, stats: ClampStats | None,
+def _plan_of(spec: LossSpec, batch: Dataset) -> LabelPlan:
+    """``batch``'s label plan for the horizons and roles of ``spec``, built
+    on first use and kept on the batch, whose labels are read-only."""
+    plan = batch._plans.get(spec._plan_key)
+    if plan is None:
+        times = np.arange(0) if spec.family == "nll" else resolve_times(spec.times, batch.n_bins)
+        plan = batch._plans[spec._plan_key] = label_plan(
+            batch.time_bin, batch.event, batch.n_bins, times, spec._flags, batch.norm_weight())
+    return plan
+
+
+def _pass(spec: LossSpec, own_pmf, frozen_pmf, batch: Dataset, stats: ClampStats | None,
           reduce=None):
-    """``batch``'s label plan for the horizons and roles of ``spec`` and the
-    `_cells`, with gradients, of its family for an (R, n, K) own stack, a
-    game's against ``frozen_pmf``. The plan is built on first use and kept
-    on the batch, whose label arrays are read-only."""
-    K = own.shape[-1]
+    """``batch``'s label plan (`_plan_of`) and the `_cells`, with gradients, of
+    the family of ``spec`` for own pmfs on its K bins, a game's against ``frozen_pmf``."""
+    own = _as_matrix("own_pmf", own_pmf, batch.n, roles=spec.role)
+    plan = batch._plans.get(spec._plan_key) or _plan_of(spec, batch)  # one lookup on a hit
+    if own.shape[-1] != plan.n_bins:
+        raise ValueError(f"own_pmf must hold {plan.n_bins} bins on its last axis, "
+                         f"got shape {np.shape(own_pmf)}")
     frozen = None
     if spec.family != "nll":
         if frozen_pmf is None:
             raise ValueError("game losses need the other player's pmf")
-        frozen = _as_matrix("frozen_pmf", frozen_pmf, batch.n, n_bins=K, roles=spec.role)
-    key = (spec._plan_key, K)
-    plan = batch._plans.get(key)
-    if plan is None:
-        times = np.arange(0) if spec.family == "nll" else resolve_times(spec.times, K)
-        plan = batch._plans[key] = label_plan(batch.time_bin, batch.event, K, times, spec._flags,
-                                              batch.norm_weight())
+        frozen = _as_matrix("frozen_pmf", frozen_pmf, batch.n, plan.n_bins, spec.role)
     return plan, _cells(plan, (spec.family,), own, frozen, spec.weight_floor, stats, True, reduce)
 
 
@@ -452,7 +460,7 @@ def batch_loss(
     spec: LossSpec,
     own_pmf: np.ndarray,
     frozen_pmf: np.ndarray | None,
-    batch: Batch,
+    batch: Dataset,
     stats: ClampStats | None = None,
 ) -> tuple[float, np.ndarray]:
     """Weighted batch loss and its gradient with respect to ``own_pmf``.
@@ -462,24 +470,22 @@ def batch_loss(
     d(value)/d(own_pmf), rows scaled by the normalized batch weights. With a
     tuple ``spec.role`` both pmf arguments carry a leading role axis and
     every role is scored in one pass. Every family takes the batch's label
-    plan, built on the first call.
+    plan, built on the first call; the own pmfs must hold the batch's K bins.
 
     Returns
     -------
     value : float, or ndarray (R,) for a tuple role
     dpmf : ndarray, shape (n, K), or (R, n, K) for a tuple role
     """
-    own = _as_matrix("own_pmf", own_pmf, batch.n, roles=spec.role)
-
     def reduce(rows, part, cdf, vals, coefs):  # a game's row sums and pmf gradient, no (n, T) kept
         # d cdf(t) / d pmf_k = 1{k <= t}: scatter per-horizon coefs, then suffix-sum
         coefs *= part.weight[:, None]
-        tmp = np.zeros(coefs.shape[:-1] + own.shape[-1:])
+        tmp = np.zeros(coefs.shape[:-1] + (part.n_bins,))
         tmp[..., part.cdf_cols] = coefs
         return vals.sum(axis=-1), tmp[..., ::-1].cumsum(axis=-1)[..., ::-1]
 
     # the likelihood's values and pmf gradient come per row
-    plan, (vals, dpmf) = _pass(spec, own, frozen_pmf, batch, stats,
+    plan, (vals, dpmf) = _pass(spec, own_pmf, frozen_pmf, batch, stats,
                                None if spec.family == "nll" else reduce)
     return _per_role(spec, [float(plan.weight @ v) for v in vals], dpmf)
 
@@ -488,10 +494,10 @@ def per_horizon_loss(
     spec: LossSpec,
     own_pmf: np.ndarray,
     frozen_pmf: np.ndarray,
-    batch: Batch,
+    batch: Dataset,
     stats: ClampStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch-aggregated per-horizon values and cdf-coefficients.
+    """Per-horizon values and cdf-coefficients aggregated over the batch.
 
     Used by the per-(player, horizon) game where coordinate t descends its
     own horizon's loss only: the coordinate gradient of the t-th loss with
@@ -504,8 +510,7 @@ def per_horizon_loss(
     """
     if spec.family == "nll":
         raise ValueError("per-horizon form is defined for the game losses only")
-    own = _as_matrix("own_pmf", own_pmf, batch.n, roles=spec.role)
-    plan, (vals, coefs) = _pass(spec, own, frozen_pmf, batch, stats)
+    plan, (vals, coefs) = _pass(spec, own_pmf, frozen_pmf, batch, stats)
     return _per_role(spec, [plan.weight @ v for v in vals], [plan.weight @ c for c in coefs])
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Dataset, _check_int, _check_pmf, _events, _finite, assign_bins
+from .core import Dataset, _check_int, _check_pmf, _events, _finite, _unweighted, assign_bins
 from .losses import _as_matrix, _cells, _check_floor, _likelihood, _role_flags, label_plan
 from .simgen import MarginalWorld
 
@@ -91,6 +91,7 @@ def km_fit(time: np.ndarray, event: np.ndarray) -> KaplanMeier:
 def km_censoring(dataset: Dataset) -> KaplanMeier:
     """Product-limit estimate of the censoring survival Ghat, i.e. the
     Kaplan-Meier fit with the event indicator flipped."""
+    _unweighted(dataset, "km_censoring")
     return km_fit(dataset.time_bin.astype(float), ~dataset.event)
 
 
@@ -106,6 +107,7 @@ class _Cohort:
     rest from it."""
 
     def __init__(self, f_pmf, dataset: Dataset, weighting="km", g_pmf=None, world=None, floor=1e-6):
+        _unweighted(dataset, "a metrics scorer")
         self.pmf = _pmf_matrix("f_pmf", f_pmf, dataset)
         self.dataset, self.weighting, self.g_pmf, self.world = dataset, weighting, g_pmf, world
         self.floor = _check_floor(floor, "floor")

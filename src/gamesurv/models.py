@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, _check_int, _each_part, _row_blocks
+from .core import Dataset, _check_int, _each_part, _finite, _row_blocks
 from .losses import ClampStats, LossSpec, batch_loss
 from .simgen import _json_floats, _load_json
 
@@ -126,18 +126,17 @@ class Model:
 
     # -- forward ---------------------------------------------------------
 
-    def _batch_n(self, features: np.ndarray | None, n: int | None) -> int:
-        if self.arch.kind == "mlp":
-            if features is None:
-                raise ValueError("mlp model needs features")
-            if n is not None and n != features.shape[0]:
-                raise ValueError(f"n = {n} but the features hold {features.shape[0]} rows")
-            return features.shape[0]
-        if n is not None:
+    def _batch_n(self, features, n: int | None) -> int:
+        """The row count of ``n`` or of ``features``, which must agree where
+        both are given; an MLP needs features."""
+        if features is None:
+            if self.arch.kind == "mlp" or n is None:
+                raise ValueError("mlp model needs features" if self.arch.kind == "mlp"
+                                 else "marginal model needs n (or features to infer it)")
             return n
-        if features is not None:
-            return features.shape[0]
-        raise ValueError("marginal model needs n (or features to infer it)")
+        if n is not None and n != len(features):
+            raise ValueError(f"n = {n} but the features hold {len(features)} rows")
+        return len(features)
 
     def forward(
         self, features: np.ndarray | None = None, n: int | None = None, cache: bool = True
@@ -158,7 +157,7 @@ class Model:
             if (pmf_row < 0).any():
                 raise ValueError("probability coordinates left the simplex")
             return np.repeat(pmf_row[..., None, :], n, axis=-2), ("marginal-prob", n)
-        x = np.asarray(features, dtype=float)
+        x = _finite("features", features, 2)
         if x.shape != (n, self.arch.feature_dim):
             raise ValueError(f"features must be (n, {self.arch.feature_dim})")
         if cache:
@@ -273,11 +272,11 @@ class LossGradient:
 def loss_and_grad(
     model: Model,
     frozen_other,
-    batch: Batch,
+    batch: Dataset,
     spec: LossSpec,
     stats: ClampStats | None = None,
 ) -> LossGradient:
-    """Batch loss and its exact gradient for one player.
+    """The batch loss and its exact gradient for one player.
 
     ``frozen_other`` supplies the other player's probabilities (an (n, K)
     array, a (K,) pmf, or None for the likelihood); it is treated as a

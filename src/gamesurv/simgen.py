@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Batch, Dataset, RawSurvivalData, _check_edges, _check_int, _check_pmf, _check_real
+from .core import Dataset, RawSurvivalData, _check_edges, _check_int, _check_pmf, _check_real
 from .core import padded_cdf
 
 __all__ = [
@@ -220,7 +220,7 @@ def gen_marginal(world: MarginalWorld, n: int, seed: int = 0) -> Dataset:
     )
 
 
-def population_batch(world: MarginalWorld) -> Batch:
+def population_batch(world: MarginalWorld) -> Dataset:
     """Every possible (U, delta) outcome with its exact probability, the
     world's ``outcomes`` table: events at u = 1..K, then censorings.
 
@@ -230,7 +230,8 @@ def population_batch(world: MarginalWorld) -> Batch:
     keep = world.outcomes > 0
     u = np.broadcast_to(np.arange(1, world.n_bins + 1), keep.shape)
     delta = np.broadcast_to(np.array([[True], [False]]), keep.shape)
-    return Batch(u[keep], delta[keep], features=None, weight=world.outcomes[keep])
+    return Dataset(np.zeros((np.count_nonzero(keep), 0)), u[keep], delta[keep], world.bin_edges,
+                   weight=world.outcomes[keep])
 
 
 @dataclass(frozen=True)

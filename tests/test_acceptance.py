@@ -10,11 +10,12 @@ as per-seed values and paired differences but does not assert.
 """
 
 import numpy as np
+from conftest import labelled
 
 import gamesurv as gs
 from gamesurv import oracle
 from gamesurv.cli import _sweep_point
-from gamesurv.core import Batch, RawSurvivalData, discretize
+from gamesurv.core import RawSurvivalData, discretize
 from gamesurv.games import init_state, step_summed
 from gamesurv.losses import (
     LossSpec,
@@ -176,7 +177,7 @@ def test_criterion_05_gradients_match_finite_differences():
             feats = rng.normal(size=(n, arch.feature_dim))
             while _min_preactivation(Model(arch, params), feats) < 1e-4:
                 feats = rng.normal(size=(n, arch.feature_dim))
-        batch = Batch(rng.integers(1, k + 1, size=n), rng.random(n) < 0.6, feats)
+        batch = labelled(rng.integers(1, k + 1, size=n), rng.random(n) < 0.6, k, feats)
         frozen = rng.dirichlet(np.ones(k), size=n)
         for spec in specs:
             out = loss_and_grad(Model(arch, params), frozen, batch, spec)

@@ -1,21 +1,22 @@
 """Data containers, discretization and the input rules."""
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
+from conftest import labelled
 
-from gamesurv import cli
+from gamesurv import cli, core
 from gamesurv.core import (
-    Batch,
     Dataset,
     RawSurvivalData,
     assign_bins,
     discretize,
     quantile_discretize,
 )
-from gamesurv.games import TrainConfig, train
+from gamesurv.games import TrainConfig, select_models, train
 from gamesurv.losses import (
     ROLES,
     LossSpec,
@@ -29,11 +30,13 @@ from gamesurv.losses import (
     resolve_times,
 )
 from gamesurv.metrics import (
+    calibration_curve,
     concordance,
     concordance_index,
     eval_bll,
     eval_bs,
     evaluate,
+    km_censoring,
     km_fit,
     nll_metric,
 )
@@ -86,35 +89,37 @@ def test_quantile_discretize_balanced():
 
 
 def test_batch_validation():
+    # a batch is a dataset: its labels, weights and size are checked once, there
     with pytest.raises(ValueError, match=r"event must have time_bin's shape \(2,\)"):
-        Batch(np.array([1, 2]), np.array([True]))
-    with pytest.raises(ValueError, match=r"time_bin must lie in 1\.\.K"):
-        Batch(np.array([0, 2]), np.array([True, False]))
+        labelled(np.array([1, 2]), np.array([True]), 2)
+    with pytest.raises(ValueError, match=r"time_bin must lie in 1\.\.2"):
+        labelled(np.array([0, 2]), np.array([True, False]), 2)
     with pytest.raises(ValueError, match="nonnegative"):
-        Batch(np.array([1]), np.array([True]), weight=np.array([-1.0]))
+        labelled(np.array([1]), np.array([True]), 2, weight=np.array([-1.0]))
     with pytest.raises(ValueError, match="time_bin is empty"):
-        Batch(np.array([], int), np.array([], bool)).norm_weight()
-    b = Batch(np.array([1, 2, 2]), np.array([True, False, True]))
+        labelled(np.array([], int), np.array([], bool), 2)
+    b = labelled(np.array([1, 2, 2]), np.array([True, False, True]), 2)
     np.testing.assert_allclose(b.norm_weight(), 1.0 / 3.0)
-    bw = Batch(np.array([1, 2]), np.array([True, False]), weight=np.array([1.0, 3.0]))
+    bw = labelled(np.array([1, 2]), np.array([True, False]), 2, weight=np.array([1.0, 3.0]))
     np.testing.assert_allclose(bw.norm_weight(), [0.25, 0.75])
 
 
 def test_batch_keeps_read_only_copies_of_its_labels():
-    # label plans are memoised on a batch, so its labels must not change
+    # label plans are memoised on a dataset and on each of its batches, so
+    # their labels and weights must not change
     u, ev, w = np.array([1, 2, 2]), np.array([True, False, True]), np.array([1.0, 2.0, 3.0])
-    b = Batch(u, ev, weight=w)
-    for label, given in ((b.time_bin, u), (b.event, ev), (b.weight, w)):
+    ds = Dataset(np.zeros((3, 1)), u, ev, np.array([0.0, 1.0, 2.0]), weight=w)
+    rows = ds.batch(np.array([2, 0]))
+    assert ds.batch() is ds
+    for label, given in ((ds.time_bin, u), (ds.event, ev), (ds.weight, w),
+                         (rows.time_bin, u), (rows.event, ev), (rows.weight, w)):
         assert not label.flags.writeable and given.flags.writeable
         assert not np.shares_memory(label, given)
         with pytest.raises(ValueError, match="read-only"):
             label[0] = label[1]
-    ds = Dataset(np.zeros((3, 1)), u, ev, np.array([0.0, 1.0, 2.0]))
-    whole = ds.batch()
-    assert ds.time_bin.flags.writeable and ds.event.flags.writeable
-    assert not np.shares_memory(whole.time_bin, ds.time_bin)
-    ds.time_bin[0] = 2
-    assert whole.time_bin[0] == 1
+    # discretize hands its dataset a copy of the raw events, never the caller's array
+    binned = discretize(RawSurvivalData(np.zeros((3, 1)), [0.5, 1.5, 1.6], ev), edges=[0, 1, 2])
+    assert not binned.event.flags.writeable and ev.flags.writeable
 
 
 def test_discretize_roundtrip():
@@ -162,6 +167,44 @@ def test_dataset_batch_subset_records():
     np.testing.assert_array_equal(b.features, ds.features[idx])
 
 
+RULES = ("_labels", "_events", "_finite", "_check_edges", "_row_weights", "_nonempty")
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_batch_is_its_checked_rows_built_without_a_rule(monkeypatch, weighted):
+    rng = np.random.default_rng(8)
+    n = 40
+    extra = dict(latent_time=rng.random(n), latent_censor=rng.random(n),
+                 weight=rng.random(n) + 0.1) if weighted else {}
+    ds = Dataset(rng.normal(size=(n, 2)), rng.integers(1, 5, size=n), rng.random(n) < 0.6,
+                 np.arange(5.0), **extra)
+    idx = np.array([3, 10, 10, 39])
+    want = Dataset(ds.features[idx], ds.time_bin[idx], ds.event[idx], ds.bin_edges,
+                   **{k: v[idx] for k, v in extra.items()})
+    calls = []
+
+    def counted(rule, real):
+        def call(*args):
+            calls.append(rule)
+            return real(*args)
+        return call
+
+    for rule in RULES:
+        monkeypatch.setattr(core, rule, counted(rule, getattr(core, rule)))
+    got = ds.batch(idx)
+    assert calls == []
+    for f in dataclasses.fields(Dataset):
+        mine, theirs = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "_plans":
+            assert mine == theirs == {} and mine is not ds._plans
+        elif theirs is None:
+            assert mine is None
+        else:
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), f.name
+    Dataset(got.features, got.time_bin, got.event, got.bin_edges)  # the checked construction
+    assert {"_labels", "_finite", "_check_edges", "_nonempty"} <= set(calls)
+
+
 # -- one table per input rule ------------------------------------------------
 # Every boundary that takes a kind of input fails on the same bad values with
 # a ValueError naming the field (a ConfigError, its subclass, in the CLI).
@@ -180,13 +223,15 @@ BAD_LABELS = {  # name -> (time_bin, event, message)
     "bin 1.5": ([1.5, 2.0, 3.0], EVENTS3, "time_bin must hold whole bin numbers"),
 }
 LABEL_BOUNDARIES = {
-    "Batch": lambda u, e: Batch(u, e),
+    "weighted Dataset": lambda u, e: Dataset(np.zeros((len(u), 0)), u, e, WORLD3.bin_edges,
+                                             weight=np.ones(len(u))),
     "Dataset": lambda u, e: Dataset(np.zeros((len(u), 0)), u, e, WORLD3.bin_edges),
     "batch_loss": lambda u, e: batch_loss(LossSpec("ipcw-bs", ROLES), PAIR3, PAIR3[::-1],
-                                          Batch(u, e)),
-    "batch_loss nll": lambda u, e: batch_loss(LossSpec("nll", "censor"), G3, None, Batch(u, e)),
+                                          labelled(u, e, 3)),
+    "batch_loss nll": lambda u, e: batch_loss(LossSpec("nll", "censor"), G3, None,
+                                              labelled(u, e, 3)),
     "per_horizon_loss": lambda u, e: per_horizon_loss(LossSpec("ipcw-bll", "failure"), F3, G3,
-                                                      Batch(u, e)),
+                                                      labelled(u, e, 3)),
     "ipcw_per_sample": lambda u, e: ipcw_per_sample("ipcw-bll", "censor", 1, G3, F3, u, e),
     "ipcw_bs_failure": lambda u, e: ipcw_bs_failure(2, F3, G3, u, e),
     "nll": lambda u, e: nll(F3, u, e),
@@ -196,9 +241,7 @@ LABEL_BOUNDARIES = {
 
 
 @pytest.mark.parametrize(
-    "boundary, bad",
-    # a batch alone does not know K; bin K + 1 fails at its first loss call
-    [(b, v) for b in LABEL_BOUNDARIES for v in BAD_LABELS if (b, v) != ("Batch", "bin K+1")],
+    "boundary, bad", [(b, v) for b in LABEL_BOUNDARIES for v in BAD_LABELS],
 )
 def test_labels_follow_one_rule(boundary, bad):
     time_bin, event, message = BAD_LABELS[bad]
@@ -237,21 +280,50 @@ PMF_BOUNDARIES = {  # name -> (call, field)
     "ipcw_weight_arrays": (lambda p: ipcw_weight_arrays("failure", p, [1, 2, 3], EVENTS3, "all"),
                            "frozen_pmf"),
     "ipcw_mean": (lambda p: ipcw_mean([1, 2, 3], EVENTS3, p), "censor_pmf"),
+    "batch_loss own_pmf": (lambda p: batch_loss(LossSpec("ipcw-bs", "failure"), p, G3, DATA3),
+                           "own_pmf"),
+    "batch_loss nll own_pmf": (lambda p: batch_loss(LossSpec("nll", "censor"), p, None, DATA3),
+                               "own_pmf"),
+    "per_horizon_loss own_pmf": (
+        lambda p: per_horizon_loss(LossSpec("ipcw-bll", ROLES), [p, p], PAIR3, DATA3), "own_pmf"),
 }
 # the per-sample losses take K from the (own) pmf, so "wrong K" is no pmf error there
 PER_SAMPLE = ("nll", "ipcw_per_sample own_pmf", "ipcw_per_sample frozen_pmf",
               "ipcw_weight_arrays", "ipcw_mean")
+# the training losses take model outputs and skip the pmf rule, but hold them to the batch's K
+TRAINING = ("batch_loss own_pmf", "batch_loss nll own_pmf", "per_horizon_loss own_pmf")
 
 
 @pytest.mark.parametrize(
     "boundary, bad",
-    [(b, v) for b in PMF_BOUNDARIES for v in BAD_PMFS if not (b in PER_SAMPLE and v == "wrong K")],
+    [(b, v) for b in PMF_BOUNDARIES for v in BAD_PMFS
+     if not (b in PER_SAMPLE and v == "wrong K") and (b not in TRAINING or v == "wrong K")],
 )
 def test_pmfs_follow_one_rule(boundary, bad):
     pmf, message = BAD_PMFS[bad]
     call, field = PMF_BOUNDARIES[boundary]
     with pytest.raises(ValueError, match=re.escape(f"{field} {message}")):
         call(pmf)
+
+
+WEIGHTED3 = Dataset(DATA3.features, DATA3.time_bin, DATA3.event, DATA3.bin_edges,
+                    DATA3.latent_time, weight=np.ones(DATA3.n))
+UNWEIGHTED_READERS = {  # they weigh every row alike, so row weights would be ignored
+    "eval_bs": lambda: eval_bs(F3, WEIGHTED3),
+    "eval_bll": lambda: eval_bll(F3, WEIGHTED3, weighting="true-G", world=WORLD3),
+    "nll_metric": lambda: nll_metric(F3, WEIGHTED3),
+    "concordance": lambda: concordance(F3, WEIGHTED3),
+    "calibration_curve": lambda: calibration_curve(F3, WEIGHTED3),
+    "evaluate": lambda: evaluate(F3, WEIGHTED3),
+    "km_censoring": lambda: km_censoring(WEIGHTED3),
+    "select_models": lambda: select_models(train(DATA3, TrainConfig(epochs=1)), WEIGHTED3),
+}
+
+
+@pytest.mark.parametrize("reader", UNWEIGHTED_READERS)
+def test_readers_that_weigh_rows_alike_reject_row_weights(reader):
+    with pytest.raises(ValueError, match="weighs every row alike: weight must be None"):
+        UNWEIGHTED_READERS[reader]()
 
 
 def _read_edges(tmp_path, edges):
@@ -357,7 +429,7 @@ def test_real_knobs_follow_one_rule(boundary, bad):
 
 
 T3 = [0.5, 1.5, 2.5]
-BATCH3 = Batch([1, 2, 3], EVENTS3)
+BATCH3 = labelled([1, 2, 3], EVENTS3, 3)
 BAD_EVENTS = {  # name -> (event for 3 records, message)
     "mismatched": ([True], r"event must have time's shape \(3,\), got \(1,\)"),
     "2": ([1, 2, 0], "event must hold only 0 and 1, got int"),
@@ -365,7 +437,8 @@ BAD_EVENTS = {  # name -> (event for 3 records, message)
     "nan": ([1, np.nan, 0], "event must hold only 0 and 1, got float64 values"),
 }
 EVENT_BOUNDARIES = {
-    "Batch": lambda e: Batch([1, 2, 3], e),
+    "weighted Dataset": lambda e: Dataset(np.zeros((3, 0)), [1, 2, 3], e, WORLD3.bin_edges,
+                                          weight=np.ones(3)),
     "Dataset": lambda e: Dataset(np.zeros((3, 0)), [1, 2, 3], e, WORLD3.bin_edges),
     "nll": lambda e: nll(F3, [1, 2, 3], e),
     "ipcw_per_sample": lambda e: ipcw_per_sample("ipcw-bs", "censor", 1, G3, F3, [1, 2, 3], e),
@@ -507,14 +580,21 @@ BAD_LOSS_PMFS = {  # name -> (own pmf, frozen pmf, message) on a 3-row batch
     "frozen 5 rows": (F3, np.full((5, 3), 1 / 3),
                       "frozen_pmf must be (K,) or (n, K) with n = 3 and K = 3"),
 }
+
+
+def _batch_of(own):
+    """The 3-row batch on the own pmf's K bins, so that only the named pmf is at fault."""
+    return labelled([1, 2, 3], EVENTS3, np.shape(own)[-1])
+
+
 LOSS_PMF_BOUNDARIES = {
     "batch_loss": lambda own, frozen: batch_loss(LossSpec("ipcw-bs", "failure"), own, frozen,
-                                                 BATCH3),
+                                                 _batch_of(own)),
     "batch_loss roles": lambda own, frozen: batch_loss(LossSpec("ipcw-bll", ROLES),
                                                        np.stack([own, own]),
-                                                       np.stack([frozen, frozen]), BATCH3),
+                                                       np.stack([frozen, frozen]), _batch_of(own)),
     "per_horizon_loss": lambda own, frozen: per_horizon_loss(LossSpec("ipcw-bll", "censor"), own,
-                                                             frozen, BATCH3),
+                                                             frozen, _batch_of(own)),
     "ipcw_per_sample": lambda own, frozen: ipcw_per_sample("ipcw-bs", "failure", 1, own, frozen,
                                                            [1, 2, 3], EVENTS3),
 }

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import labelled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamesurv import games, losses
-from gamesurv.core import Batch, Dataset
+from gamesurv.core import Dataset
 from gamesurv.games import (
     TrainConfig,
     _Adam,
@@ -74,9 +75,9 @@ def test_train_config_rejects_bad_fields(field, value):
 
 
 def test_train_rejects_empty_dataset():
-    empty = Dataset(np.zeros((0, 0)), [], [], TRUTH.bin_edges)
-    with pytest.raises(ValueError, match="time_bin"):
-        train(empty, TrainConfig(objective="bs-game", epochs=1))
+    # train needs no check of its own: an empty dataset cannot be built
+    with pytest.raises(ValueError, match="time_bin is empty"):
+        Dataset(np.zeros((0, 0)), [], [], TRUTH.bin_edges)
 
 
 def _sigmoid_pair(z):
@@ -94,7 +95,7 @@ def test_one_step_matches_hand_chain():
     zf = np.array([0.2, -0.1])
     zg = np.array([-0.3, 0.4])
     lr = 0.05
-    batch = Batch(np.array([1, 1, 2]), np.array([True, False, True]))
+    batch = labelled(np.array([1, 1, 2]), np.array([True, False, True]), 2)
 
     for objective in ("bs-game", "bll-game"):
         cfg = TrainConfig(objective=objective, optimizer="sgd", learning_rate=lr, epochs=0)
@@ -143,7 +144,7 @@ def test_step_summed_is_two_frozen_single_steps(objective, feature_dim, n_bins, 
                       hidden=(4, 3), init_scale=1.0, seed=int(rng.integers(100)))
     state = init_state(n_bins, feature_dim, cfg)
     features = rng.normal(size=(n, feature_dim)) if feature_dim else None
-    batch = Batch(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.6, features)
+    batch = labelled(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.6, n_bins, features)
     f, g = state.model_f, state.model_g
     game = family_of(objective) != "nll"
     frozen_g = g.predict_pmf(features, n=n) if game else None
@@ -162,7 +163,7 @@ def test_step_names_the_player_with_a_non_finite_gradient():
     state = init_state(3, 0, TrainConfig(objective="nll", optimizer="sgd", epochs=0))
     state.pair.params[1, 0] = np.nan
     with pytest.raises(RuntimeError, match="for the censoring model at epoch 0"):
-        step_summed(state, Batch(np.array([1, 2]), np.array([True, False])))
+        step_summed(state, labelled(np.array([1, 2]), np.array([True, False]), 3))
 
 
 def test_step_metrics_check_rows_only_when_a_norm_is_not_finite():
@@ -199,6 +200,32 @@ def test_repeated_steps_on_one_batch_build_one_label_plan(monkeypatch, game_form
         for _ in range(steps):
             step(state, batch)
         assert len(builds) == 1
+
+
+@pytest.mark.parametrize("objective", ["nll", "bs-game"])
+def test_training_and_selection_build_one_label_plan_per_dataset_and_spec(monkeypatch,
+                                                                          objective):
+    # a minibatch is a dataset of its own, planned once for the run's spec;
+    # selection takes each role's plan from val's memo, so a second
+    # selection on the same val builds only the weight arrays' plans
+    builds, weight_arrays = [], []
+    plan, arrays = losses.label_plan, games.ipcw_weight_arrays
+    monkeypatch.setattr(losses, "label_plan", lambda *a: builds.append(1) or plan(*a))
+    monkeypatch.setattr(games, "ipcw_weight_arrays",
+                        lambda *a: weight_arrays.append(1) or arrays(*a))
+    state = train(gen_marginal(TRUTH, 40, seed=1),
+                  TrainConfig(objective=objective, epochs=3, batch_size=16))
+    assert len(builds) == 3 * 3  # 3 epochs of 3 minibatches
+    val = gen_marginal(TRUTH, 30, seed=2)
+    for role_plans in (2, 0):
+        builds.clear()
+        weight_arrays.clear()
+        kept = dict(val._plans)
+        select_models(state, val)
+        assert len(builds) == role_plans + len(weight_arrays)
+        assert all(val._plans[key] is p for key, p in kept.items())
+    horizons = () if objective == "nll" else "all"
+    assert set(val._plans) == {(horizons, ("censor",)), (horizons, ("failure",))}
 
 
 def test_truth_is_stationary_multiplayer():
@@ -269,11 +296,11 @@ def test_multiplayer_guards():
     cfg = TrainConfig(objective="nll", game_form="summed")
     state = init_state(2, 0, cfg)
     with pytest.raises(ValueError, match="game objectives"):
-        step_multiplayer(state, Batch(np.array([1]), np.array([True])))
+        step_multiplayer(state, labelled(np.array([1]), np.array([True]), 2))
     cfg2 = TrainConfig(objective="bs-game", game_form="summed")
     state2 = init_state(2, 0, cfg2)
     with pytest.raises(ValueError, match="probability coordinates"):
-        step_multiplayer(state2, Batch(np.array([1]), np.array([True])))
+        step_multiplayer(state2, labelled(np.array([1]), np.array([True]), 2))
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,12 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from conftest import labelled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamesurv import core, losses, metrics
-from gamesurv.core import Batch, Dataset
+from gamesurv.core import Dataset
 from gamesurv.losses import (
     ROLES,
     ClampStats,
@@ -47,7 +48,7 @@ def test_one_bin_pmfs_fail_naming_times():
     # a one-bin pmf has no horizon in 1..K-1, so the loss has nothing to score
     for family in ("ipcw-bs", "ipcw-bll"):
         with pytest.raises(ValueError, match="times"):
-            batch_loss(LossSpec(family, "failure"), [1.0], [1.0], Batch([1], [True]))
+            batch_loss(LossSpec(family, "failure"), [1.0], [1.0], labelled([1], [True], 1))
 
 
 def test_weight_arrays_left_limit_asymmetry():
@@ -118,7 +119,7 @@ def test_per_horizon_matches_named_wrappers():
             per_sample = ipcw_per_sample(family, role, t, own, frz, u, ev)
             assert per_sample.shape == (n,)
             spec = LossSpec(family, role, times=(t,))
-            vals, _ = per_horizon_loss(spec, own, frz, Batch(u, ev))
+            vals, _ = per_horizon_loss(spec, own, frz, labelled(u, ev, k))
             np.testing.assert_allclose(vals[0], per_sample @ w, rtol=1e-13)
 
 
@@ -127,7 +128,7 @@ def test_batch_loss_sums_horizons():
     k, n = 5, 30
     f = rng.dirichlet(np.ones(k), size=n)
     g = rng.dirichlet(np.ones(k), size=n)
-    b = Batch(rng.integers(1, k + 1, size=n), rng.random(n) < 0.5)
+    b = labelled(rng.integers(1, k + 1, size=n), rng.random(n) < 0.5, k)
     spec_all = LossSpec("ipcw-bs", "failure")
     total, _ = batch_loss(spec_all, f, g, b)
     vals, _ = per_horizon_loss(spec_all, f, g, b)
@@ -221,18 +222,9 @@ def test_labels_outside_the_bins_fail_naming_time_bin():
         for call in calls:
             with pytest.raises(ValueError, match="time_bin"):
                 call()
-    # a batch refuses bin 0 itself; bin K + 1 fails at the first loss call
-    with pytest.raises(ValueError, match="time_bin"):
-        Batch(np.array([0, 1]), np.array([True, False]))
-    batch = Batch(np.array([4, 1]), np.array([True, False]))
-    for family in ("nll", "ipcw-bs", "ipcw-bll"):
-        for role in (*ROLES, ROLES):
-            own = np.tile(f, (len(role), 1)) if isinstance(role, tuple) else f
-            with pytest.raises(ValueError, match="time_bin"):
-                batch_loss(LossSpec(family, role), own, own, batch)
-            if family != "nll":
-                with pytest.raises(ValueError, match="time_bin"):
-                    per_horizon_loss(LossSpec(family, role), own, own, batch)
+        # a batch is a dataset on K bins, which refuses both itself
+        with pytest.raises(ValueError, match="time_bin"):
+            labelled(u, ev, 3)
 
 
 def test_nll_hand_values_and_decoupling():
@@ -254,7 +246,7 @@ def test_nll_terminal_censored_clamps():
     assert stats.count == 1
     # clamped terms are flat in the pmf: a point mass (row 0) and a tail
     # (row 1) below the floor give no gradient, an unclamped point mass does
-    batch = Batch(np.array([1, 2, 2]), np.array([True, False, True]))
+    batch = labelled(np.array([1, 2, 2]), np.array([True, False, True]), 2)
     _, dpmf = batch_loss(LossSpec("nll", "failure", weight_floor=0.5), f, None, batch, stats)
     assert np.array_equal(dpmf, [[0.0, 0.0], [0.0, 0.0], [0.0, -(1 / 3) / 0.7]])
     assert stats.count == 3
@@ -294,7 +286,8 @@ def test_role_stack_equals_single_role_calls(family, roles, per_row, weighted, n
     shape = (len(roles), n, n_bins) if per_row else (len(roles), n_bins)
     own, frozen = _floored_pmfs(rng, shape, floor), _floored_pmfs(rng, shape, floor)
     weight = rng.random(n) + 0.1 if weighted else None
-    batch = Batch(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5, weight=weight)
+    batch = labelled(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5, n_bins,
+                     weight=weight)
     spec = LossSpec(family, roles, weight_floor=floor)
     stats = ClampStats()
     values, dpmf = batch_loss(spec, own, frozen, batch, stats)
@@ -334,8 +327,8 @@ def test_batch_loss_gradient_matches_finite_differences(family, n_bins, n, seed)
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(2, n, n_bins))
     frozen = rng.dirichlet(np.full(n_bins, 2.0), size=(2, n))
-    batch = Batch(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5,
-                  weight=rng.random(n) + 0.1)
+    batch = labelled(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5, n_bins,
+                     weight=rng.random(n) + 0.1)
     spec = LossSpec(family, ROLES)
 
     def softmax(x):
@@ -378,7 +371,7 @@ def test_role_spec_validation():
             call()
     with pytest.raises(ValueError, match="roles"):
         batch_loss(LossSpec("ipcw-bs", ROLES), np.full((3, 2), 0.5), np.full((3, 2), 0.5),
-                   Batch(np.array([1]), np.array([True])))
+                   labelled(np.array([1]), np.array([True]), 2))
 
 
 @settings(max_examples=60)
@@ -400,7 +393,7 @@ def test_reused_label_plan_equals_a_fresh_batch(family, roles, all_times, weight
     floor = 0.02
     labels = (rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5,
               rng.random(n) + 0.1 if weighted else None)
-    batch = Batch(*labels[:2], weight=labels[2])
+    batch = labelled(*labels[:2], n_bins, weight=labels[2])
     subset = rng.choice(np.arange(1, n_bins), size=rng.integers(1, n_bins), replace=False)
     horizons = "all" if all_times else tuple(subset.tolist())
     other_role = {"failure": "censor", "censor": "failure"}.get(roles, "failure")
@@ -416,7 +409,8 @@ def test_reused_label_plan_equals_a_fresh_batch(family, roles, all_times, weight
             for kernel in (batch_loss, per_horizon_loss):
                 reused, fresh = ClampStats(), ClampStats()
                 got = kernel(spec, own, frozen, batch, reused)
-                want = kernel(spec, own, frozen, Batch(*labels[:2], weight=labels[2]), fresh)
+                want = kernel(spec, own, frozen, labelled(*labels[:2], n_bins, weight=labels[2]),
+                              fresh)
                 for g, w in zip(got, want):
                     np.testing.assert_array_equal(g, w)
                 assert reused.count == fresh.count
@@ -424,9 +418,9 @@ def test_reused_label_plan_equals_a_fresh_batch(family, roles, all_times, weight
     distinct = {(tuple(resolve_times(s.times, n_bins)), s._flags.tobytes()) for s in specs}
     plans = list(batch._plans.values())
     assert len({id(p) for p in plans}) == len(plans) >= len(distinct)
-    for (spec_key, k), plan in batch._plans.items():
-        times, spec_roles = spec_key
-        np.testing.assert_array_equal(plan.le, batch.time_bin[:, None] <= resolve_times(times, k))
+    for (times, spec_roles), plan in batch._plans.items():
+        np.testing.assert_array_equal(plan.le,
+                                      batch.time_bin[:, None] <= resolve_times(times, n_bins))
         assert plan.evt_col.shape == (len(spec_roles), n)
 
 
@@ -506,7 +500,8 @@ def test_factored_weights_equal_the_materialized_route(family, roles, per_row, w
     shape = (len(roles), n, n_bins) if per_row else (len(roles), n_bins)
     own, frozen = _floored_pmfs(rng, shape, floor), _floored_pmfs(rng, shape, floor)
     weight = rng.random(n) + 0.1 if weighted else None
-    batch = Batch(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5, weight=weight)
+    batch = labelled(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5, n_bins,
+                     weight=weight)
     times = np.arange(1, n_bins)
     if horizons == "subset":  # often not contiguous
         times = np.sort(rng.choice(times, size=rng.integers(1, n_bins), replace=False))
@@ -576,7 +571,7 @@ def test_factored_evaluation_equals_the_materialized_route(n_bins, n, seed):
 def test_game_losses_need_the_frozen_pmf(family, roles):
     # both game kernels check the missing pmf before reading it
     own = np.full((len(roles), 3), 1 / 3) if isinstance(roles, tuple) else np.full(3, 1 / 3)
-    batch = Batch(np.array([1, 2, 3]), np.array([True, False, True]))
+    batch = labelled(np.array([1, 2, 3]), np.array([True, False, True]), 3)
     for kernel in (batch_loss, per_horizon_loss):
         with pytest.raises(ValueError, match="game losses need the other player's pmf"):
             kernel(LossSpec(family, roles), own, None, batch)
@@ -649,8 +644,8 @@ def test_the_likelihood_builds_no_inverse_weights(monkeypatch, roles):
     n, n_bins = 40, 5
     lead = (len(roles),) if isinstance(roles, tuple) else ()
     own, frozen = (_floored_pmfs(rng, (*lead, n, n_bins), 0.02) for _ in range(2))
-    batch = Batch(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5,
-                  weight=rng.random(n) + 0.1)
+    batch = labelled(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5, n_bins,
+                     weight=rng.random(n) + 0.1)
     runs = []
     for side in (None, frozen):
         stats = ClampStats()
@@ -667,7 +662,7 @@ def test_a_nan_in_the_frozen_pmf_reaches_the_value():
     # so a NaN in the first bin of the frozen pmf must surface
     own = np.array([0.2, 0.3, 0.5])
     frozen = np.array([np.nan, 0.5, 0.5])
-    batch = Batch(np.array([1, 2, 3]), np.array([True, False, True]))
+    batch = labelled(np.array([1, 2, 3]), np.array([True, False, True]), 3)
     for family in ("ipcw-bs", "ipcw-bll"):
         for role in ROLES:
             value, dpmf = batch_loss(LossSpec(family, role), own, frozen, batch)
@@ -708,8 +703,8 @@ def test_row_blocks_give_the_unblocked_bits(monkeypatch, family, roles, frozen_f
     frozen /= frozen.sum(axis=-1, keepdims=True)
     if frozen_form == "nan":
         frozen[..., 4, 0] = np.nan
-    batch = Batch(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5,
-                  weight=rng.random(n) + 0.1)
+    batch = labelled(rng.integers(1, n_bins + 1, size=n), rng.random(n) < 0.5, n_bins,
+                     weight=rng.random(n) + 0.1)
     spec = LossSpec(family, roles, weight_floor=0.25)  # high, so that clamps fire
     role, f, g = (roles[-1], own[-1], frozen[-1]) if lead else (roles, own, frozen)
     u, ev = batch.time_bin, batch.event
@@ -754,7 +749,8 @@ def test_every_loss_entry_point_rejects_a_floor_outside_0_1(floor):
         lambda: ipcw_per_sample("ipcw-bll", "failure", 1, f, g, u, ev, floor),
         lambda: ipcw_weight_arrays("failure", g, u, ev, np.array([1, 2]), floor),
         lambda: ipcw_mean(u, ev, g, weight_floor=floor),
-        lambda: batch_loss(LossSpec("nll", "failure", weight_floor=floor), f, None, Batch(u, ev)),
+        lambda: batch_loss(LossSpec("nll", "failure", weight_floor=floor), f, None,
+                           labelled(u, ev, 3)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="weight_floor must lie in"):
@@ -768,13 +764,13 @@ def test_row_weights_follow_one_rule(value):
     u, ev = np.array([1, 1, 2]), np.array([True, False, True])
     weight = np.full(3, value)
     if value > 0:
-        assert np.array_equal(Batch(u, ev, weight=weight).norm_weight(), np.full(3, 1 / 3))
+        assert np.array_equal(labelled(u, ev, 2, weight=weight).norm_weight(), np.full(3, 1 / 3))
         return
     with pytest.raises(ValueError, match="weight must be finite and nonnegative"):
-        Batch(u, ev, weight=weight)
+        labelled(u, ev, 2, weight=weight)
 
 
 def test_row_weights_need_one_entry_per_record():
     u, ev = np.array([1, 1, 2]), np.array([True, False, True])
     with pytest.raises(ValueError, match=r"weight must hold one entry per record, shape \(3,\)"):
-        Batch(u, ev, weight=[1.0, 1.0])
+        labelled(u, ev, 2, weight=[1.0, 1.0])

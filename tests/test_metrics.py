@@ -4,11 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from conftest import labelled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamesurv import core
-from gamesurv.core import Batch, Dataset, RawSurvivalData, assign_bins, discretize
+from gamesurv.core import Dataset, RawSurvivalData, assign_bins, discretize
 from gamesurv.metrics import (
     WEIGHTINGS,
     calibration_curve,
@@ -420,7 +421,7 @@ def test_evaluation_scores_are_the_training_scores():
     g = rng.dirichlet(np.ones(4), size=ds.n)
     e_k = np.array([0.0, 0.0, 0.0, 1.0])
     km_jumps = -np.diff(km_censoring(ds).surv_at(np.arange(5.0)))
-    lat = Batch(assign_bins(ds.latent_time, ds.bin_edges), np.ones(ds.n, bool))
+    lat = labelled(assign_bins(ds.latent_time, ds.bin_edges), np.ones(ds.n, bool), ds.n_bins)
     for family, score in (("ipcw-bs", eval_bs), ("ipcw-bll", eval_bll)):
         spec = LossSpec(family, "failure")
         for kwargs, frozen, batch in (

@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import labelled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamesurv.core import ROW_BLOCK, Batch
+from gamesurv.core import ROW_BLOCK
 from gamesurv.losses import LossSpec
 from gamesurv.models import KINDS, ArchSpec, Model, loss_and_grad
 
@@ -120,6 +121,26 @@ def test_mlp_forward_rejects_a_mismatched_n():
     assert model.predict_pmf(x, n=10).shape == (10, 3)
 
 
+def test_forward_runs_the_feature_rule_and_checks_the_row_count():
+    # an MLP's features follow core's feature-matrix rule: a NaN fails by
+    # name instead of giving a NaN pmf, and a list of rows is a matrix
+    mlp = Model.init(ArchSpec("mlp", n_bins=3, feature_dim=2, hidden=(4,)), seed=0)
+    for call in (mlp.predict_pmf, mlp.forward):
+        with pytest.raises(ValueError, match="features must be finite, got 1 NaN"):
+            call(np.array([[np.nan, 0.0], [1.0, 2.0]]))
+        with pytest.raises(ValueError, match="features must be 2-d"):
+            call(np.zeros(2))
+    rows = [[0.5, -1.0], [2.0, 0.0]]
+    assert np.array_equal(mlp.predict_pmf(rows), mlp.predict_pmf(np.array(rows)))
+    # a marginal kind reads only the row count, which must agree with n
+    for kind in ("marginal", "marginal-prob"):
+        model = Model.init(ArchSpec(kind, n_bins=3), seed=0)
+        assert model.predict_pmf(np.zeros((4, 0))).shape == (4, 3)
+        assert model.predict_pmf(np.zeros((4, 0)), n=4).shape == (4, 3)
+        with pytest.raises(ValueError, match="n = 2 but the features hold 4 rows"):
+            model.forward(np.zeros((4, 0)), n=2)
+
+
 @settings(max_examples=60)
 @given(
     kind=st.sampled_from(KINDS),
@@ -219,7 +240,8 @@ def test_gradients_match_finite_differences():
     for arch in archs:
         n = 12
         feats = rng.normal(size=(n, arch.feature_dim)) if arch.kind == "mlp" else None
-        batch = Batch(rng.integers(1, arch.n_bins + 1, size=n), rng.random(n) < 0.6, feats)
+        batch = labelled(rng.integers(1, arch.n_bins + 1, size=n), rng.random(n) < 0.6, arch.n_bins,
+                         feats)
         frozen = rng.dirichlet(np.ones(arch.n_bins), size=n)
         if arch.kind == "marginal-prob":
             params = rng.dirichlet(np.ones(arch.n_bins))[:-1]
@@ -241,7 +263,7 @@ def test_nll_gradient_ignores_frozen_model():
     rng = np.random.default_rng(9)
     arch = ArchSpec("marginal", n_bins=3)
     m = Model.init(arch, seed=5, init_scale=0.7)
-    batch = Batch(rng.integers(1, 4, size=30), rng.random(30) < 0.5)
+    batch = labelled(rng.integers(1, 4, size=30), rng.random(30) < 0.5, 3)
     spec = LossSpec("nll", "failure")
     a = loss_and_grad(m, rng.dirichlet(np.ones(3), size=30), batch, spec)
     b = loss_and_grad(m, None, batch, spec)

@@ -14,9 +14,10 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from conftest import labelled
 
 from gamesurv import cli, core, games, losses, metrics, models
-from gamesurv.core import Batch, Dataset
+from gamesurv.core import Dataset
 from gamesurv.games import TrainConfig, _selection_tables, select_models, train
 from gamesurv.losses import ROLES, ClampStats, LossSpec, batch_loss, ipcw_weight_arrays
 from gamesurv.losses import per_horizon_loss
@@ -82,7 +83,7 @@ def _outputs(seed=3):
     f[:, 0] += 4.0  # survival past bin 1 below 0.2: the weights of most cells clamp
     g[:, 0] += 4.0
     f, g = f / f.sum(axis=-1, keepdims=True), g / g.sum(axis=-1, keepdims=True)
-    batch = Batch(ds.time_bin, ds.event, weight=rng.random(N) + 0.1)
+    batch = labelled(ds.time_bin, ds.event, K, weight=rng.random(N) + 0.1)
     nan = g.copy()
     nan[np.argmax(ds.time_bin), 0] = np.nan  # a row that reads Xbar(t) at every horizon
     stats = _CallerStats()
@@ -176,7 +177,7 @@ def test_narrow_calls_run_serially_and_wide_ones_on_two_threads(monkeypatch):
     rng = np.random.default_rng(0)
     for n, k, threads in ((10_000, 4, 0), (100_000, 20, 1)):
         f, g = rng.dirichlet(np.ones(k), size=(2, n))
-        batch = Batch(rng.integers(1, k + 1, size=n), rng.random(n) < 0.5)
+        batch = labelled(rng.integers(1, k + 1, size=n), rng.random(n) < 0.5, k)
         with _cpus(2) as started:
             per_horizon_loss(LossSpec("ipcw-bs", "failure"), f, g, batch)
         assert len(started) == threads, (n, k)
