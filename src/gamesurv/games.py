@@ -272,6 +272,7 @@ def train(dataset: Dataset, config: TrainConfig) -> GameState:
     (the final epoch is always kept). Runs with the same config and data are
     bit-for-bit reproducible.
     """
+    _unweighted(dataset, "train")  # a minibatch would renormalize its own weights
     state = init_state(dataset.n_bins, dataset.feature_dim, config)
     _, _, seed_shuffle = np.random.SeedSequence(config.seed).spawn(3)
     rng = np.random.default_rng(seed_shuffle)

@@ -317,6 +317,7 @@ UNWEIGHTED_READERS = {  # they weigh every row alike, so row weights would be ig
     "evaluate": lambda: evaluate(F3, WEIGHTED3),
     "km_censoring": lambda: km_censoring(WEIGHTED3),
     "select_models": lambda: select_models(train(DATA3, TrainConfig(epochs=1)), WEIGHTED3),
+    "train": lambda: train(WEIGHTED3, TrainConfig(epochs=1)),
 }
 
 
