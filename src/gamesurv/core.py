@@ -19,8 +19,10 @@ that names the field:
 - bin edges (`_check_edges`): at least two, finite and strictly increasing;
 - row weights (`_row_weights`): one finite, nonnegative weight per record,
   with a positive sum, rejected where every row weighs alike (`_unweighted`);
-- datasets: at least one record (`_nonempty`), each field checked once; a
-  dataset's rows (`Dataset.batch`) and `discretize`'s output run no rule;
+- datasets: at least one record (`_nonempty`), each field checked once,
+  the labels for every label plan (`losses.label_plan` runs no rule); a
+  dataset's rows (`Dataset.batch`) check only that they are one or more on
+  one axis with a positive weight sum, and `discretize`'s output no rule;
 - sizes and knobs (`_check_int`, `_check_real`): an integer that is not a
   bool, or a finite real, at least a lower bound;
 - horizons (`losses.resolve_times`): 'all' or a 1-d sequence of whole
@@ -354,13 +356,18 @@ class Dataset:
 
     def batch(self, idx: np.ndarray | None = None) -> "Dataset":
         """The whole dataset, or rows ``idx`` as a dataset with plans of its
-        own, running no rule: the rows were checked with this dataset."""
+        own, checked only for what a subset of checked rows can break."""
         if idx is None:
             return self
-        optional = (None if a is None else a[idx] for a in (self.latent_time, self.latent_censor,
-                                                             self.weight))
-        return Dataset._checked(self.features[idx], self.time_bin[idx], self.event[idx],
-                                self.bin_edges, *optional)
+        bins = self.time_bin[idx]
+        if bins.ndim != 1 or bins.size == 0:
+            raise ValueError(f"idx must pick one or more rows on one axis, got shape {bins.shape}")
+        *latent, weight = (None if a is None else a[idx]
+                           for a in (self.latent_time, self.latent_censor, self.weight))
+        if weight is not None and not weight.sum() > 0:
+            raise ValueError("weight must have a positive sum over the rows idx picks")
+        return Dataset._checked(self.features[idx], bins, self.event[idx], self.bin_edges,
+                                *latent, weight)
 
 
 def quantile_discretize(raw_times: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:

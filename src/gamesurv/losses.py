@@ -32,10 +32,12 @@ Conventions, fixed across the package:
   event-branch survival column is U - 1 + c (Gbar(U-) or Fbar(U)), and the
   likelihood's tail starts at U - c. A single role is R = 1.
 - Every score runs behind one private entry point, `_cells`, on the row
-  blocks of one label plan (`label_plan`, which checks the labels once): a
-  game family through `_ipcw_weights` then `_scores`, the likelihood
-  through `_likelihood`, which reads no other player. A dataset keeps the
-  plan of each (horizons, roles) from its first loss call. The input rules
+  blocks of one label plan: a game family through `_ipcw_weights` then
+  `_scores`, the likelihood through `_likelihood`, which reads no other
+  player. A plan is built from a `Dataset`, whose construction checked the
+  labels, and checks nothing (`label_plan`); a dataset keeps the plan of
+  each (horizons, roles) from its first use (`_plan_of`), and the
+  per-sample losses wrap their raw labels as a dataset. The input rules
   and the row-block rule are stated once, in the `core` module docstring.
 """
 
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _check_pmf, _each_part, _labels, _row_blocks, _whole, padded_cdf
+from .core import Dataset, _check_pmf, _each_part, _row_blocks, _whole, padded_cdf
 
 __all__ = [
     "ClampStats",
@@ -68,7 +70,7 @@ ROLES = ("failure", "censor")
 @dataclass
 class ClampStats:
     """Mutable counter of clamped weight/log evaluations. Not shared
-    between threads: row blocks count in block-local stats (`_joined`)."""
+    between threads: row blocks count in block-local stats (`_cells`)."""
 
     count: int = 0
 
@@ -187,8 +189,8 @@ def _clamp(values: np.ndarray, floor: float, active, stats: ClampStats | None):
 @dataclass(frozen=True)
 class LabelPlan:
     """The label side of every score, fixed by the labels (U, delta) on
-    ``n_bins`` bins, the row weights, the horizons and the roles; a batch
-    builds it on its first loss call and every later call reuses it. For R
+    ``n_bins`` bins, the row weights, the horizons and the roles; a dataset
+    builds it on first use (`_plan_of`) and every later use reuses it. For R
     roles, n rows and T horizons: ``flags`` (R, 1) holds the censor flags c,
     ``roles`` (R, 1), ``rows`` (n,) and ``evt_col`` (R, n), the event-branch
     column U - 1 + c, gather from a survival table;
@@ -223,49 +225,12 @@ class LabelPlan:
         )
 
 
-def _joined(n: int, columns: int, kernel, stats: ClampStats | None,
-            axis: int = 1) -> tuple[np.ndarray, ...]:
-    """The outputs of ``kernel(rows, stats)`` on the row blocks of ``n``
-    rows, each row computing ``columns`` cells (`core._each_part`), arrays
-    with the rows on axis ``axis``, each joined into one full-length array;
-    a single block is one plain call. Blocks, which may run on two threads,
-    count their clamps in block-local stats, added to ``stats`` in block
-    order."""
-    blocks = _row_blocks(n)
-    if len(blocks) == 1:
-        return kernel(slice(None), stats)
-    full = []
-    at = (slice(None),) * axis
-
-    def block(rows):
-        local = None if stats is None else ClampStats()
-        parts = kernel(rows, local)
-        if not full:  # block 0, on the caller before any other block starts
-            full.extend(np.empty(p.shape[:axis] + (n,) + p.shape[axis + 1:]) for p in parts)
-        for out, part in zip(full, parts):
-            out[at + (rows,)] = part
-        return local
-
-    for local in _each_part(blocks, block, n * columns):
-        if local is not None:
-            stats.add(local.count)
-    return tuple(full)
-
-
-def label_plan(
-    time_bin,
-    event,
-    n_bins: int,
-    times: np.ndarray,
-    flags: np.ndarray,
-    weight: np.ndarray | None = None,
-) -> LabelPlan:
-    """The label plan of (``time_bin``, ``event``) on ``n_bins`` bins, which
-    checks the labels, at sorted, distinct horizons ``times`` (none for the
-    likelihood) for the roles with (R, 1) censor ``flags``; ``weight`` holds
-    normalized row weights, uniform when None."""
-    time_bin, event = _labels(time_bin, event, n_bins)
-    n = time_bin.size
+def label_plan(data: Dataset, times: np.ndarray, flags: np.ndarray) -> LabelPlan:
+    """The label plan of ``data``'s labels, which its construction checked,
+    at sorted, distinct horizons ``times`` (none for the likelihood) for the
+    roles with (R, 1) censor ``flags``, weighing rows by
+    ``data.norm_weight()``. Runs no rule."""
+    time_bin, event = data.time_bin, data.event
     ind = event ^ flags  # event or ~event
     if times.size and times[-1] - times[0] == times.size - 1:  # contiguous
         first, last = int(times[0]), int(times[-1])
@@ -273,17 +238,17 @@ def label_plan(
     else:
         surv_cols, cdf_cols = times, times - 1
     return LabelPlan(
-        n_bins=n_bins,
+        n_bins=data.n_bins,
         flags=flags,
         roles=np.arange(flags.shape[0])[:, None],
-        rows=np.arange(n),
+        rows=np.arange(data.n),
         evt_col=time_bin - 1 + flags,
         surv_cols=surv_cols,
         cdf_cols=cdf_cols,
         ind=ind.astype(float),  # a float numerator divides faster than a bool one
         evt_used=ind & (time_bin <= times.max(initial=0)),
         le=time_bin[:, None] <= times,
-        weight=np.full(n, 1.0 / n) if weight is None else weight,
+        weight=data.norm_weight(),
     )
 
 
@@ -398,7 +363,9 @@ def _cells(plan: LabelPlan, families, own, other, floor: float, stats: ClampStat
     cdf coefficients, written over the weights (so one family), or the
     likelihood's pmf gradient; or what ``reduce(rows, part, cdf, *outputs)``
     makes of a block's rows, label plan, own cdfs and outputs. Values and
-    clamp counts are those of one call per lead index."""
+    clamp counts are those of one call per lead index. One row block is one
+    plain call; blocks, on two threads or one (`core._each_part`), count
+    clamps in block-local stats, added to ``stats`` in block order."""
     if own is not None and other is not None and own.ndim > 3:
         other = np.broadcast_to(other, own.shape[:-2] + other.shape[-2:])  # serves every own stack
 
@@ -416,8 +383,25 @@ def _cells(plan: LabelPlan, families, own, other, floor: float, stats: ClampStat
             else _likelihood(part, own[..., rows, :], cdf, floor, stats, grad))]
         return out if reduce is None else reduce(rows, part, cdf, *out)
 
+    n, blocks = plan.rows.size, _row_blocks(plan.rows.size)
+    if len(blocks) == 1:
+        return block(slice(None), stats)
     rowed = other if own is None else own  # rows on its second-to-last axis, columns the rest
-    return _joined(plan.rows.size, rowed[..., :1, :].size, block, stats, rowed.ndim - 2)
+    at, full = (slice(None),) * (rowed.ndim - 2), []
+
+    def joined(rows):
+        local = None if stats is None else ClampStats()
+        outs = block(rows, local)
+        if not full:  # block 0, on the caller before any other block starts
+            full.extend(np.empty(o.shape[:len(at)] + (n,) + o.shape[len(at) + 1:]) for o in outs)
+        for whole, out in zip(full, outs):
+            whole[at + (rows,)] = out
+        return local
+
+    for local in _each_part(blocks, joined, n * rowed[..., :1, :].size):
+        if local is not None:
+            stats.add(local.count)
+    return tuple(full)
 
 
 def _per_role(spec: LossSpec, values, arrays):
@@ -428,15 +412,20 @@ def _per_role(spec: LossSpec, values, arrays):
     return values[0], arrays[0]
 
 
-def _plan_of(spec: LossSpec, batch: Dataset) -> LabelPlan:
-    """``batch``'s label plan for the horizons and roles of ``spec``, built
-    on first use and kept on the batch, whose labels are read-only."""
-    plan = batch._plans.get(spec._plan_key)
+def _plan_of(spec: LossSpec, data: Dataset) -> LabelPlan:
+    """``data``'s label plan for the horizons and roles of ``spec``, built
+    on first use and kept on the dataset, whose labels are read-only."""
+    plan = data._plans.get(spec._plan_key)
     if plan is None:
-        times = np.arange(0) if spec.family == "nll" else resolve_times(spec.times, batch.n_bins)
-        plan = batch._plans[spec._plan_key] = label_plan(
-            batch.time_bin, batch.event, batch.n_bins, times, spec._flags, batch.norm_weight())
+        times = np.arange(0) if spec.family == "nll" else resolve_times(spec.times, data.n_bins)
+        plan = data._plans[spec._plan_key] = label_plan(data, times, spec._flags)
     return plan
+
+
+def _labelled(time_bin, event, n_bins: int) -> Dataset:
+    """Raw labels on ``n_bins`` bins as a dataset, checked by its rules, with
+    no features, on the integer grid whose bin j holds the time j."""
+    return Dataset(np.zeros((np.size(time_bin), 0)), time_bin, event, np.arange(n_bins + 1) + 0.5)
 
 
 def _pass(spec: LossSpec, own_pmf, frozen_pmf, batch: Dataset, stats: ClampStats | None,
@@ -444,7 +433,7 @@ def _pass(spec: LossSpec, own_pmf, frozen_pmf, batch: Dataset, stats: ClampStats
     """``batch``'s label plan (`_plan_of`) and the `_cells`, with gradients, of
     the family of ``spec`` for own pmfs on its K bins, a game's against ``frozen_pmf``."""
     own = _as_matrix("own_pmf", own_pmf, batch.n, roles=spec.role)
-    plan = batch._plans.get(spec._plan_key) or _plan_of(spec, batch)  # one lookup on a hit
+    plan = _plan_of(spec, batch)
     if own.shape[-1] != plan.n_bins:
         raise ValueError(f"own_pmf must hold {plan.n_bins} bins on its last axis, "
                          f"got shape {np.shape(own_pmf)}")
@@ -527,11 +516,11 @@ def ipcw_weight_arrays(
     multiplier a player's own terms contract against (see `_ipcw_weights`),
     for a frozen pmf of shape (K,) or (n, K). Model selection builds one
     table row from one frozen checkpoint's weights."""
-    _check_floor(weight_floor)
+    spec = LossSpec("ipcw-bs", _one_role(role), times, weight_floor)  # either game's plan key
     frozen = _as_matrix("frozen_pmf", frozen_pmf, np.size(time_bin))
     K = frozen.shape[-1]
     _check_pmf("frozen_pmf", frozen_pmf, K)
-    plan = label_plan(time_bin, event, K, resolve_times(times, K), _role_flags((role,)))
+    plan = _plan_of(spec, _labelled(time_bin, event, K))
     return _cells(plan, (), None, frozen[None], weight_floor, stats)[0][0]
 
 
@@ -557,7 +546,7 @@ def ipcw_per_sample(
     frozen = _as_matrix("frozen_pmf", frozen_pmf, n, n_bins=K, roles=spec.role)
     _check_pmf("own_pmf", own_pmf, K)
     _check_pmf("frozen_pmf", frozen_pmf, K)
-    plan = label_plan(time_bin, event, K, resolve_times(spec.times, K), spec._flags)
+    plan = _plan_of(spec, _labelled(time_bin, event, K))
     return _cells(plan, (family,), own, frozen, weight_floor, stats)[0][0, :, 0]
 
 
@@ -578,7 +567,7 @@ def nll(pmf, time_bin, event, role="failure", weight_floor=1e-6, stats=None):
     own = _as_matrix("pmf", pmf, np.size(time_bin), roles=spec.role)
     K = own.shape[-1]
     _check_pmf("pmf", pmf, K)
-    plan = label_plan(time_bin, event, K, np.arange(0), spec._flags)
+    plan = _plan_of(spec, _labelled(time_bin, event, K))
     return _cells(plan, ("nll",), own, None, weight_floor, stats)[0][0]
 
 
@@ -594,6 +583,6 @@ def ipcw_mean(time_bin, event, censor_pmf, weight_floor=1e-6, stats=None):
     _check_pmf("censor_pmf", censor_pmf, K)
     # horizon K, past the scored 1..K-1, puts every row on the event branch,
     # whose weight is delta / Gbar(U-), zero off the events
-    plan = label_plan(time_bin, event, K, np.array([K]), _role_flags(("failure",)))
+    plan = label_plan(_labelled(time_bin, event, K), np.array([K]), _role_flags(("failure",)))
     inv = _cells(plan, (), None, frozen[None], weight_floor, stats)[0][0, :, 0]
     return float(((plan.evt_col[0] + 1) * inv).mean())  # the failure event column is U - 1

@@ -11,10 +11,10 @@ failure times as events (simulation only). The table goes through the loss
 kernel's entry point (``losses._cells``), so this module keeps no weight or
 term code of its own; its input and row-block rules are core's (see the
 `core` module docstring). `evaluate` scores a cohort in one pass: one pmf
-check, censoring table, label plan and latent-bin lookup serve all its
-scores, each row block's inverse weights serve both Brier and BLL, and its
-cdf gives the calibration and the likelihood (on the observed labels' plan,
-under every weighting) their entries.
+check, censoring table and latent-bin lookup serve all its scores, each row
+block's inverse weights serve both Brier and BLL, its cdf gives the
+calibration and likelihood entries, and its label plans are the dataset's
+(`losses._plan_of`), shared by every weighting and the training losses.
 Concordance makes one pass per bit of the 2 * n_times (time, event) classes
 and takes ties from runs of equal risk (`concordance_index`).
 """
@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Dataset, _check_int, _check_pmf, _events, _finite, _unweighted, assign_bins
-from .losses import _as_matrix, _cells, _check_floor, _likelihood, _role_flags, label_plan
+from .losses import LossSpec, _as_matrix, _cells, _check_floor, _likelihood, _plan_of
 from .simgen import MarginalWorld
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
 
 WEIGHTINGS = ("uncensored-latent", "km", "model-G", "true-G")
 SCORES = ("ipcw-bs", "ipcw-bll")
-_FAILURE = _role_flags(("failure",))
+_SCORED, _OBSERVED = LossSpec("ipcw-bs", "failure"), LossSpec("nll", "failure")  # plan keys
 
 
 @dataclass(frozen=True)
@@ -116,16 +116,17 @@ class _Cohort:
         self._entries = None
 
     def censoring(self):
-        """The censoring side under the weighting, with the (time_bin, event)
-        it weights: one survival table Gbar[j] = P(C > j), j = 0..K, for
-        every row, or under model-G the censoring model's (n, K) pmfs, whose
-        tables `losses._cells` builds per row block. The latent weighting
-        scores the latent failure bins, every row an event, against Gbar = 1."""
+        """The censoring side under the weighting, with the dataset whose
+        labels it weights: one survival table Gbar[j] = P(C > j), j = 0..K,
+        for every row, or under model-G the censoring model's (n, K) pmfs,
+        whose tables `losses._cells` builds per row block. The latent
+        weighting scores a dataset of the latent bins, all events, against Gbar = 1."""
         dataset, world, K = self.dataset, self.world, self.dataset.n_bins
         if self.weighting == "uncensored-latent":
             if self.latent_bins is None:
                 raise ValueError("this weighting needs the latent failure times")
-            return np.ones(K + 1), self.latent_bins, np.full(dataset.n, True)
+            return np.ones(K + 1), Dataset(np.zeros((dataset.n, 0)), self.latent_bins,
+                                           np.full(dataset.n, True), dataset.bin_edges)
         if self.weighting == "km":
             # binned times: KM jumps only at integer bins, so the table holds its
             # values at 0..K and its left limit at U is the entry at U - 1
@@ -142,14 +143,12 @@ class _Cohort:
             gbar = world.survs[1]
         else:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}")
-        return gbar, dataset.time_bin, dataset.event
+        return gbar, dataset
 
     @cached_property
     def observed(self):
-        """The label plan of the observed labels, which the likelihood reads
-        under every weighting and the scores under all but the latent one."""
-        K = self.dataset.n_bins
-        return label_plan(self.dataset.time_bin, self.dataset.event, K, np.arange(1, K), _FAILURE)
+        """The likelihood's plan of the observed labels, from the dataset's memo."""
+        return _plan_of(_OBSERVED, self.dataset)
 
     @cached_property
     def scores(self) -> dict:
@@ -157,11 +156,10 @@ class _Cohort:
         averaged over rows, by family, from one pass of the loss kernel's
         `_cells`: a block's inverse weights serve both families, and its cdf
         gives the block's `entries`. One bin leaves no horizon to score."""
-        K = _check_int("n_bins", self.dataset.n_bins, 2)
-        side, time_bin, event = self.censoring()
-        plan = (label_plan(time_bin, event, K, np.arange(1, K), _FAILURE)
-                if self.weighting == "uncensored-latent" else self.observed)
-        out = _cells(plan, SCORES, self.pmf[None], side.reshape(1, -1, side.shape[-1]), self.floor,
+        _check_int("n_bins", self.dataset.n_bins, 2)
+        side, labels = self.censoring()
+        out = _cells(_plan_of(_SCORED, labels), SCORES, self.pmf[None],
+                     side.reshape(1, -1, side.shape[-1]), self.floor,
                      reduce=lambda rows, part, cdf, *vals: (*vals, *self._entries_of(rows, cdf)))
         self._entries = out[2:]
         return {family: v[0].mean(axis=0) for family, v in zip(SCORES, out)}

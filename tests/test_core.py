@@ -221,6 +221,7 @@ BAD_LABELS = {  # name -> (time_bin, event, message)
     "bin 0": ([0, 1, 2], EVENTS3, r"time_bin must lie in 1\.\.(K|3), got labels from 0"),
     "bin K+1": ([1, 2, 4], EVENTS3, r"time_bin must lie in 1\.\.3, got labels from 1 to 4"),
     "bin 1.5": ([1.5, 2.0, 3.0], EVENTS3, "time_bin must hold whole bin numbers"),
+    "empty": ([], [], "time_bin is empty: a dataset needs at least one record"),
 }
 LABEL_BOUNDARIES = {
     "weighted Dataset": lambda u, e: Dataset(np.zeros((len(u), 0)), u, e, WORLD3.bin_edges,
@@ -431,6 +432,22 @@ def test_real_knobs_follow_one_rule(boundary, bad):
 
 T3 = [0.5, 1.5, 2.5]
 BATCH3 = labelled([1, 2, 3], EVENTS3, 3)
+NO_ROWS = r"idx must pick one or more rows on one axis, got shape "
+BAD_ROWS = {  # name -> (dataset, idx, message): what a subset of checked rows can break
+    "empty": (BATCH3, np.array([], int), NO_ROWS + r"\(0,\)"),
+    "empty mask": (BATCH3, np.zeros(3, bool), NO_ROWS + r"\(0,\)"),
+    "scalar": (BATCH3, 0, NO_ROWS + r"\(\)"),
+    "2-d": (BATCH3, np.array([[0, 1]]), NO_ROWS + r"\(1, 2\)"),
+    "zero weights": (labelled([1, 2, 3], EVENTS3, 3, weight=[0.0, 1.0, 0.0]), np.array([2, 0]),
+                     "weight must have a positive sum over the rows idx picks"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ROWS)
+def test_dataset_rows_keep_the_dataset_rules(bad):
+    data, idx, message = BAD_ROWS[bad]
+    with pytest.raises(ValueError, match=message):
+        data.batch(idx)
 BAD_EVENTS = {  # name -> (event for 3 records, message)
     "mismatched": ([True], r"event must have time's shape \(3,\), got \(1,\)"),
     "2": ([1, 2, 0], "event must hold only 0 and 1, got int"),

@@ -428,10 +428,64 @@ def test_label_plan_indexes_contiguous_horizons_by_slices():
     u, ev, flags = np.array([1, 3, 2]), np.array([True, False, True]), np.array([[False]])
     surv = np.arange(3 * 5.0).reshape(3, 5)
     for times in (np.array([1, 2, 3]), np.array([2, 3]), np.array([1, 3])):
-        plan = label_plan(u, ev, 4, times, flags)
+        plan = label_plan(labelled(u, ev, 4), times, flags)
         np.testing.assert_array_equal(surv[:, plan.surv_cols], surv[:, times])
         np.testing.assert_array_equal(surv[:, plan.cdf_cols], surv[:, times - 1])
         assert isinstance(plan.surv_cols, slice) == (times.size == times[-1] - times[0] + 1)
+
+
+LABEL_RULES = ("_labels", "_events", "_finite", "_check_edges", "_row_weights", "_nonempty")
+
+
+def _count_rules(monkeypatch) -> list:
+    """The names of core's label and dataset rules as they are called, from
+    now on; a module that imported a rule by name is patched too."""
+    calls = []
+    for rule in LABEL_RULES:
+        real = getattr(core, rule)
+        for module in (core, losses, metrics):
+            if getattr(module, rule, None) is real:
+                monkeypatch.setattr(module, rule,
+                                    lambda *a, rule=rule, real=real: calls.append(rule) or real(*a))
+    return calls
+
+
+def test_a_label_plan_is_built_from_a_dataset_running_no_rule(monkeypatch):
+    # labels are checked once, when the dataset is built; its plans, for
+    # every family, horizon set and role, run no rule and weigh its rows
+    ds = labelled([1, 3, 2, 3], [True, False, True, True], 3, weight=[1.0, 2.0, 0.0, 1.0])
+    calls = _count_rules(monkeypatch)
+    for spec in (LossSpec("nll", ROLES), LossSpec("ipcw-bs", "failure"),
+                 LossSpec("ipcw-bll", "censor", (2,))):
+        plan = losses._plan_of(spec, ds)
+        assert plan.weight.tolist() == ds.norm_weight().tolist() == [0.25, 0.5, 0.0, 0.25]
+    assert calls == []
+    # raw labels become a dataset, so a per-sample loss runs the label rule once
+    nll([0.2, 0.3, 0.5], [1, 3], [True, False])
+    assert calls.count("_labels") == 1
+
+
+def test_evaluate_and_the_losses_share_one_plan_per_dataset_and_spec(monkeypatch):
+    # the scores under every weighting and the game losses read the failure
+    # "all" plan, the likelihood entries and the nll loss the failure nll
+    # plan, each built once on the dataset; the latent labels are a dataset
+    # of their own, planned once per evaluate call under the latent weighting
+    built, plan = [], losses.label_plan
+    monkeypatch.setattr(losses, "label_plan", lambda *a: built.append(a[0]) or plan(*a))
+    rng = np.random.default_rng(4)
+    world = MarginalWorld(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
+    ds = gen_marginal(world, 25, seed=3)
+    f, g = (rng.dirichlet(np.ones(4), size=ds.n) for _ in range(2))
+    for _ in range(2):
+        for weighting in metrics.WEIGHTINGS:
+            metrics.evaluate(f, ds, weighting, g, world)
+        for family in ("ipcw-bs", "ipcw-bll", "nll"):
+            batch_loss(LossSpec(family, "failure"), f, None if family == "nll" else g, ds)
+    latent = [data for data in built if data is not ds]
+    assert len(built) - len(latent) == 2 == len({id(data) for data in latent})
+    assert set(ds._plans) == {("all", ("failure",)), ((), ("failure",))}
+    for data in latent:
+        assert data.event.all() and data.features.shape == (ds.n, 0)
 
 
 def _materialized_weights(flags, surv, time_bin, event, times, floor):
@@ -555,7 +609,8 @@ def test_factored_evaluation_equals_the_materialized_route(n_bins, n, seed):
     times = np.arange(1, n_bins)
     for weighting in metrics.WEIGHTINGS:
         cohort = metrics._Cohort(f, ds, weighting, g, world, floor)
-        gbar, time_bin, event = cohort.censoring()
+        gbar, labels = cohort.censoring()
+        time_bin, event = labels.time_bin, labels.event
         if weighting == "model-G":  # the cohort hands over g, whose tables _cells builds per block
             gbar = losses._padded_surv(g)
         surv = gbar.reshape(1, -1, n_bins + 1)
@@ -605,7 +660,7 @@ def test_cells_take_free_leading_axes(families, shared, blocked, n_stacks, roles
     surv = losses._padded_surv(frozen)
     u = rng.integers(1, n_bins + 1, size=n)
     u[0] = n_bins  # row 0 reads Xbar(t) at every horizon, the NaN of the first table
-    plan = label_plan(u, rng.random(n) < 0.5, n_bins, np.arange(1, n_bins),
+    plan = label_plan(labelled(u, rng.random(n) < 0.5, n_bins), np.arange(1, n_bins),
                       losses._role_flags(roles))
     grad = len(families) == 1  # coefficients are written over the weights, so one family
 

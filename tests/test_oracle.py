@@ -644,7 +644,7 @@ def test_only_losses_reaches_the_scoring_chain():
     # every score goes through losses._cells, so the chain's parts stay
     # private to losses: no other module imports them or reads them by
     # name, except that metrics reads the likelihood kernel
-    chain = {"_ipcw_weights", "_scores", "_joined", "_likelihood"}
+    chain = {"_ipcw_weights", "_scores", "_likelihood"}
     package = Path(gamesurv.oracle.__file__).parent
     sites = []  # (module, top-level name, function, part) of each call to a part
     for path in package.glob("*.py"):
@@ -664,7 +664,7 @@ def test_only_losses_reaches_the_scoring_chain():
             for fn in defs:
                 for node in ast.walk(fn):
                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                            and node.func.id in allowed - {"_joined"}:
+                            and node.func.id in allowed:
                         sites.append((path.stem, getattr(top, "name", ""),
                                       getattr(fn, "name", ""), node.func.id))
     # the weights, the scores and the likelihood each run at one call site,
@@ -676,3 +676,46 @@ def test_only_losses_reaches_the_scoring_chain():
         ("losses", "_cells", "_cells", "_scores"),
         ("metrics", "_Cohort", "_entries_of", "_likelihood"),
     ]
+
+
+def _top_level_calls(tree):
+    """(top-level name, function, called name) of each call by plain name or
+    attribute in ``tree``'s top-level functions and class methods."""
+    for top in tree.body:
+        for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    yield getattr(top, "name", ""), getattr(fn, "name", ""), name
+
+
+def test_label_plans_are_built_from_a_dataset_in_losses_alone():
+    # labels are checked once, by Dataset: a label plan is built from a
+    # dataset by the memo (_plan_of) and by ipcw_mean, whose horizon K no
+    # LossSpec admits, and the builder runs none of core's rules; no other
+    # module imports the builder or the role flags, or reads them by name
+    private = {"label_plan", "_role_flags"}
+    package = Path(gamesurv.oracle.__file__).parent
+    builders = []
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        if path.name != "losses.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                else:
+                    continue
+                assert not names & private, f"{path.name} reaches {names & private} at line " \
+                                            f"{node.lineno}"
+        builders += [(path.stem, top, fn) for top, fn, name in _top_level_calls(tree)
+                     if name == "label_plan"]
+    assert sorted(builders) == [("losses", "_plan_of", "_plan_of"),
+                                ("losses", "ipcw_mean", "ipcw_mean")]
+    losses_tree = ast.parse((package / "losses.py").read_text())
+    rules = {name for name in dir(gamesurv.core) if name[0] == "_" != name[1]
+             and callable(getattr(gamesurv.core, name))}
+    called = {name for top, _, name in _top_level_calls(losses_tree) if top == "label_plan"}
+    assert "_labels" in rules and not called & rules
