@@ -146,11 +146,6 @@ class _Cohort:
         return gbar, dataset
 
     @cached_property
-    def observed(self):
-        """The likelihood's plan of the observed labels, from the dataset's memo."""
-        return _plan_of(_OBSERVED, self.dataset)
-
-    @cached_property
     def scores(self) -> dict:
         """The failure player's Brier and BLL training scores per horizon,
         averaged over rows, by family, from one pass of the loss kernel's
@@ -169,15 +164,16 @@ class _Cohort:
         each latent bin, (1, n) each: from the score pass when it has run,
         else from a pass of their own over the same row blocks."""
         if self._entries is None:
-            self._entries = _cells(self.observed, (), self.pmf[None], None, self.floor,
+            self._entries = _cells(_plan_of(_OBSERVED, self.dataset), (), self.pmf[None], None,
+                                   self.floor,
                                    reduce=lambda rows, part, cdf: self._entries_of(rows, cdf))
         return self._entries
 
     def _entries_of(self, rows, cdf) -> tuple:
         """The `entries` of rows ``rows``, from their (1, rows, K) cdfs."""
         lat = self.latent_bins
-        nll, = _likelihood(self.observed.block(rows), self.pmf[None, rows], cdf, self.floor, None,
-                           False)
+        nll, = _likelihood(_plan_of(_OBSERVED, self.dataset).block(rows), self.pmf[None, rows], cdf,
+                           self.floor, None, False)
         if lat is None:
             return (nll,)
         return nll, cdf[:, np.arange(cdf.shape[1]), lat[rows] - 1]

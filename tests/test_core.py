@@ -21,6 +21,7 @@ from gamesurv.losses import (
     ROLES,
     LossSpec,
     batch_loss,
+    ipcw_bll_failure,
     ipcw_bs_failure,
     ipcw_mean,
     ipcw_per_sample,
@@ -235,6 +236,7 @@ LABEL_BOUNDARIES = {
                                                       labelled(u, e, 3)),
     "ipcw_per_sample": lambda u, e: ipcw_per_sample("ipcw-bll", "censor", 1, G3, F3, u, e),
     "ipcw_bs_failure": lambda u, e: ipcw_bs_failure(2, F3, G3, u, e),
+    "ipcw_bll_failure": lambda u, e: ipcw_bll_failure(1, F3, G3, u, e),
     "nll": lambda u, e: nll(F3, u, e),
     "ipcw_mean": lambda u, e: ipcw_mean(u, e, G3),
     "ipcw_weight_arrays": lambda u, e: ipcw_weight_arrays("censor", F3, u, e, np.array([1, 2])),
@@ -448,6 +450,8 @@ def test_dataset_rows_keep_the_dataset_rules(bad):
     data, idx, message = BAD_ROWS[bad]
     with pytest.raises(ValueError, match=message):
         data.batch(idx)
+
+
 BAD_EVENTS = {  # name -> (event for 3 records, message)
     "mismatched": ([True], r"event must have time's shape \(3,\), got \(1,\)"),
     "2": ([1, 2, 0], "event must hold only 0 and 1, got int"),

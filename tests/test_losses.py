@@ -482,7 +482,7 @@ def test_evaluate_and_the_losses_share_one_plan_per_dataset_and_spec(monkeypatch
         for family in ("ipcw-bs", "ipcw-bll", "nll"):
             batch_loss(LossSpec(family, "failure"), f, None if family == "nll" else g, ds)
     latent = [data for data in built if data is not ds]
-    assert len(built) - len(latent) == 2 == len({id(data) for data in latent})
+    assert len(built) - len(latent) == 2 == len(latent) == len({id(data) for data in latent})
     assert set(ds._plans) == {("all", ("failure",)), ((), ("failure",))}
     for data in latent:
         assert data.event.all() and data.features.shape == (ds.n, 0)

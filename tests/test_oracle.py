@@ -640,42 +640,13 @@ def test_oracle_never_imports_losses():
         assert not names & forbidden, f"oracle imports losses at line {node.lineno}"
 
 
-def test_only_losses_reaches_the_scoring_chain():
-    # every score goes through losses._cells, so the chain's parts stay
-    # private to losses: no other module imports them or reads them by
-    # name, except that metrics reads the likelihood kernel
-    chain = {"_ipcw_weights", "_scores", "_likelihood"}
-    package = Path(gamesurv.oracle.__file__).parent
-    sites = []  # (module, top-level name, function, part) of each call to a part
-    for path in package.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        allowed = {"losses.py": chain, "metrics.py": {"_likelihood"}}.get(path.name, set())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                names = {alias.name for alias in node.names}
-            elif isinstance(node, ast.Attribute):
-                names = {node.attr}
-            else:
-                continue
-            reached = names & chain - allowed
-            assert not reached, f"{path.name} reaches {reached} at line {node.lineno}"
-        for top in tree.body:
-            defs = top.body if isinstance(top, ast.ClassDef) else [top]
-            for fn in defs:
-                for node in ast.walk(fn):
-                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                            and node.func.id in allowed:
-                        sites.append((path.stem, getattr(top, "name", ""),
-                                      getattr(fn, "name", ""), node.func.id))
-    # the weights, the scores and the likelihood each run at one call site,
-    # in _cells, and the likelihood at one more: the block reduce that reads
-    # an evaluation cohort's observed labels
-    assert sorted(sites) == [
-        ("losses", "_cells", "_cells", "_ipcw_weights"),
-        ("losses", "_cells", "_cells", "_likelihood"),
-        ("losses", "_cells", "_cells", "_scores"),
-        ("metrics", "_Cohort", "_entries_of", "_likelihood"),
-    ]
+def _reads(tree):
+    """(names, line) of each import from a module and each attribute read in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield {alias.name for alias in node.names}, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield {node.attr}, node.lineno
 
 
 def _top_level_calls(tree):
@@ -690,6 +661,32 @@ def _top_level_calls(tree):
                     yield getattr(top, "name", ""), getattr(fn, "name", ""), name
 
 
+def test_only_losses_reaches_the_scoring_chain():
+    # every score goes through losses._cells, so the chain's parts stay
+    # private to losses: no other module imports them or reads them by
+    # name, except that metrics reads the likelihood kernel
+    chain = {"_ipcw_weights", "_scores", "_likelihood"}
+    package = Path(gamesurv.oracle.__file__).parent
+    sites = []  # (module, top-level name, function, part) of each call to a part
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        allowed = {"losses.py": chain, "metrics.py": {"_likelihood"}}.get(path.name, set())
+        for names, line in _reads(tree):
+            reached = names & chain - allowed
+            assert not reached, f"{path.name} reaches {reached} at line {line}"
+        sites += [(path.stem, top, fn, name) for top, fn, name in _top_level_calls(tree)
+                  if name in allowed]
+    # the weights, the scores and the likelihood each run at one call site,
+    # in _cells, and the likelihood at one more: the block reduce that reads
+    # an evaluation cohort's observed labels
+    assert sorted(sites) == [
+        ("losses", "_cells", "_cells", "_ipcw_weights"),
+        ("losses", "_cells", "_cells", "_likelihood"),
+        ("losses", "_cells", "_cells", "_scores"),
+        ("metrics", "_Cohort", "_entries_of", "_likelihood"),
+    ]
+
+
 def test_label_plans_are_built_from_a_dataset_in_losses_alone():
     # labels are checked once, by Dataset: a label plan is built from a
     # dataset by the memo (_plan_of) and by ipcw_mean, whose horizon K no
@@ -700,16 +697,8 @@ def test_label_plans_are_built_from_a_dataset_in_losses_alone():
     builders = []
     for path in package.glob("*.py"):
         tree = ast.parse(path.read_text())
-        if path.name != "losses.py":
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ImportFrom):
-                    names = {alias.name for alias in node.names}
-                elif isinstance(node, ast.Attribute):
-                    names = {node.attr}
-                else:
-                    continue
-                assert not names & private, f"{path.name} reaches {names & private} at line " \
-                                            f"{node.lineno}"
+        for names, line in _reads(tree) if path.name != "losses.py" else ():
+            assert not names & private, f"{path.name} reaches {names & private} at line {line}"
         builders += [(path.stem, top, fn) for top, fn, name in _top_level_calls(tree)
                      if name == "label_plan"]
     assert sorted(builders) == [("losses", "_plan_of", "_plan_of"),
